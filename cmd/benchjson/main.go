@@ -5,18 +5,20 @@
 //	go test -run '^$' -bench . -benchmem ./internal/pipeline/ | tee bench.txt
 //	benchjson -in bench.txt -out BENCH_pipeline.json
 //
-// Repeated names (from -count N) become repeated entries; downstream
-// tooling can aggregate however it likes.
+// Each entry records the package of the `pkg:` header above it, so one
+// file may hold several packages' runs. Repeated names (from -count N)
+// become repeated entries; downstream tooling can aggregate however it
+// likes.
 //
 // With -compare it instead diffs two archived JSON runs and gates on
 // regressions — the perf-PR guard `make benchcmp` builds on:
 //
 //	benchjson -compare [-threshold 10] old.json new.json
 //
-// Repeated entries are averaged, ns/op and allocs/op deltas are printed
-// per benchmark, and the exit status is 1 when either metric regresses
-// by more than the threshold percentage on any benchmark present in both
-// files.
+// Benchmarks are matched by package and name, repeated entries are
+// averaged, ns/op and allocs/op deltas are printed per benchmark, and
+// the exit status is 1 when either metric regresses by more than the
+// threshold percentage on any benchmark present in both files.
 package main
 
 import (
@@ -34,12 +36,14 @@ import (
 
 // benchRun is one benchmark result line.
 type benchRun struct {
+	Pkg        string             `json:"pkg,omitempty"`
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"` // unit → value, e.g. "ns/op": 1234.5
 }
 
-// benchDoc is the whole converted run.
+// benchDoc is the whole converted run. Pkg is set only when every entry
+// comes from one package; each entry carries its own.
 type benchDoc struct {
 	Goos       string     `json:"goos,omitempty"`
 	Goarch     string     `json:"goarch,omitempty"`
@@ -51,6 +55,8 @@ type benchDoc struct {
 // parse reads go-bench text and extracts header context plus result lines.
 func parse(r io.Reader) (benchDoc, error) {
 	doc := benchDoc{Benchmarks: []benchRun{}}
+	pkg := ""
+	pkgs := map[string]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -63,7 +69,7 @@ func parse(r io.Reader) (benchDoc, error) {
 			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -81,6 +87,7 @@ func parse(r io.Reader) (benchDoc, error) {
 			continue // PASS/FAIL or some other Benchmark-prefixed text
 		}
 		run := benchRun{
+			Pkg:        pkg,
 			Name:       strings.TrimPrefix(fields[0], "Benchmark"),
 			Iterations: iters,
 			Metrics:    map[string]float64{},
@@ -94,11 +101,16 @@ func parse(r io.Reader) (benchDoc, error) {
 			run.Metrics[fields[i+1]] = v
 		}
 		doc.Benchmarks = append(doc.Benchmarks, run)
+		pkgs[pkg] = true
+	}
+	if len(pkgs) == 1 {
+		doc.Pkg = pkg
 	}
 	return doc, sc.Err()
 }
 
-// loadDoc reads an archived benchmark JSON document.
+// loadDoc reads an archived benchmark JSON document. Entries written
+// before entries carried their package take the document's.
 func loadDoc(path string) (benchDoc, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -108,22 +120,37 @@ func loadDoc(path string) (benchDoc, error) {
 	if err := json.Unmarshal(b, &doc); err != nil {
 		return benchDoc{}, fmt.Errorf("%s: %w", path, err)
 	}
+	for i := range doc.Benchmarks {
+		if doc.Benchmarks[i].Pkg == "" {
+			doc.Benchmarks[i].Pkg = doc.Pkg
+		}
+	}
 	return doc, nil
 }
 
+// key identifies a benchmark across runs: its package-qualified name,
+// or the bare name when the package is unknown.
+func (r benchRun) key() string {
+	if r.Pkg == "" {
+		return r.Name
+	}
+	return r.Pkg + "." + r.Name
+}
+
 // aggregate averages repeated entries (from -count N runs) into one
-// metric map per benchmark name.
+// metric map per benchmark, keyed by package and name.
 func aggregate(doc benchDoc) map[string]map[string]float64 {
 	sums := map[string]map[string]float64{}
 	counts := map[string]map[string]int{}
 	for _, run := range doc.Benchmarks {
-		if sums[run.Name] == nil {
-			sums[run.Name] = map[string]float64{}
-			counts[run.Name] = map[string]int{}
+		k := run.key()
+		if sums[k] == nil {
+			sums[k] = map[string]float64{}
+			counts[k] = map[string]int{}
 		}
 		for unit, v := range run.Metrics {
-			sums[run.Name][unit] += v
-			counts[run.Name][unit]++
+			sums[k][unit] += v
+			counts[k][unit]++
 		}
 	}
 	for name, m := range sums {

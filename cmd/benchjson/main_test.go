@@ -86,3 +86,51 @@ func TestCompareWithinThresholdPasses(t *testing.T) {
 		t.Errorf("regressed = %v, want none within threshold", regressed)
 	}
 }
+
+// TestTwoPackagesKeepTheirNames converts one file holding two packages'
+// runs of a same-named benchmark: each entry keeps its own package, the
+// document claims neither, and the comparison keys by package and name,
+// so a regression in one package is not averaged away by the other.
+func TestTwoPackagesKeepTheirNames(t *testing.T) {
+	run := func(geoNS, pipelineNS string) benchDoc {
+		t.Helper()
+		doc, err := parse(strings.NewReader(`goos: linux
+goarch: amd64
+pkg: donorsense/internal/geo
+BenchmarkLocate-8   	  1000	      ` + geoNS + ` ns/op	       0 allocs/op
+PASS
+ok  	donorsense/internal/geo	1.0s
+goos: linux
+goarch: amd64
+pkg: donorsense/internal/pipeline
+BenchmarkLocate-8   	  1000	      ` + pipelineNS + ` ns/op	       0 allocs/op
+BenchmarkProcessAll-8	   500	   2345678 ns/op	      10 allocs/op
+PASS
+ok  	donorsense/internal/pipeline	2.0s
+`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	doc := run("100", "5000")
+	if doc.Pkg != "" {
+		t.Errorf("two-package document claims pkg %q", doc.Pkg)
+	}
+	wantPkgs := []string{"donorsense/internal/geo", "donorsense/internal/pipeline", "donorsense/internal/pipeline"}
+	for i, b := range doc.Benchmarks {
+		if b.Pkg != wantPkgs[i] {
+			t.Errorf("entry %d (%s) pkg %q, want %q", i, b.Name, b.Pkg, wantPkgs[i])
+		}
+	}
+	agg := aggregate(doc)
+	if len(agg) != 3 || agg["donorsense/internal/geo.Locate-8"]["ns/op"] != 100 ||
+		agg["donorsense/internal/pipeline.Locate-8"]["ns/op"] != 5000 {
+		t.Fatalf("aggregate merged the packages: %v", agg)
+	}
+	var sb strings.Builder
+	regressed := compare(&sb, agg, aggregate(run("150", "5000")), 10)
+	if len(regressed) != 1 || regressed[0] != "donorsense/internal/geo.Locate-8" {
+		t.Errorf("regressed = %v, want only the geo benchmark", regressed)
+	}
+}

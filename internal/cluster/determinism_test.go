@@ -264,3 +264,104 @@ func TestConcurrentSweepKRace(t *testing.T) {
 		}
 	}
 }
+
+// TestKMeansCarriedSumsWorkersBitIdentical drives 1000 warm resumes, each
+// after a few rows were taken out of their clusters with Unassign and
+// given new data. The per-cluster sums the state carries across resumes
+// must still equal a full re-sum of the final labels to within 1e-9 of
+// each cluster's total mass, and every resume — inertia, iterations,
+// labels, sums — must be bit-identical for one worker and for four.
+func TestKMeansCarriedSumsWorkersBitIdentical(t *testing.T) {
+	const n, dim, refreshes = 5000, 6, 1000
+	cfg := KMeansConfig{K: 7, Seed: 4, Restarts: 2}
+	type trace struct {
+		inertia    float64
+		iterations int
+		labelSum   int
+	}
+	run := func(workers int) (*KMeansWarmState, []float64, []trace) {
+		r := rand.New(rand.NewPCG(77, 1))
+		rows := benchMatrix(n, dim, 9)
+		m, err := denseFromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := m.Data()
+		cfg := cfg
+		cfg.Workers = workers
+		_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []trace
+		for step := 0; step < refreshes; step++ {
+			for j := 0; j < 1+r.IntN(12); j++ {
+				i := r.IntN(n)
+				row := data[i*dim : (i+1)*dim]
+				ws.Unassign(i, row)
+				copy(row, randDist(r, dim))
+			}
+			// The counts must account for exactly the labeled rows, or
+			// the resume would re-sum instead of carrying.
+			labeled, counted := 0, 0
+			for _, l := range ws.Labels {
+				if l >= 0 {
+					labeled++
+				}
+			}
+			for _, c := range ws.counts {
+				counted += c
+			}
+			if labeled != counted {
+				t.Fatalf("step %d: %d labeled rows, counts hold %d", step, labeled, counted)
+			}
+			res, next, resumed, err := KMeansDenseWarm(m, cfg, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resumed || next != ws {
+				t.Fatalf("step %d: resumed=%v, state replaced=%v", step, resumed, next != ws)
+			}
+			tr := trace{inertia: res.Inertia, iterations: res.Iterations}
+			for _, l := range res.Labels {
+				tr.labelSum = tr.labelSum*31 + l
+			}
+			out = append(out, tr)
+		}
+		return ws, data, out
+	}
+
+	ws1, data, trace1 := run(1)
+	ws4, _, trace4 := run(4)
+	if !reflect.DeepEqual(trace1, trace4) {
+		t.Fatal("resumes differ between one and four workers")
+	}
+	if !reflect.DeepEqual(ws1.Labels, ws4.Labels) || !reflect.DeepEqual(ws1.counts, ws4.counts) {
+		t.Fatal("carried labels or counts differ between one and four workers")
+	}
+	for i := range ws1.sums {
+		if math.Float64bits(ws1.sums[i]) != math.Float64bits(ws4.sums[i]) {
+			t.Fatalf("carried sum %d differs between one and four workers", i)
+		}
+	}
+
+	// The oracle: re-sum the final labels from scratch.
+	sums := make([]float64, cfg.K*dim)
+	counts := make([]int, cfg.K)
+	for i, l := range ws1.Labels {
+		counts[l]++
+		addTo(sums[int(l)*dim:(int(l)+1)*dim], data[i*dim:(i+1)*dim])
+	}
+	if !reflect.DeepEqual(counts, ws1.counts) {
+		t.Fatalf("carried counts %v, re-count %v", ws1.counts, counts)
+	}
+	for c := 0; c < cfg.K; c++ {
+		mass := float64(counts[c]) // each row is a distribution summing to 1
+		for j := 0; j < dim; j++ {
+			got, want := ws1.sums[c*dim+j], sums[c*dim+j]
+			if math.Abs(got-want) > 1e-9*mass {
+				t.Fatalf("cluster %d sum[%d] carried %v, re-summed %v", c, j, got, want)
+			}
+		}
+	}
+}

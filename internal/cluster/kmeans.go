@@ -118,7 +118,7 @@ type kmeansRun struct {
 	sums   []float64 // k×dim running per-cluster vector sums
 	counts []int     // points per cluster (maintained incrementally)
 
-	labels []int
+	labels []int32
 	upper  []float64 // u(i): upper bound on d(x_i, pos[labels[i]])
 	lower  []float64 // l(i): lower bound on d(x_i, second-closest centroid)
 
@@ -129,13 +129,26 @@ type kmeansRun struct {
 }
 
 // kmeansChunk is one chunk's contribution to a pass: vector-sum and
-// count deltas from reassignments, plus the chunk's farthest-point
-// candidate for empty-cluster repair.
+// count deltas from reassignments, the chunk's farthest-point candidate
+// for empty-cluster repair, and the final pass's per-chunk sizes,
+// inertia, and count of rows that arrived labeled.
 type kmeansChunk struct {
 	deltaSums []float64 // k×dim
 	deltaCnt  []int     // k
 	farIdx    int
 	farD      float64
+	sizes     []int // k
+	inertia   float64
+	labeled   int
+}
+
+// newChunks returns n zeroed chunk accumulators for k×dim clusters.
+func newChunks(n, k, dim int) []kmeansChunk {
+	parts := make([]kmeansChunk, n)
+	for i := range parts {
+		parts[i] = kmeansChunk{deltaSums: make([]float64, k*dim), deltaCnt: make([]int, k), sizes: make([]int, k)}
+	}
+	return parts
 }
 
 func kmeansOnce(m *mat.Dense, k, maxIter int, tol float64, r *rand.Rand, workers int) *KMeansResult {
@@ -146,16 +159,12 @@ func kmeansOnce(m *mat.Dense, k, maxIter int, tol float64, r *rand.Rand, workers
 		oldPos: make([]float64, k*dim),
 		sums:   make([]float64, k*dim),
 		counts: make([]int, k),
-		labels: make([]int, n),
+		labels: make([]int32, n),
 		upper:  make([]float64, n),
 		lower:  make([]float64, n),
 		half:   make([]float64, k),
 		drift:  make([]float64, k),
-	}
-	nChunks := (n + assignChunkRows - 1) / assignChunkRows
-	run.parts = make([]kmeansChunk, nChunks)
-	for i := range run.parts {
-		run.parts[i] = kmeansChunk{deltaSums: make([]float64, k*dim), deltaCnt: make([]int, k)}
+		parts:  newChunks(numChunks(n), k, dim),
 	}
 
 	run.initialAssign()
@@ -192,7 +201,7 @@ func (run *kmeansRun) initialAssign() {
 		for i := lo; i < hi; i++ {
 			row := run.row(i)
 			bi, bd, sd := run.closestTwo(row)
-			run.labels[i] = bi
+			run.labels[i] = int32(bi)
 			run.upper[i] = math.Sqrt(bd)
 			run.lower[i] = math.Sqrt(sd)
 			p.deltaCnt[bi]++
@@ -218,8 +227,11 @@ func (run *kmeansRun) assignPruned() {
 				maxDrift = d
 			}
 		}
+		// The farthest candidate lives in locals for the sweep: a field
+		// behind p would make every row wait on the previous row's store.
+		farD, farIdx := p.farD, p.farIdx
 		for i := lo; i < hi; i++ {
-			a := run.labels[i]
+			a := int(run.labels[i])
 			// Carry the bounds across the last centroid move.
 			u := run.upper[i] + run.drift[a]
 			l := run.lower[i] - maxDrift
@@ -229,8 +241,8 @@ func (run *kmeansRun) assignPruned() {
 			}
 			if u <= m {
 				run.upper[i], run.lower[i] = u, l
-				if u > p.farD {
-					p.farD, p.farIdx = u, i
+				if u > farD {
+					farD, farIdx = u, i
 				}
 				continue
 			}
@@ -239,19 +251,19 @@ func (run *kmeansRun) assignPruned() {
 			u = math.Sqrt(sqDistTo(row, run.pos[a*run.dim:(a+1)*run.dim]))
 			if u <= m {
 				run.upper[i], run.lower[i] = u, l
-				if u > p.farD {
-					p.farD, p.farIdx = u, i
+				if u > farD {
+					farD, farIdx = u, i
 				}
 				continue
 			}
 			bi, bd, sd := run.closestTwo(row)
 			run.upper[i] = math.Sqrt(bd)
 			run.lower[i] = math.Sqrt(sd)
-			if run.upper[i] > p.farD {
-				p.farD, p.farIdx = run.upper[i], i
+			if run.upper[i] > farD {
+				farD, farIdx = run.upper[i], i
 			}
 			if bi != a {
-				run.labels[i] = bi
+				run.labels[i] = int32(bi)
 				p.deltaCnt[a]--
 				p.deltaCnt[bi]++
 				dim := run.dim
@@ -259,6 +271,7 @@ func (run *kmeansRun) assignPruned() {
 				addTo(p.deltaSums[bi*dim:(bi+1)*dim], row)
 			}
 		}
+		p.farD, p.farIdx = farD, farIdx
 	})
 	run.foldDeltas()
 }
@@ -304,30 +317,36 @@ func (run *kmeansRun) updateCentroids() float64 {
 // returns fresh labels, sizes, and the exact inertia, folded in chunk
 // order.
 func (run *kmeansRun) finalAssign() ([]int, []int, float64) {
-	type finalPart struct {
-		sizes   []int
-		inertia float64
-	}
-	parts := make([]finalPart, len(run.parts))
+	labels := make([]int, run.n)
 	parallelChunks(len(run.parts), run.workers, func(c int) {
-		parts[c].sizes = make([]int, run.k)
+		p := &run.parts[c]
+		run.resetChunk(p)
 		lo, hi := run.chunkBounds(c)
+		inertia := 0.0
 		for i := lo; i < hi; i++ {
 			bi, bd, _ := run.closestTwo(run.row(i))
-			run.labels[i] = bi
-			parts[c].sizes[bi]++
-			parts[c].inertia += bd
+			labels[i] = bi
+			p.sizes[bi]++
+			inertia += bd
 		}
+		p.inertia = inertia
 	})
+	sizes, inertia := run.foldFinal()
+	return labels, sizes, inertia
+}
+
+// foldFinal sums the final pass's per-chunk sizes and inertia in chunk
+// order.
+func (run *kmeansRun) foldFinal() ([]int, float64) {
 	sizes := make([]int, run.k)
 	inertia := 0.0
-	for c := range parts {
-		inertia += parts[c].inertia
-		for i, s := range parts[c].sizes {
+	for c := range run.parts {
+		inertia += run.parts[c].inertia
+		for i, s := range run.parts[c].sizes {
 			sizes[i] += s
 		}
 	}
-	return run.labels, sizes, inertia
+	return sizes, inertia
 }
 
 // refreshHalf recomputes s(c), half the distance from each centroid to
@@ -350,6 +369,9 @@ func (run *kmeansRun) refreshHalf() {
 	}
 }
 
+// numChunks is the number of assignChunkRows chunks covering n rows.
+func numChunks(n int) int { return (n + assignChunkRows - 1) / assignChunkRows }
+
 func (run *kmeansRun) chunkBounds(c int) (int, int) {
 	lo := c * assignChunkRows
 	hi := lo + assignChunkRows
@@ -369,8 +391,10 @@ func (run *kmeansRun) resetChunk(p *kmeansChunk) {
 	}
 	for i := range p.deltaCnt {
 		p.deltaCnt[i] = 0
+		p.sizes[i] = 0
 	}
 	p.farIdx, p.farD = 0, -1
+	p.inertia, p.labeled = 0, 0
 }
 
 // foldDeltas applies every chunk's sum/count deltas in chunk index

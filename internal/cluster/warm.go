@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"donorsense/internal/mat"
 )
@@ -11,23 +12,30 @@ import (
 // enough to make the next run over slightly-changed data nearly free.
 //
 // For K-Means the state is the final centroid positions plus each
-// point's label and Hamerly bounds. A caller that knows which rows
-// changed keeps the survivors' entries (their bounds remain valid —
-// the centroids they were proved against are exactly the positions the
-// warm run starts from) and marks changed or new rows with label -1,
-// which forces an exact re-assignment for just those rows. The warm run
-// rebuilds the per-cluster sums in one deterministic chunk-folded pass
-// and re-enters the standard pruned Lloyd loop; on an unchanged dataset
-// it converges immediately, and after a small delta it typically needs
-// one or two iterations in which every clean point is pruned by its
-// carried bounds. Restarts are skipped — a warm run continues the
-// incumbent solution rather than re-searching initializations — so
-// callers fall back to the cold path (and its restarts) whenever the
-// state is missing or no longer fits the data. Warm results are
-// verified converged-equal, not bit-identical, against cold runs: the
-// rebuilt sums can differ from the cold run's incrementally-maintained
-// sums in the last ulp, so the fixed point is the same partition at
-// indistinguishable inertia, reached through different float sequences.
+// point's label and Hamerly bounds, and — carried in memory between
+// resumes, never persisted — the per-cluster vector sums and counts. A
+// caller that knows which rows changed takes each one out of its
+// cluster with Unassign before the row's data changes (its vector
+// leaves the sums and its label becomes -1), and gives new rows label
+// -1. The survivors keep their entries: their bounds remain valid,
+// because the centroids they were proved against are exactly the
+// positions the warm run starts from. A resume exactly re-assigns only
+// the -1 rows, adds them back to the sums, and re-enters the standard
+// pruned Lloyd loop. On an unchanged dataset it converges immediately,
+// and after a small delta it typically needs one or two iterations in
+// which every clean point is pruned by its carried bounds. The sums are
+// re-summed in full only when they are missing (a state restored from
+// a checkpoint) or no longer account for every labeled row (a caller
+// marked rows -1 without Unassign). Restarts are skipped — a warm run
+// continues the incumbent solution rather than re-searching
+// initializations — so callers fall back to the cold path (and its
+// restarts) whenever the state is missing or no longer fits the data.
+// Warm results are verified converged-equal, not bit-identical, against
+// cold runs: carried sums can differ from a cold run's sums in the last
+// ulps, so the fixed point is the same partition at indistinguishable
+// inertia, reached through different float sequences. Every pass folds
+// per-chunk partials in chunk order and Unassign runs on the caller's
+// goroutine, so a resume is bit-identical for any worker count.
 //
 // For the (≤ 51-state) agglomerative clustering the expensive part is
 // the O(n²) transcendental distance evaluations, so PairwiseCache keys
@@ -37,9 +45,12 @@ import (
 // chain rerun entirely when no distance changed.
 
 // KMeansWarmState is the resumable state of a converged K-Means run.
-// All slices are owned by the holder; Labels[i] == -1 marks a row whose
-// data changed since the state was captured (bounds invalid, exact
-// re-assignment required).
+// Labels[i] == -1 marks a row whose data changed since the state was
+// captured (bounds invalid, exact re-assignment required). A resume
+// updates the state in place; once it has been checked (Validate, or a
+// resume), callers may change it only through Unassign and by moving
+// rows in all three per-row slices together, giving inserted rows label
+// -1.
 type KMeansWarmState struct {
 	K         int
 	Dim       int
@@ -47,6 +58,46 @@ type KMeansWarmState struct {
 	Labels    []int32   // per row; -1 = dirty/new
 	Upper     []float64 // Hamerly upper bound per row
 	Lower     []float64 // Hamerly lower bound per row
+
+	// Carried between resumes, not persisted.
+	sums    []float64     // k×dim vector sums of the labeled rows
+	counts  []int         // labeled rows per cluster
+	checked bool          // the state passed Validate or was built here
+	parts   []kmeansChunk // per-chunk scratch, reused
+	out     []int         // result labels, reused
+}
+
+// Validate checks the state is internally consistent: k ≥ 1, dim ≥ 1,
+// k×dim finite centroids, per-row slices of one length, labels in
+// [-1, k), and finite non-negative bounds (a +Inf lower bound only when
+// k = 1).
+func (ws *KMeansWarmState) Validate() error {
+	if ws.K < 1 || ws.Dim < 1 {
+		return fmt.Errorf("cluster: warm state k=%d dim=%d", ws.K, ws.Dim)
+	}
+	if len(ws.Centroids) != ws.K*ws.Dim {
+		return fmt.Errorf("cluster: warm state has %d centroid values, want %d×%d", len(ws.Centroids), ws.K, ws.Dim)
+	}
+	if len(ws.Upper) != len(ws.Labels) || len(ws.Lower) != len(ws.Labels) {
+		return fmt.Errorf("cluster: warm state has %d labels, %d upper and %d lower bounds", len(ws.Labels), len(ws.Upper), len(ws.Lower))
+	}
+	for i, c := range ws.Centroids {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("cluster: warm centroid value %d is %v", i, c)
+		}
+	}
+	for i, l := range ws.Labels {
+		if l < -1 || int(l) >= ws.K {
+			return fmt.Errorf("cluster: warm label %d of row %d out of k=%d", l, i, ws.K)
+		}
+		// With one centroid there is no second-closest, so the lower
+		// bound is +Inf.
+		if u, lo := ws.Upper[i], ws.Lower[i]; !(u >= 0 && lo >= 0) || math.IsInf(u, 0) || (math.IsInf(lo, 0) && ws.K > 1) {
+			return fmt.Errorf("cluster: warm bounds (%v, %v) of row %d", u, lo, i)
+		}
+	}
+	ws.checked = true
+	return nil
 }
 
 // compatible reports whether the state can seed a warm run over n×dim
@@ -57,25 +108,38 @@ func (ws *KMeansWarmState) compatible(n, dim, k int) bool {
 		len(ws.Labels) == n && len(ws.Upper) == n && len(ws.Lower) == n
 }
 
+// Unassign takes row i out of its cluster before the caller changes or
+// drops the row's data: row must still be the vector the state last
+// assigned. The vector leaves the carried cluster sum and the label
+// becomes -1, so the next resume re-assigns the row exactly. Rows
+// already at -1 are left alone.
+func (ws *KMeansWarmState) Unassign(i int, row []float64) {
+	l := int(ws.Labels[i])
+	if l < 0 {
+		return
+	}
+	ws.Labels[i] = -1
+	if len(ws.counts) == ws.K && len(ws.sums) == ws.K*ws.Dim {
+		subFrom(ws.sums[l*ws.Dim:(l+1)*ws.Dim], row)
+		ws.counts[l]--
+	}
+}
+
 // KMeansDenseWarm is KMeansDense with warm-start: when warm carries a
-// compatible prior state the run resumes from it (resumed true),
-// otherwise it cold-starts through KMeansDense — bit-identical to a
-// direct call, restarts included. In both cases the returned state
-// captures the finished run for the next resume, with exact bounds from
-// the final assignment pass.
+// compatible and valid prior state the run resumes from it in place
+// (resumed true), otherwise it cold-starts through KMeansDense —
+// bit-identical to a direct call, restarts included. In both cases the
+// returned state captures the finished run for the next resume, with
+// bounds valid against its final centroids. A resumed result's
+// Labels and Centroids share the state's memory: they hold until the
+// state's next resume.
 func KMeansDenseWarm(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KMeansResult, *KMeansWarmState, bool, error) {
 	n, dim := m.Rows(), m.Cols()
 	if cfg.K < 1 || cfg.K > n {
 		return nil, nil, false, fmt.Errorf("cluster: kmeans k=%d with n=%d", cfg.K, n)
 	}
-	if warm.compatible(n, dim, cfg.K) {
-		for _, l := range warm.Labels {
-			if int(l) >= cfg.K {
-				return nil, nil, false, fmt.Errorf("cluster: warm label %d out of k=%d", l, cfg.K)
-			}
-		}
-		res, next := kmeansResume(m, cfg, warm)
-		return res, next, true, nil
+	if warm.compatible(n, dim, cfg.K) && (warm.checked || warm.Validate() == nil) {
+		return kmeansResume(m, cfg, warm), warm, true, nil
 	}
 	res, err := KMeansDense(m, cfg)
 	if err != nil {
@@ -84,12 +148,12 @@ func KMeansDenseWarm(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KM
 	return res, captureWarm(m, res, resolveWorkers(cfg.Workers)), false, nil
 }
 
-// kmeansResume continues a run from warm state: adopt clean rows' labels
-// and bounds, exactly re-assign dirty rows, rebuild sums in chunk order,
-// then iterate the standard pruned loop to convergence.
-func kmeansResume(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KMeansResult, *KMeansWarmState) {
-	n, dim := m.Rows(), m.Cols()
-	k := cfg.K
+// kmeansResume continues a run from warm state: exactly assign the -1
+// rows, fold them into the carried sums (or re-sum everything when the
+// sums cannot be trusted), then iterate the standard pruned loop to
+// convergence and capture the result in place. Iterations counts the
+// centroid updates.
+func kmeansResume(m *mat.Dense, cfg KMeansConfig, ws *KMeansWarmState) *KMeansResult {
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
 		maxIter = 100
@@ -98,92 +162,129 @@ func kmeansResume(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KMean
 	if tol <= 0 {
 		tol = 1e-9
 	}
-	workers := resolveWorkers(cfg.Workers)
-
-	run := &kmeansRun{
-		data: m.Data(), n: n, dim: dim, k: k, workers: workers,
-		pos:    append([]float64(nil), warm.Centroids...),
-		oldPos: make([]float64, k*dim),
-		sums:   make([]float64, k*dim),
-		counts: make([]int, k),
-		labels: make([]int, n),
-		upper:  make([]float64, n),
-		lower:  make([]float64, n),
-		half:   make([]float64, k),
-		drift:  make([]float64, k),
-	}
-	nChunks := (n + assignChunkRows - 1) / assignChunkRows
-	run.parts = make([]kmeansChunk, nChunks)
-	for i := range run.parts {
-		run.parts[i] = kmeansChunk{deltaSums: make([]float64, k*dim), deltaCnt: make([]int, k)}
-	}
-
-	run.warmAssign(warm)
-	iter := 0
-	for ; iter < maxIter; iter++ {
+	run := ws.run(m, resolveWorkers(cfg.Workers))
+	run.assignDirty()
+	// A pruned pass before the first update could only confirm labels:
+	// every clean row holds its exact nearest centroid from the previous
+	// capture, every dirty row's was just computed, and no centroid has
+	// moved since. So the resume starts with the update. Only an emptied
+	// cluster needs a pass first, for its farthest-point repair.
+	if slices.Contains(run.counts, 0) {
 		run.refreshHalf()
 		run.assignPruned()
-		if moved := run.updateCentroids(); moved <= tol {
-			break
-		}
 	}
-	res, next := run.finishCapture(iter + 1)
-	return res, next
+	iter := 1
+	for moved := run.updateCentroids(); moved > tol && iter < maxIter; iter++ {
+		run.refreshHalf()
+		run.assignPruned()
+		moved = run.updateCentroids()
+	}
+	return run.finishCapture(iter, ws.out[:run.n])
 }
 
-// warmAssign seeds labels, bounds, and per-cluster sums from warm state:
-// clean rows adopt their stored entries, dirty rows (label -1) get an
-// exact two-closest scan. Sums fold in chunk order like every other
-// pass.
-func (run *kmeansRun) warmAssign(warm *KMeansWarmState) {
+// run binds a kmeansRun to the state's memory: positions, labels,
+// bounds, sums, and the reusable scratch, growing what the row count
+// outgrew.
+func (ws *KMeansWarmState) run(m *mat.Dense, workers int) *kmeansRun {
+	n, k, dim := m.Rows(), ws.K, ws.Dim
+	if len(ws.sums) != k*dim || len(ws.counts) != k {
+		ws.sums, ws.counts = make([]float64, k*dim), make([]int, k)
+	}
+	if c := numChunks(n); len(ws.parts) < c {
+		ws.parts = append(ws.parts, newChunks(c-len(ws.parts), k, dim)...)
+	}
+	if cap(ws.out) < n {
+		ws.out = make([]int, n, n+n/64)
+	}
+	return &kmeansRun{
+		data: m.Data(), n: n, dim: dim, k: k, workers: workers,
+		pos:    ws.Centroids,
+		oldPos: make([]float64, k*dim),
+		sums:   ws.sums,
+		counts: ws.counts,
+		labels: ws.Labels,
+		upper:  ws.Upper,
+		lower:  ws.Lower,
+		half:   make([]float64, k),
+		drift:  make([]float64, k),
+		parts:  ws.parts[:numChunks(n)],
+	}
+}
+
+// assignDirty gives every -1 row its exact two closest centroids and
+// adds it to the sums. If the rows that arrived labeled are not exactly
+// the ones the carried counts account for, the sums are rebuilt from
+// all labels instead.
+func (run *kmeansRun) assignDirty() {
+	parallelChunks(len(run.parts), run.workers, func(c int) {
+		p := &run.parts[c]
+		lo, hi := run.chunkBounds(c)
+		run.resetChunk(p)
+		labeled := 0
+		for i := lo; i < hi; i++ {
+			if run.labels[i] >= 0 {
+				labeled++
+				continue
+			}
+			row := run.row(i)
+			bi, bd, sd := run.closestTwo(row)
+			run.labels[i] = int32(bi)
+			run.upper[i] = math.Sqrt(bd)
+			run.lower[i] = math.Sqrt(sd)
+			p.deltaCnt[bi]++
+			addTo(p.deltaSums[bi*run.dim:(bi+1)*run.dim], row)
+		}
+		p.labeled = labeled
+	})
+	labeled, counted := 0, 0
+	for c := range run.parts {
+		labeled += run.parts[c].labeled
+	}
+	for _, n := range run.counts {
+		counted += n
+	}
+	if labeled == counted {
+		run.foldDeltas()
+		return
+	}
+	run.resum()
+}
+
+// resum rebuilds the per-cluster sums and counts from every row's label,
+// folded in chunk order.
+func (run *kmeansRun) resum() {
+	for i := range run.sums {
+		run.sums[i] = 0
+	}
+	for i := range run.counts {
+		run.counts[i] = 0
+	}
 	parallelChunks(len(run.parts), run.workers, func(c int) {
 		p := &run.parts[c]
 		lo, hi := run.chunkBounds(c)
 		run.resetChunk(p)
 		for i := lo; i < hi; i++ {
-			row := run.row(i)
-			if l := warm.Labels[i]; l >= 0 {
-				run.labels[i] = int(l)
-				run.upper[i] = warm.Upper[i]
-				run.lower[i] = warm.Lower[i]
-			} else {
-				bi, bd, sd := run.closestTwo(row)
-				run.labels[i] = bi
-				run.upper[i] = math.Sqrt(bd)
-				run.lower[i] = math.Sqrt(sd)
-			}
-			li := run.labels[i]
-			p.deltaCnt[li]++
-			addTo(p.deltaSums[li*run.dim:(li+1)*run.dim], row)
-			if run.upper[i] > p.farD {
-				p.farD, p.farIdx = run.upper[i], i
-			}
+			l := int(run.labels[i])
+			p.deltaCnt[l]++
+			addTo(p.deltaSums[l*run.dim:(l+1)*run.dim], run.row(i))
 		}
 	})
 	run.foldDeltas()
 }
 
 // finishCapture finalizes the run against the loop's last centroid
-// move, building the result and the next warm state in one sweep. The
-// pass is exact but Hamerly-pruned: a point whose carried bounds prove
-// its label survives the final (sub-tolerance) move pays one distance
-// to its own centroid — for the exact inertia term and a tight upper
-// bound — instead of a k-way scan, and keeps the loop's conservative
-// lower bound, which remains valid for the next resume. Only points
-// the bounds cannot clear rescan exactly. On a converged run nearly
-// every point prunes, making the capture O(n·dim) rather than
-// O(n·k·dim) — the difference between a warm refresh that costs two
-// pruned iterations and one that silently re-pays a full assignment.
-func (run *kmeansRun) finishCapture(iterations int) (*KMeansResult, *KMeansWarmState) {
+// move, writing the result labels into out and the next warm state into
+// the run's own slices in one sweep. The pass is exact but
+// Hamerly-pruned: a point whose carried bounds prove its label survives
+// the final (sub-tolerance) move pays one distance to its own centroid
+// — for the exact inertia term — instead of a k-way scan, and keeps
+// the loop's conservative bounds, which remain valid for the next
+// resume. Only points the bounds cannot
+// clear rescan exactly, and the few that change cluster move their
+// vectors between the carried sums. On a converged run nearly every
+// point prunes, making the capture O(n·dim) rather than O(n·k·dim).
+func (run *kmeansRun) finishCapture(iterations int, out []int) *KMeansResult {
 	k, dim := run.k, run.dim
-	next := &KMeansWarmState{
-		K:         k,
-		Dim:       dim,
-		Centroids: append([]float64(nil), run.pos...),
-		Labels:    make([]int32, run.n),
-		Upper:     make([]float64, run.n),
-		Lower:     make([]float64, run.n),
-	}
 	run.refreshHalf() // half-distances against the final positions
 	maxDrift := 0.0
 	for _, d := range run.drift {
@@ -191,17 +292,14 @@ func (run *kmeansRun) finishCapture(iterations int) (*KMeansResult, *KMeansWarmS
 			maxDrift = d
 		}
 	}
-	type finalPart struct {
-		sizes   []int
-		inertia float64
-	}
-	parts := make([]finalPart, len(run.parts))
 	parallelChunks(len(run.parts), run.workers, func(c int) {
-		parts[c].sizes = make([]int, k)
+		p := &run.parts[c]
+		run.resetChunk(p)
 		lo, hi := run.chunkBounds(c)
+		inertia := 0.0
 		for i := lo; i < hi; i++ {
 			row := run.row(i)
-			a := run.labels[i]
+			a := int(run.labels[i])
 			u := run.upper[i] + run.drift[a]
 			l := run.lower[i] - maxDrift
 			m := run.half[a]
@@ -210,54 +308,63 @@ func (run *kmeansRun) finishCapture(iterations int) (*KMeansResult, *KMeansWarmS
 			}
 			bi := a
 			lower := l
+			// The inertia term is always sqDistTo against the final
+			// label's centroid, so the summation is identical whichever
+			// branch resolved the label.
+			bd := sqDistTo(row, run.pos[a*dim:(a+1)*dim])
 			if u > m {
-				// Tighten: the exact own-centroid distance may clear the
-				// bound without a scan.
-				u = math.Sqrt(sqDistTo(row, run.pos[a*dim:(a+1)*dim]))
+				// Tighten, and rescan only if the exact distance does not
+				// clear the bound either.
+				u = math.Sqrt(bd)
 				if u > m {
 					var sd float64
 					bi, _, sd = run.closestTwo(row)
 					lower = math.Sqrt(sd)
+					if bi != a {
+						bd = sqDistTo(row, run.pos[bi*dim:(bi+1)*dim])
+						u = math.Sqrt(bd)
+						run.labels[i] = int32(bi)
+						p.deltaCnt[a]--
+						p.deltaCnt[bi]++
+						subFrom(p.deltaSums[a*dim:(a+1)*dim], row)
+						addTo(p.deltaSums[bi*dim:(bi+1)*dim], row)
+					}
 				}
 			}
-			// The inertia term is always sqDistTo against the final label's
-			// centroid, so the summation is identical whichever branch
-			// resolved the label.
-			bd := sqDistTo(row, run.pos[bi*dim:(bi+1)*dim])
-			run.labels[i] = bi
-			next.Labels[i] = int32(bi)
-			next.Upper[i] = math.Sqrt(bd)
-			next.Lower[i] = lower
-			parts[c].sizes[bi]++
-			parts[c].inertia += bd
+			out[i] = bi
+			// A pruned row keeps its carried upper bound: valid, and it
+			// spares a square root per row. The resume that finds it too
+			// loose tightens it.
+			run.upper[i] = u
+			// A negative carried lower bound never prunes (the half
+			// distances are ≥ 0), so storing it as 0 changes no decision
+			// and keeps every persisted bound non-negative.
+			run.lower[i] = max(lower, 0)
+			p.sizes[bi]++
+			inertia += bd
 		}
+		p.inertia = inertia
 	})
-	sizes := make([]int, k)
-	inertia := 0.0
-	for c := range parts {
-		inertia += parts[c].inertia
-		for i, s := range parts[c].sizes {
-			sizes[i] += s
-		}
-	}
+	run.foldDeltas()
+	sizes, inertia := run.foldFinal()
 	cents := make([][]float64, k)
 	for c := range cents {
 		cents[c] = run.pos[c*dim : c*dim+dim : c*dim+dim]
 	}
-	res := &KMeansResult{
+	return &KMeansResult{
 		K:          k,
 		Centroids:  cents,
-		Labels:     run.labels,
+		Labels:     out,
 		Inertia:    inertia,
 		Iterations: iterations,
 		Sizes:      sizes,
 	}
-	return res, next
 }
 
 // captureWarm derives warm state from a finished cold run with one exact
 // pass against its centroids — the same computation the run's own final
-// pass performed, so the captured labels agree with res.Labels.
+// pass performed, so the captured labels agree with res.Labels — and
+// sums the clusters for the resumes that follow.
 func captureWarm(m *mat.Dense, res *KMeansResult, workers int) *KMeansWarmState {
 	n, dim := m.Rows(), m.Cols()
 	k := res.K
@@ -272,29 +379,19 @@ func captureWarm(m *mat.Dense, res *KMeansResult, workers int) *KMeansWarmState 
 		Labels:    make([]int32, n),
 		Upper:     make([]float64, n),
 		Lower:     make([]float64, n),
+		checked:   true,
 	}
-	data := m.Data()
-	nChunks := (n + assignChunkRows - 1) / assignChunkRows
-	parallelChunks(nChunks, workers, func(c int) {
-		lo := c * assignChunkRows
-		hi := lo + assignChunkRows
-		if hi > n {
-			hi = n
-		}
+	run := ws.run(m, workers)
+	parallelChunks(len(run.parts), workers, func(c int) {
+		lo, hi := run.chunkBounds(c)
 		for i := lo; i < hi; i++ {
-			row := data[i*dim : (i+1)*dim]
-			var bi int
-			var bd, sd float64
-			if dim == 6 {
-				bi, bd, sd = closestTwo6(row, pos, k)
-			} else {
-				bi, bd, sd = closestTwoGeneric(row, pos, k, dim)
-			}
+			bi, bd, sd := run.closestTwo(run.row(i))
 			ws.Labels[i] = int32(bi)
 			ws.Upper[i] = math.Sqrt(bd)
 			ws.Lower[i] = math.Sqrt(sd)
 		}
 	})
+	run.resum()
 	return ws
 }
 

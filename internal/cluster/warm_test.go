@@ -302,3 +302,96 @@ func TestPairwiseCacheBitIdentical(t *testing.T) {
 	keys2 = append(keys2, "ZZ")
 	check(rows2, keys2)
 }
+
+// TestKMeansWarmInvalidStateFallsBack asserts a state that fits the data
+// but is not internally consistent — a label out of range, a NaN
+// centroid, a NaN, infinite, or negative bound — cold-starts instead of
+// resuming or failing, and that Validate names each defect.
+func TestKMeansWarmInvalidStateFallsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	m := warmTestData(rng, 400, 6)
+	cfg := KMeansConfig{K: 4, Seed: 5, Workers: 1}
+	want, err := KMeansDense(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	breakers := map[string]func(ws *KMeansWarmState){
+		"label ≥ k":         func(ws *KMeansWarmState) { ws.Labels[7] = int32(ws.K) },
+		"label < -1":        func(ws *KMeansWarmState) { ws.Labels[7] = -2 },
+		"NaN centroid":      func(ws *KMeansWarmState) { ws.Centroids[3] = math.NaN() },
+		"infinite centroid": func(ws *KMeansWarmState) { ws.Centroids[3] = math.Inf(-1) },
+		"NaN upper":         func(ws *KMeansWarmState) { ws.Upper[9] = math.NaN() },
+		"infinite upper":    func(ws *KMeansWarmState) { ws.Upper[9] = math.Inf(1) },
+		"negative lower":    func(ws *KMeansWarmState) { ws.Lower[9] = -0.5 },
+		"NaN lower":         func(ws *KMeansWarmState) { ws.Lower[9] = math.NaN() },
+		"infinite lower":    func(ws *KMeansWarmState) { ws.Lower[9] = math.Inf(1) },
+	}
+	for name, breakState := range breakers {
+		_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A decoded state carries only the exported fields.
+		bad := &KMeansWarmState{K: ws.K, Dim: ws.Dim, Centroids: ws.Centroids, Labels: ws.Labels, Upper: ws.Upper, Lower: ws.Lower}
+		breakState(bad)
+		if bad.Validate() == nil {
+			t.Fatalf("%s: Validate accepted the state", name)
+		}
+		got, next, resumed, err := KMeansDenseWarm(m, cfg, bad)
+		if err != nil {
+			t.Fatalf("%s: %v (want a cold-start fallback)", name, err)
+		}
+		if resumed {
+			t.Fatalf("%s: invalid state resumed", name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: fallback differs from a cold run", name)
+		}
+		if next.Validate() != nil {
+			t.Fatalf("%s: fallback captured an invalid state", name)
+		}
+	}
+
+	// Shape defects Validate must refuse on its own.
+	_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]*KMeansWarmState{
+		"k < 1":            {K: 0, Dim: 6},
+		"dim < 1":          {K: 4, Dim: 0},
+		"centroid count":   {K: 4, Dim: 6, Centroids: ws.Centroids[:5]},
+		"short upper":      {K: 4, Dim: 6, Centroids: ws.Centroids, Labels: ws.Labels, Upper: ws.Upper[1:], Lower: ws.Lower},
+		"short lower":      {K: 4, Dim: 6, Centroids: ws.Centroids, Labels: ws.Labels, Upper: ws.Upper, Lower: ws.Lower[1:]},
+		"k×dim disagrees":  {K: 3, Dim: 6, Centroids: ws.Centroids, Labels: ws.Labels, Upper: ws.Upper, Lower: ws.Lower},
+		"dim×k disagrees":  {K: 4, Dim: 5, Centroids: ws.Centroids, Labels: ws.Labels, Upper: ws.Upper, Lower: ws.Lower},
+		"label beyond k=3": {K: 3, Dim: 8, Centroids: ws.Centroids, Labels: []int32{3}, Upper: []float64{0}, Lower: []float64{0}},
+	} {
+		if bad.Validate() == nil {
+			t.Fatalf("%s: Validate accepted the state", name)
+		}
+	}
+	if err := ws.Validate(); err != nil {
+		t.Fatalf("captured state rejected: %v", err)
+	}
+}
+
+// TestKMeansWarmOneCluster asserts k = 1 states, whose lower bounds are
+// +Inf (there is no second-closest centroid), validate and resume.
+func TestKMeansWarmOneCluster(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	m := warmTestData(rng, 200, 6)
+	cfg := KMeansConfig{K: 1, Seed: 1, Workers: 1}
+	_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := &KMeansWarmState{K: ws.K, Dim: ws.Dim, Centroids: ws.Centroids, Labels: ws.Labels, Upper: ws.Upper, Lower: ws.Lower}
+	if err := restored.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, resumed, err := KMeansDenseWarm(m, cfg, restored); err != nil || !resumed {
+		t.Fatalf("k=1 state: resumed=%v err=%v", resumed, err)
+	}
+}

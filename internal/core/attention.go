@@ -16,7 +16,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"donorsense/internal/mat"
@@ -94,38 +97,98 @@ func (b *AttentionBuilder) Build() (*Attention, error) {
 // bit-identical to the builder path while doing one pass and zero
 // per-user map work.
 func AttentionFromCounts(ids []int64, counts []int32) (*Attention, error) {
+	a, _, err := AttentionWithSources(ids, counts)
+	return a, err
+}
+
+// AttentionWithSources is AttentionFromCounts that also returns, for
+// each Û row, the index of its source row in ids/counts. Callers use it
+// to read the store's other row-aligned columns (a user's state, say)
+// for every Û row without a per-user id lookup.
+func AttentionWithSources(ids []int64, counts []int32) (*Attention, []int32, error) {
 	if len(counts) != len(ids)*organ.Count {
-		return nil, fmt.Errorf("core: counts length %d does not match %d users", len(counts), len(ids))
+		return nil, nil, fmt.Errorf("core: counts length %d does not match %d users", len(counts), len(ids))
 	}
-	perm := make([]int32, 0, len(ids))
-	for r := range ids {
+	pairs := make([]idRow, 0, len(ids))
+	for r, id := range ids {
 		sum := int32(0)
 		for _, v := range counts[r*organ.Count : (r+1)*organ.Count] {
 			sum += v
 		}
 		if sum != 0 {
-			perm = append(perm, int32(r))
+			pairs = append(pairs, idRow{id: id, row: int32(r)})
 		}
 	}
-	if len(perm) == 0 {
-		return nil, fmt.Errorf("core: no users observed")
+	if len(pairs) == 0 {
+		return nil, nil, fmt.Errorf("core: no users observed")
 	}
-	sort.Slice(perm, func(i, j int) bool { return ids[perm[i]] < ids[perm[j]] })
+	pairs = sortByID(pairs)
 
-	m := mat.New(len(perm), organ.Count)
-	outIDs := make([]int64, len(perm))
-	for r, src := range perm {
-		outIDs[r] = ids[src]
-		row := counts[int(src)*organ.Count : (int(src)+1)*organ.Count]
+	m := mat.New(len(pairs), organ.Count)
+	outIDs := make([]int64, len(pairs))
+	src := make([]int32, len(pairs))
+	for r, p := range pairs {
+		outIDs[r], src[r] = p.id, p.row
+		row := counts[int(p.row)*organ.Count : (int(p.row)+1)*organ.Count]
 		for c, v := range row {
 			m.Set(r, c, float64(v))
 		}
 	}
 	if zero := m.NormalizeRows(); len(zero) != 0 {
 		// Zero-sum rows were filtered above, so this is a bug.
-		return nil, fmt.Errorf("core: %d zero attention rows", len(zero))
+		return nil, nil, fmt.Errorf("core: %d zero attention rows", len(zero))
 	}
-	return &Attention{ids: outIDs, u: m}, nil
+	return &Attention{ids: outIDs, u: m}, src, nil
+}
+
+// idRow pairs a user id with its source row.
+type idRow struct {
+	id  int64
+	row int32
+}
+
+// sortByID orders pairs by ascending id (ids are unique, so the order is
+// total) and returns the sorted slice, which may be a new array. One
+// counting pass scatters the pairs into 2^16 buckets by the high bits of
+// id−min, and each bucket is then sorted on its own: insertion sort for
+// the handful of entries a bucket holds when ids spread over their range,
+// a comparison sort for any bucket that clustered ids overfill.
+func sortByID(pairs []idRow) []idRow {
+	const bucketBits = 16
+	lo, hi := pairs[0].id, pairs[0].id
+	for _, p := range pairs {
+		lo, hi = min(lo, p.id), max(hi, p.id)
+	}
+	shift := max(0, bits.Len64(uint64(hi)-uint64(lo))-bucketBits)
+	bucket := func(id int64) int { return int((uint64(id) - uint64(lo)) >> shift) }
+
+	start := make([]int, 1<<bucketBits+1)
+	for _, p := range pairs {
+		start[bucket(p.id)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	next := append([]int(nil), start[:1<<bucketBits]...)
+	out := make([]idRow, len(pairs))
+	for _, p := range pairs {
+		b := bucket(p.id)
+		out[next[b]] = p
+		next[b]++
+	}
+	for b := 0; b < 1<<bucketBits; b++ {
+		s := out[start[b]:start[b+1]]
+		if len(s) > 32 {
+			slices.SortFunc(s, func(x, y idRow) int { return cmp.Compare(x.id, y.id) })
+			continue
+		}
+		for i := 1; i < len(s); i++ {
+			for j := i; j > 0 && s[j].id < s[j-1].id; j-- {
+				s[j], s[j-1] = s[j-1], s[j]
+			}
+		}
+	}
+	return out
 }
 
 // Attention is the normalized user-attention matrix Û. Each row is a

@@ -34,10 +34,20 @@ func rowSum(cnt []int32) int64 {
 	return s
 }
 
-// TestAttentionPatchProperty asserts that an Attention patched through
-// randomized update / delete / merge batches stays bit-identical to one
-// rebuilt from scratch by AttentionFromCounts at every epoch boundary,
-// and that RowOf agrees with the rebuilt index after deletes and merges.
+// tagOf and wideOf are the per-user values of the two row-aligned test
+// columns spliced alongside Û.
+func tagOf(id int64) int64 { return id*7 + 3 }
+
+func wideOf(id int64) [3]int32 { return [3]int32{int32(id), int32(-id), int32(id % 5)} }
+
+// TestAttentionPatchProperty asserts that an Attention patched in place
+// through randomized insert / update / delete / merge batches stays
+// bit-identical to one rebuilt from scratch by AttentionFromCounts at
+// every epoch boundary, that RowOf agrees with the rebuilt index after
+// deletes and merges, and that columns replayed through SpliceColumn
+// stay aligned with UserIDs(): a clean user's value travels with its
+// row. One column starts with exact capacity (the first insert regrows
+// it), the other with ample capacity (every splice runs in place).
 func TestAttentionPatchProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1709))
 
@@ -63,6 +73,13 @@ func TestAttentionPatchProperty(t *testing.T) {
 		}
 		if att.Epoch() != 0 {
 			t.Fatalf("cold epoch %d", att.Epoch())
+		}
+		tags := make([]int64, 0, att.Users())
+		wide := make([]int32, 0, 4*3*att.Users()+64)
+		for _, id := range att.UserIDs() {
+			w := wideOf(id)
+			tags = append(tags, tagOf(id))
+			wide = append(wide, w[:]...)
 		}
 
 		for batch := 0; batch < 15; batch++ {
@@ -136,7 +153,7 @@ func TestAttentionPatchProperty(t *testing.T) {
 				}
 			}
 			prevEpoch := att.Epoch()
-			err := att.Patch(upIDs, upCounts, rmIDs)
+			sp, err := att.Patch(upIDs, upCounts, rmIDs)
 			if live == 0 {
 				if err == nil {
 					t.Fatalf("trial %d batch %d: patch to empty matrix succeeded", trial, batch)
@@ -155,6 +172,26 @@ func TestAttentionPatchProperty(t *testing.T) {
 				t.Fatalf("trial %d batch %d: rebuild: %v", trial, batch, err)
 			}
 			compareAttention(t, att, want)
+
+			// Replay the moves, then set only the patched users' values:
+			// every other row must have carried its own.
+			tags = SpliceColumn(sp, tags, 1)
+			wide = SpliceColumn(sp, wide, 3)
+			for _, id := range upIDs {
+				r := att.RowOf(id)
+				w := wideOf(id)
+				tags[r] = tagOf(id)
+				copy(wide[r*3:], w[:])
+			}
+			if len(tags) != att.Users() || len(wide) != 3*att.Users() {
+				t.Fatalf("spliced columns hold %d/%d values for %d users", len(tags), len(wide), att.Users())
+			}
+			for r, id := range att.UserIDs() {
+				if w := wideOf(id); tags[r] != tagOf(id) || [3]int32(wide[r*3:r*3+3]) != w {
+					t.Fatalf("trial %d batch %d: row %d (user %d) carries %d %v, want %d %v",
+						trial, batch, r, id, tags[r], wide[r*3:r*3+3], tagOf(id), w)
+				}
+			}
 		}
 	}
 }
@@ -204,26 +241,26 @@ func TestAttentionPatchValidation(t *testing.T) {
 	}
 	row := func(v int32) []int32 { return []int32{v, 0, 0, 0, 0, 0} }
 
-	if err := att.Patch([]int64{2, 1}, append(row(1), row(1)...), nil); err == nil {
+	if _, err := att.Patch([]int64{2, 1}, append(row(1), row(1)...), nil); err == nil {
 		t.Fatal("unsorted update ids accepted")
 	}
-	if err := att.Patch([]int64{1}, row(0), nil); err == nil {
+	if _, err := att.Patch([]int64{1}, row(0), nil); err == nil {
 		t.Fatal("zero-sum update row accepted")
 	}
-	if err := att.Patch([]int64{1}, row(1), []int64{1}); err == nil {
+	if _, err := att.Patch([]int64{1}, row(1), []int64{1}); err == nil {
 		t.Fatal("update∩remove overlap accepted")
 	}
-	if err := att.Patch([]int64{1}, nil, nil); err == nil {
+	if _, err := att.Patch([]int64{1}, nil, nil); err == nil {
 		t.Fatal("counts length mismatch accepted")
 	}
-	if err := att.Patch(nil, nil, []int64{3, 3}); err == nil {
+	if _, err := att.Patch(nil, nil, []int64{3, 3}); err == nil {
 		t.Fatal("non-ascending removes accepted")
 	}
 	if att.Epoch() != 0 {
 		t.Fatalf("failed patches advanced epoch to %d", att.Epoch())
 	}
 	// Removing every user must error, not produce an empty matrix.
-	if err := att.Patch(nil, nil, []int64{1, 2}); err == nil {
+	if _, err := att.Patch(nil, nil, []int64{1, 2}); err == nil {
 		t.Fatal("patch to empty accepted")
 	}
 }

@@ -3,16 +3,20 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"donorsense/internal/geo"
+	"donorsense/internal/mat"
 	"donorsense/internal/organ"
 )
 
 // TestAggregateDeltaBitIdentical drives randomized mention updates
-// through the dirty-group recompute and asserts the resulting organ and
-// region characterizations are bit-identical to full recomputation —
-// including that clean group rows are carried over untouched.
+// through the fused dirty-group recompute and asserts the resulting
+// organ and region characterizations are bit-identical to full
+// recomputation — including that clean group rows are carried over
+// untouched, and that the cold form (no previous characterizations)
+// matches too.
 func TestAggregateDeltaBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	codes := geo.StateCodes()
@@ -50,6 +54,19 @@ func TestAggregateDeltaBitIdentical(t *testing.T) {
 	prevReg, err := CharacterizeRegionsFunc(att, stateOf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	compareCharacterizations := func(gotOrg, wantOrg *OrganCharacterization, gotReg, wantReg *RegionCharacterization) {
+		t.Helper()
+		compareMatrixBits(t, "organ K", gotOrg.K.Data(), wantOrg.K.Data())
+		compareMatrixBits(t, "region K", gotReg.K.Data(), wantReg.K.Data())
+		if !reflect.DeepEqual(gotOrg.GroupSizes, wantOrg.GroupSizes) {
+			t.Fatalf("organ group sizes %v want %v", gotOrg.GroupSizes, wantOrg.GroupSizes)
+		}
+		if !reflect.DeepEqual(gotReg.GroupSizes, wantReg.GroupSizes) ||
+			!reflect.DeepEqual(gotReg.EmptyStates, wantReg.EmptyStates) ||
+			!reflect.DeepEqual(gotReg.StateCodes, wantReg.StateCodes) {
+			t.Fatalf("region sizes/empty states %v %v want %v %v", gotReg.GroupSizes, gotReg.EmptyStates, wantReg.GroupSizes, wantReg.EmptyStates)
+		}
 	}
 
 	assignments := func(a *Attention) (orgAssign, regAssign []int16, orgSizes, regSizes []int) {
@@ -98,7 +115,7 @@ func TestAggregateDeltaBitIdentical(t *testing.T) {
 		for _, id := range upIDs {
 			upCounts = append(upCounts, shadow[id]...)
 		}
-		if err := att.Patch(upIDs, upCounts, nil); err != nil {
+		if _, err := att.Patch(upIDs, upCounts, nil); err != nil {
 			t.Fatal(err)
 		}
 
@@ -115,11 +132,9 @@ func TestAggregateDeltaBitIdentical(t *testing.T) {
 		}
 
 		orgAssign, regAssign, orgSizes, regSizes := assignments(att)
-		gotOrg, err := CharacterizeOrgansDelta(att, prevOrg, orgAssign, orgSizes, orgDirty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotReg, err := CharacterizeRegionsDelta(att, prevReg, regAssign, regSizes, regDirty)
+		gotOrg, gotReg, err := CharacterizeDelta(att,
+			Grouping{Of: orgAssign, Sizes: orgSizes, Dirty: orgDirty}, prevOrg,
+			Grouping{Of: regAssign, Sizes: regSizes, Dirty: regDirty}, prevReg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,29 +148,14 @@ func TestAggregateDeltaBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		compareMatrixBits(t, "organ K", gotOrg.K.Data(), wantOrg.K.Data())
-		compareMatrixBits(t, "region K", gotReg.K.Data(), wantReg.K.Data())
-		if len(gotOrg.GroupSizes) != len(wantOrg.GroupSizes) {
-			t.Fatal("organ group sizes length")
+		compareCharacterizations(gotOrg, wantOrg, gotReg, wantReg)
+		coldOrg, coldReg, err := CharacterizeDelta(att,
+			Grouping{Of: orgAssign, Sizes: orgSizes}, nil,
+			Grouping{Of: regAssign, Sizes: regSizes}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range wantOrg.GroupSizes {
-			if gotOrg.GroupSizes[i] != wantOrg.GroupSizes[i] {
-				t.Fatalf("organ group %d size %d want %d", i, gotOrg.GroupSizes[i], wantOrg.GroupSizes[i])
-			}
-		}
-		for i := range wantReg.GroupSizes {
-			if gotReg.GroupSizes[i] != wantReg.GroupSizes[i] {
-				t.Fatalf("region group %d size %d want %d", i, gotReg.GroupSizes[i], wantReg.GroupSizes[i])
-			}
-		}
-		if len(gotReg.EmptyStates) != len(wantReg.EmptyStates) {
-			t.Fatalf("empty states %v want %v", gotReg.EmptyStates, wantReg.EmptyStates)
-		}
-		for i := range wantReg.EmptyStates {
-			if gotReg.EmptyStates[i] != wantReg.EmptyStates[i] {
-				t.Fatalf("empty states %v want %v", gotReg.EmptyStates, wantReg.EmptyStates)
-			}
-		}
+		compareCharacterizations(coldOrg, wantOrg, coldReg, wantReg)
 		prevOrg, prevReg = gotOrg, gotReg
 	}
 }
@@ -173,7 +173,8 @@ func compareMatrixBits(t *testing.T, what string, got, want []float64) {
 }
 
 // TestAggregateDeltaValidation pins the cross-checks: mismatched size
-// counters and malformed assignments are refused.
+// counters, malformed assignments, and a region perspective with nobody
+// in it are refused.
 func TestAggregateDeltaValidation(t *testing.T) {
 	att, err := AttentionFromCounts([]int64{1, 2}, []int32{
 		1, 0, 0, 0, 0, 0,
@@ -186,20 +187,32 @@ func TestAggregateDeltaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	states := len(geo.StateCodes())
+	regSizes := make([]int, states)
+	regSizes[0] = 2
+	reg := Grouping{Of: []int16{0, 0}, Sizes: regSizes}
+	prevReg := &RegionCharacterization{K: mat.New(states, organ.Count)}
 	goodAssign := []int16{0, 1}
 	goodSizes := []int{1, 1, 0, 0, 0, 0}
 	dirty := make([]bool, organ.Count)
+	delta := func(org, reg Grouping) error {
+		_, _, err := CharacterizeDelta(att, org, prev, reg, prevReg)
+		return err
+	}
 
-	if _, err := CharacterizeOrgansDelta(att, prev, []int16{0}, goodSizes, dirty); err == nil {
+	if delta(Grouping{Of: []int16{0}, Sizes: goodSizes, Dirty: dirty}, reg) == nil {
 		t.Fatal("short assignment accepted")
 	}
-	if _, err := CharacterizeOrgansDelta(att, prev, goodAssign, []int{2, 0, 0, 0, 0, 0}, dirty); err == nil {
+	if delta(Grouping{Of: goodAssign, Sizes: []int{2, 0, 0, 0, 0, 0}, Dirty: dirty}, reg) == nil {
 		t.Fatal("size-counter mismatch accepted")
 	}
-	if _, err := CharacterizeOrgansDelta(att, prev, []int16{0, 99}, goodSizes, dirty); err == nil {
+	if delta(Grouping{Of: []int16{0, 99}, Sizes: goodSizes, Dirty: dirty}, reg) == nil {
 		t.Fatal("out-of-range group accepted")
 	}
-	if _, err := CharacterizeOrgansDelta(att, prev, goodAssign, goodSizes, dirty); err != nil {
+	if delta(Grouping{Of: goodAssign, Sizes: goodSizes, Dirty: dirty}, Grouping{Of: []int16{-1, -1}, Sizes: make([]int, states)}) == nil {
+		t.Fatal("region perspective with no assigned users accepted")
+	}
+	if err := delta(Grouping{Of: goodAssign, Sizes: goodSizes, Dirty: dirty}, reg); err != nil {
 		t.Fatalf("valid no-dirty delta: %v", err)
 	}
 }

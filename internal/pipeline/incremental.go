@@ -37,6 +37,11 @@ func (d *Dataset) UserAt(row uint32) (id int64, stateCode string, mentions []int
 	return d.store.ID(r), d.store.StateCode(r), d.store.MentionsRow(r)
 }
 
+// Mentions returns the store's row-major users×organ.Count mention
+// column: row r holds the mentions UserAt(r) reports. The slice aliases
+// the store; do not mutate it or keep it across dataset mutation.
+func (d *Dataset) Mentions() []int32 { return d.store.Mentions() }
+
 // TweetOrganHistogram returns the Figure 2(b) tweet histogram (index 0 ⇒
 // k = 1 distinct organs) straight from the per-tweet counter — O(6), no
 // user scan, unlike MultiOrganHistogram which also derives the user half.

@@ -395,6 +395,29 @@ func (d *Dataset) BuildAttention() (*core.Attention, error) {
 	return core.AttentionFromCounts(d.store.IDs(), d.store.Mentions())
 }
 
+// BuildAttentionStates is BuildAttention that also returns each Û row's
+// geo.StateCodes() row (-1 when the user's state is not a known code),
+// read through the store's interned state column — no per-user id
+// lookup.
+func (d *Dataset) BuildAttentionStates() (*core.Attention, []int16, error) {
+	att, src, err := core.AttentionWithSources(d.store.IDs(), d.store.Mentions())
+	if err != nil {
+		return nil, nil, err
+	}
+	var geoRow [256]int16
+	for i := range geoRow {
+		geoRow[i] = -1
+	}
+	for i := 0; i < d.store.StateCount(); i++ {
+		geoRow[i] = int16(geo.StateIndex(d.store.StateCodeAt(i)))
+	}
+	states := make([]int16, len(src))
+	for r, row := range src {
+		states[r] = geoRow[d.store.StateIndex(row)]
+	}
+	return att, states, nil
+}
+
 // EachUser calls fn for every retained user. Iteration order is
 // unspecified. The *UserRecord is a scratch view materialized from the
 // columns and reused across calls: copy the struct (not the pointer) to

@@ -20,11 +20,24 @@ import (
 // Figure 5, the per-group characterization state, the pairwise-distance
 // cache, and the K-Means warm state — and on each Refresh folds in only
 // the users the dataset changed since the previous one (DESIGN.md §14).
-// Refresh cost is O(users changed) plus the clustering resume, not
-// O(corpus age); the produced *Analysis is bit-identical to what
-// Analyze would compute over the same dataset (with Warm off; warm
-// K-Means is converged-equal, reached through a resumed rather than
-// restarted run).
+// The produced *Analysis is bit-identical to what Analyze would compute
+// over the same dataset (with Warm off; warm K-Means is converged-equal,
+// reached through a resumed rather than restarted run).
+//
+// Cost of a warm Refresh. The per-user work — classifying the dirty
+// rows, the accumulator updates, the splice plan, the K-Means
+// re-assignment of changed rows — is O(users changed). What remains
+// O(users) is a fixed set of allocation-free memory sweeps: splicing Û,
+// its id column and the row-aligned columns (state and primary-organ
+// shadows, K-Means labels and bounds) when users enter or leave it; one
+// pass over Û for both Equation 3 aggregations; and the K-Means sweeps —
+// a label scan, a bounds check per Lloyd iteration, and the final pass
+// that computes the exact inertia. None of them copies or allocates an
+// O(users) structure, and none grows with corpus age.
+//
+// The returned *Analysis shares the engine's Û and K-Means result
+// memory; it holds until the next Refresh. Callers that keep parts of it
+// across refreshes copy them (the serve layer's Publish does).
 //
 // The engine owns the dataset's change feed: NewEngine enables delta
 // tracking and every Refresh drains it. It is single-threaded like the
@@ -41,11 +54,11 @@ type Engine struct {
 
 	att *core.Attention
 
-	// Row-aligned shadow of Û: each row's mention mask, geo.StateCodes()
-	// row (-1 unresolvable), and primary-organ group. These are what the
-	// accumulators and the dirty-group recompute need about the previous
-	// state of a changed user.
-	masks     []uint8
+	// Row-aligned shadow of Û: each row's geo.StateCodes() row (-1
+	// unresolvable) and primary-organ group — the two Equation 3
+	// groupings, and what the accumulators need about the previous state
+	// of a changed user besides its mention mask, which its old Û row
+	// still gives.
 	states    []int16
 	primaries []int16
 
@@ -130,7 +143,7 @@ func (e *Engine) Refresh() (*Analysis, error) {
 	} else {
 		delta := e.d.DrainDelta()
 		dirty = delta.Rows.Count() + len(delta.Deleted)
-		a, err = e.incremental(delta.Rows.Each, delta.Deleted)
+		a, err = e.incremental(delta.Rows.Each, delta.Rows.Count(), delta.Deleted)
 		if err != nil {
 			// The partial state is unusable; the next Refresh rebuilds.
 			e.reset()
@@ -162,7 +175,7 @@ func (e *Engine) Refresh() (*Analysis, error) {
 // reset drops all incremental state so the next Refresh cold-builds.
 func (e *Engine) reset() {
 	e.att = nil
-	e.masks, e.states, e.primaries = nil, nil, nil
+	e.states, e.primaries = nil, nil
 	e.orgSizes, e.regSizes = nil, nil
 	e.cells, e.ment = nil, core.MentionAccum{}
 	e.organs, e.regions = nil, nil
@@ -174,31 +187,24 @@ func (e *Engine) reset() {
 // does, through the cache- and accumulator-aware entry points — and
 // seeds the incremental state from the results.
 func (e *Engine) coldBuild() (*Analysis, error) {
-	att, err := e.d.BuildAttention()
+	att, states, err := e.d.BuildAttentionStates()
 	if err != nil {
 		return nil, fmt.Errorf("report: attention: %w", err)
 	}
 	e.att = att
 
 	n := att.Users()
-	e.masks = make([]uint8, n)
-	e.states = make([]int16, n)
+	e.states = states
 	e.primaries = make([]int16, n)
 	e.orgSizes = make([]int, organ.Count)
 	e.regSizes = make([]int, len(geo.StateCodes()))
 	e.cells = core.NewStateOrganCells()
 	e.ment = core.MentionAccum{}
-	stateOf := e.d.StateLookup()
-	for row, id := range att.UserIDs() {
+	for row := 0; row < n; row++ {
 		mask := core.MentionMask(att, row)
 		prim := int16(att.PrimaryOrgan(row).Index())
-		si := int16(-1)
-		if code, ok := stateOf(id); ok {
-			if s := geo.StateIndex(code); s >= 0 {
-				si = int16(s)
-			}
-		}
-		e.masks[row], e.states[row], e.primaries[row] = mask, si, prim
+		si := states[row]
+		e.primaries[row] = prim
 		e.orgSizes[prim]++
 		if si >= 0 {
 			e.regSizes[si]++
@@ -206,14 +212,23 @@ func (e *Engine) coldBuild() (*Analysis, error) {
 		}
 		e.ment.AddMask(mask, 1)
 	}
-
-	if e.organs, err = core.CharacterizeOrgans(att); err != nil {
-		return nil, fmt.Errorf("report: figure 3: %w", err)
-	}
-	if e.regions, err = core.CharacterizeRegionsFunc(att, stateOf); err != nil {
-		return nil, fmt.Errorf("report: figure 4: %w", err)
+	if err := e.characterize(nil, nil); err != nil {
+		return nil, err
 	}
 	return e.assemble(func(string) bool { return true })
+}
+
+// characterize recomputes the dirty rows of Figures 3 and 4 (every row
+// when the dirty sets are nil) in one pass over Û.
+func (e *Engine) characterize(orgDirty, regDirty []bool) error {
+	var err error
+	e.organs, e.regions, err = core.CharacterizeDelta(e.att,
+		core.Grouping{Of: e.primaries, Sizes: e.orgSizes, Dirty: orgDirty}, e.organs,
+		core.Grouping{Of: e.states, Sizes: e.regSizes, Dirty: regDirty}, e.regions)
+	if err != nil {
+		return fmt.Errorf("report: figures 3 and 4: %w", err)
+	}
+	return nil
 }
 
 // pendingChange is one user whose Û row changes this refresh.
@@ -230,9 +245,9 @@ type pendingChange struct {
 }
 
 // incremental folds one drained delta into the cached state. eachRow
-// iterates the dirty store rows (valid against the live store), deleted
-// lists removed user ids — userstore.Delta's contract.
-func (e *Engine) incremental(eachRow func(func(uint32)), deleted []int64) (*Analysis, error) {
+// iterates the dirty store rows (valid against the live store, rows of
+// them), deleted lists removed user ids — userstore.Delta's contract.
+func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int64) (*Analysis, error) {
 	removed := make(map[int64]bool, len(deleted))
 	for _, id := range deleted {
 		removed[id] = true
@@ -241,7 +256,7 @@ func (e *Engine) incremental(eachRow func(func(uint32)), deleted []int64) (*Anal
 	// Classify dirty rows against the previous Û: nonzero rows are
 	// updates or inserts; rows whose mentions dropped to zero leave Û
 	// through removes, mirroring AttentionFromCounts' zero-row filter.
-	var ups []pendingChange
+	ups := make([]pendingChange, 0, rows)
 	var removes []int64
 	eachRow(func(row uint32) {
 		id, code, ments := e.d.UserAt(row)
@@ -278,19 +293,31 @@ func (e *Engine) incremental(eachRow func(func(uint32)), deleted []int64) (*Anal
 	sort.Slice(ups, func(i, j int) bool { return ups[i].id < ups[j].id })
 	sort.Slice(removes, func(i, j int) bool { return removes[i] < removes[j] })
 
-	// Capture previous shadow values before the patch invalidates row
-	// indices; accumulators are only touched after Patch succeeds, so an
-	// error leaves nothing half-applied (Refresh resets on error anyway).
-	inserts := 0
+	// The K-Means warm state is row-aligned with Û and is kept aligned
+	// through the splice below; with Warm off it is recaptured cold on
+	// every refresh, so there is nothing to keep.
+	ws := e.kmWarm
+	if !e.Warm || (ws != nil && len(ws.Labels) != e.att.Users()) {
+		ws, e.kmWarm = nil, nil
+	}
+
+	// Capture previous shadow values, and take every changed or removed
+	// row out of its K-Means cluster, while the old Û rows are still in
+	// place. The accumulators are only touched after Patch succeeds; the
+	// K-Means state is touched before, but any error resets the engine
+	// and the next Refresh rebuilds it cold.
+	u := e.att.Matrix()
 	for i := range ups {
 		up := &ups[i]
 		if up.oldRow < 0 {
-			inserts++
 			continue
 		}
-		up.oldMask = e.masks[up.oldRow]
+		up.oldMask = core.MentionMask(e.att, up.oldRow)
 		up.oldState = e.states[up.oldRow]
 		up.oldPrim = e.primaries[up.oldRow]
+		if ws != nil {
+			ws.Unassign(up.oldRow, u.RowView(up.oldRow))
+		}
 	}
 	type removal struct {
 		mask  uint8
@@ -300,18 +327,29 @@ func (e *Engine) incremental(eachRow func(func(uint32)), deleted []int64) (*Anal
 	rms := make([]removal, len(removes))
 	for i, id := range removes {
 		row := e.att.RowOf(id)
-		rms[i] = removal{mask: e.masks[row], state: e.states[row], prim: e.primaries[row]}
+		rms[i] = removal{mask: core.MentionMask(e.att, row), state: e.states[row], prim: e.primaries[row]}
+		if ws != nil {
+			ws.Unassign(row, u.RowView(row))
+		}
 	}
 
-	oldIDs := e.att.UserIDs()
 	upIDs := make([]int64, len(ups))
 	upCounts := make([]int32, 0, len(ups)*organ.Count)
 	for i := range ups {
 		upIDs[i] = ups[i].id
 		upCounts = append(upCounts, ups[i].counts[:]...)
 	}
-	if err := e.att.Patch(upIDs, upCounts, removes); err != nil {
+	sp, err := e.att.Patch(upIDs, upCounts, removes)
+	if err != nil {
 		return nil, fmt.Errorf("report: patch: %w", err)
+	}
+	// Replay Patch's row moves on every row-aligned column.
+	e.states = core.SpliceColumn(sp, e.states, 1)
+	e.primaries = core.SpliceColumn(sp, e.primaries, 1)
+	if ws != nil {
+		ws.Labels = core.SpliceColumn(sp, ws.Labels, 1)
+		ws.Upper = core.SpliceColumn(sp, ws.Upper, 1)
+		ws.Lower = core.SpliceColumn(sp, ws.Lower, 1)
 	}
 
 	orgDirty := make([]bool, organ.Count)
@@ -336,87 +374,25 @@ func (e *Engine) incremental(eachRow func(func(uint32)), deleted []int64) (*Anal
 			regDirty[state] = true
 		}
 	}
-
-	if inserts == 0 && len(removes) == 0 {
-		// Row set unchanged: Patch renormalized in place, shadow rows and
-		// warm-state rows keep their indices.
-		for i := range ups {
-			up := &ups[i]
-			row := up.oldRow
+	for i := range ups {
+		up := &ups[i]
+		if up.oldRow >= 0 {
 			sub(up.oldMask, up.oldState, up.oldPrim)
-			prim := int16(e.att.PrimaryOrgan(row).Index())
-			e.masks[row], e.states[row], e.primaries[row] = up.mask, up.state, prim
-			add(up.mask, up.state, prim)
-			if e.kmWarm != nil && row < len(e.kmWarm.Labels) {
-				e.kmWarm.Labels[row] = -1
-			}
 		}
-	} else {
-		// Membership changed: rebuild the row-aligned shadow (and remap
-		// the K-Means warm state) with one merge over the new id order,
-		// exactly the splice Patch performed.
-		newIDs := e.att.UserIDs()
-		n := len(newIDs)
-		masks := make([]uint8, n)
-		states := make([]int16, n)
-		prims := make([]int16, n)
-		warm := e.kmWarm
-		remapWarm := warm != nil && len(warm.Labels) == len(oldIDs)
-		var wl []int32
-		var wu, wlo []float64
-		if remapWarm {
-			wl = make([]int32, n)
-			wu = make([]float64, n)
-			wlo = make([]float64, n)
+		row := e.att.RowOf(up.id)
+		prim := int16(e.att.PrimaryOrgan(row).Index())
+		e.states[row], e.primaries[row] = up.state, prim
+		add(up.mask, up.state, prim)
+		if ws != nil {
+			ws.Labels[row] = -1 // inserted rows join the re-assignment
 		}
-		oi, ui := 0, 0
-		for r, id := range newIDs {
-			if ui < len(ups) && ups[ui].id == id {
-				up := &ups[ui]
-				if up.oldRow >= 0 {
-					sub(up.oldMask, up.oldState, up.oldPrim)
-				}
-				prim := int16(e.att.PrimaryOrgan(r).Index())
-				masks[r], states[r], prims[r] = up.mask, up.state, prim
-				add(up.mask, up.state, prim)
-				if remapWarm {
-					wl[r] = -1
-				}
-				if oi < len(oldIDs) && oldIDs[oi] == id {
-					oi++
-				}
-				ui++
-				continue
-			}
-			for oldIDs[oi] != id {
-				oi++ // removed ids fall out of the merge
-			}
-			masks[r], states[r], prims[r] = e.masks[oi], e.states[oi], e.primaries[oi]
-			if remapWarm {
-				wl[r], wu[r], wlo[r] = warm.Labels[oi], warm.Upper[oi], warm.Lower[oi]
-			}
-			oi++
-		}
-		for _, rm := range rms {
-			sub(rm.mask, rm.state, rm.prim)
-		}
-		e.masks, e.states, e.primaries = masks, states, prims
-		if remapWarm {
-			e.kmWarm = &cluster.KMeansWarmState{
-				K: warm.K, Dim: warm.Dim, Centroids: warm.Centroids,
-				Labels: wl, Upper: wu, Lower: wlo,
-			}
-		} else {
-			e.kmWarm = nil
-		}
+	}
+	for _, rm := range rms {
+		sub(rm.mask, rm.state, rm.prim)
 	}
 
-	var err error
-	if e.organs, err = core.CharacterizeOrgansDelta(e.att, e.organs, e.primaries, e.orgSizes, orgDirty); err != nil {
-		return nil, fmt.Errorf("report: figure 3: %w", err)
-	}
-	if e.regions, err = core.CharacterizeRegionsDelta(e.att, e.regions, e.states, e.regSizes, regDirty); err != nil {
-		return nil, fmt.Errorf("report: figure 4: %w", err)
+	if err := e.characterize(orgDirty, regDirty); err != nil {
+		return nil, err
 	}
 	return e.assemble(func(code string) bool {
 		s := geo.StateIndex(code)

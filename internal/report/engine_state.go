@@ -7,6 +7,7 @@ import (
 
 	"donorsense/internal/cluster"
 	"donorsense/internal/obs"
+	"donorsense/internal/organ"
 )
 
 // EngineMetrics instruments the incremental engine: refresh latency, the
@@ -54,10 +55,14 @@ func (e *Engine) MarshalWarm() ([]byte, error) {
 }
 
 // RestoreWarm loads a blob produced by MarshalWarm, seeding the next
-// refresh's K-Means resume. The restored state is validated against the
-// data at use time (KMeansDenseWarm falls back to a cold start on any
-// mismatch), so restoring a stale blob is safe. A nil/empty blob is a
-// no-op.
+// refresh's K-Means resume. A blob that does not decode, or decodes to
+// a state that is not internally consistent — k < 1, a dimension other
+// than organ.Count, slices of disagreeing lengths, labels outside
+// [-1, k), non-finite centroids, or negative or non-finite bounds — is
+// refused with an error and leaves the engine as it was, so callers can
+// ignore it and cold-start. A state that is consistent but stale (a
+// different row count) is safe to restore: KMeansDenseWarm cold-starts
+// when it does not fit the data. A nil/empty blob is a no-op.
 func (e *Engine) RestoreWarm(b []byte) error {
 	if len(b) == 0 {
 		return nil
@@ -66,6 +71,16 @@ func (e *Engine) RestoreWarm(b []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&blob); err != nil {
 		return fmt.Errorf("report: restore warm state: %w", err)
 	}
-	e.kmWarm = blob.KMeans
+	ws := blob.KMeans
+	if ws == nil {
+		return fmt.Errorf("report: restore warm state: no clustering state")
+	}
+	if ws.Dim != organ.Count {
+		return fmt.Errorf("report: restore warm state: dimension %d, want %d organs", ws.Dim, organ.Count)
+	}
+	if err := ws.Validate(); err != nil {
+		return fmt.Errorf("report: restore warm state: %w", err)
+	}
+	e.kmWarm = ws
 	return nil
 }

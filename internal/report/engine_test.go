@@ -345,3 +345,80 @@ func TestEngineErrorResets(t *testing.T) {
 		t.Fatalf("recovery was not a cold rebuild (epoch %d)", e.Epoch())
 	}
 }
+
+// TestEngineWarmLabelsStayAligned drives a warm engine through growth,
+// deletions that remove whole users, and a merge — every refresh
+// splicing Û and the K-Means state — and asserts after each refresh that
+// every served label is its own Û row's nearest centroid and matches the
+// carried state. A label left behind by a row move would name another
+// user's cluster and fail the check.
+func TestEngineWarmLabelsStayAligned(t *testing.T) {
+	corpus := gen.Generate(gen.DefaultConfig(0.05))
+	tweets := corpus.Tweets
+	cfg := engineTestConfig()
+	d := pipeline.NewDataset()
+	d.TrackDeletions()
+	e := NewEngine(d, cfg)
+
+	check := func(phase string) {
+		t.Helper()
+		a, err := e.Refresh()
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		u := a.Attention.Matrix()
+		res := a.Clusters
+		if len(res.Labels) != u.Rows() || len(e.kmWarm.Labels) != u.Rows() {
+			t.Fatalf("%s: %d labels, %d carried, %d rows", phase, len(res.Labels), len(e.kmWarm.Labels), u.Rows())
+		}
+		for r := 0; r < u.Rows(); r++ {
+			row := u.RowView(r)
+			dist := func(c int) float64 {
+				s := 0.0
+				for j, v := range row {
+					d := v - res.Centroids[c][j]
+					s += d * d
+				}
+				return s
+			}
+			best := dist(0)
+			for c := 1; c < res.K; c++ {
+				best = math.Min(best, dist(c))
+			}
+			if l := res.Labels[r]; dist(l) > best+1e-12 || int(e.kmWarm.Labels[r]) != l {
+				t.Fatalf("%s: row %d (user %d) labeled %d at %g, nearest at %g, carried %d",
+					phase, r, a.Attention.UserIDs()[r], l, dist(l), best, e.kmWarm.Labels[r])
+			}
+		}
+	}
+
+	third := len(tweets) / 3
+	for _, tw := range tweets[:third] {
+		d.Process(tw)
+	}
+	check("cold")
+	for i, tw := range tweets[third : 2*third] {
+		d.Process(tw)
+		if i%500 == 499 {
+			check("growth")
+		}
+	}
+	deleted := 0
+	for _, tw := range tweets[:third] {
+		if d.Delete(tw.ID) {
+			deleted++
+		}
+		if deleted%150 == 149 {
+			check("deletions")
+		}
+		if deleted >= 600 {
+			break
+		}
+	}
+	d2 := pipeline.NewDataset()
+	for _, tw := range tweets[2*third:] {
+		d2.Process(tw)
+	}
+	d.Merge(d2)
+	check("merge")
+}

@@ -22,9 +22,12 @@ type TopUser struct {
 // TopMentioners returns the max most-mentioning users of the dataset,
 // ordered by descending total organ mentions with ascending user id as
 // the deterministic tie-break. It runs a bounded partial selection — a
-// size-max min-heap over one store scan, O(users · log max) — so pulling
-// the top 1000 out of 10M rows never materializes a full sort. Users
-// with zero mentions are skipped (they are not in Û either).
+// size-max min-heap over one scan of the store's mention column,
+// O(users · log max) — so pulling the top 1000 out of 10M rows never
+// materializes a full sort. A row's id and state are read only when its
+// total can enter the heap; every other row costs six integer loads and
+// one compare against the heap root. Users with zero mentions are
+// skipped (they are not in Û either).
 func TopMentioners(d *pipeline.Dataset, max int) []TopUser {
 	n := d.Users()
 	if max <= 0 || n == 0 {
@@ -71,18 +74,17 @@ func TopMentioners(d *pipeline.Dataset, max int) []TopUser {
 		}
 	}
 
-	var u TopUser
+	ments := d.Mentions()
 	for row := 0; row < n; row++ {
-		id, code, ments := d.UserAt(uint32(row))
-		total := int64(0)
-		for _, m := range ments {
-			total += int64(m)
-		}
-		if total == 0 {
+		m := (*[organ.Count]int32)(ments[row*organ.Count:])
+		total := int64(m[0]) + int64(m[1]) + int64(m[2]) + int64(m[3]) + int64(m[4]) + int64(m[5])
+		// A full heap only admits a total at or above its root's; an
+		// equal total still needs the id tie-break below.
+		if total == 0 || (len(heap) == max && total < heap[0].Total) {
 			continue
 		}
-		u = TopUser{ID: id, State: code, Total: total}
-		copy(u.Mentions[:], ments)
+		id, code, _ := d.UserAt(uint32(row))
+		u := TopUser{ID: id, State: code, Total: total, Mentions: *m}
 		if len(heap) < max {
 			heap = append(heap, u)
 			siftUp(len(heap) - 1)
@@ -97,6 +99,10 @@ func TopMentioners(d *pipeline.Dataset, max int) []TopUser {
 	sort.Slice(heap, func(i, j int) bool { return less(&heap[j], &heap[i]) })
 	return heap
 }
+
+// The unrolled row total in TopMentioners covers the paper's six
+// organs; this declaration stops the build if organ.Count changes.
+var _ [6]int32 = [organ.Count]int32{}
 
 // Primary returns the user's most-mentioned organ by raw counts, ties
 // resolved to the lowest organ index — a display aid for the serve

@@ -76,3 +76,48 @@ func TestTopUserPrimary(t *testing.T) {
 		t.Errorf("Primary tie = %v, want index 1 (lowest tied index)", got)
 	}
 }
+
+// TestTopMentionersColumnScanOracle pins the column scan against the
+// full-sort oracle on the cases its root-total shortcut must get right:
+// rows with zero mentions (skipped), long runs of equal totals (ranked by
+// ascending id, including at the heap-root boundary), and max beyond the
+// user count. The fixture writes the mention column directly to plant
+// zero rows and ties, which ingest alone rarely produces.
+func TestTopMentionersColumnScanOracle(t *testing.T) {
+	d := pipeline.SynthDataset(3000, 11)
+	ments := d.Mentions()
+	for row := 0; row < d.Users(); row++ {
+		m := ments[row*organ.Count : (row+1)*organ.Count]
+		switch {
+		case row%7 == 0: // zero-mention user
+			clear(m)
+		case row%5 == 3: // a large block tied at total 9
+			clear(m)
+			m[row%organ.Count], m[(row+1)%organ.Count] = 4, 5
+		case row%11 == 1: // a second tie group above it
+			clear(m)
+			m[0] = 12
+		}
+	}
+	for _, max := range []int{1, 2, 5, 50, 200, 300, 600, 2999, 3000, 5000} {
+		got := TopMentioners(d, max)
+		want := topOracle(d, max)
+		if len(got) != len(want) {
+			t.Fatalf("max=%d: got %d users, want %d", max, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("max=%d: rank %d = %+v, want %+v", max, i, got[i], want[i])
+			}
+		}
+	}
+	zero := 0
+	for _, u := range TopMentioners(d, d.Users()) {
+		if u.Total == 0 {
+			zero++
+		}
+	}
+	if zero != 0 {
+		t.Fatalf("%d zero-mention users ranked", zero)
+	}
+}
