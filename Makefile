@@ -60,13 +60,15 @@ vulncheck:
 # Ingest hot-path benchmarks (pipeline, extractor, geocoder), archived as
 # both benchstat-friendly text (BENCH_pipeline.txt) and machine-readable
 # JSON (BENCH_pipeline.json) so perf PRs can prove their wins against a
-# committed baseline.
+# committed baseline. Every benchmark run below uses -cpu 1: with more
+# CPUs go test appends a -N suffix to each name, and a baseline and a
+# rerun whose names differ would share no benchmark to compare.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count 3 $(BENCH_PKGS) | tee BENCH_pipeline.txt
+	$(GO) test -cpu 1 -run '^$$' -bench . -benchmem -count 3 $(BENCH_PKGS) | tee BENCH_pipeline.txt
 	$(GO) run ./cmd/benchjson -in BENCH_pipeline.txt -out BENCH_pipeline.json
-	$(GO) test -run '^$$' -bench . -benchmem -count 3 $(ANALYTICS_PKGS) | tee BENCH_analytics.txt
+	$(GO) test -cpu 1 -run '^$$' -bench . -benchmem -count 3 $(ANALYTICS_PKGS) | tee BENCH_analytics.txt
 	$(GO) run ./cmd/benchjson -in BENCH_analytics.txt -out BENCH_analytics.json
-	$(GO) test -run '^$$' -bench '$(WIRE_BENCH)' -benchmem -count 3 $(WIRE_PKGS) | tee BENCH_wire.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '$(WIRE_BENCH)' -benchmem -count 3 $(WIRE_PKGS) | tee BENCH_wire.txt
 	$(GO) run ./cmd/benchjson -in BENCH_wire.txt -out BENCH_wire.json
 
 # Run the hot-path benchmarks fresh and diff them against the committed
@@ -74,13 +76,13 @@ bench:
 # benchmark. (Absolute numbers are machine-dependent — run `make bench`
 # on the same machine first for a meaningful gate.)
 benchcmp:
-	$(GO) test -run '^$$' -bench . -benchmem -count 3 $(BENCH_PKGS) > /tmp/benchcmp_new.txt
+	$(GO) test -cpu 1 -run '^$$' -bench . -benchmem -count 3 $(BENCH_PKGS) > /tmp/benchcmp_new.txt
 	$(GO) run ./cmd/benchjson -in /tmp/benchcmp_new.txt -out /tmp/benchcmp_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_pipeline.json /tmp/benchcmp_new.json
-	$(GO) test -run '^$$' -bench . -benchmem -count 3 $(ANALYTICS_PKGS) > /tmp/benchcmp_analytics_new.txt
+	$(GO) test -cpu 1 -run '^$$' -bench . -benchmem -count 3 $(ANALYTICS_PKGS) > /tmp/benchcmp_analytics_new.txt
 	$(GO) run ./cmd/benchjson -in /tmp/benchcmp_analytics_new.txt -out /tmp/benchcmp_analytics_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_analytics.json /tmp/benchcmp_analytics_new.json
-	$(GO) test -run '^$$' -bench '$(WIRE_BENCH)' -benchmem -count 3 $(WIRE_PKGS) > /tmp/benchcmp_wire_new.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '$(WIRE_BENCH)' -benchmem -count 3 $(WIRE_PKGS) > /tmp/benchcmp_wire_new.txt
 	$(GO) run ./cmd/benchjson -in /tmp/benchcmp_wire_new.txt -out /tmp/benchcmp_wire_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_wire.json /tmp/benchcmp_wire_new.json
 	$(MAKE) bench-userstore
@@ -102,10 +104,10 @@ USERSTORE_BENCH_1M = ^BenchmarkUserstore(Footprint1M|Update1M|StateScan1M)$$
 # process, -count 3) so the committed numbers carry the same
 # within-process interference the gate's rerun will.
 bench-userstore-baseline:
-	$(GO) test -run '^$$' -bench '$(USERSTORE_BENCH_1M)' -benchmem -count 3 $(USERSTORE_PKG) | tee BENCH_userstore.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkUserstore(Footprint10M|Update10M)$$' -benchmem -timeout 60m $(USERSTORE_PKG) | tee -a BENCH_userstore.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '$(USERSTORE_BENCH_1M)' -benchmem -count 3 $(USERSTORE_PKG) | tee BENCH_userstore.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '^BenchmarkUserstore(Footprint10M|Update10M)$$' -benchmem -timeout 60m $(USERSTORE_PKG) | tee -a BENCH_userstore.txt
 	$(GO) run ./cmd/benchjson -in BENCH_userstore.txt -out BENCH_userstore.json
-	$(GO) test -run '^$$' -bench '^BenchmarkMapstore' -benchmem -timeout 60m $(USERSTORE_PKG) | tee BENCH_userstore_before.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '^BenchmarkMapstore' -benchmem -timeout 60m $(USERSTORE_PKG) | tee BENCH_userstore_before.txt
 	$(GO) run ./cmd/benchjson -in BENCH_userstore_before.txt -out BENCH_userstore_before.json
 
 # CI gate: rerun the 1M-row userstore benchmarks fresh and fail when
@@ -113,7 +115,7 @@ bench-userstore-baseline:
 # baseline. Benchmarks only in the baseline (the 10M set) are skipped by
 # the comparer, so the gate stays fast.
 bench-userstore:
-	$(GO) test -run '^$$' -bench '$(USERSTORE_BENCH_1M)' -benchmem -count 3 $(USERSTORE_PKG) > /tmp/benchcmp_userstore_new.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '$(USERSTORE_BENCH_1M)' -benchmem -count 3 $(USERSTORE_PKG) > /tmp/benchcmp_userstore_new.txt
 	$(GO) run ./cmd/benchjson -in /tmp/benchcmp_userstore_new.txt -out /tmp/benchcmp_userstore_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_userstore.json /tmp/benchcmp_userstore_new.json
 
@@ -126,15 +128,15 @@ bench-userstore:
 REPORT_PKG = ./internal/report/
 
 bench-incremental-baseline:
-	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalRefresh100k$$' -benchmem -count 3 $(REPORT_PKG) | tee BENCH_incremental.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalRefresh1M$$' -benchmem -benchtime 10x -timeout 60m $(REPORT_PKG) | tee -a BENCH_incremental.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '^BenchmarkIncrementalRefresh100k$$' -benchmem -count 3 $(REPORT_PKG) | tee BENCH_incremental.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '^BenchmarkIncrementalRefresh1M$$' -benchmem -benchtime 10x -timeout 60m $(REPORT_PKG) | tee -a BENCH_incremental.txt
 	$(GO) run ./cmd/benchjson -in BENCH_incremental.txt -out BENCH_incremental.json
-	$(GO) test -run '^$$' -bench '^BenchmarkFromScratchAnalyze100k$$' -benchmem -count 3 $(REPORT_PKG) | tee BENCH_incremental_before.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkFromScratchAnalyze1M$$' -benchmem -benchtime 3x -timeout 60m $(REPORT_PKG) | tee -a BENCH_incremental_before.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '^BenchmarkFromScratchAnalyze100k$$' -benchmem -count 3 $(REPORT_PKG) | tee BENCH_incremental_before.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '^BenchmarkFromScratchAnalyze1M$$' -benchmem -benchtime 3x -timeout 60m $(REPORT_PKG) | tee -a BENCH_incremental_before.txt
 	$(GO) run ./cmd/benchjson -in BENCH_incremental_before.txt -out BENCH_incremental_before.json
 
 bench-incremental:
-	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalRefresh100k$$' -benchmem -count 3 $(REPORT_PKG) > /tmp/benchcmp_incremental_new.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '^BenchmarkIncrementalRefresh100k$$' -benchmem -count 3 $(REPORT_PKG) > /tmp/benchcmp_incremental_new.txt
 	$(GO) run ./cmd/benchjson -in /tmp/benchcmp_incremental_new.txt -out /tmp/benchcmp_incremental_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_incremental.json /tmp/benchcmp_incremental_new.json
 
@@ -146,7 +148,7 @@ bench-incremental:
 SERVE_PKG = ./internal/serve/
 
 bench-serve-baseline:
-	$(GO) test -run '^$$' -bench '^BenchmarkServe' -benchmem -count 3 $(SERVE_PKG) | tee BENCH_serve.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '^BenchmarkServe' -benchmem -count 3 $(SERVE_PKG) | tee BENCH_serve.txt
 	$(GO) run ./cmd/benchjson -in BENCH_serve.txt -out BENCH_serve.json
 
 # CI gate: rerun the serving benchmarks fresh against the committed
@@ -157,7 +159,7 @@ bench-serve-baseline:
 # more). The allocs/op gate is exact regardless: 0 → anything is an
 # unbounded regression at every threshold.
 bench-serve:
-	$(GO) test -run '^$$' -bench '^BenchmarkServe' -benchmem -count 3 $(SERVE_PKG) > /tmp/benchcmp_serve_new.txt
+	$(GO) test -cpu 1 -run '^$$' -bench '^BenchmarkServe' -benchmem -count 3 $(SERVE_PKG) > /tmp/benchcmp_serve_new.txt
 	$(GO) run ./cmd/benchjson -in /tmp/benchcmp_serve_new.txt -out /tmp/benchcmp_serve_new.json
 	$(GO) run ./cmd/benchjson -threshold 25 -compare BENCH_serve.json /tmp/benchcmp_serve_new.json
 
@@ -170,10 +172,13 @@ serve-smoke:
 	$(GO) build -o /tmp/queryload ./cmd/queryload
 	sh scripts/serve_smoke.sh /tmp/donorsense /tmp/queryload
 
-# Differential fuzz of the wire codec against the encoding/json oracle
-# (CI runs the same target for 30s on every push).
+# Differential fuzz of the wire codec against the encoding/json oracle,
+# and of the checkpointed analytics warm-state decoder (refuse or
+# validate, never panic, allocation bounded by the input). CI runs the
+# same targets for 30s each on every push.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWire -fuzztime 30s ./internal/twitter/
+	$(GO) test -run '^$$' -fuzz FuzzRestoreWarm -fuzztime 30s ./internal/report/
 
 # The full per-table/per-figure benchmark suite from the repo root.
 bench-paper:

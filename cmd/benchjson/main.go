@@ -18,7 +18,11 @@
 // Benchmarks are matched by package and name, repeated entries are
 // averaged, ns/op and allocs/op deltas are printed per benchmark, and
 // the exit status is 1 when either metric regresses by more than the
-// threshold percentage on any benchmark present in both files.
+// threshold percentage on any benchmark present in both files, or when
+// no benchmark is present in both — a gate that compared nothing has
+// not passed. Names carry go test's -N GOMAXPROCS suffix when N > 1, so
+// runs meant for comparison are made with the same -cpu (the Makefile
+// uses -cpu 1).
 package main
 
 import (
@@ -216,6 +220,16 @@ func compare(w io.Writer, oldAgg, newAgg map[string]map[string]float64, threshol
 	return regressed
 }
 
+// sharesBenchmark reports whether some benchmark appears in both runs.
+func sharesBenchmark(oldAgg, newAgg map[string]map[string]float64) bool {
+	for name := range newAgg {
+		if _, ok := oldAgg[name]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 // runCompare drives -compare mode and returns the process exit code.
 func runCompare(args []string, threshold float64) int {
 	if len(args) != 2 {
@@ -232,7 +246,12 @@ func runCompare(args []string, threshold float64) int {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		return 2
 	}
-	regressed := compare(os.Stdout, aggregate(oldDoc), aggregate(newDoc), threshold)
+	oldAgg, newAgg := aggregate(oldDoc), aggregate(newDoc)
+	regressed := compare(os.Stdout, oldAgg, newAgg, threshold)
+	if !sharesBenchmark(oldAgg, newAgg) {
+		fmt.Fprintln(os.Stderr, "benchjson: the two runs share no benchmark, so nothing was compared (were they run with different -cpu settings?)")
+		return 1
+	}
 	if len(regressed) > 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.1f%%: %s\n",
 			len(regressed), threshold, strings.Join(regressed, ", "))

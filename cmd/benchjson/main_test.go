@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -132,5 +135,37 @@ ok  	donorsense/internal/pipeline	2.0s
 	regressed := compare(&sb, agg, aggregate(run("150", "5000")), 10)
 	if len(regressed) != 1 || regressed[0] != "donorsense/internal/geo.Locate-8" {
 		t.Errorf("regressed = %v, want only the geo benchmark", regressed)
+	}
+}
+
+// TestCompareNothingSharedFails compares a baseline recorded at one
+// GOMAXPROCS with a run at another: every name differs by its -N
+// suffix, nothing is compared, and the gate must fail rather than
+// report no regressions. The same run against itself passes.
+func TestCompareNothingSharedFails(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, bench string) string {
+		t.Helper()
+		doc, err := parse(strings.NewReader("pkg: donorsense/internal/report\n" + bench + "\tPASS\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", "BenchmarkRefresh   \t 100\t 5000 ns/op\t 10 allocs/op\n")
+	multi := write("multi.json", "BenchmarkRefresh-2 \t 100\t 5000 ns/op\t 10 allocs/op\n")
+	if code := runCompare([]string{base, multi}, 10); code == 0 {
+		t.Fatal("comparing runs that share no benchmark passed")
+	}
+	if code := runCompare([]string{base, base}, 10); code != 0 {
+		t.Fatalf("comparing a run with itself exited %d", code)
 	}
 }

@@ -3,10 +3,13 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
+
+	"donorsense/internal/mat"
 )
 
 // detCorpus is the shared seeded 10k×6 corpus for the bit-identity
@@ -267,10 +270,11 @@ func TestConcurrentSweepKRace(t *testing.T) {
 
 // TestKMeansCarriedSumsWorkersBitIdentical drives 1000 warm resumes, each
 // after a few rows were taken out of their clusters with Unassign and
-// given new data. The per-cluster sums the state carries across resumes
-// must still equal a full re-sum of the final labels to within 1e-9 of
-// each cluster's total mass, and every resume — inertia, iterations,
-// labels, sums — must be bit-identical for one worker and for four.
+// given new data. The exact moments the state carries across resumes
+// must still equal a big.Rat re-sum of the final labels exactly, every
+// served inertia must be within 1e-9 relative of a direct sum of
+// squared distances, and every resume — inertia, iterations, labels,
+// moments — must be bit-identical for one worker and for four.
 func TestKMeansCarriedSumsWorkersBitIdentical(t *testing.T) {
 	const n, dim, refreshes = 5000, 6, 1000
 	cfg := KMeansConfig{K: 7, Seed: 4, Restarts: 2}
@@ -322,6 +326,9 @@ func TestKMeansCarriedSumsWorkersBitIdentical(t *testing.T) {
 			if !resumed || next != ws {
 				t.Fatalf("step %d: resumed=%v, state replaced=%v", step, resumed, next != ws)
 			}
+			if direct := directInertia(m, res); math.Abs(res.Inertia-direct) > 1e-9*direct {
+				t.Fatalf("step %d: moment inertia %v, direct %v", step, res.Inertia, direct)
+			}
 			tr := trace{inertia: res.Inertia, iterations: res.Iterations}
 			for _, l := range res.Labels {
 				tr.labelSum = tr.labelSum*31 + l
@@ -339,29 +346,50 @@ func TestKMeansCarriedSumsWorkersBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(ws1.Labels, ws4.Labels) || !reflect.DeepEqual(ws1.counts, ws4.counts) {
 		t.Fatal("carried labels or counts differ between one and four workers")
 	}
-	for i := range ws1.sums {
-		if math.Float64bits(ws1.sums[i]) != math.Float64bits(ws4.sums[i]) {
-			t.Fatalf("carried sum %d differs between one and four workers", i)
-		}
+	if !reflect.DeepEqual(ws1.sums, ws4.sums) || !reflect.DeepEqual(ws1.sqNorms, ws4.sqNorms) {
+		t.Fatal("carried moments differ between one and four workers")
 	}
 
-	// The oracle: re-sum the final labels from scratch.
-	sums := make([]float64, cfg.K*dim)
+	// The oracle: re-sum the final labels from scratch in big.Rat.
+	sums := make([]*big.Rat, cfg.K*dim)
+	sq := make([]*big.Rat, cfg.K)
+	for i := range sums {
+		sums[i] = new(big.Rat)
+	}
+	for c := range sq {
+		sq[c] = new(big.Rat)
+	}
 	counts := make([]int, cfg.K)
 	for i, l := range ws1.Labels {
 		counts[l]++
-		addTo(sums[int(l)*dim:(int(l)+1)*dim], data[i*dim:(i+1)*dim])
+		norm := 0.0
+		for j, v := range data[i*dim : (i+1)*dim] {
+			sums[int(l)*dim+j].Add(sums[int(l)*dim+j], new(big.Rat).SetFloat64(v))
+			norm += v * v
+		}
+		sq[l].Add(sq[l], new(big.Rat).SetFloat64(norm))
 	}
 	if !reflect.DeepEqual(counts, ws1.counts) {
 		t.Fatalf("carried counts %v, re-count %v", ws1.counts, counts)
 	}
-	for c := 0; c < cfg.K; c++ {
-		mass := float64(counts[c]) // each row is a distribution summing to 1
-		for j := 0; j < dim; j++ {
-			got, want := ws1.sums[c*dim+j], sums[c*dim+j]
-			if math.Abs(got-want) > 1e-9*mass {
-				t.Fatalf("cluster %d sum[%d] carried %v, re-summed %v", c, j, got, want)
-			}
+	for i := range sums {
+		if got := ws1.sums[i].Rat(); got.Cmp(sums[i]) != 0 {
+			t.Fatalf("carried sum %d is %s, re-summed %s", i, got.FloatString(30), sums[i].FloatString(30))
 		}
 	}
+	for c := range sq {
+		if got := ws1.sqNorms[c].Rat(); got.Cmp(sq[c]) != 0 {
+			t.Fatalf("carried squared norms of cluster %d are %s, re-summed %s", c, got.FloatString(30), sq[c].FloatString(30))
+		}
+	}
+}
+
+// directInertia is Σ sqDistTo over a result's own labels and centroids.
+func directInertia(m *mat.Dense, res *KMeansResult) float64 {
+	dim := m.Cols()
+	total := 0.0
+	for i, l := range res.Labels {
+		total += sqDistTo(m.Data()[i*dim:(i+1)*dim], res.Centroids[l])
+	}
+	return total
 }

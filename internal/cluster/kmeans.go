@@ -118,6 +118,14 @@ type kmeansRun struct {
 	sums   []float64 // k×dim running per-cluster vector sums
 	counts []int     // points per cluster (maintained incrementally)
 
+	// Exact moments, kept by warm runs only (nil in cold runs): each
+	// cluster's vector sum S (k×dim), which sums is rounded from, and the
+	// sum Q (k) of its rows' squared norms. Reassignments reach them
+	// through per-chunk move lists instead of float deltas.
+	exSums []mat.Exact
+	exSq   []mat.Exact
+	err    error // the first row the exact moments could not hold
+
 	labels []int32
 	upper  []float64 // u(i): upper bound on d(x_i, pos[labels[i]])
 	lower  []float64 // l(i): lower bound on d(x_i, second-closest centroid)
@@ -129,17 +137,25 @@ type kmeansRun struct {
 }
 
 // kmeansChunk is one chunk's contribution to a pass: vector-sum and
-// count deltas from reassignments, the chunk's farthest-point candidate
-// for empty-cluster repair, and the final pass's per-chunk sizes,
-// inertia, and count of rows that arrived labeled.
+// count deltas from reassignments (or, in a warm run, the reassignments
+// themselves), the chunk's farthest-point candidate for empty-cluster
+// repair, and the final pass's per-chunk sizes, inertia, and count of
+// rows that arrived labeled.
 type kmeansChunk struct {
 	deltaSums []float64 // k×dim
 	deltaCnt  []int     // k
+	moves     []kmeansMove
 	farIdx    int
 	farD      float64
 	sizes     []int // k
 	inertia   float64
 	labeled   int
+}
+
+// kmeansMove is one reassignment of a warm run: row left cluster from
+// (-1: it had none) for the cluster its label now names.
+type kmeansMove struct {
+	row, from int32
 }
 
 // newChunks returns n zeroed chunk accumulators for k×dim clusters.
@@ -264,11 +280,7 @@ func (run *kmeansRun) assignPruned() {
 			}
 			if bi != a {
 				run.labels[i] = int32(bi)
-				p.deltaCnt[a]--
-				p.deltaCnt[bi]++
-				dim := run.dim
-				subFrom(p.deltaSums[a*dim:(a+1)*dim], row)
-				addTo(p.deltaSums[bi*dim:(bi+1)*dim], row)
+				run.move(p, i, a, row)
 			}
 		}
 		p.farD, p.farIdx = farD, farIdx
@@ -386,6 +398,7 @@ func (run *kmeansRun) row(i int) []float64 {
 }
 
 func (run *kmeansRun) resetChunk(p *kmeansChunk) {
+	p.moves = p.moves[:0]
 	for i := range p.deltaSums {
 		p.deltaSums[i] = 0
 	}
@@ -397,9 +410,30 @@ func (run *kmeansRun) resetChunk(p *kmeansChunk) {
 	p.inertia, p.labeled = 0, 0
 }
 
+// move records in chunk p that row i, now labeled run.labels[i], left
+// cluster from (-1, it had none, only in warm runs). A warm run queues
+// the move for its exact moments; a cold run folds it into the chunk's
+// float deltas.
+func (run *kmeansRun) move(p *kmeansChunk, i, from int, row []float64) {
+	if run.exSums != nil {
+		p.moves = append(p.moves, kmeansMove{row: int32(i), from: int32(from)})
+		return
+	}
+	dim, to := run.dim, int(run.labels[i])
+	p.deltaCnt[from]--
+	p.deltaCnt[to]++
+	subFrom(p.deltaSums[from*dim:(from+1)*dim], row)
+	addTo(p.deltaSums[to*dim:(to+1)*dim], row)
+}
+
 // foldDeltas applies every chunk's sum/count deltas in chunk index
-// order — the only place assignment results meet shared state.
+// order — the only place assignment results meet shared state. A warm
+// run applies the chunks' moves to its exact moments instead.
 func (run *kmeansRun) foldDeltas() {
+	if run.exSums != nil {
+		run.applyMoves()
+		return
+	}
 	for c := range run.parts {
 		p := &run.parts[c]
 		for i, v := range p.deltaSums {

@@ -13,29 +13,38 @@ import (
 //
 // For K-Means the state is the final centroid positions plus each
 // point's label and Hamerly bounds, and — carried in memory between
-// resumes, never persisted — the per-cluster vector sums and counts. A
-// caller that knows which rows changed takes each one out of its
-// cluster with Unassign before the row's data changes (its vector
-// leaves the sums and its label becomes -1), and gives new rows label
-// -1. The survivors keep their entries: their bounds remain valid,
-// because the centroids they were proved against are exactly the
-// positions the warm run starts from. A resume exactly re-assigns only
-// the -1 rows, adds them back to the sums, and re-enters the standard
-// pruned Lloyd loop. On an unchanged dataset it converges immediately,
+// resumes, never persisted — each cluster's exact moments: the vector
+// sum S_c and the sum Q_c of squared row norms of its rows (mat.Exact
+// accumulators), and its count n_c. A caller that knows which rows
+// changed takes each one out of its cluster with Unassign before the
+// row's data changes (its vector leaves the moments and its label
+// becomes -1), and gives new rows label -1. The survivors keep their
+// entries: their bounds remain valid, because the centroids they were
+// proved against are exactly the positions the warm run starts from. A
+// resume exactly re-assigns only the -1 rows, adds them to the moments,
+// and re-enters the standard pruned Lloyd loop, whose centroids are
+// fl(S_c)·fl(1/n_c). On an unchanged dataset it converges immediately,
 // and after a small delta it typically needs one or two iterations in
-// which every clean point is pruned by its carried bounds. The sums are
-// re-summed in full only when they are missing (a state restored from
-// a checkpoint) or no longer account for every labeled row (a caller
-// marked rows -1 without Unassign). Restarts are skipped — a warm run
-// continues the incumbent solution rather than re-searching
-// initializations — so callers fall back to the cold path (and its
-// restarts) whenever the state is missing or no longer fits the data.
-// Warm results are verified converged-equal, not bit-identical, against
-// cold runs: carried sums can differ from a cold run's sums in the last
-// ulps, so the fixed point is the same partition at indistinguishable
-// inertia, reached through different float sequences. Every pass folds
-// per-chunk partials in chunk order and Unassign runs on the caller's
-// goroutine, so a resume is bit-identical for any worker count.
+// which every clean point is pruned by its carried bounds. The final
+// pass only checks labels against the bounds, reading a row's data only
+// when its bounds fail, and serves the inertia from the moments,
+// Σ_c max(0, Q_c − 2c·S_c + n_c‖c‖²), in O(k·dim).
+//
+// Exact moments do not drift: after any history of resumes they equal a
+// re-sum of the labeled rows, and they do not depend on the order rows
+// were added or on the worker count, so a resume is bit-identical for
+// any number of workers. They are re-summed in full only when missing
+// (a state restored from a checkpoint) or when they no longer account
+// for every labeled row (a caller marked rows -1 without Unassign).
+// Data the moments cannot hold exactly (see mat.Exact) makes the warm
+// path unavailable: the run falls back to the cold path and captures no
+// state. Restarts are skipped — a warm run continues the incumbent
+// solution rather than re-searching initializations — so callers fall
+// back to the cold path (and its restarts) whenever the state is
+// missing or no longer fits the data. Warm results are verified
+// converged-equal, not bit-identical, against cold runs: the same
+// partition at an inertia within 1e-9 relative, reached through
+// different float sequences.
 //
 // For the (≤ 51-state) agglomerative clustering the expensive part is
 // the O(n²) transcendental distance evaluations, so PairwiseCache keys
@@ -60,7 +69,8 @@ type KMeansWarmState struct {
 	Lower     []float64 // Hamerly lower bound per row
 
 	// Carried between resumes, not persisted.
-	sums    []float64     // k×dim vector sums of the labeled rows
+	sums    []mat.Exact   // k×dim exact vector sums S_c of the labeled rows
+	sqNorms []mat.Exact   // k exact sums Q_c of their squared norms
 	counts  []int         // labeled rows per cluster
 	checked bool          // the state passed Validate or was built here
 	parts   []kmeansChunk // per-chunk scratch, reused
@@ -110,36 +120,44 @@ func (ws *KMeansWarmState) compatible(n, dim, k int) bool {
 
 // Unassign takes row i out of its cluster before the caller changes or
 // drops the row's data: row must still be the vector the state last
-// assigned. The vector leaves the carried cluster sum and the label
-// becomes -1, so the next resume re-assigns the row exactly. Rows
-// already at -1 are left alone.
+// assigned. The vector leaves the carried moments and the label becomes
+// -1, so the next resume re-assigns the row exactly. Rows already at -1
+// are left alone.
 func (ws *KMeansWarmState) Unassign(i int, row []float64) {
 	l := int(ws.Labels[i])
 	if l < 0 {
 		return
 	}
 	ws.Labels[i] = -1
-	if len(ws.counts) == ws.K && len(ws.sums) == ws.K*ws.Dim {
-		subFrom(ws.sums[l*ws.Dim:(l+1)*ws.Dim], row)
-		ws.counts[l]--
+	if len(ws.counts) != ws.K || len(ws.sums) != ws.K*ws.Dim || len(ws.sqNorms) != ws.K {
+		return
 	}
+	if foldMoments(ws.sums[l*ws.Dim:(l+1)*ws.Dim], &ws.sqNorms[l], row, -1) != nil {
+		// Not the row that was added: the next resume re-sums.
+		ws.sums, ws.sqNorms, ws.counts = nil, nil, nil
+		return
+	}
+	ws.counts[l]--
 }
 
 // KMeansDenseWarm is KMeansDense with warm-start: when warm carries a
 // compatible and valid prior state the run resumes from it in place
 // (resumed true), otherwise it cold-starts through KMeansDense —
-// bit-identical to a direct call, restarts included. In both cases the
+// bit-identical to a direct call, restarts included. A resume that
+// meets a row its exact moments cannot hold also runs cold. The
 // returned state captures the finished run for the next resume, with
-// bounds valid against its final centroids. A resumed result's
-// Labels and Centroids share the state's memory: they hold until the
-// state's next resume.
+// bounds valid against its final centroids; it is nil when the data
+// holds such a row. A resumed result's Labels and Centroids share the
+// state's memory: they hold until the state's next resume.
 func KMeansDenseWarm(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KMeansResult, *KMeansWarmState, bool, error) {
 	n, dim := m.Rows(), m.Cols()
 	if cfg.K < 1 || cfg.K > n {
 		return nil, nil, false, fmt.Errorf("cluster: kmeans k=%d with n=%d", cfg.K, n)
 	}
 	if warm.compatible(n, dim, cfg.K) && (warm.checked || warm.Validate() == nil) {
-		return kmeansResume(m, cfg, warm), warm, true, nil
+		if res := kmeansResume(m, cfg, warm); res != nil {
+			return res, warm, true, nil
+		}
 	}
 	res, err := KMeansDense(m, cfg)
 	if err != nil {
@@ -149,10 +167,11 @@ func KMeansDenseWarm(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KM
 }
 
 // kmeansResume continues a run from warm state: exactly assign the -1
-// rows, fold them into the carried sums (or re-sum everything when the
-// sums cannot be trusted), then iterate the standard pruned loop to
-// convergence and capture the result in place. Iterations counts the
-// centroid updates.
+// rows, fold them into the carried moments (or re-sum everything when
+// the moments cannot be trusted), then iterate the standard pruned loop
+// to convergence and capture the result in place. Iterations counts the
+// centroid updates. It returns nil when a row cannot be held by the
+// exact moments.
 func kmeansResume(m *mat.Dense, cfg KMeansConfig, ws *KMeansWarmState) *KMeansResult {
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
@@ -169,26 +188,35 @@ func kmeansResume(m *mat.Dense, cfg KMeansConfig, ws *KMeansWarmState) *KMeansRe
 	// capture, every dirty row's was just computed, and no centroid has
 	// moved since. So the resume starts with the update. Only an emptied
 	// cluster needs a pass first, for its farthest-point repair.
-	if slices.Contains(run.counts, 0) {
+	if run.err == nil && slices.Contains(run.counts, 0) {
 		run.refreshHalf()
 		run.assignPruned()
 	}
 	iter := 1
-	for moved := run.updateCentroids(); moved > tol && iter < maxIter; iter++ {
+	for moved := run.updateCentroids(); run.err == nil && moved > tol && iter < maxIter; iter++ {
 		run.refreshHalf()
 		run.assignPruned()
 		moved = run.updateCentroids()
 	}
-	return run.finishCapture(iter, ws.out[:run.n])
+	var res *KMeansResult
+	if run.err == nil {
+		res = run.finishCapture(iter, ws.out[:run.n])
+	}
+	if run.err != nil {
+		// The moments no longer match the labels; a later resume re-sums.
+		ws.sums, ws.sqNorms, ws.counts = nil, nil, nil
+		return nil
+	}
+	return res
 }
 
 // run binds a kmeansRun to the state's memory: positions, labels,
-// bounds, sums, and the reusable scratch, growing what the row count
-// outgrew.
+// bounds, exact moments, and the reusable scratch, growing what the row
+// count outgrew.
 func (ws *KMeansWarmState) run(m *mat.Dense, workers int) *kmeansRun {
 	n, k, dim := m.Rows(), ws.K, ws.Dim
-	if len(ws.sums) != k*dim || len(ws.counts) != k {
-		ws.sums, ws.counts = make([]float64, k*dim), make([]int, k)
+	if len(ws.sums) != k*dim || len(ws.sqNorms) != k || len(ws.counts) != k {
+		ws.sums, ws.sqNorms, ws.counts = make([]mat.Exact, k*dim), make([]mat.Exact, k), make([]int, k)
 	}
 	if c := numChunks(n); len(ws.parts) < c {
 		ws.parts = append(ws.parts, newChunks(c-len(ws.parts), k, dim)...)
@@ -196,12 +224,14 @@ func (ws *KMeansWarmState) run(m *mat.Dense, workers int) *kmeansRun {
 	if cap(ws.out) < n {
 		ws.out = make([]int, n, n+n/64)
 	}
-	return &kmeansRun{
+	run := &kmeansRun{
 		data: m.Data(), n: n, dim: dim, k: k, workers: workers,
 		pos:    ws.Centroids,
 		oldPos: make([]float64, k*dim),
-		sums:   ws.sums,
+		sums:   make([]float64, k*dim),
 		counts: ws.counts,
+		exSums: ws.sums,
+		exSq:   ws.sqNorms,
 		labels: ws.Labels,
 		upper:  ws.Upper,
 		lower:  ws.Lower,
@@ -209,12 +239,14 @@ func (ws *KMeansWarmState) run(m *mat.Dense, workers int) *kmeansRun {
 		drift:  make([]float64, k),
 		parts:  ws.parts[:numChunks(n)],
 	}
+	run.roundSums()
+	return run
 }
 
 // assignDirty gives every -1 row its exact two closest centroids and
-// adds it to the sums. If the rows that arrived labeled are not exactly
-// the ones the carried counts account for, the sums are rebuilt from
-// all labels instead.
+// adds it to the moments. If the rows that arrived labeled are not
+// exactly the ones the carried counts account for, the moments are
+// rebuilt from all labels instead.
 func (run *kmeansRun) assignDirty() {
 	parallelChunks(len(run.parts), run.workers, func(c int) {
 		p := &run.parts[c]
@@ -231,8 +263,7 @@ func (run *kmeansRun) assignDirty() {
 			run.labels[i] = int32(bi)
 			run.upper[i] = math.Sqrt(bd)
 			run.lower[i] = math.Sqrt(sd)
-			p.deltaCnt[bi]++
-			addTo(p.deltaSums[bi*run.dim:(bi+1)*run.dim], row)
+			run.move(p, i, -1, row)
 		}
 		p.labeled = labeled
 	})
@@ -250,39 +281,115 @@ func (run *kmeansRun) assignDirty() {
 	run.resum()
 }
 
-// resum rebuilds the per-cluster sums and counts from every row's label,
-// folded in chunk order.
+// resum rebuilds the exact moments and counts from every row's label.
+// Rows are summed in one stripe per worker and the stripes merged;
+// exact sums make the result independent of the split.
 func (run *kmeansRun) resum() {
-	for i := range run.sums {
-		run.sums[i] = 0
+	k, dim := run.k, run.dim
+	stripes := min(run.workers, run.n)
+	type stripe struct {
+		sums, sq []mat.Exact
+		counts   []int
+		err      error
 	}
-	for i := range run.counts {
-		run.counts[i] = 0
-	}
-	parallelChunks(len(run.parts), run.workers, func(c int) {
-		p := &run.parts[c]
-		lo, hi := run.chunkBounds(c)
-		run.resetChunk(p)
-		for i := lo; i < hi; i++ {
+	st := make([]stripe, stripes)
+	parallelChunks(stripes, run.workers, func(w int) {
+		p := &st[w]
+		p.sums, p.sq, p.counts = make([]mat.Exact, k*dim), make([]mat.Exact, k), make([]int, k)
+		for i := w * run.n / stripes; i < (w+1)*run.n/stripes; i++ {
 			l := int(run.labels[i])
-			p.deltaCnt[l]++
-			addTo(p.deltaSums[l*run.dim:(l+1)*run.dim], run.row(i))
+			if p.err = foldMoments(p.sums[l*dim:(l+1)*dim], &p.sq[l], run.row(i), 1); p.err != nil {
+				return
+			}
+			p.counts[l]++
 		}
 	})
-	run.foldDeltas()
+	for c := range run.parts {
+		run.parts[c].moves = run.parts[c].moves[:0]
+	}
+	clear(run.exSums)
+	clear(run.exSq)
+	clear(run.counts)
+	for w := range st {
+		if st[w].err != nil {
+			run.err = st[w].err
+			return
+		}
+		for i := range st[w].sums {
+			run.exSums[i].Merge(&st[w].sums[i])
+		}
+		for c := range st[w].sq {
+			run.exSq[c].Merge(&st[w].sq[c])
+			run.counts[c] += st[w].counts[c]
+		}
+	}
+	run.roundSums()
+}
+
+// applyMoves applies every chunk's queued reassignments to the exact
+// moments and counts, then re-rounds the float sums the centroid update
+// reads. Exact arithmetic makes the order irrelevant.
+func (run *kmeansRun) applyMoves() {
+	for c := range run.parts {
+		p := &run.parts[c]
+		for _, mv := range p.moves {
+			i := int(mv.row)
+			row, to := run.row(i), int(run.labels[i])
+			if from := int(mv.from); from >= 0 {
+				run.foldExact(from, row, -1)
+				run.counts[from]--
+			}
+			run.foldExact(to, row, 1)
+			run.counts[to]++
+		}
+		p.moves = p.moves[:0]
+	}
+	run.roundSums()
+}
+
+// foldExact adds (sign 1) or subtracts (sign -1) a row in cluster c's
+// exact moments, recording the first failure in run.err.
+func (run *kmeansRun) foldExact(c int, row []float64, sign float64) {
+	if run.err == nil {
+		run.err = foldMoments(run.exSums[c*run.dim:(c+1)*run.dim], &run.exSq[c], row, sign)
+	}
+}
+
+// foldMoments adds (sign 1) or subtracts (sign -1) a row and its squared
+// norm in one cluster's exact moments. On error they are left partly
+// updated.
+func foldMoments(sums []mat.Exact, sq *mat.Exact, row []float64, sign float64) error {
+	norm := 0.0
+	for j, v := range row {
+		norm += v * v
+		if v == 0 { // most of Û; spares the call
+			continue
+		}
+		if err := sums[j].Add(sign * v); err != nil {
+			return err
+		}
+	}
+	return sq.Add(sign * norm)
+}
+
+// roundSums rounds the exact vector sums into the float sums the
+// centroid update reads.
+func (run *kmeansRun) roundSums() {
+	for i := range run.exSums {
+		run.sums[i] = run.exSums[i].Float64()
+	}
 }
 
 // finishCapture finalizes the run against the loop's last centroid
 // move, writing the result labels into out and the next warm state into
-// the run's own slices in one sweep. The pass is exact but
-// Hamerly-pruned: a point whose carried bounds prove its label survives
-// the final (sub-tolerance) move pays one distance to its own centroid
-// — for the exact inertia term — instead of a k-way scan, and keeps
-// the loop's conservative bounds, which remain valid for the next
-// resume. Only points the bounds cannot
-// clear rescan exactly, and the few that change cluster move their
-// vectors between the carried sums. On a converged run nearly every
-// point prunes, making the capture O(n·dim) rather than O(n·k·dim).
+// the run's own slices in one sweep. It is a label check: a point whose
+// carried bounds, moved by the final (sub-tolerance) drift, prove its
+// label reads nothing but its label and bounds, and keeps the moved
+// bounds, which remain valid for the next resume. Only points the
+// bounds cannot clear read their row — to tighten against their own
+// centroid and, failing that, rescan exactly — and the few that change
+// cluster move between the exact moments. The inertia comes from the
+// moments in O(k·dim): Σ_c max(0, Q_c − 2c·S_c + n_c‖c‖²).
 func (run *kmeansRun) finishCapture(iterations int, out []int) *KMeansResult {
 	k, dim := run.k, run.dim
 	run.refreshHalf() // half-distances against the final positions
@@ -296,57 +403,43 @@ func (run *kmeansRun) finishCapture(iterations int, out []int) *KMeansResult {
 		p := &run.parts[c]
 		run.resetChunk(p)
 		lo, hi := run.chunkBounds(c)
-		inertia := 0.0
 		for i := lo; i < hi; i++ {
-			row := run.row(i)
 			a := int(run.labels[i])
 			u := run.upper[i] + run.drift[a]
 			l := run.lower[i] - maxDrift
-			m := run.half[a]
-			if l > m {
-				m = l
-			}
-			bi := a
-			lower := l
-			// The inertia term is always sqDistTo against the final
-			// label's centroid, so the summation is identical whichever
-			// branch resolved the label.
-			bd := sqDistTo(row, run.pos[a*dim:(a+1)*dim])
+			m := max(run.half[a], l)
 			if u > m {
-				// Tighten, and rescan only if the exact distance does not
-				// clear the bound either.
-				u = math.Sqrt(bd)
+				row := run.row(i)
+				u = math.Sqrt(sqDistTo(row, run.pos[a*dim:(a+1)*dim]))
 				if u > m {
-					var sd float64
-					bi, _, sd = run.closestTwo(row)
-					lower = math.Sqrt(sd)
+					bi, bd, sd := run.closestTwo(row)
+					u, l = math.Sqrt(bd), math.Sqrt(sd)
 					if bi != a {
-						bd = sqDistTo(row, run.pos[bi*dim:(bi+1)*dim])
-						u = math.Sqrt(bd)
 						run.labels[i] = int32(bi)
-						p.deltaCnt[a]--
-						p.deltaCnt[bi]++
-						subFrom(p.deltaSums[a*dim:(a+1)*dim], row)
-						addTo(p.deltaSums[bi*dim:(bi+1)*dim], row)
+						run.move(p, i, a, row)
+						a = bi
 					}
 				}
 			}
-			out[i] = bi
-			// A pruned row keeps its carried upper bound: valid, and it
-			// spares a square root per row. The resume that finds it too
-			// loose tightens it.
+			out[i] = a
 			run.upper[i] = u
 			// A negative carried lower bound never prunes (the half
 			// distances are ≥ 0), so storing it as 0 changes no decision
 			// and keeps every persisted bound non-negative.
-			run.lower[i] = max(lower, 0)
-			p.sizes[bi]++
-			inertia += bd
+			run.lower[i] = max(l, 0)
 		}
-		p.inertia = inertia
 	})
 	run.foldDeltas()
-	sizes, inertia := run.foldFinal()
+	inertia := 0.0
+	for c := 0; c < k; c++ {
+		pc := run.pos[c*dim : (c+1)*dim]
+		dot, norm := 0.0, 0.0
+		for j, v := range pc {
+			dot += v * run.sums[c*dim+j]
+			norm += v * v
+		}
+		inertia += max(0, run.exSq[c].Float64()-2*dot+float64(run.counts[c])*norm)
+	}
 	cents := make([][]float64, k)
 	for c := range cents {
 		cents[c] = run.pos[c*dim : c*dim+dim : c*dim+dim]
@@ -357,14 +450,15 @@ func (run *kmeansRun) finishCapture(iterations int, out []int) *KMeansResult {
 		Labels:     out,
 		Inertia:    inertia,
 		Iterations: iterations,
-		Sizes:      sizes,
+		Sizes:      append([]int(nil), run.counts...),
 	}
 }
 
 // captureWarm derives warm state from a finished cold run with one exact
 // pass against its centroids — the same computation the run's own final
 // pass performed, so the captured labels agree with res.Labels — and
-// sums the clusters for the resumes that follow.
+// sums the clusters' exact moments for the resumes that follow. It
+// returns nil when the data holds a value the moments cannot.
 func captureWarm(m *mat.Dense, res *KMeansResult, workers int) *KMeansWarmState {
 	n, dim := m.Rows(), m.Cols()
 	k := res.K
@@ -392,6 +486,9 @@ func captureWarm(m *mat.Dense, res *KMeansResult, workers int) *KMeansWarmState 
 		}
 	})
 	run.resum()
+	if run.err != nil {
+		return nil
+	}
 	return ws
 }
 

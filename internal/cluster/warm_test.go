@@ -395,3 +395,105 @@ func TestKMeansWarmOneCluster(t *testing.T) {
 		t.Fatalf("k=1 state: resumed=%v err=%v", resumed, err)
 	}
 }
+
+// TestKMeansWarmUnrepresentableFallsBack checks data the exact moments
+// cannot hold (here 1e-30, whose low bits lie below 2^-128): a cold run
+// captures no warm state, and a resume meeting such a row falls back to
+// the cold path — bit-identical to KMeansDense — and returns no state.
+// The same holds for a row that only turns unrepresentable after the
+// state was captured.
+func TestKMeansWarmUnrepresentableFallsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	cfg := KMeansConfig{K: 4, Seed: 3, Restarts: 2, Workers: 2}
+
+	bad := warmTestData(rng, 500, 6)
+	bad.Data()[7*6+2] = 1e-30
+	want, err := KMeansDense(bad, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ws, resumed, err := KMeansDenseWarm(bad, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed || ws != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("cold run over unrepresentable data: resumed=%v state=%v, same as KMeansDense=%v", resumed, ws != nil, reflect.DeepEqual(got, want))
+	}
+
+	m := warmTestData(rng, 500, 6)
+	_, ws, _, err = KMeansDenseWarm(m, cfg, nil)
+	if err != nil || ws == nil {
+		t.Fatalf("capture over representable data: state %v, %v", ws != nil, err)
+	}
+	row := m.Data()[11*6 : 12*6]
+	ws.Unassign(11, row)
+	row[4] = 1e-30
+	want, err = KMeansDense(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, next, resumed, err := KMeansDenseWarm(m, cfg, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed || next != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("resume over an unrepresentable row: resumed=%v state=%v, same as KMeansDense=%v", resumed, next != nil, reflect.DeepEqual(got, want))
+	}
+}
+
+// TestKMeansWarmMomentInertia checks a resumed run's inertia, served
+// from the carried moments, against a direct sum of squared distances
+// over the same labels and centroids, and the moments against a fresh
+// exact re-sum of the labels, across resumes after small changes. A
+// loose tolerance stops the loop early, so the final label check moves
+// rows between clusters. At the default tolerance the result must also
+// be a converged Lloyd fixed point.
+func TestKMeansWarmMomentInertia(t *testing.T) {
+	for _, tol := range []float64{0, 1e-3} {
+		rng := rand.New(rand.NewSource(13))
+		m := warmTestData(rng, 3000, 6)
+		data := m.Data()
+		cfg := KMeansConfig{K: 6, Seed: 5, Restarts: 2, Workers: 3, Tolerance: tol}
+		_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *KMeansResult
+		for step := 0; step < 50; step++ {
+			for j := 0; j < 20; j++ {
+				i := rng.Intn(3000)
+				ws.Unassign(i, data[i*6:(i+1)*6])
+				copy(data[i*6:(i+1)*6], warmTestData(rng, 1, 6).Data())
+			}
+			var resumed bool
+			if res, ws, resumed, err = KMeansDenseWarm(m, cfg, ws); err != nil || !resumed {
+				t.Fatalf("tol %g step %d: resumed=%v, %v", tol, step, resumed, err)
+			}
+			direct := 0.0
+			sums, sq := make([]mat.Exact, 6*6), make([]mat.Exact, 6)
+			for i, l := range res.Labels {
+				row := data[i*6 : (i+1)*6]
+				direct += sqDistTo(row, res.Centroids[l])
+				if err := foldMoments(sums[l*6:(l+1)*6], &sq[l], row, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if math.Abs(res.Inertia-direct) > 1e-9*direct {
+				t.Fatalf("tol %g step %d: moment inertia %v, direct %v", tol, step, res.Inertia, direct)
+			}
+			for i := range sums {
+				if sums[i].Rat().Cmp(ws.sums[i].Rat()) != 0 {
+					t.Fatalf("tol %g step %d: carried sum %d differs from a re-sum", tol, step, i)
+				}
+			}
+			for c := range sq {
+				if sq[c].Rat().Cmp(ws.sqNorms[c].Rat()) != 0 {
+					t.Fatalf("tol %g step %d: carried squared norms of cluster %d differ from a re-sum", tol, step, c)
+				}
+			}
+		}
+		if tol == 0 {
+			lloydFixedPoint(t, m, res, 1e-9)
+		}
+	}
+}

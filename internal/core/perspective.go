@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"donorsense/internal/geo"
 	"donorsense/internal/mat"
 	"donorsense/internal/organ"
@@ -23,15 +21,13 @@ type OrganCharacterization struct {
 // matrix: users are grouped by arg-max organ (Equation 1) and aggregated
 // with Equation 3.
 func CharacterizeOrgans(a *Attention) (*OrganCharacterization, error) {
-	l := mat.NewMembership(a.Users(), organ.Count)
+	gs := NewGroupSums(organ.Count)
 	for row := 0; row < a.Users(); row++ {
-		l.Assign(row, a.PrimaryOrgan(row).Index())
+		if err := gs.Fold(a.PrimaryOrgan(row).Index(), a.u.RowView(row), 1); err != nil {
+			return nil, err
+		}
 	}
-	k, _, err := l.Aggregate(a.Matrix())
-	if err != nil {
-		return nil, fmt.Errorf("core: organ aggregation: %w", err)
-	}
-	return &OrganCharacterization{K: k, GroupSizes: l.Sizes()}, nil
+	return gs.Organs()
 }
 
 // Signature returns organ o's characterization row: how users focused on
@@ -96,12 +92,11 @@ func CharacterizeRegions(a *Attention, stateOf map[int64]string) (*RegionCharact
 }
 
 // CharacterizeRegionsFunc is CharacterizeRegions with a StateLookup
-// callback instead of a materialized map. Aggregation visits users in
-// attention row order (ascending user id), so the floating-point sums —
-// and therefore K — are bit-identical no matter how the lookup is backed.
+// callback instead of a materialized map. Group sums are exact, so K is
+// bit-identical no matter how the lookup is backed or in which order
+// users are visited.
 func CharacterizeRegionsFunc(a *Attention, stateOf StateLookup) (*RegionCharacterization, error) {
-	codes := geo.StateCodes()
-	l := mat.NewMembership(a.Users(), len(codes))
+	gs := NewGroupSums(len(geo.StateCodes()))
 	for row, id := range a.UserIDs() {
 		code, ok := stateOf(id)
 		if !ok {
@@ -111,21 +106,11 @@ func CharacterizeRegionsFunc(a *Attention, stateOf StateLookup) (*RegionCharacte
 		if idx < 0 {
 			continue
 		}
-		l.Assign(row, idx)
+		if err := gs.Fold(idx, a.u.RowView(row), 1); err != nil {
+			return nil, err
+		}
 	}
-	if l.Assigned() == 0 {
-		return nil, fmt.Errorf("core: no users could be assigned to a state")
-	}
-	k, empty, err := l.Aggregate(a.Matrix())
-	if err != nil {
-		return nil, fmt.Errorf("core: region aggregation: %w", err)
-	}
-	return &RegionCharacterization{
-		K:           k,
-		StateCodes:  codes,
-		GroupSizes:  l.Sizes(),
-		EmptyStates: empty,
-	}, nil
+	return gs.Regions()
 }
 
 // StateRow returns the index of a state code in the characterization, or

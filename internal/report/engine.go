@@ -25,14 +25,16 @@ import (
 // reached through a resumed rather than restarted run).
 //
 // Cost of a warm Refresh. The per-user work — classifying the dirty
-// rows, the accumulator updates, the splice plan, the K-Means
-// re-assignment of changed rows — is O(users changed). What remains
-// O(users) is a fixed set of allocation-free memory sweeps: splicing Û,
-// its id column and the row-aligned columns (state and primary-organ
-// shadows, K-Means labels and bounds) when users enter or leave it; one
-// pass over Û for both Equation 3 aggregations; and the K-Means sweeps —
-// a label scan, a bounds check per Lloyd iteration, and the final pass
-// that computes the exact inertia. None of them copies or allocates an
+// rows, the accumulator updates (including the exact Equation 3 group
+// sums, so Figures 3 and 4 cost O(users changed + groups)), the splice
+// plan, the K-Means re-assignment of changed rows — is O(users changed).
+// What remains O(users) is a fixed set of allocation-free memory sweeps
+// that never read Û except where a row changed: splicing Û, its id
+// column and the row-aligned columns (state shadow, K-Means labels and
+// bounds) when users enter or leave it, and the K-Means sweeps — a
+// label scan, a bounds check per Lloyd iteration, and the final label
+// check, which reads a row of Û only when its bounds fail (the inertia
+// comes from carried moments). None of them copies or allocates an
 // O(users) structure, and none grows with corpus age.
 //
 // The returned *Analysis shares the engine's Û and K-Means result
@@ -55,24 +57,16 @@ type Engine struct {
 	att *core.Attention
 
 	// Row-aligned shadow of Û: each row's geo.StateCodes() row (-1
-	// unresolvable) and primary-organ group — the two Equation 3
-	// groupings, and what the accumulators need about the previous state
-	// of a changed user besides its mention mask, which its old Û row
-	// still gives.
-	states    []int16
-	primaries []int16
+	// unresolvable), the one thing the accumulators need about the
+	// previous state of a changed user that its old Û row (values,
+	// mention mask, primary organ) does not give.
+	states []int16
 
-	// Subtractable group-size counters for the two characterizations.
-	orgSizes []int
-	regSizes []int
+	// Every user's contribution to Table I, Figures 2–5 and the
+	// winner-takes-all baseline, held subtractably.
+	acc *accumulators
 
-	// Integer accumulators: Figure 5 / winner-takes-all cells, and the
-	// Figure 2 / Table I mention-mask statistics.
-	cells *core.StateOrganCells
-	ment  core.MentionAccum
-
-	// Previous characterizations; clean group rows are carried over
-	// bit-for-bit by the dirty-group recompute.
+	// Characterizations computed from the group sums.
 	organs  *core.OrganCharacterization
 	regions *core.RegionCharacterization
 
@@ -83,6 +77,9 @@ type Engine struct {
 
 	metrics *EngineMetrics
 	tracer  *trace.Tracer
+
+	// Per-stage time of the current refresh, reported on its span.
+	stages [numStages]time.Duration
 
 	refreshes   uint64
 	lastDirty   int
@@ -122,6 +119,18 @@ func (e *Engine) LastRefresh() (dirtyRows int, latency time.Duration, cold bool)
 	return e.lastDirty, e.lastLatency, e.lastCold
 }
 
+// Refresh stages timed on the report.refresh span, in order. On a cold
+// build the patch stage is the build of Û.
+const (
+	stagePatch        = iota // Û patch and the splice of its row-aligned columns
+	stageCharacterize        // accumulator updates and Figures 3 and 4
+	stageKMeans              // Figure 7
+	stageAssemble            // everything else the Analysis needs
+	numStages
+)
+
+var stageAttrs = [numStages]string{"patch_us", "characterize_us", "kmeans_us", "assemble_us"}
+
 // Refresh drains the dataset's change delta and returns the analysis of
 // the current state. The first call (and any call after an error
 // poisoned the incremental state) runs a cold build. An empty delta
@@ -130,6 +139,7 @@ func (e *Engine) LastRefresh() (dirtyRows int, latency time.Duration, cold bool)
 func (e *Engine) Refresh() (*Analysis, error) {
 	start := time.Now()
 	sp := e.tracer.StartRoot("report.refresh")
+	e.stages = [numStages]time.Duration{}
 	var (
 		a     *Analysis
 		err   error
@@ -144,10 +154,10 @@ func (e *Engine) Refresh() (*Analysis, error) {
 		delta := e.d.DrainDelta()
 		dirty = delta.Rows.Count() + len(delta.Deleted)
 		a, err = e.incremental(delta.Rows.Each, delta.Rows.Count(), delta.Deleted)
-		if err != nil {
-			// The partial state is unusable; the next Refresh rebuilds.
-			e.reset()
-		}
+	}
+	if err != nil {
+		// The partial state is unusable; the next Refresh rebuilds.
+		e.reset()
 	}
 	e.lastDirty, e.lastLatency, e.lastCold = dirty, time.Since(start), cold
 	if err == nil {
@@ -159,8 +169,13 @@ func (e *Engine) Refresh() (*Analysis, error) {
 		m.dirty.Set(float64(dirty))
 	}
 	if sp != nil {
+		// At most eight attributes fit a span: two always, four stages,
+		// and cold and error when they apply.
 		sp.SetInt("dirty_rows", int64(dirty))
 		sp.SetInt("epoch", int64(e.Epoch()))
+		for i, d := range e.stages {
+			sp.SetInt(stageAttrs[i], d.Microseconds())
+		}
 		if cold {
 			sp.SetAttr("cold", "true")
 		}
@@ -172,12 +187,18 @@ func (e *Engine) Refresh() (*Analysis, error) {
 	return a, err
 }
 
+// lap charges the time since *since to stage and restarts the clock.
+func (e *Engine) lap(stage int, since *time.Time) {
+	now := time.Now()
+	e.stages[stage] += now.Sub(*since)
+	*since = now
+}
+
 // reset drops all incremental state so the next Refresh cold-builds.
 func (e *Engine) reset() {
 	e.att = nil
-	e.states, e.primaries = nil, nil
-	e.orgSizes, e.regSizes = nil, nil
-	e.cells, e.ment = nil, core.MentionAccum{}
+	e.states = nil
+	e.acc = nil
 	e.organs, e.regions = nil, nil
 	e.pc = cluster.PairwiseCache{}
 	e.kmWarm = nil
@@ -187,46 +208,91 @@ func (e *Engine) reset() {
 // does, through the cache- and accumulator-aware entry points — and
 // seeds the incremental state from the results.
 func (e *Engine) coldBuild() (*Analysis, error) {
+	clock := time.Now()
 	att, states, err := e.d.BuildAttentionStates()
 	if err != nil {
 		return nil, fmt.Errorf("report: attention: %w", err)
 	}
 	e.att = att
-
-	n := att.Users()
 	e.states = states
-	e.primaries = make([]int16, n)
-	e.orgSizes = make([]int, organ.Count)
-	e.regSizes = make([]int, len(geo.StateCodes()))
-	e.cells = core.NewStateOrganCells()
-	e.ment = core.MentionAccum{}
-	for row := 0; row < n; row++ {
-		mask := core.MentionMask(att, row)
-		prim := int16(att.PrimaryOrgan(row).Index())
-		si := states[row]
-		e.primaries[row] = prim
-		e.orgSizes[prim]++
-		if si >= 0 {
-			e.regSizes[si]++
-			e.cells.AddUser(int(si), mask, 1)
+	e.lap(stagePatch, &clock)
+
+	e.acc = newAccumulators()
+	for r := 0; r < att.Users(); r++ {
+		ur := e.userRow(r)
+		if err := e.acc.fold(&ur, 1); err != nil {
+			return nil, err
 		}
-		e.ment.AddMask(mask, 1)
 	}
-	if err := e.characterize(nil, nil); err != nil {
+	if err := e.characterize(); err != nil {
 		return nil, err
 	}
+	e.lap(stageCharacterize, &clock)
 	return e.assemble(func(string) bool { return true })
 }
 
-// characterize recomputes the dirty rows of Figures 3 and 4 (every row
-// when the dirty sets are nil) in one pass over Û.
-func (e *Engine) characterize(orgDirty, regDirty []bool) error {
+// userRow is one user's contribution to the accumulators, read from Û
+// row r and the state shadow.
+type userRow struct {
+	u     [organ.Count]float64
+	mask  uint8
+	state int16
+	prim  int16
+}
+
+func (e *Engine) userRow(r int) userRow {
+	ur := userRow{state: e.states[r], prim: int16(e.att.PrimaryOrgan(r).Index())}
+	copy(ur.u[:], e.att.Matrix().RowView(r))
+	for j, v := range ur.u {
+		if v > 0 { // core.MentionMask, from the copy
+			ur.mask |= 1 << j
+		}
+	}
+	return ur
+}
+
+// accumulators hold every user's contribution subtractably: the Figure
+// 2 / Table I mention-mask statistics, the Figure 5 / winner-takes-all
+// cells (integer counts), and the exact Equation 3 group sums — Figure 3
+// by primary organ, Figure 4 by state.
+type accumulators struct {
+	ment    core.MentionAccum
+	cells   *core.StateOrganCells
+	orgSums *core.GroupSums
+	regSums *core.GroupSums
+}
+
+func newAccumulators() *accumulators {
+	return &accumulators{
+		cells:   core.NewStateOrganCells(),
+		orgSums: core.NewGroupSums(organ.Count),
+		regSums: core.NewGroupSums(len(geo.StateCodes())),
+	}
+}
+
+// fold adds (sign 1) or subtracts (sign -1) a user's contribution.
+func (ac *accumulators) fold(ur *userRow, sign int) error {
+	ac.ment.AddMask(ur.mask, sign)
+	if err := ac.orgSums.Fold(int(ur.prim), ur.u[:], sign); err != nil {
+		return fmt.Errorf("report: figure 3: %w", err)
+	}
+	if ur.state >= 0 {
+		ac.cells.AddUser(int(ur.state), ur.mask, sign)
+		if err := ac.regSums.Fold(int(ur.state), ur.u[:], sign); err != nil {
+			return fmt.Errorf("report: figure 4: %w", err)
+		}
+	}
+	return nil
+}
+
+// characterize computes Figures 3 and 4 from the group sums.
+func (e *Engine) characterize() error {
 	var err error
-	e.organs, e.regions, err = core.CharacterizeDelta(e.att,
-		core.Grouping{Of: e.primaries, Sizes: e.orgSizes, Dirty: orgDirty}, e.organs,
-		core.Grouping{Of: e.states, Sizes: e.regSizes, Dirty: regDirty}, e.regions)
-	if err != nil {
-		return fmt.Errorf("report: figures 3 and 4: %w", err)
+	if e.organs, err = e.acc.orgSums.Organs(); err != nil {
+		return fmt.Errorf("report: figure 3: %w", err)
+	}
+	if e.regions, err = e.acc.regSums.Regions(); err != nil {
+		return fmt.Errorf("report: figure 4: %w", err)
 	}
 	return nil
 }
@@ -234,20 +300,17 @@ func (e *Engine) characterize(orgDirty, regDirty []bool) error {
 // pendingChange is one user whose Û row changes this refresh.
 type pendingChange struct {
 	id     int64
-	mask   uint8
 	state  int16
 	counts [organ.Count]int32
-	oldRow int // pre-patch att row; -1 = insert
-	// previous shadow values when oldRow >= 0
-	oldMask  uint8
-	oldState int16
-	oldPrim  int16
+	oldRow int     // pre-patch att row; -1 = insert
+	old    userRow // the previous contribution when oldRow >= 0
 }
 
 // incremental folds one drained delta into the cached state. eachRow
 // iterates the dirty store rows (valid against the live store, rows of
 // them), deleted lists removed user ids — userstore.Delta's contract.
 func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int64) (*Analysis, error) {
+	clock := time.Now()
 	removed := make(map[int64]bool, len(deleted))
 	for _, id := range deleted {
 		removed[id] = true
@@ -265,12 +328,8 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 		var cnt [organ.Count]int32
 		copy(cnt[:], ments)
 		sum := int32(0)
-		mask := uint8(0)
-		for j, v := range cnt {
+		for _, v := range cnt {
 			sum += v
-			if v > 0 {
-				mask |= 1 << j
-			}
 		}
 		oldRow := e.att.RowOf(id)
 		if sum == 0 {
@@ -283,7 +342,7 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 		if s := geo.StateIndex(code); s >= 0 {
 			si = int16(s)
 		}
-		ups = append(ups, pendingChange{id: id, mask: mask, state: si, counts: cnt, oldRow: oldRow})
+		ups = append(ups, pendingChange{id: id, state: si, counts: cnt, oldRow: oldRow})
 	})
 	for id := range removed {
 		if e.att.RowOf(id) >= 0 {
@@ -301,33 +360,26 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 		ws, e.kmWarm = nil, nil
 	}
 
-	// Capture previous shadow values, and take every changed or removed
-	// row out of its K-Means cluster, while the old Û rows are still in
-	// place. The accumulators are only touched after Patch succeeds; the
-	// K-Means state is touched before, but any error resets the engine
-	// and the next Refresh rebuilds it cold.
+	// Capture every changed or removed user's previous contribution, and
+	// take its row out of its K-Means cluster, while the old Û rows are
+	// still in place. The accumulators are only touched after Patch
+	// succeeds; the K-Means state is touched before, but any error resets
+	// the engine and the next Refresh rebuilds it cold.
 	u := e.att.Matrix()
 	for i := range ups {
 		up := &ups[i]
 		if up.oldRow < 0 {
 			continue
 		}
-		up.oldMask = core.MentionMask(e.att, up.oldRow)
-		up.oldState = e.states[up.oldRow]
-		up.oldPrim = e.primaries[up.oldRow]
+		up.old = e.userRow(up.oldRow)
 		if ws != nil {
 			ws.Unassign(up.oldRow, u.RowView(up.oldRow))
 		}
 	}
-	type removal struct {
-		mask  uint8
-		state int16
-		prim  int16
-	}
-	rms := make([]removal, len(removes))
+	rms := make([]userRow, len(removes))
 	for i, id := range removes {
 		row := e.att.RowOf(id)
-		rms[i] = removal{mask: core.MentionMask(e.att, row), state: e.states[row], prim: e.primaries[row]}
+		rms[i] = e.userRow(row)
 		if ws != nil {
 			ws.Unassign(row, u.RowView(row))
 		}
@@ -345,55 +397,51 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 	}
 	// Replay Patch's row moves on every row-aligned column.
 	e.states = core.SpliceColumn(sp, e.states, 1)
-	e.primaries = core.SpliceColumn(sp, e.primaries, 1)
 	if ws != nil {
 		ws.Labels = core.SpliceColumn(sp, ws.Labels, 1)
 		ws.Upper = core.SpliceColumn(sp, ws.Upper, 1)
 		ws.Lower = core.SpliceColumn(sp, ws.Lower, 1)
 	}
+	e.lap(stagePatch, &clock)
 
-	orgDirty := make([]bool, organ.Count)
-	regDirty := make([]bool, len(e.regSizes))
-	sub := func(mask uint8, state, prim int16) {
-		e.ment.AddMask(mask, -1)
-		e.orgSizes[prim]--
-		orgDirty[prim] = true
-		if state >= 0 {
-			e.cells.AddUser(int(state), mask, -1)
-			e.regSizes[state]--
-			regDirty[state] = true
-		}
-	}
-	add := func(mask uint8, state, prim int16) {
-		e.ment.AddMask(mask, 1)
-		e.orgSizes[prim]++
-		orgDirty[prim] = true
-		if state >= 0 {
-			e.cells.AddUser(int(state), mask, 1)
-			e.regSizes[state]++
-			regDirty[state] = true
-		}
-	}
+	// Subtract each previous contribution and add the new one; the states
+	// touched either way are the dirty rows of Figure 6's distances.
+	regDirty := make([]bool, len(geo.StateCodes()))
 	for i := range ups {
 		up := &ups[i]
 		if up.oldRow >= 0 {
-			sub(up.oldMask, up.oldState, up.oldPrim)
+			if err := e.acc.fold(&up.old, -1); err != nil {
+				return nil, err
+			}
+			if up.old.state >= 0 {
+				regDirty[up.old.state] = true
+			}
 		}
 		row := e.att.RowOf(up.id)
-		prim := int16(e.att.PrimaryOrgan(row).Index())
-		e.states[row], e.primaries[row] = up.state, prim
-		add(up.mask, up.state, prim)
+		e.states[row] = up.state
+		ur := e.userRow(row)
+		if err := e.acc.fold(&ur, 1); err != nil {
+			return nil, err
+		}
+		if up.state >= 0 {
+			regDirty[up.state] = true
+		}
 		if ws != nil {
 			ws.Labels[row] = -1 // inserted rows join the re-assignment
 		}
 	}
-	for _, rm := range rms {
-		sub(rm.mask, rm.state, rm.prim)
+	for i := range rms {
+		if err := e.acc.fold(&rms[i], -1); err != nil {
+			return nil, err
+		}
+		if rms[i].state >= 0 {
+			regDirty[rms[i].state] = true
+		}
 	}
-
-	if err := e.characterize(orgDirty, regDirty); err != nil {
+	if err := e.characterize(); err != nil {
 		return nil, err
 	}
+	e.lap(stageCharacterize, &clock)
 	return e.assemble(func(code string) bool {
 		s := geo.StateIndex(code)
 		return s >= 0 && regDirty[s]
@@ -405,12 +453,14 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 // pairwise cache and warm K-Means state feed the clustering figures.
 // stateDirty tells the distance cache which state rows changed.
 func (e *Engine) assemble(stateDirty func(code string) bool) (*Analysis, error) {
+	clock := time.Now()
+	defer e.lap(stageAssemble, &clock)
 	d, cfg := e.d, e.cfg
 	a := &Analysis{
-		Stats:      d.StatsFromDistinct(int(e.ment.DistinctPairs)),
-		Popularity: e.ment.UsersPerOrgan(),
+		Stats:      d.StatsFromDistinct(int(e.acc.ment.DistinctPairs)),
+		Popularity: e.acc.ment.UsersPerOrgan(),
 		KUsers:     cfg.KUsers,
-		MultiUsers: e.ment.MultiOrganUsers(),
+		MultiUsers: e.acc.ment.MultiOrganUsers(),
 	}
 	a.MultiTweets = d.TweetOrganHistogram()
 
@@ -428,10 +478,10 @@ func (e *Engine) assemble(stateDirty func(code string) bool) (*Analysis, error) 
 	a.StateOf = d.StateLookup()
 	a.Organs, a.Regions = e.organs, e.regions
 
-	if a.Highlight, err = e.cells.Highlight(); err != nil {
+	if a.Highlight, err = e.acc.cells.Highlight(); err != nil {
 		return nil, fmt.Errorf("report: figure 5: %w", err)
 	}
-	if a.Baseline, err = e.cells.WinnerTakesAll(); err != nil {
+	if a.Baseline, err = e.acc.cells.WinnerTakesAll(); err != nil {
 		return nil, fmt.Errorf("report: winner-takes-all: %w", err)
 	}
 
@@ -452,9 +502,11 @@ func (e *Engine) assemble(stateDirty func(code string) bool) (*Analysis, error) 
 		if !e.Warm {
 			warm = nil
 		}
+		e.lap(stageAssemble, &clock)
 		res, ws, _, kerr := cluster.KMeansDenseWarm(u, cluster.KMeansConfig{
 			K: cfg.KUsers, Seed: cfg.Seed, Restarts: 2, Workers: cfg.Workers,
 		}, warm)
+		e.lap(stageKMeans, &clock)
 		if kerr != nil {
 			return nil, fmt.Errorf("report: figure 7: %w", kerr)
 		}

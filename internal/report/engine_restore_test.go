@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"runtime"
 	"testing"
 
 	"donorsense/internal/cluster"
@@ -85,4 +86,42 @@ func TestRestoreWarmRejectsBadShapes(t *testing.T) {
 	if _, err := fresh.Refresh(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzRestoreWarm feeds RestoreWarm arbitrary bytes, seeded with a real
+// MarshalWarm blob. Every input must be refused with an error or
+// restore a state that passes Validate — never panic — and the bytes
+// the call allocates must stay within a fixed multiple of the input's
+// size plus a constant for gob's type machinery.
+func FuzzRestoreWarm(f *testing.F) {
+	d := pipeline.SynthDataset(300, 1)
+	cfg := engineTestConfig()
+	cfg.KUsers = 4
+	e := NewEngine(d, cfg)
+	if _, err := e.Refresh(); err != nil {
+		f.Fatal(err)
+	}
+	blob, err := e.MarshalWarm()
+	if err != nil || len(blob) == 0 {
+		f.Fatalf("seed blob: %d bytes, %v", len(blob), err)
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add([]byte("not gob"))
+	f.Add([]byte{0xfc, 0x00, 0x90, 0x00, 0x00, 0x01}) // a 9 MiB message length
+	f.Fuzz(func(t *testing.T, b []byte) {
+		e := &Engine{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := e.RestoreWarm(b)
+		runtime.ReadMemStats(&after)
+		if err == nil && e.kmWarm != nil {
+			if verr := e.kmWarm.Validate(); verr != nil {
+				t.Fatalf("restored a state that fails Validate: %v", verr)
+			}
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(b)+1<<20); got > limit {
+			t.Fatalf("%d-byte blob allocated %d bytes, limit %d", len(b), got, limit)
+		}
+	})
 }

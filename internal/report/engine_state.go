@@ -63,9 +63,15 @@ func (e *Engine) MarshalWarm() ([]byte, error) {
 // ignore it and cold-start. A state that is consistent but stale (a
 // different row count) is safe to restore: KMeansDenseWarm cold-starts
 // when it does not fit the data. A nil/empty blob is a no-op.
+//
+// Any byte string is safe to pass: decoding never panics, and it
+// allocates at most a small multiple of len(b) (see checkWarmBlob).
 func (e *Engine) RestoreWarm(b []byte) error {
 	if len(b) == 0 {
 		return nil
+	}
+	if err := checkWarmBlob(b); err != nil {
+		return fmt.Errorf("report: restore warm state: %w", err)
 	}
 	var blob engineWarmBlob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&blob); err != nil {
@@ -83,4 +89,55 @@ func (e *Engine) RestoreWarm(b []byte) error {
 	}
 	e.kmWarm = ws
 	return nil
+}
+
+// probeBlobMax is the blob size below which checkWarmBlob dry-runs the
+// decode. gob sizes a slice from the count it declares, capped at
+// 10 MiB per slice (Go's internal saferio limit), before it reads the
+// elements; a blob of probeBlobMax bytes or more already bounds that
+// preallocation to a few times its own size.
+const probeBlobMax = 8 << 20
+
+// checkWarmBlob bounds what decoding a warm blob can allocate. Every
+// gob message must fit in the bytes that follow its length prefix, so
+// no message buffer is sized beyond the input. A smaller blob is first
+// decoded into a shape without slices: gob then skips each slice's
+// elements without allocating and refuses a count longer than the data
+// behind it, so the real decode never sizes a slice from a count the
+// input cannot back.
+func checkWarmBlob(b []byte) error {
+	for rest := b; len(rest) > 0; {
+		n, w := gobUint(rest)
+		if w == 0 || n > uint64(len(rest)-w) {
+			return fmt.Errorf("gob message length runs past the %d-byte blob", len(b))
+		}
+		rest = rest[w+int(n):]
+	}
+	if len(b) >= probeBlobMax {
+		return nil
+	}
+	var probe struct{ KMeans *struct{ K int } }
+	return gob.NewDecoder(bytes.NewReader(b)).Decode(&probe)
+}
+
+// gobUint decodes gob's unsigned-integer encoding at the start of b —
+// one byte below 0x80, or a negated byte count followed by that many
+// big-endian bytes — returning the value and its width (0 if b is too
+// short or the count is not 1 to 8).
+func gobUint(b []byte) (uint64, int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || len(b) < 1+n {
+		return 0, 0
+	}
+	var v uint64
+	for _, c := range b[1 : 1+n] {
+		v = v<<8 | uint64(c)
+	}
+	return v, 1 + n
 }
