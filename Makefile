@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos-shards trace-smoke vulncheck bench benchcmp bench-userstore bench-userstore-baseline bench-incremental bench-incremental-baseline bench-serve bench-serve-baseline serve-smoke bench-paper fuzz fmt
+.PHONY: all build vet test examples race check chaos-shards trace-smoke vulncheck bench benchcmp bench-userstore bench-userstore-baseline bench-incremental bench-incremental-baseline bench-serve bench-serve-baseline serve-smoke bench-paper fuzz fmt
 
 # Packages on the ingest hot path whose benchmarks are archived and gated.
 BENCH_PKGS = ./internal/pipeline/ ./internal/text/ ./internal/geo/
@@ -22,6 +22,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Run every example end to end; any non-zero exit fails the target.
+EXAMPLES = quickstart statemap streaming campaign
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
+	done
 
 # Race-detector pass over the concurrent packages (stream client/server,
 # chaos simulator, metrics registry, parallel ingestion, collector CLI).

@@ -14,6 +14,7 @@ import (
 	"donorsense/internal/cluster"
 	"donorsense/internal/core"
 	"donorsense/internal/gen"
+	"donorsense/internal/geo"
 	"donorsense/internal/mat"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
@@ -30,8 +31,8 @@ var (
 	benchCorpus  *gen.Corpus
 	benchDataset *pipeline.Dataset
 	benchAtt     *core.Attention
-	benchStates  map[int64]string
-	benchRows    [][]float64
+	benchStates  []int16 // geo.StateCodes() row of each Û row
+	benchU       *mat.Matrix
 )
 
 func benchSetup(b *testing.B) {
@@ -42,15 +43,66 @@ func benchSetup(b *testing.B) {
 		for _, t := range benchCorpus.Tweets {
 			benchDataset.Process(t)
 		}
-		att, err := benchDataset.BuildAttention()
+		att, states, err := benchDataset.BuildAttentionStates()
 		if err != nil {
 			panic(err)
 		}
-		benchAtt = att
-		benchStates = benchDataset.StateOf()
-		benchRows = att.Rows()
+		benchAtt, benchStates, benchU = att, states, att.Matrix()
 	})
 	b.ResetTimer()
+}
+
+// organSignatures is Figure 3: every Û row folded into the Equation 3
+// group sums of its primary organ (Equation 1).
+func organSignatures() (*core.OrganCharacterization, error) {
+	gs := core.NewGroupSums(organ.Count)
+	for r := 0; r < benchAtt.Users(); r++ {
+		if err := gs.Fold(benchAtt.PrimaryOrgan(r).Index(), benchU.RowView(r), 1); err != nil {
+			return nil, err
+		}
+	}
+	return gs.Organs()
+}
+
+// stateSignatures is Figure 4: every located Û row folded into the
+// Equation 3 group sums of its state (Equation 2).
+func stateSignatures() (*core.RegionCharacterization, error) {
+	gs := core.NewGroupSums(len(geo.StateCodes()))
+	for r, s := range benchStates {
+		if s < 0 {
+			continue
+		}
+		if err := gs.Fold(int(s), benchU.RowView(r), 1); err != nil {
+			return nil, err
+		}
+	}
+	return gs.Regions()
+}
+
+// stateCells counts every located user into the Equation 4 cells behind
+// Figure 5 and the winner-takes-all baseline.
+func stateCells() *core.StateOrganCells {
+	c := core.NewStateOrganCells()
+	for r, s := range benchStates {
+		if s < 0 {
+			continue
+		}
+		mask := uint8(0)
+		for j, v := range benchU.RowView(r) {
+			if v > 0 {
+				mask |= 1 << j
+			}
+		}
+		c.AddUser(int(s), mask, 1)
+	}
+	return c
+}
+
+// buildAttention builds Û from rows of mention counts, one row per id.
+func buildAttention(b *testing.B, ids []int64, counts []int32) {
+	if _, err := core.AttentionFromCounts(ids, counts); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkTableI_DatasetStats times the full collect → augment → filter
@@ -116,7 +168,7 @@ func BenchmarkFigure3_OrganCharacterization(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		oc, err := core.CharacterizeOrgans(benchAtt)
+		oc, err := organSignatures()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +182,7 @@ func BenchmarkFigure4_StateCharacterization(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CharacterizeRegions(benchAtt, benchStates); err != nil {
+		if _, err := stateSignatures(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,7 +194,7 @@ func BenchmarkFigure5_RelativeRisk(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h, err := core.HighlightOrgans(benchAtt, benchStates)
+		h, err := stateCells().Highlight()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +206,7 @@ func BenchmarkFigure5_RelativeRisk(b *testing.B) {
 // matrix and agglomerative clustering of states.
 func BenchmarkFigure6_StateClustering(b *testing.B) {
 	benchSetup(b)
-	rc, err := core.CharacterizeRegions(benchAtt, benchStates)
+	rc, err := stateSignatures()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -162,7 +214,7 @@ func BenchmarkFigure6_StateClustering(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := cluster.PairwiseMatrix(rows, cluster.Bhattacharyya)
+		m, err := cluster.PairwiseMatrix(rows, cluster.Bhattacharyya, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,11 +232,11 @@ func BenchmarkFigure7_UserClustering(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := cluster.KMeans(benchRows, cluster.KMeansConfig{K: 12, Seed: 1})
+		res, err := cluster.KMeans(benchU, cluster.KMeansConfig{K: 12, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cluster.SilhouetteSampled(benchRows, res.Labels, cluster.Euclidean, 500, 1); err != nil {
+		if _, err := cluster.SilhouetteSampled(benchU, res.Labels, cluster.Euclidean, 500, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,13 +253,15 @@ func BenchmarkAblation_UserVsTweetCharacterization(b *testing.B) {
 	b.Run("user-based", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			bld := core.NewAttentionBuilder()
+			var ids []int64
+			var counts []int32
 			benchDataset.EachUser(func(u *pipeline.UserRecord) {
-				bld.Observe(u.ID, u.Mentions)
+				ids = append(ids, u.ID)
+				for _, m := range u.Mentions {
+					counts = append(counts, int32(m))
+				}
 			})
-			if _, err := bld.Build(); err != nil {
-				b.Fatal(err)
-			}
+			buildAttention(b, ids, counts)
 		}
 	})
 	b.Run("tweet-based", func(b *testing.B) {
@@ -218,19 +272,19 @@ func BenchmarkAblation_UserVsTweetCharacterization(b *testing.B) {
 			// Every tweet becomes its own matrix row — the
 			// characterization the paper rejects as biased toward heavy
 			// tweeters (and ~1.9× the rows).
-			bld := core.NewAttentionBuilder()
-			var row int64
+			var ids []int64
+			var counts []int32
 			for _, t := range benchCorpus.Tweets {
 				e := ex.Extract(t.Text)
 				if !e.InContext() {
 					continue
 				}
-				row++
-				bld.Observe(row, e.Mentions)
+				ids = append(ids, int64(len(ids)+1))
+				for _, m := range e.Mentions {
+					counts = append(counts, int32(m))
+				}
 			}
-			if _, err := bld.Build(); err != nil {
-				b.Fatal(err)
-			}
+			buildAttention(b, ids, counts)
 		}
 	})
 }
@@ -239,7 +293,7 @@ func BenchmarkAblation_UserVsTweetCharacterization(b *testing.B) {
 // Figure 6 state clustering (§IV-B2 argues for Bhattacharyya).
 func BenchmarkAblation_DistanceMetrics(b *testing.B) {
 	benchSetup(b)
-	rc, err := core.CharacterizeRegions(benchAtt, benchStates)
+	rc, err := stateSignatures()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +311,7 @@ func BenchmarkAblation_DistanceMetrics(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dm, err := cluster.PairwiseMatrix(rows, m.d)
+				dm, err := cluster.PairwiseMatrix(rows, m.d, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -276,7 +330,7 @@ func BenchmarkAblation_RRVsWinnerTakesAll(b *testing.B) {
 	b.Run("relative-risk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.HighlightOrgans(benchAtt, benchStates); err != nil {
+			if _, err := stateCells().Highlight(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -284,36 +338,7 @@ func BenchmarkAblation_RRVsWinnerTakesAll(b *testing.B) {
 	b.Run("winner-takes-all", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.WinnerTakesAll(benchAtt, benchStates); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_AggregateFastPath contrasts the sparse group-mean
-// fast path for Equation 3 with the literal (LᵀL)⁻¹LᵀÛ dense algebra.
-func BenchmarkAblation_AggregateFastPath(b *testing.B) {
-	benchSetup(b)
-	u := benchAtt.Matrix()
-	// Build the Equation 1 membership once (mirrors what
-	// core.CharacterizeOrgans does internally).
-	l := mat.NewMembership(benchAtt.Users(), organ.Count)
-	for row := 0; row < benchAtt.Users(); row++ {
-		l.Assign(row, benchAtt.PrimaryOrgan(row).Index())
-	}
-	b.Run("fast-diagonal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := l.Aggregate(u); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("general-inverse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := l.AggregateGeneral(u); err != nil {
+			if _, err := stateCells().WinnerTakesAll(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -326,7 +351,7 @@ func BenchmarkAblation_KMeansKSweep(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.SweepK(benchRows, []int{6, 12, 16}, 1, 300); err != nil {
+		if _, err := cluster.SweepK(benchU, []int{6, 12, 16}, 1, 300, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -142,18 +142,33 @@ func parseKs(s string) ([]int, error) {
 	return out, nil
 }
 
-func analyzeDataset(d *pipeline.Dataset, k int, sweep string, silhouetteSample, workers int, metrics *report.Metrics, series *temporal.Series, exportDir string) error {
+// analysisConfig is the report configuration the -k, -sweep,
+// -silhouette-sample and -workers flags ask for.
+func analysisConfig(k int, sweep string, silhouetteSample, workers int) (report.AnalysisConfig, error) {
 	cfg := report.DefaultAnalysisConfig()
 	cfg.KUsers = k
 	cfg.SilhouetteSample = silhouetteSample
 	cfg.Workers = workers
-	cfg.Metrics = metrics
 	ks, err := parseKs(sweep)
-	if err != nil {
-		return err
-	}
 	cfg.SweepKs = ks
-	a, err := report.Analyze(d, cfg)
+	return cfg, err
+}
+
+// analyzeDataset prints the full analysis of d at cfg. With an engine e
+// over d — collect's, which carries its metrics — the analysis is one
+// more refresh of e; collect's engines refresh without the
+// model-selection sweep, so the sweep runs here. Without one it is
+// Analyze.
+func analyzeDataset(d *pipeline.Dataset, e *report.Engine, cfg report.AnalysisConfig, series *temporal.Series, exportDir string) error {
+	var a *report.Analysis
+	var err error
+	if e != nil {
+		if a, err = e.Refresh(); err == nil {
+			err = a.RunSweep(cfg)
+		}
+	} else {
+		a, err = report.Analyze(d, cfg)
+	}
 	if err != nil {
 		return err
 	}
@@ -288,8 +303,12 @@ func cmdAnalyze(args []string) error {
 			series.Observe(tw, ex)
 		}
 	}
+	cfg, err := analysisConfig(*k, *sweep, *sil, *workers)
+	if err != nil {
+		return err
+	}
 	d.ProcessAll(tweets, *workers)
-	return analyzeDataset(d, *k, *sweep, *sil, *workers, nil, series, *exportDir)
+	return analyzeDataset(d, nil, cfg, series, *exportDir)
 }
 
 func cmdCollect(args []string) error {
@@ -323,6 +342,10 @@ func cmdCollect(args []string) error {
 		return err
 	}
 	level, err := obs.ParseLevel(*logLevel)
+	if err != nil {
+		return err
+	}
+	cfg, err := analysisConfig(*k, *sweep, *sil, *workers)
 	if err != nil {
 		return err
 	}
@@ -369,9 +392,7 @@ func cmdCollect(args []string) error {
 			restartBackoff:   *restartBackoff,
 			bufferCap:        *shardBuffer,
 			maxTweets:        *maxTweets,
-			k:                *k,
-			sweep:            *sweep,
-			sil:              *sil,
+			cfg:              cfg,
 			telemetryAddr:    *telemetryAddr,
 			progressEvery:    *progressEvery,
 			tracer:           tracer,
@@ -405,13 +426,10 @@ func cmdCollect(args []string) error {
 	// collect goroutine against a quiescent dataset; the sweep is left off
 	// — it is a cold model-selection tool, not a live artifact.
 	var engine *report.Engine
+	ecfg := cfg
+	ecfg.SweepKs = nil
 	probe := &analyticsProbe{enabled: *reportEvery > 0, every: *reportEvery}
 	if *reportEvery > 0 {
-		ecfg := report.DefaultAnalysisConfig()
-		ecfg.KUsers = *k
-		ecfg.SilhouetteSample = *sil
-		ecfg.Workers = *workers
-		ecfg.SweepKs = nil
 		engine = report.NewEngine(d, ecfg)
 		if err := engine.RestoreWarm(d.AnalyticsState()); err != nil {
 			logger.Warn("ignoring unreadable analytics warm state", "err", err)
@@ -439,7 +457,7 @@ func cmdCollect(args []string) error {
 
 	// Telemetry: registry + instrumented client/pipeline + HTTP endpoint.
 	var streamMetrics *twitter.StreamMetrics
-	var analyzeMetrics *report.Metrics
+	var engineMetrics *report.EngineMetrics
 	// pub, when -serve is on, owns the RCU snapshot behind /api/...; the
 	// collect goroutine publishes after each refresh, request goroutines
 	// only load the pointer.
@@ -447,7 +465,7 @@ func cmdCollect(args []string) error {
 	if *telemetryAddr != "" {
 		reg := obs.NewRegistry()
 		d.SetMetrics(pipeline.NewMetrics(reg))
-		analyzeMetrics = report.NewMetrics(reg)
+		engineMetrics = report.NewEngineMetrics(reg)
 		streamMetrics = twitter.NewStreamMetrics(reg)
 		streamMetrics.Instrument(reg, client)
 		client.Codec = twitter.NewDecoder()
@@ -504,7 +522,7 @@ func cmdCollect(args []string) error {
 			return sec
 		})
 		if engine != nil {
-			engine.SetMetrics(report.NewEngineMetrics(reg))
+			engine.SetMetrics(engineMetrics)
 		}
 		srv.AddStatus("checkpoint", checkpointStatus(*checkpoint, &lastSaveUnixNano))
 		srv.AddStatus("analytics", analyticsStatus(probe))
@@ -728,7 +746,13 @@ func cmdCollect(args []string) error {
 	if d.Users() == 0 {
 		return fmt.Errorf("no US users collected; nothing to analyze")
 	}
-	return analyzeDataset(d, *k, *sweep, *sil, *workers, analyzeMetrics, nil, "")
+	// The final analysis is one more refresh of the live engine, or of a
+	// fresh one, so the engine metrics see it too.
+	if engine == nil {
+		engine = report.NewEngine(d, ecfg)
+		engine.SetMetrics(engineMetrics)
+	}
+	return analyzeDataset(d, engine, cfg, nil, "")
 }
 
 // cmdReplay serves an archived NDJSON corpus over the Stream API

@@ -37,9 +37,7 @@ type shardedCollectOptions struct {
 	restartBackoff   time.Duration
 	bufferCap        int
 	maxTweets        int
-	k                int
-	sweep            string
-	sil              int
+	cfg              report.AnalysisConfig // the final analysis, run with one worker
 	telemetryAddr    string
 	progressEvery    time.Duration
 	tracer           *trace.Tracer
@@ -57,12 +55,12 @@ func collectSharded(ctx context.Context, stop context.CancelFunc, opt shardedCol
 	}
 
 	var shardMetrics *pipeline.ShardMetrics
-	var analyzeMetrics *report.Metrics
+	var engineMetrics *report.EngineMetrics
 	var sup *pipeline.Supervisor // set below; health check reads it via closure
 	if opt.telemetryAddr != "" {
 		reg := obs.NewRegistry()
 		shardMetrics = pipeline.NewShardMetrics(reg)
-		analyzeMetrics = report.NewMetrics(reg)
+		engineMetrics = report.NewEngineMetrics(reg)
 		streamMetrics := twitter.NewStreamMetrics(reg)
 		streamMetrics.Instrument(reg, opt.client)
 		opt.client.Codec = twitter.NewDecoder()
@@ -220,7 +218,13 @@ func collectSharded(ctx context.Context, stop context.CancelFunc, opt shardedCol
 	if merged.Users() == 0 {
 		return fmt.Errorf("no US users collected; nothing to analyze")
 	}
-	return analyzeDataset(merged, opt.k, opt.sweep, opt.sil, 1, analyzeMetrics, nil, "")
+	cfg := opt.cfg
+	cfg.Workers = 1
+	ecfg := cfg
+	ecfg.SweepKs = nil
+	e := report.NewEngine(merged, ecfg)
+	e.SetMetrics(engineMetrics)
+	return analyzeDataset(merged, e, cfg, nil, "")
 }
 
 // cmdMerge folds the shard checkpoints of a sharded run into one dataset
@@ -287,5 +291,9 @@ func cmdMerge(args []string) error {
 	if merged.Users() == 0 {
 		return fmt.Errorf("merge: no US users in the shard checkpoints; nothing to analyze")
 	}
-	return analyzeDataset(merged, *k, *sweep, *sil, 1, nil, nil, "")
+	cfg, err := analysisConfig(*k, *sweep, *sil, 1)
+	if err != nil {
+		return err
+	}
+	return analyzeDataset(merged, nil, cfg, nil, "")
 }

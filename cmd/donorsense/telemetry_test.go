@@ -276,6 +276,13 @@ func TestTelemetryMatchesInjectedChaosFaults(t *testing.T) {
 		t.Errorf("analytics_epoch = %g, want 0 after a cold build",
 			series["donorsense_analytics_epoch"])
 	}
+	// ... and split it into one observation per stage.
+	for _, stage := range []string{"patch", "characterize", "kmeans", "assemble"} {
+		name := `donorsense_analyze_stage_seconds_count{stage="` + stage + `"}`
+		if got := series[name]; got != 1 {
+			t.Errorf("%s = %g, want 1", name, got)
+		}
+	}
 
 	// The serve layer counted exactly what the three API requests did:
 	// one cached hit, one 304, one cold render that landed in the cache.

@@ -16,12 +16,11 @@ import (
 	"log"
 	"sort"
 
-	"donorsense/internal/cluster"
-	"donorsense/internal/core"
 	"donorsense/internal/gen"
 	"donorsense/internal/influence"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
+	"donorsense/internal/report"
 )
 
 func main() {
@@ -38,20 +37,21 @@ func main() {
 	for _, tweet := range corpus.Tweets {
 		dataset.Process(tweet)
 	}
-	attention, err := dataset.BuildAttention()
+	// The paper's evaluation in one call; the campaign reads Figures 3,
+	// 4 and 7 from it (the model-selection sweep is skipped).
+	cfg := report.DefaultAnalysisConfig()
+	cfg.SweepKs = nil
+	analysis, err := report.Analyze(dataset, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	states := dataset.StateOf()
+	attention := analysis.Attention
 
 	fmt.Printf("=== Campaign planner: %s donation ===\n\n", target)
 
 	// 1. Where is awareness already high (reinforce) and where is it low
 	//    (greenfield)? Rank states by attention to the target organ.
-	regions, err := core.CharacterizeRegions(attention, states)
-	if err != nil {
-		log.Fatal(err)
-	}
+	regions := analysis.Regions
 	type stateScore struct {
 		code  string
 		score float64
@@ -79,10 +79,7 @@ func main() {
 	// 2. Which other organs' communities are most receptive? Use the
 	//    Figure 3 co-mention structure: communities that already devote
 	//    attention to the target organ.
-	organs, err := core.CharacterizeOrgans(attention)
-	if err != nil {
-		log.Fatal(err)
-	}
+	organs := analysis.Organs
 	fmt.Printf("\ncross-organ receptiveness (attention of each community to %s):\n", target)
 	type recept struct {
 		o organ.Organ
@@ -101,13 +98,10 @@ func main() {
 			r.o, r.v, target, organs.GroupSizes[r.o.Index()])
 	}
 
-	// 3. Which user segments to message? Cluster users and rank clusters
-	//    by centroid attention to the target organ.
-	rows := attention.Rows()
-	res, err := cluster.KMeans(rows, cluster.KMeansConfig{K: 12, Seed: 1, Restarts: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 3. Which user segments to message? Rank the Figure 7 user
+	//    clusters (K-Means, k = 12) by centroid attention to the target
+	//    organ.
+	res := analysis.Clusters
 	type seg struct {
 		id    int
 		v     float64
@@ -119,7 +113,7 @@ func main() {
 		segs = append(segs, seg{
 			id: c, v: res.Centroids[c][target.Index()],
 			size:  res.Sizes[c],
-			share: float64(res.Sizes[c]) / float64(len(rows)),
+			share: float64(res.Sizes[c]) / float64(attention.Users()),
 		})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].v > segs[j].v })

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"donorsense/internal/core"
 	"donorsense/internal/gen"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
@@ -29,32 +28,31 @@ func main() {
 		dataset.Process(tweet)
 	}
 
-	// 3. Table I.
-	fmt.Print(report.TableIText(dataset.Stats()))
+	// 3. The paper's evaluation in one call (the model-selection sweep
+	//    is skipped: it is the slow part and nothing below reads it).
+	cfg := report.DefaultAnalysisConfig()
+	cfg.SweepKs = nil
+	analysis, err := report.Analyze(dataset, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// 4. Figure 2(a): organ popularity and the transplant-count
+	// 4. Table I.
+	fmt.Print(report.TableIText(analysis.Stats))
+
+	// 5. Figure 2(a): organ popularity and the transplant-count
 	//    validation.
 	fmt.Println()
-	fmt.Print(report.UsersPerOrganText(dataset.UsersPerOrgan()))
-	if sp, err := dataset.PopularityCorrelation(); err == nil {
-		fmt.Print(report.SpearmanText(sp))
-	}
+	fmt.Print(report.UsersPerOrganText(analysis.Popularity))
+	fmt.Print(report.SpearmanText(analysis.Spearman))
 
-	// 5. Figure 5: relative-risk highlighting per state.
-	attention, err := dataset.BuildAttention()
-	if err != nil {
-		log.Fatal(err)
-	}
-	highlights, err := core.HighlightOrgans(attention, dataset.StateOf())
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 6. Figure 5: relative-risk highlighting per state.
 	fmt.Println()
-	fmt.Print(report.HighlightText(highlights))
+	fmt.Print(report.HighlightText(analysis.Highlight))
 
-	// 6. The paper's headline anomaly: Kansas kidney conversations.
+	// 7. The paper's headline anomaly: Kansas kidney conversations.
 	fmt.Println()
-	for _, o := range highlights.HighlightedOrgans("KS") {
+	for _, o := range analysis.Highlight.HighlightedOrgans("KS") {
 		if o == organ.Kidney {
 			fmt.Println("Kansas shows a significant excess of kidney conversations,")
 			fmt.Println("matching its documented surplus of deceased kidney donors.")

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"donorsense/internal/cluster"
-	"donorsense/internal/core"
 	"donorsense/internal/gen"
 	"donorsense/internal/geo"
 	"donorsense/internal/organ"
@@ -31,17 +30,15 @@ func main() {
 	for _, tweet := range corpus.Tweets {
 		dataset.Process(tweet)
 	}
-	attention, err := dataset.BuildAttention()
+	cfg := report.DefaultAnalysisConfig()
+	cfg.SweepKs = nil
+	analysis, err := report.Analyze(dataset, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	states := dataset.StateOf()
 
 	// --- Figure 5: the RR map ---
-	highlights, err := core.HighlightOrgans(attention, states)
-	if err != nil {
-		log.Fatal(err)
-	}
+	highlights := analysis.Highlight
 	fmt.Print(report.HighlightText(highlights))
 
 	// --- The paper's three insets: every organ's RR with its CI ---
@@ -77,10 +74,7 @@ func main() {
 	// Tiny states are dominated by sampling noise and would form outlier
 	// singletons, so cluster only states with a meaningful user count
 	// (the paper's 72k users gave every state a usable sample).
-	regions, err := core.CharacterizeRegions(attention, states)
-	if err != nil {
-		log.Fatal(err)
-	}
+	regions := analysis.Regions
 	var rows [][]float64
 	var codes []string
 	for i, code := range regions.StateCodes {
@@ -89,7 +83,7 @@ func main() {
 			codes = append(codes, code)
 		}
 	}
-	dist, err := cluster.PairwiseMatrix(rows, cluster.Bhattacharyya)
+	dist, err := cluster.PairwiseMatrix(rows, cluster.Bhattacharyya, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,11 +15,11 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"donorsense/internal/core"
 	"donorsense/internal/gen"
 	"donorsense/internal/geo"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
+	"donorsense/internal/report"
 	"donorsense/internal/temporal"
 	"donorsense/internal/text"
 	"donorsense/internal/twitter"
@@ -114,16 +114,14 @@ func snapshot(d *pipeline.Dataset, n int) {
 	if s.Users < 500 {
 		return // too early for geographic signals
 	}
-	attention, err := d.BuildAttention()
-	if err != nil {
-		return
-	}
-	h, err := core.HighlightOrgans(attention, d.StateOf())
+	cfg := report.DefaultAnalysisConfig()
+	cfg.SweepKs = nil
+	a, err := report.Analyze(d, cfg)
 	if err != nil {
 		return
 	}
 	row := geo.StateIndex("KS")
-	rr := h.Risks[row][organ.Kidney.Index()]
+	rr := a.Highlight.Risks[row][organ.Kidney.Index()]
 	if rr.Defined {
 		sig := ""
 		if rr.Highlighted() {

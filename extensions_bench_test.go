@@ -24,7 +24,7 @@ import (
 // adjustment of the full (state, organ) relative-risk table.
 func BenchmarkExtension_MultipleTestingCorrection(b *testing.B) {
 	benchSetup(b)
-	h, err := core.HighlightOrgans(benchAtt, benchStates)
+	h, err := stateCells().Highlight()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -233,94 +233,6 @@ func labelMerges(raw []rawMerge, n int) *Dendrogram {
 	return dg
 }
 
-// agglomerativeNaive is the original O(n³) greedy implementation — a
-// full scan for the globally closest active pair at every step. It is
-// retained verbatim as the correctness oracle for the NN-chain tests.
-func agglomerativeNaive(dist [][]float64, linkage Linkage) (*Dendrogram, error) {
-	n := len(dist)
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: empty distance matrix")
-	}
-	for i, row := range dist {
-		if len(row) != n {
-			return nil, fmt.Errorf("cluster: distance matrix row %d has %d cols, want %d", i, len(row), n)
-		}
-	}
-	if n == 1 {
-		return &Dendrogram{N: 1}, nil
-	}
-
-	// Working copy. d[i][j] holds the current inter-cluster distance for
-	// active clusters.
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		copy(d[i], dist[i])
-	}
-	active := make([]bool, n)
-	size := make([]int, n)
-	id := make([]int, n) // current dendrogram id of slot i
-	for i := range active {
-		active[i] = true
-		size[i] = 1
-		id[i] = i
-	}
-
-	dg := &Dendrogram{N: n}
-	next := n
-	for step := 0; step < n-1; step++ {
-		// Find the closest active pair. Distances may be +Inf (e.g.
-		// Bhattacharyya on disjoint supports); when nothing finite
-		// remains, merge the first active pair at +Inf, as scipy does.
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if !active[j] {
-					continue
-				}
-				if bi == -1 || d[i][j] < best {
-					best, bi, bj = d[i][j], i, j
-				}
-			}
-		}
-		dg.Merges = append(dg.Merges, Merge{A: id[bi], B: id[bj], Height: best})
-
-		// Lance–Williams update into slot bi; deactivate bj.
-		for k := 0; k < n; k++ {
-			if !active[k] || k == bi || k == bj {
-				continue
-			}
-			var nd float64
-			switch linkage {
-			case SingleLinkage:
-				nd = math.Min(d[bi][k], d[bj][k])
-			case CompleteLinkage:
-				nd = math.Max(d[bi][k], d[bj][k])
-			case WardLinkage:
-				si, sj, sk := float64(size[bi]), float64(size[bj]), float64(size[k])
-				n := si + sj + sk
-				nd2 := ((si+sk)*d[bi][k]*d[bi][k] + (sj+sk)*d[bj][k]*d[bj][k] - sk*best*best) / n
-				if nd2 < 0 {
-					nd2 = 0
-				}
-				nd = math.Sqrt(nd2)
-			default: // AverageLinkage
-				si, sj := float64(size[bi]), float64(size[bj])
-				nd = (si*d[bi][k] + sj*d[bj][k]) / (si + sj)
-			}
-			d[bi][k], d[k][bi] = nd, nd
-		}
-		size[bi] += size[bj]
-		active[bj] = false
-		id[bi] = next
-		next++
-	}
-	return dg, nil
-}
-
 // Cut returns cluster labels (0-based, contiguous) for exactly k clusters,
 // by undoing the last k−1 merges.
 func (dg *Dendrogram) Cut(k int) ([]int, error) {

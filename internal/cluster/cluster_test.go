@@ -99,17 +99,17 @@ func TestDistanceProperties(t *testing.T) {
 
 func TestPairwiseMatrix(t *testing.T) {
 	rows := [][]float64{{0, 0}, {3, 4}, {6, 8}}
-	m, err := PairwiseMatrix(rows, Euclidean)
+	m, err := PairwiseMatrix(rows, Euclidean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m[0][1] != 5 || m[1][0] != 5 || m[0][2] != 10 || m[1][1] != 0 {
 		t.Errorf("pairwise wrong: %v", m)
 	}
-	if _, err := PairwiseMatrix(nil, Euclidean); err == nil {
+	if _, err := PairwiseMatrix(nil, Euclidean, 0); err == nil {
 		t.Error("empty rows accepted")
 	}
-	if _, err := PairwiseMatrix([][]float64{{1}, {1, 2}}, Euclidean); err == nil {
+	if _, err := PairwiseMatrix([][]float64{{1}, {1, 2}}, Euclidean, 0); err == nil {
 		t.Error("ragged rows accepted")
 	}
 }
@@ -120,7 +120,7 @@ func TestPairwiseMatrix(t *testing.T) {
 // {0,1} close, {2,3} close, pairs separated.
 func fourPointDist() [][]float64 {
 	pts := [][]float64{{0}, {1}, {10}, {11}}
-	m, _ := PairwiseMatrix(pts, Euclidean)
+	m, _ := PairwiseMatrix(pts, Euclidean, 0)
 	return m
 }
 
@@ -255,7 +255,7 @@ func TestAgglomerativeClustersGaussianBlobs(t *testing.T) {
 			truth = append(truth, c)
 		}
 	}
-	m, _ := PairwiseMatrix(rows, Euclidean)
+	m, _ := PairwiseMatrix(rows, Euclidean, 0)
 	dg, err := Agglomerative(m, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func blobs(r *rand.Rand, perBlob int, centers [][]float64, spread float64) ([][]
 func TestKMeansRecoversBlobs(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 9))
 	rows, truth := blobs(r, 50, [][]float64{{0, 0}, {8, 8}, {-8, 8}, {8, -8}}, 0.5)
-	res, err := KMeans(rows, KMeansConfig{K: 4, Seed: 1, Restarts: 4})
+	res, err := KMeans(matrixOf(t, rows), KMeansConfig{K: 4, Seed: 1, Restarts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +326,9 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 func TestKMeansDeterministicForSeed(t *testing.T) {
 	r := rand.New(rand.NewPCG(2, 2))
 	rows, _ := blobs(r, 30, [][]float64{{0, 0}, {5, 5}}, 1)
-	a, _ := KMeans(rows, KMeansConfig{K: 2, Seed: 7})
-	b, _ := KMeans(rows, KMeansConfig{K: 2, Seed: 7})
+	m := matrixOf(t, rows)
+	a, _ := KMeans(m, KMeansConfig{K: 2, Seed: 7})
+	b, _ := KMeans(m, KMeansConfig{K: 2, Seed: 7})
 	if !reflect.DeepEqual(a.Labels, b.Labels) || a.Inertia != b.Inertia {
 		t.Error("same seed produced different results")
 	}
@@ -336,9 +337,10 @@ func TestKMeansDeterministicForSeed(t *testing.T) {
 func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 3))
 	rows, _ := blobs(r, 40, [][]float64{{0, 0}, {6, 6}, {-6, 6}}, 1)
+	m := matrixOf(t, rows)
 	prev := math.Inf(1)
 	for _, k := range []int{1, 2, 3, 6, 12} {
-		res, err := KMeans(rows, KMeansConfig{K: k, Seed: 1, Restarts: 3})
+		res, err := KMeans(m, KMeansConfig{K: k, Seed: 1, Restarts: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,23 +352,20 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 }
 
 func TestKMeansErrors(t *testing.T) {
-	if _, err := KMeans(nil, KMeansConfig{K: 2}); err == nil {
-		t.Error("empty data accepted")
-	}
-	if _, err := KMeans([][]float64{{1}}, KMeansConfig{K: 2}); err == nil {
+	if _, err := KMeans(matrixOf(t, [][]float64{{1}}), KMeansConfig{K: 2}); err == nil {
 		t.Error("k > n accepted")
 	}
-	if _, err := KMeans([][]float64{{1}, {1, 2}}, KMeansConfig{K: 1}); err == nil {
-		t.Error("ragged data accepted")
-	}
-	if _, err := KMeans([][]float64{{1}, {2}}, KMeansConfig{K: 0}); err == nil {
+	if _, err := KMeans(matrixOf(t, [][]float64{{1}, {2}}), KMeansConfig{K: 0}); err == nil {
 		t.Error("k=0 accepted")
+	}
+	if _, _, _, err := KMeansWarm(matrixOf(t, [][]float64{{1}}), KMeansConfig{K: 2}, nil); err == nil {
+		t.Error("warm k > n accepted")
 	}
 }
 
 func TestKMeansDuplicatePoints(t *testing.T) {
 	rows := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	res, err := KMeans(rows, KMeansConfig{K: 2, Seed: 1})
+	res, err := KMeans(matrixOf(t, rows), KMeansConfig{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +378,7 @@ func TestSilhouetteSeparatedVsOverlapping(t *testing.T) {
 	r := rand.New(rand.NewPCG(4, 4))
 	// Well separated: silhouette near 1.
 	rows, truth := blobs(r, 30, [][]float64{{0, 0}, {20, 20}}, 0.5)
-	s, err := Silhouette(rows, truth, Euclidean)
+	s, err := Silhouette(matrixOf(t, rows), truth, Euclidean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +387,7 @@ func TestSilhouetteSeparatedVsOverlapping(t *testing.T) {
 	}
 	// Overlapping: silhouette low.
 	rows2, truth2 := blobs(r, 30, [][]float64{{0, 0}, {0.5, 0.5}}, 2)
-	s2, _ := Silhouette(rows2, truth2, Euclidean)
+	s2, _ := Silhouette(matrixOf(t, rows2), truth2, Euclidean, 0)
 	if s2 > 0.4 {
 		t.Errorf("overlapping silhouette = %v, want < 0.4", s2)
 	}
@@ -397,21 +396,22 @@ func TestSilhouetteSeparatedVsOverlapping(t *testing.T) {
 func TestSilhouetteSampledApproximatesExact(t *testing.T) {
 	r := rand.New(rand.NewPCG(6, 6))
 	rows, truth := blobs(r, 100, [][]float64{{0, 0}, {10, 0}, {5, 8}}, 1)
-	exact, _ := Silhouette(rows, truth, Euclidean)
-	sampled, _ := SilhouetteSampled(rows, truth, Euclidean, 60, 1)
+	m := matrixOf(t, rows)
+	exact, _ := Silhouette(m, truth, Euclidean, 0)
+	sampled, _ := SilhouetteSampled(m, truth, Euclidean, 60, 1, 0)
 	if math.Abs(exact-sampled) > 0.1 {
 		t.Errorf("sampled %v vs exact %v", sampled, exact)
 	}
 }
 
 func TestSilhouetteErrors(t *testing.T) {
-	if _, err := Silhouette([][]float64{{1}, {2}}, []int{0, 0}, Euclidean); err == nil {
+	if _, err := Silhouette(matrixOf(t, [][]float64{{1}, {2}}), []int{0, 0}, Euclidean, 0); err == nil {
 		t.Error("single cluster accepted")
 	}
-	if _, err := Silhouette([][]float64{{1}}, []int{0, 1}, Euclidean); err == nil {
+	if _, err := Silhouette(matrixOf(t, [][]float64{{1}}), []int{0, 1}, Euclidean, 0); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Silhouette([][]float64{{1}, {2}}, []int{0, -1}, Euclidean); err == nil {
+	if _, err := Silhouette(matrixOf(t, [][]float64{{1}, {2}}), []int{0, -1}, Euclidean, 0); err == nil {
 		t.Error("negative label accepted")
 	}
 }
@@ -419,7 +419,7 @@ func TestSilhouetteErrors(t *testing.T) {
 func TestSweepK(t *testing.T) {
 	r := rand.New(rand.NewPCG(8, 8))
 	rows, _ := blobs(r, 40, [][]float64{{0, 0}, {10, 10}, {-10, 10}}, 0.6)
-	res, err := SweepK(rows, []int{2, 3, 4, 5}, 1, 0)
+	res, err := SweepK(matrixOf(t, rows), []int{2, 3, 4, 5}, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,10 +449,11 @@ func TestSweepK(t *testing.T) {
 func BenchmarkKMeansUsers(b *testing.B) {
 	r := rand.New(rand.NewPCG(1, 1))
 	rows, _ := blobs(r, 2000, [][]float64{{0, 0, 0, 0, 0, 1}, {0, 1, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0}}, 0.1)
+	m := matrixOf(b, rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KMeans(rows, KMeansConfig{K: 12, Seed: 1}); err != nil {
+		if _, err := KMeans(m, KMeansConfig{K: 12, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -464,7 +465,7 @@ func BenchmarkAgglomerativeStates(b *testing.B) {
 	for i := range rows {
 		rows[i] = randDist(r, 6)
 	}
-	m, _ := PairwiseMatrix(rows, Bhattacharyya)
+	m, _ := PairwiseMatrix(rows, Bhattacharyya, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -477,7 +478,7 @@ func BenchmarkAgglomerativeStates(b *testing.B) {
 func TestWardLinkageRecoversBlobs(t *testing.T) {
 	r := rand.New(rand.NewPCG(12, 12))
 	rows, truth := blobs(r, 25, [][]float64{{0, 0}, {12, 0}, {0, 12}}, 1)
-	m, _ := PairwiseMatrix(rows, Euclidean)
+	m, _ := PairwiseMatrix(rows, Euclidean, 0)
 	dg, err := Agglomerative(m, WardLinkage)
 	if err != nil {
 		t.Fatal(err)

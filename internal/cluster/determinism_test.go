@@ -30,12 +30,13 @@ func detCorpus(t testing.TB) ([][]float64, int) {
 // test guards the construction.
 func TestKMeansWorkersBitIdentical(t *testing.T) {
 	rows, _ := detCorpus(t)
-	base, err := KMeans(rows, KMeansConfig{K: 12, Seed: 3, Restarts: 2, Workers: 1})
+	m := matrixOf(t, rows)
+	base, err := KMeans(m, KMeansConfig{K: 12, Seed: 3, Restarts: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 4, 8} {
-		got, err := KMeans(rows, KMeansConfig{K: 12, Seed: 3, Restarts: 2, Workers: w})
+		got, err := KMeans(m, KMeansConfig{K: 12, Seed: 3, Restarts: 2, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,16 +66,13 @@ func TestKMeansWorkersBitIdentical(t *testing.T) {
 func TestSweepKWorkersBitIdentical(t *testing.T) {
 	rows, _ := detCorpus(t)
 	ks := []int{4, 8, 12}
-	base, err := SweepK(rows, ks, 1, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := denseFromRows(rows)
+	m := matrixOf(t, rows)
+	base, err := SweepK(m, ks, 1, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 4} {
-		got, err := SweepKDense(m, ks, 1, 500, w)
+		got, err := SweepK(m, ks, 1, 500, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,21 +85,17 @@ func TestSweepKWorkersBitIdentical(t *testing.T) {
 // TestSilhouetteWorkersBitIdentical checks the exact silhouette pass
 // across worker counts.
 func TestSilhouetteWorkersBitIdentical(t *testing.T) {
-	rows := benchMatrix(1500, 6, 9)
-	m, err := denseFromRows(rows)
+	m := matrixOf(t, benchMatrix(1500, 6, 9))
+	res, err := KMeans(m, KMeansConfig{K: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := KMeansDense(m, KMeansConfig{K: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := SilhouetteDense(m, res.Labels, Euclidean, 1)
+	base, err := Silhouette(m, res.Labels, Euclidean, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 7} {
-		got, err := SilhouetteDense(m, res.Labels, Euclidean, w)
+		got, err := Silhouette(m, res.Labels, Euclidean, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,12 +109,12 @@ func TestSilhouetteWorkersBitIdentical(t *testing.T) {
 // across worker counts.
 func TestPairwiseMatrixWorkersBitIdentical(t *testing.T) {
 	rows := benchMatrix(300, 6, 11)
-	base, err := PairwiseMatrixWorkers(rows, Bhattacharyya, 1)
+	base, err := PairwiseMatrix(rows, Bhattacharyya, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4} {
-		got, err := PairwiseMatrixWorkers(rows, Bhattacharyya, w)
+		got, err := PairwiseMatrix(rows, Bhattacharyya, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +136,7 @@ func euclideanPointMatrix(t *testing.T, n, dim int, seed uint64) [][]float64 {
 			rows[i][j] = r.Float64() * 10
 		}
 	}
-	m, err := PairwiseMatrix(rows, Euclidean)
+	m, err := PairwiseMatrix(rows, Euclidean, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +168,7 @@ func TestNNChainMatchesNaive(t *testing.T) {
 				} else {
 					rows := benchMatrix(n, 6, uint64(n)+100)
 					var err error
-					dist, err = PairwiseMatrix(rows, Bhattacharyya)
+					dist, err = PairwiseMatrix(rows, Bhattacharyya, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -242,18 +236,14 @@ func TestDistanceMismatchedLengthsPanic(t *testing.T) {
 // once over the same shared matrix — the -race CI target runs this to
 // prove the chunked passes only write chunk-owned state.
 func TestConcurrentSweepKRace(t *testing.T) {
-	rows := benchMatrix(600, 6, 13)
-	m, err := denseFromRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := matrixOf(t, benchMatrix(600, 6, 13))
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := SweepKDense(m, []int{3, 5}, 1, 200, 4)
+			res, err := SweepK(m, []int{3, 5}, 1, 200, 4)
 			if err == nil && len(res) != 2 {
 				err = fmt.Errorf("got %d sweep results, want 2", len(res))
 			}
@@ -285,15 +275,11 @@ func TestKMeansCarriedSumsWorkersBitIdentical(t *testing.T) {
 	}
 	run := func(workers int) (*KMeansWarmState, []float64, []trace) {
 		r := rand.New(rand.NewPCG(77, 1))
-		rows := benchMatrix(n, dim, 9)
-		m, err := denseFromRows(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := matrixOf(t, benchMatrix(n, dim, 9))
 		data := m.Data()
 		cfg := cfg
 		cfg.Workers = workers
-		_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+		_, ws, _, err := KMeansWarm(m, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +305,7 @@ func TestKMeansCarriedSumsWorkersBitIdentical(t *testing.T) {
 			if labeled != counted {
 				t.Fatalf("step %d: %d labeled rows, counts hold %d", step, labeled, counted)
 			}
-			res, next, resumed, err := KMeansDenseWarm(m, cfg, ws)
+			res, next, resumed, err := KMeansWarm(m, cfg, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,11 +371,99 @@ func TestKMeansCarriedSumsWorkersBitIdentical(t *testing.T) {
 }
 
 // directInertia is Σ sqDistTo over a result's own labels and centroids.
-func directInertia(m *mat.Dense, res *KMeansResult) float64 {
+func directInertia(m *mat.Matrix, res *KMeansResult) float64 {
 	dim := m.Cols()
 	total := 0.0
 	for i, l := range res.Labels {
 		total += sqDistTo(m.Data()[i*dim:(i+1)*dim], res.Centroids[l])
 	}
 	return total
+}
+
+// agglomerativeNaive is the original O(n³) greedy implementation — a
+// full scan for the globally closest active pair at every step. It is
+// kept, test-side only, as the correctness oracle for the NN-chain.
+func agglomerativeNaive(dist [][]float64, linkage Linkage) (*Dendrogram, error) {
+	n := len(dist)
+	if n == 0 {
+		return nil, fmt.Errorf("cluster: empty distance matrix")
+	}
+	for i, row := range dist {
+		if len(row) != n {
+			return nil, fmt.Errorf("cluster: distance matrix row %d has %d cols, want %d", i, len(row), n)
+		}
+	}
+	if n == 1 {
+		return &Dendrogram{N: 1}, nil
+	}
+
+	// Working copy. d[i][j] holds the current inter-cluster distance for
+	// active clusters.
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		copy(d[i], dist[i])
+	}
+	active := make([]bool, n)
+	size := make([]int, n)
+	id := make([]int, n) // current dendrogram id of slot i
+	for i := range active {
+		active[i] = true
+		size[i] = 1
+		id[i] = i
+	}
+
+	dg := &Dendrogram{N: n}
+	next := n
+	for step := 0; step < n-1; step++ {
+		// Find the closest active pair. Distances may be +Inf (e.g.
+		// Bhattacharyya on disjoint supports); when nothing finite
+		// remains, merge the first active pair at +Inf, as scipy does.
+		bi, bj, best := -1, -1, math.Inf(1)
+		for i := 0; i < n; i++ {
+			if !active[i] {
+				continue
+			}
+			for j := i + 1; j < n; j++ {
+				if !active[j] {
+					continue
+				}
+				if bi == -1 || d[i][j] < best {
+					best, bi, bj = d[i][j], i, j
+				}
+			}
+		}
+		dg.Merges = append(dg.Merges, Merge{A: id[bi], B: id[bj], Height: best})
+
+		// Lance–Williams update into slot bi; deactivate bj.
+		for k := 0; k < n; k++ {
+			if !active[k] || k == bi || k == bj {
+				continue
+			}
+			var nd float64
+			switch linkage {
+			case SingleLinkage:
+				nd = math.Min(d[bi][k], d[bj][k])
+			case CompleteLinkage:
+				nd = math.Max(d[bi][k], d[bj][k])
+			case WardLinkage:
+				si, sj, sk := float64(size[bi]), float64(size[bj]), float64(size[k])
+				n := si + sj + sk
+				nd2 := ((si+sk)*d[bi][k]*d[bi][k] + (sj+sk)*d[bj][k]*d[bj][k] - sk*best*best) / n
+				if nd2 < 0 {
+					nd2 = 0
+				}
+				nd = math.Sqrt(nd2)
+			default: // AverageLinkage
+				si, sj := float64(size[bi]), float64(size[bj])
+				nd = (si*d[bi][k] + sj*d[bj][k]) / (si + sj)
+			}
+			d[bi][k], d[k][bi] = nd, nd
+		}
+		size[bi] += size[bj]
+		active[bj] = false
+		id[bi] = next
+		next++
+	}
+	return dg, nil
 }

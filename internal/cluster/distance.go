@@ -104,17 +104,11 @@ func JensenShannon(p, q []float64) float64 {
 }
 
 // PairwiseMatrix computes the full symmetric distance matrix of the
-// rows, using every core (see PairwiseMatrixWorkers).
-func PairwiseMatrix(rows [][]float64, d Distance) ([][]float64, error) {
-	return PairwiseMatrixWorkers(rows, d, 0)
-}
-
-// PairwiseMatrixWorkers computes the full symmetric distance matrix of
-// the rows across workers goroutines (0 = GOMAXPROCS). The returned
-// rows share one flat backing array; only the strict upper triangle is
+// rows across workers goroutines (0 = GOMAXPROCS). The returned rows
+// share one flat backing array; only the strict upper triangle is
 // computed (each row owned by one worker, so the pass is deterministic
 // for any worker count) and then mirrored.
-func PairwiseMatrixWorkers(rows [][]float64, d Distance, workers int) ([][]float64, error) {
+func PairwiseMatrix(rows [][]float64, d Distance, workers int) ([][]float64, error) {
 	n := len(rows)
 	if n == 0 {
 		return nil, fmt.Errorf("cluster: no rows")

@@ -45,27 +45,12 @@ type KMeansConfig struct {
 // whether one goroutine walks the chunks or eight do.
 const assignChunkRows = 1024
 
-// KMeans clusters the rows into cfg.K clusters using k-means++
+// KMeans clusters the rows of m into cfg.K clusters using k-means++
 // initialization and Lloyd's algorithm with Hamerly's triangle-
-// inequality pruning. This is the algorithm behind the paper's Figure 7
-// user clustering (k = 12, chosen via silhouette / inertia /
-// average-cluster-size sweeps). It copies rows into a flat matrix once;
-// callers that already hold a *mat.Dense should use KMeansDense, which
-// runs zero-copy.
-func KMeans(rows [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("cluster: kmeans on empty data")
-	}
-	m, err := denseFromRows(rows)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: kmeans: %w", err)
-	}
-	return KMeansDense(m, cfg)
-}
-
-// KMeansDense is KMeans over a flat row-major matrix, without copying
-// the data.
-func KMeansDense(m *mat.Dense, cfg KMeansConfig) (*KMeansResult, error) {
+// inequality pruning, without copying the data. This is the algorithm
+// behind the paper's Figure 7 user clustering (k = 12, chosen via
+// silhouette / inertia / average-cluster-size sweeps).
+func KMeans(m *mat.Matrix, cfg KMeansConfig) (*KMeansResult, error) {
 	n := m.Rows()
 	if cfg.K < 1 || cfg.K > n {
 		return nil, fmt.Errorf("cluster: kmeans k=%d with n=%d", cfg.K, n)
@@ -167,7 +152,7 @@ func newChunks(n, k, dim int) []kmeansChunk {
 	return parts
 }
 
-func kmeansOnce(m *mat.Dense, k, maxIter int, tol float64, r *rand.Rand, workers int) *KMeansResult {
+func kmeansOnce(m *mat.Matrix, k, maxIter int, tol float64, r *rand.Rand, workers int) *KMeansResult {
 	n, dim := m.Rows(), m.Cols()
 	run := &kmeansRun{
 		data: m.Data(), n: n, dim: dim, k: k, workers: workers,
@@ -523,10 +508,8 @@ func subFrom(dst, src []float64) {
 
 // kmeansPlusPlusInit seeds centroids with the k-means++ scheme: first
 // centroid uniform, each next one sampled proportionally to the squared
-// distance from the nearest already-chosen centroid. It consumes the
-// same RNG sequence as the historical [][]float64 implementation, so
-// seeds keep selecting the same starting points.
-func kmeansPlusPlusInit(m *mat.Dense, k int, r *rand.Rand) []float64 {
+// distance from the nearest already-chosen centroid.
+func kmeansPlusPlusInit(m *mat.Matrix, k int, r *rand.Rand) []float64 {
 	n, dim := m.Rows(), m.Cols()
 	data := m.Data()
 	centroids := make([]float64, dim, k*dim)

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"donorsense/internal/mat"
 )
 
 // resolveWorkers normalizes a Workers knob: 0 (or negative) means
@@ -49,26 +46,4 @@ func parallelChunks(nChunks, workers int, fn func(chunk int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// denseFromRows validates a slice-of-rows input and copies it once into
-// a flat Dense, the layout every engine in this package runs on. The
-// [][]float64 entry points exist for compatibility and tests; bulk
-// callers hold a *mat.Dense already and skip this copy.
-func denseFromRows(rows [][]float64) (*mat.Dense, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("cluster: empty row set")
-	}
-	dim := len(rows[0])
-	for i, r := range rows {
-		if len(r) != dim {
-			return nil, fmt.Errorf("cluster: row %d has %d cols, want %d", i, len(r), dim)
-		}
-	}
-	m := mat.New(len(rows), dim)
-	data := m.Data()
-	for i, r := range rows {
-		copy(data[i*dim:(i+1)*dim], r)
-	}
-	return m, nil
 }

@@ -13,16 +13,11 @@ import (
 // count, so the decomposition is identical for any parallelism.
 const silhouetteChunkPoints = 64
 
-// Silhouette computes the mean silhouette coefficient of a labelling
-// under the given distance. For large n, SilhouetteSampled is cheaper.
-func Silhouette(rows [][]float64, labels []int, d Distance) (float64, error) {
-	return silhouetteRows(rows, labels, d, nil, 0)
-}
-
-// SilhouetteDense is Silhouette over a flat row-major matrix, without
-// copying the data, fanned out across workers (0 = GOMAXPROCS). Results
-// are bit-identical for every worker count.
-func SilhouetteDense(m *mat.Dense, labels []int, d Distance, workers int) (float64, error) {
+// Silhouette computes the mean silhouette coefficient of a labelling of
+// the rows of m under the given distance, without copying the data,
+// fanned out across workers (0 = GOMAXPROCS). Results are bit-identical
+// for every worker count. For large n, SilhouetteSampled is cheaper.
+func Silhouette(m *mat.Matrix, labels []int, d Distance, workers int) (float64, error) {
 	return silhouette(m, labels, d, nil, workers)
 }
 
@@ -30,34 +25,13 @@ func SilhouetteDense(m *mat.Dense, labels []int, d Distance, workers int) (float
 // sample of at most sampleSize points (deterministic for a given seed).
 // The paper reports a silhouette for 72k users; the exact computation is
 // O(n²) and needs sampling at that scale.
-func SilhouetteSampled(rows [][]float64, labels []int, d Distance, sampleSize int, seed uint64) (float64, error) {
-	if sampleSize <= 0 || sampleSize >= len(rows) {
-		return silhouetteRows(rows, labels, d, nil, 0)
-	}
-	r := rand.New(rand.NewPCG(seed, 0x51))
-	idx := r.Perm(len(rows))[:sampleSize]
-	return silhouetteRows(rows, labels, d, idx, 0)
-}
-
-// SilhouetteSampledDense is SilhouetteSampled over a flat matrix.
-func SilhouetteSampledDense(m *mat.Dense, labels []int, d Distance, sampleSize int, seed uint64, workers int) (float64, error) {
+func SilhouetteSampled(m *mat.Matrix, labels []int, d Distance, sampleSize int, seed uint64, workers int) (float64, error) {
 	if sampleSize <= 0 || sampleSize >= m.Rows() {
 		return silhouette(m, labels, d, nil, workers)
 	}
 	r := rand.New(rand.NewPCG(seed, 0x51))
 	idx := r.Perm(m.Rows())[:sampleSize]
 	return silhouette(m, labels, d, idx, workers)
-}
-
-func silhouetteRows(rows [][]float64, labels []int, d Distance, sample []int, workers int) (float64, error) {
-	if len(rows) != len(labels) {
-		return 0, fmt.Errorf("cluster: %d rows, %d labels", len(rows), len(labels))
-	}
-	m, err := denseFromRows(rows)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: silhouette: %w", err)
-	}
-	return silhouette(m, labels, d, sample, workers)
 }
 
 // silhouette computes the mean silhouette over the given sample indices
@@ -70,7 +44,7 @@ func silhouetteRows(rows [][]float64, labels []int, d Distance, sample []int, wo
 // into its own slots; the final mean folds those slots in sample order.
 // Every float operation therefore happens in the same order for any
 // worker count.
-func silhouette(m *mat.Dense, labels []int, d Distance, sample []int, workers int) (float64, error) {
+func silhouette(m *mat.Matrix, labels []int, d Distance, sample []int, workers int) (float64, error) {
 	n, dim := m.Rows(), m.Cols()
 	data := m.Data()
 	if n != len(labels) {
@@ -166,36 +140,25 @@ type SweepResult struct {
 	MinSize    int
 }
 
-// SweepK runs K-Means for each k in ks and reports the selection metrics
-// the paper compares (inertia, silhouette coefficient, average cluster
-// size). silhouetteSample bounds the silhouette computation (0 = exact).
-func SweepK(rows [][]float64, ks []int, seed uint64, silhouetteSample int) ([]SweepResult, error) {
-	if len(ks) == 0 {
-		return nil, nil
-	}
-	m, err := denseFromRows(rows)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: sweep: %w", err)
-	}
-	return SweepKDense(m, ks, seed, silhouetteSample, 0)
-}
-
-// SweepKDense is SweepK over a flat matrix. The candidate ks are
-// independent model fits, so they run concurrently across workers
-// (0 = GOMAXPROCS); each k writes only its own result slot, keeping the
-// sweep deterministic for any worker count.
-func SweepKDense(m *mat.Dense, ks []int, seed uint64, silhouetteSample int, workers int) ([]SweepResult, error) {
+// SweepK runs K-Means for each k in ks over the rows of m and reports
+// the selection metrics the paper compares (inertia, silhouette
+// coefficient, average cluster size). silhouetteSample bounds the
+// silhouette computation (0 = exact). The candidate ks are independent
+// model fits, so they run concurrently across workers (0 = GOMAXPROCS);
+// each k writes only its own result slot, keeping the sweep
+// deterministic for any worker count.
+func SweepK(m *mat.Matrix, ks []int, seed uint64, silhouetteSample int, workers int) ([]SweepResult, error) {
 	out := make([]SweepResult, len(ks))
 	errs := make([]error, len(ks))
 	w := resolveWorkers(workers)
 	parallelChunks(len(ks), w, func(i int) {
 		k := ks[i]
-		res, err := KMeansDense(m, KMeansConfig{K: k, Seed: seed, Restarts: 2, Workers: workers})
+		res, err := KMeans(m, KMeansConfig{K: k, Seed: seed, Restarts: 2, Workers: workers})
 		if err != nil {
 			errs[i] = fmt.Errorf("cluster: sweep k=%d: %w", k, err)
 			return
 		}
-		sil, err := SilhouetteSampledDense(m, res.Labels, Euclidean, silhouetteSample, seed, workers)
+		sil, err := SilhouetteSampled(m, res.Labels, Euclidean, silhouetteSample, seed, workers)
 		if err != nil {
 			errs[i] = fmt.Errorf("cluster: sweep silhouette k=%d: %w", k, err)
 			return

@@ -140,16 +140,16 @@ func (ws *KMeansWarmState) Unassign(i int, row []float64) {
 	ws.counts[l]--
 }
 
-// KMeansDenseWarm is KMeansDense with warm-start: when warm carries a
-// compatible and valid prior state the run resumes from it in place
-// (resumed true), otherwise it cold-starts through KMeansDense —
-// bit-identical to a direct call, restarts included. A resume that
+// KMeansWarm is KMeans with warm-start: when warm carries a compatible
+// and valid prior state the run resumes from it in place (resumed
+// true), otherwise it cold-starts through KMeans — bit-identical to a
+// direct call, restarts included. A resume that
 // meets a row its exact moments cannot hold also runs cold. The
 // returned state captures the finished run for the next resume, with
 // bounds valid against its final centroids; it is nil when the data
 // holds such a row. A resumed result's Labels and Centroids share the
 // state's memory: they hold until the state's next resume.
-func KMeansDenseWarm(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KMeansResult, *KMeansWarmState, bool, error) {
+func KMeansWarm(m *mat.Matrix, cfg KMeansConfig, warm *KMeansWarmState) (*KMeansResult, *KMeansWarmState, bool, error) {
 	n, dim := m.Rows(), m.Cols()
 	if cfg.K < 1 || cfg.K > n {
 		return nil, nil, false, fmt.Errorf("cluster: kmeans k=%d with n=%d", cfg.K, n)
@@ -159,7 +159,7 @@ func KMeansDenseWarm(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KM
 			return res, warm, true, nil
 		}
 	}
-	res, err := KMeansDense(m, cfg)
+	res, err := KMeans(m, cfg)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -172,7 +172,7 @@ func KMeansDenseWarm(m *mat.Dense, cfg KMeansConfig, warm *KMeansWarmState) (*KM
 // to convergence and capture the result in place. Iterations counts the
 // centroid updates. It returns nil when a row cannot be held by the
 // exact moments.
-func kmeansResume(m *mat.Dense, cfg KMeansConfig, ws *KMeansWarmState) *KMeansResult {
+func kmeansResume(m *mat.Matrix, cfg KMeansConfig, ws *KMeansWarmState) *KMeansResult {
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
 		maxIter = 100
@@ -213,7 +213,7 @@ func kmeansResume(m *mat.Dense, cfg KMeansConfig, ws *KMeansWarmState) *KMeansRe
 // run binds a kmeansRun to the state's memory: positions, labels,
 // bounds, exact moments, and the reusable scratch, growing what the row
 // count outgrew.
-func (ws *KMeansWarmState) run(m *mat.Dense, workers int) *kmeansRun {
+func (ws *KMeansWarmState) run(m *mat.Matrix, workers int) *kmeansRun {
 	n, k, dim := m.Rows(), ws.K, ws.Dim
 	if len(ws.sums) != k*dim || len(ws.sqNorms) != k || len(ws.counts) != k {
 		ws.sums, ws.sqNorms, ws.counts = make([]mat.Exact, k*dim), make([]mat.Exact, k), make([]int, k)
@@ -459,7 +459,7 @@ func (run *kmeansRun) finishCapture(iterations int, out []int) *KMeansResult {
 // pass performed, so the captured labels agree with res.Labels — and
 // sums the clusters' exact moments for the resumes that follow. It
 // returns nil when the data holds a value the moments cannot.
-func captureWarm(m *mat.Dense, res *KMeansResult, workers int) *KMeansWarmState {
+func captureWarm(m *mat.Matrix, res *KMeansResult, workers int) *KMeansWarmState {
 	n, dim := m.Rows(), m.Cols()
 	k := res.K
 	pos := make([]float64, 0, k*dim)
@@ -498,7 +498,7 @@ func captureWarm(m *mat.Dense, res *KMeansResult, workers int) *KMeansWarmState 
 // dirty or previously-unseen endpoint and copies every clean pair from
 // the cache. Distances are pure functions of their rows, so a copied
 // value is bitwise what recomputation would produce — the full matrix is
-// always bit-identical to PairwiseMatrixWorkers over the same rows.
+// always bit-identical to PairwiseMatrix over the same rows.
 type PairwiseCache struct {
 	keys    []string
 	index   map[string]int

@@ -10,7 +10,7 @@ import (
 )
 
 // warmTestData builds n×dim rows of random simplex-ish points.
-func warmTestData(rng *rand.Rand, n, dim int) *mat.Dense {
+func warmTestData(rng *rand.Rand, n, dim int) *mat.Matrix {
 	m := mat.New(n, dim)
 	data := m.Data()
 	for i := 0; i < n; i++ {
@@ -30,7 +30,7 @@ func warmTestData(rng *rand.Rand, n, dim int) *mat.Dense {
 // lloydFixedPoint asserts a result is a converged Lloyd solution on m:
 // every label is the exact nearest centroid, and each centroid is the
 // mean of its members to within tol.
-func lloydFixedPoint(t *testing.T, m *mat.Dense, res *KMeansResult, tol float64) {
+func lloydFixedPoint(t *testing.T, m *mat.Matrix, res *KMeansResult, tol float64) {
 	t.Helper()
 	n, dim := m.Rows(), m.Cols()
 	data := m.Data()
@@ -65,17 +65,17 @@ func lloydFixedPoint(t *testing.T, m *mat.Dense, res *KMeansResult, tol float64)
 }
 
 // TestKMeansWarmColdPathIdentical asserts the cold fallback inside
-// KMeansDenseWarm is bit-identical to a direct KMeansDense call.
+// KMeansWarm is bit-identical to a direct KMeans call.
 func TestKMeansWarmColdPathIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := warmTestData(rng, 600, 6)
 	cfg := KMeansConfig{K: 5, Seed: 11, Restarts: 2, Workers: 2}
 
-	want, err := KMeansDense(m, cfg)
+	want, err := KMeans(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ws, resumed, err := KMeansDenseWarm(m, cfg, nil)
+	got, ws, resumed, err := KMeansWarm(m, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestKMeansWarmColdPathIdentical(t *testing.T) {
 		t.Fatal("nil warm state reported resumed")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("cold path through KMeansDenseWarm differs from KMeansDense")
+		t.Fatal("cold path through KMeansWarm differs from KMeans")
 	}
 	for i, l := range ws.Labels {
 		if int(l) != want.Labels[i] {
@@ -100,11 +100,11 @@ func TestKMeansWarmUnchangedData(t *testing.T) {
 	m := warmTestData(rng, 800, 6)
 	cfg := KMeansConfig{K: 6, Seed: 3, Restarts: 2, Workers: 2}
 
-	cold, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+	cold, ws, _, err := KMeansWarm(m, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm1, ws1, resumed, err := KMeansDenseWarm(m, cfg, ws)
+	warm1, ws1, resumed, err := KMeansWarm(m, cfg, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestKMeansWarmUnchangedData(t *testing.T) {
 	}
 	lloydFixedPoint(t, m, warm1, 1e-7)
 
-	warm2, _, _, err := KMeansDenseWarm(m, cfg, ws1)
+	warm2, _, _, err := KMeansWarm(m, cfg, ws1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestKMeansWarmDirtyRows(t *testing.T) {
 	m := warmTestData(rng, 1000, 6)
 	cfg := KMeansConfig{K: 7, Seed: 19, Restarts: 2, Workers: 2}
 
-	_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+	_, ws, _, err := KMeansWarm(m, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestKMeansWarmDirtyRows(t *testing.T) {
 		ws.Labels[i] = -1
 	}
 
-	warm, ws2, resumed, err := KMeansDenseWarm(m, cfg, ws)
+	warm, ws2, resumed, err := KMeansWarm(m, cfg, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestKMeansWarmDirtyRows(t *testing.T) {
 	lloydFixedPoint(t, m, warm, 1e-7)
 
 	// The returned state must itself resume to the identical result.
-	again, _, _, err := KMeansDenseWarm(m, cfg, ws2)
+	again, _, _, err := KMeansWarm(m, cfg, ws2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +186,13 @@ func TestKMeansWarmIncompatibleFallsBack(t *testing.T) {
 	m := warmTestData(rng, 300, 6)
 	cfg := KMeansConfig{K: 4, Seed: 2, Workers: 1}
 
-	_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+	_, ws, _, err := KMeansWarm(m, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Row count changed (e.g. users entered the matrix): fall back cold.
 	grown := warmTestData(rng, 301, 6)
-	_, _, resumed, err := KMeansDenseWarm(grown, cfg, ws)
+	_, _, resumed, err := KMeansWarm(grown, cfg, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestKMeansWarmIncompatibleFallsBack(t *testing.T) {
 	// k changed: fall back cold.
 	cfg2 := cfg
 	cfg2.K = 5
-	_, _, resumed, err = KMeansDenseWarm(m, cfg2, ws)
+	_, _, resumed, err = KMeansWarm(m, cfg2, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestKMeansWarmIncompatibleFallsBack(t *testing.T) {
 }
 
 // TestPairwiseCacheBitIdentical asserts a cache refreshed through
-// arbitrary dirty patterns always matches PairwiseMatrixWorkers from
+// arbitrary dirty patterns always matches PairwiseMatrix from
 // scratch, bit for bit, and that clean refreshes skip recomputation and
 // dendrogram reruns.
 func TestPairwiseCacheBitIdentical(t *testing.T) {
@@ -236,7 +236,7 @@ func TestPairwiseCacheBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := PairwiseMatrixWorkers(rows, Bhattacharyya, 2)
+		want, err := PairwiseMatrix(rows, Bhattacharyya, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestKMeansWarmInvalidStateFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m := warmTestData(rng, 400, 6)
 	cfg := KMeansConfig{K: 4, Seed: 5, Workers: 1}
-	want, err := KMeansDense(m, cfg)
+	want, err := KMeans(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestKMeansWarmInvalidStateFallsBack(t *testing.T) {
 		"infinite lower":    func(ws *KMeansWarmState) { ws.Lower[9] = math.Inf(1) },
 	}
 	for name, breakState := range breakers {
-		_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+		_, ws, _, err := KMeansWarm(m, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestKMeansWarmInvalidStateFallsBack(t *testing.T) {
 		if bad.Validate() == nil {
 			t.Fatalf("%s: Validate accepted the state", name)
 		}
-		got, next, resumed, err := KMeansDenseWarm(m, cfg, bad)
+		got, next, resumed, err := KMeansWarm(m, cfg, bad)
 		if err != nil {
 			t.Fatalf("%s: %v (want a cold-start fallback)", name, err)
 		}
@@ -354,7 +354,7 @@ func TestKMeansWarmInvalidStateFallsBack(t *testing.T) {
 	}
 
 	// Shape defects Validate must refuse on its own.
-	_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+	_, ws, _, err := KMeansWarm(m, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestKMeansWarmOneCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := warmTestData(rng, 200, 6)
 	cfg := KMeansConfig{K: 1, Seed: 1, Workers: 1}
-	_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+	_, ws, _, err := KMeansWarm(m, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestKMeansWarmOneCluster(t *testing.T) {
 	if err := restored.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, resumed, err := KMeansDenseWarm(m, cfg, restored); err != nil || !resumed {
+	if _, _, resumed, err := KMeansWarm(m, cfg, restored); err != nil || !resumed {
 		t.Fatalf("k=1 state: resumed=%v err=%v", resumed, err)
 	}
 }
@@ -399,7 +399,7 @@ func TestKMeansWarmOneCluster(t *testing.T) {
 // TestKMeansWarmUnrepresentableFallsBack checks data the exact moments
 // cannot hold (here 1e-30, whose low bits lie below 2^-128): a cold run
 // captures no warm state, and a resume meeting such a row falls back to
-// the cold path — bit-identical to KMeansDense — and returns no state.
+// the cold path — bit-identical to KMeans — and returns no state.
 // The same holds for a row that only turns unrepresentable after the
 // state was captured.
 func TestKMeansWarmUnrepresentableFallsBack(t *testing.T) {
@@ -408,36 +408,36 @@ func TestKMeansWarmUnrepresentableFallsBack(t *testing.T) {
 
 	bad := warmTestData(rng, 500, 6)
 	bad.Data()[7*6+2] = 1e-30
-	want, err := KMeansDense(bad, cfg)
+	want, err := KMeans(bad, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ws, resumed, err := KMeansDenseWarm(bad, cfg, nil)
+	got, ws, resumed, err := KMeansWarm(bad, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed || ws != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("cold run over unrepresentable data: resumed=%v state=%v, same as KMeansDense=%v", resumed, ws != nil, reflect.DeepEqual(got, want))
+		t.Fatalf("cold run over unrepresentable data: resumed=%v state=%v, same as KMeans=%v", resumed, ws != nil, reflect.DeepEqual(got, want))
 	}
 
 	m := warmTestData(rng, 500, 6)
-	_, ws, _, err = KMeansDenseWarm(m, cfg, nil)
+	_, ws, _, err = KMeansWarm(m, cfg, nil)
 	if err != nil || ws == nil {
 		t.Fatalf("capture over representable data: state %v, %v", ws != nil, err)
 	}
 	row := m.Data()[11*6 : 12*6]
 	ws.Unassign(11, row)
 	row[4] = 1e-30
-	want, err = KMeansDense(m, cfg)
+	want, err = KMeans(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, next, resumed, err := KMeansDenseWarm(m, cfg, ws)
+	got, next, resumed, err := KMeansWarm(m, cfg, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed || next != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("resume over an unrepresentable row: resumed=%v state=%v, same as KMeansDense=%v", resumed, next != nil, reflect.DeepEqual(got, want))
+		t.Fatalf("resume over an unrepresentable row: resumed=%v state=%v, same as KMeans=%v", resumed, next != nil, reflect.DeepEqual(got, want))
 	}
 }
 
@@ -454,7 +454,7 @@ func TestKMeansWarmMomentInertia(t *testing.T) {
 		m := warmTestData(rng, 3000, 6)
 		data := m.Data()
 		cfg := KMeansConfig{K: 6, Seed: 5, Restarts: 2, Workers: 3, Tolerance: tol}
-		_, ws, _, err := KMeansDenseWarm(m, cfg, nil)
+		_, ws, _, err := KMeansWarm(m, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func TestKMeansWarmMomentInertia(t *testing.T) {
 				copy(data[i*6:(i+1)*6], warmTestData(rng, 1, 6).Data())
 			}
 			var resumed bool
-			if res, ws, resumed, err = KMeansDenseWarm(m, cfg, ws); err != nil || !resumed {
+			if res, ws, resumed, err = KMeansWarm(m, cfg, ws); err != nil || !resumed {
 				t.Fatalf("tol %g step %d: resumed=%v, %v", tol, step, resumed, err)
 			}
 			direct := 0.0

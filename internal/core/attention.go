@@ -4,15 +4,16 @@
 //
 // Users are represented by a row-normalized contingency matrix
 // Û = [û_ij] (m users × n organs) where û_ij is the fraction of user i's
-// organ mentions that go to organ j (§III-B). Aggregation happens through
-// a membership-indicator matrix L via Equation 3,
+// organ mentions that go to organ j (§III-B). Users are grouped either by
+// their most-cited organ (Equation 1, the organ perspective of Figure 3)
+// or by their state (Equation 2, the region perspective of Figures 4–6),
+// and each group is aggregated with Equation 3,
 //
 //	K = (LᵀL)⁻¹ Lᵀ Û,
 //
-// with L built either from each user's most-cited organ (Equation 1, the
-// organ perspective of Figure 3) or from each user's state (Equation 2,
-// the region perspective of Figures 4–6). Per-state organ highlighting
-// uses the relative risk of Equation 4 (Figure 5).
+// which for such a disjoint membership L is the mean of the group's Û
+// rows; GroupSums computes it. Per-state organ highlighting uses the
+// relative risk of Equation 4 (Figure 5), counted by StateOrganCells.
 package core
 
 import (
@@ -20,82 +21,17 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"donorsense/internal/mat"
 	"donorsense/internal/organ"
 )
 
-// AttentionBuilder accumulates per-user organ mention counts from a tweet
-// stream and produces the normalized attention matrix Û.
-type AttentionBuilder struct {
-	counts map[int64]*[organ.Count]float64
-}
-
-// NewAttentionBuilder returns an empty builder.
-func NewAttentionBuilder() *AttentionBuilder {
-	return &AttentionBuilder{counts: make(map[int64]*[organ.Count]float64)}
-}
-
-// Observe records organ mentions for a user. mentions is indexed by
-// canonical organ order (the text.Extraction.Mentions layout). Users with
-// all-zero mentions are ignored.
-func (b *AttentionBuilder) Observe(userID int64, mentions [organ.Count]int) {
-	total := 0
-	for _, m := range mentions {
-		total += m
-	}
-	if total == 0 {
-		return
-	}
-	row := b.counts[userID]
-	if row == nil {
-		row = new([organ.Count]float64)
-		b.counts[userID] = row
-	}
-	for i, m := range mentions {
-		row[i] += float64(m)
-	}
-}
-
-// Users returns the number of users observed so far.
-func (b *AttentionBuilder) Users() int { return len(b.counts) }
-
-// Build produces the Attention matrix. The builder may keep accumulating
-// afterwards; Build snapshots the current state. It errors when no users
-// have been observed.
-func (b *AttentionBuilder) Build() (*Attention, error) {
-	if len(b.counts) == 0 {
-		return nil, fmt.Errorf("core: no users observed")
-	}
-	ids := make([]int64, 0, len(b.counts))
-	for id := range b.counts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	m := mat.New(len(ids), organ.Count)
-	for r, id := range ids {
-		row := b.counts[id]
-		for c, v := range row {
-			m.Set(r, c, v)
-		}
-	}
-	if zero := m.NormalizeRows(); len(zero) != 0 {
-		// Observe rejects all-zero mention vectors, so this is a bug.
-		return nil, fmt.Errorf("core: %d zero attention rows", len(zero))
-	}
-	return &Attention{ids: ids, u: m}, nil
-}
-
 // AttentionFromCounts builds the Attention matrix straight from columnar
 // mention counts: ids is the user-id column and counts the row-major
 // len(ids)×organ.Count mention matrix (the userstore layout), both in
-// arbitrary row order. Users whose mention row sums to zero are skipped,
-// exactly as AttentionBuilder.Observe skips them, and rows are ordered by
-// ascending user id, exactly as Build orders them — so the result is
-// bit-identical to the builder path while doing one pass and zero
-// per-user map work.
+// arbitrary row order. Users whose mention row sums to zero are skipped
+// (they have no attention to normalize), and rows are ordered by
+// ascending user id. It errors when no user has a mention.
 func AttentionFromCounts(ids []int64, counts []int32) (*Attention, error) {
 	a, _, err := AttentionWithSources(ids, counts)
 	return a, err
@@ -238,19 +174,6 @@ func (a *Attention) Row(row int) []float64 { return a.u.Row(row) }
 // Matrix returns the underlying Û. Callers must not mutate it.
 func (a *Attention) Matrix() *mat.Matrix { return a.u }
 
-// Rows exposes Û as a slice of rows for the clustering APIs. The rows
-// are zero-copy views into the matrix; callers must not mutate them
-// (use Row for a private copy). Bulk consumers should prefer Matrix()
-// and the *Dense clustering entry points, which skip the slice header
-// allocation too.
-func (a *Attention) Rows() [][]float64 {
-	out := make([][]float64, a.u.Rows())
-	for i := range out {
-		out[i] = a.u.RowView(i)
-	}
-	return out
-}
-
 // PrimaryOrgan returns the arg-max organ of a row (Equation 1's
 // aggregation key). Exact ties (common for low-activity users, e.g. one
 // heart tweet plus one kidney tweet) resolve by a deterministic hash of
@@ -293,10 +216,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// MentionsOrgan reports whether the user row has any attention on the
-// organ.
-func (a *Attention) MentionsOrgan(row int, o organ.Organ) bool {
-	return a.u.At(row, o.Index()) > 0
 }

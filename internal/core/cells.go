@@ -14,19 +14,16 @@ import (
 // which state the user lives in and which organs they have any attention
 // on. StateOrganCells accumulates those pairs into per-state/per-organ
 // user counts — mergeable and subtractable (stats.Counter*), so the
-// incremental engine updates them in place as users change — and the
-// HighlightFromCells / WinnerFromCells constructors turn the counts into
-// results with exactly the arithmetic the full-scan paths used. The
-// full-scan entry points (HighlightOrgansFunc, WinnerTakesAllFunc) feed
-// the same constructors, so an accumulator-built result is bit-identical
-// to a scan-built one whenever the counts agree.
+// report engine updates them in place as users change — and its
+// Highlight and WinnerTakesAll methods turn the counts into results.
+// The counts are integers, so the results depend only on which users
+// were counted, never on the order or history of the updates.
 
 // StateOrganCells is the mergeable per-state/per-organ user-count
 // accumulator: mention(s, o) distinct users in state s with attention on
 // organ o, users(s) distinct users in state s. States follow
-// geo.StateCodes() row order; only users with a Û row (a nonzero mention
-// vector) and a resolvable state are counted, matching the full-scan
-// filters.
+// geo.StateCodes() row order; callers count only users with a Û row (a
+// nonzero mention vector) and a resolvable state.
 type StateOrganCells struct {
 	mention *stats.Counter2D
 	users   *stats.Counter1D
@@ -80,44 +77,9 @@ func (c *StateOrganCells) MentionUsers(s int, o organ.Organ) int64 {
 // StateUsers returns the count of users in state row s.
 func (c *StateOrganCells) StateUsers(s int) int64 { return c.users.At(s) }
 
-// cellsFromAttention is the full-scan builder shared by the Figure 5 and
-// winner-takes-all entry points: one pass over Û in row (ascending user
-// id) order, counting each user with a resolvable state.
-func cellsFromAttention(a *Attention, stateOf StateLookup) *StateOrganCells {
-	c := NewStateOrganCells()
-	for row, id := range a.UserIDs() {
-		code, ok := stateOf(id)
-		if !ok {
-			continue
-		}
-		s := geo.StateIndex(code)
-		if s < 0 {
-			continue
-		}
-		c.AddUser(s, MentionMask(a, row), 1)
-	}
-	return c
-}
-
-// MentionMask returns the organ-mention bit mask of a Û row: bit
-// o.Index() is set when the row has any attention on o. The mask of a
-// row equals the mask of its integer mention counts (count > 0 ⇔
-// normalized share > 0), which is how the incremental engine computes it
-// without touching Û.
-func MentionMask(a *Attention, row int) uint8 {
-	mask := uint8(0)
-	for _, o := range organ.All() {
-		if a.MentionsOrgan(row, o) {
-			mask |= 1 << o.Index()
-		}
-	}
-	return mask
-}
-
-// HighlightFromCells builds the Figure 5 result from accumulated
-// counts. Cell math is unchanged from the original full-scan
-// implementation: a = mentioning users inside the state, b = state users
-// not mentioning, c/d the same outside. Zero cells that make the
+// Highlight builds the Figure 5 result from accumulated counts: a =
+// mentioning users inside the state, b = state users not mentioning,
+// c/d the same outside. Zero cells that make the
 // uncorrected relative risk undefined leave Defined false (preserving
 // the highlight semantics) and fall back to the Haldane–Anscombe
 // continuity estimate in Continuity, so a cell decrementing to zero
@@ -197,8 +159,8 @@ type MentionAccum struct {
 }
 
 // AddMask counts one user's mention mask with the given delta (+1 on
-// entry, −1 to reverse). Zero masks contribute nothing, matching the
-// full-scan behavior for users with no mentions.
+// entry, −1 to reverse). Zero masks contribute nothing: a user with no
+// mentions has no Û row.
 func (m *MentionAccum) AddMask(mask uint8, delta int) {
 	k := bits.OnesCount8(mask)
 	if k == 0 {
@@ -221,8 +183,8 @@ func (m *MentionAccum) Merge(other *MentionAccum) {
 	m.DistinctPairs += other.DistinctPairs
 }
 
-// UsersPerOrgan returns the Figure 2a histogram in the int shape the
-// full-scan API uses.
+// UsersPerOrgan returns the Figure 2a histogram in the int shape of
+// report.Analysis.
 func (m *MentionAccum) UsersPerOrgan() [organ.Count]int {
 	var out [organ.Count]int
 	for i, v := range m.PerOrgan {

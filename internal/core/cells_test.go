@@ -9,9 +9,9 @@ import (
 	"donorsense/internal/organ"
 )
 
-// randomCellsAttention builds a small attention matrix plus a state
-// lookup over random users.
-func randomCellsAttention(t *testing.T, rng *rand.Rand, n int) (*Attention, StateLookup, map[int64]uint8) {
+// randomCellsAttention builds a small attention matrix plus each random
+// user's state and mention mask.
+func randomCellsAttention(t *testing.T, rng *rand.Rand, n int) (*Attention, map[int64]string, map[int64]uint8) {
 	t.Helper()
 	codes := geo.StateCodes()
 	states := map[int64]string{}
@@ -42,21 +42,22 @@ func randomCellsAttention(t *testing.T, rng *rand.Rand, n int) (*Attention, Stat
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, func(id int64) (string, bool) { s, ok := states[id]; return s, ok }, masks
+	return a, states, masks
 }
 
 // TestCellsMatchFullScan asserts an accumulator fed (state, mask) pairs
-// produces results identical to the full-scan entry points, including
-// after merge-sharded accumulation in shuffled order.
+// produces results identical to one scan over Û, including after
+// merge-sharded accumulation in shuffled order.
 func TestCellsMatchFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	a, stateOf, masks := randomCellsAttention(t, rng, 300)
+	a, states, masks := randomCellsAttention(t, rng, 300)
 
-	wantH, err := HighlightOrgansFunc(a, stateOf)
+	scan := cellsOf(a, states)
+	wantH, err := scan.Highlight()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantW, err := WinnerTakesAllFunc(a, stateOf)
+	wantW, err := scan.WinnerTakesAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +69,7 @@ func TestCellsMatchFullScan(t *testing.T) {
 		parts[i] = NewStateOrganCells()
 	}
 	for id, mask := range masks {
-		code, _ := stateOf(id)
-		parts[rng.Intn(shards)].AddUser(geo.StateIndex(code), mask, 1)
+		parts[rng.Intn(shards)].AddUser(geo.StateIndex(states[id]), mask, 1)
 	}
 	merged := NewStateOrganCells()
 	for _, i := range rng.Perm(shards) {

@@ -19,14 +19,77 @@ func mentions(pairs ...any) [organ.Count]int {
 	return m
 }
 
-func TestBuilderNormalizesRows(t *testing.T) {
-	b := NewAttentionBuilder()
-	b.Observe(1, mentions(organ.Heart, 3, organ.Kidney, 1))
-	b.Observe(2, mentions(organ.Liver, 2))
-	a, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
+// users collects per-user mention counts, one entry per user id.
+type users map[int64][organ.Count]int
+
+// attentionOf builds Û over the users.
+func attentionOf(tb testing.TB, u users) *Attention {
+	tb.Helper()
+	ids := make([]int64, 0, len(u))
+	counts := make([]int32, 0, len(u)*organ.Count)
+	for id, m := range u {
+		ids = append(ids, id)
+		for _, v := range m {
+			counts = append(counts, int32(v))
+		}
 	}
+	a, err := AttentionFromCounts(ids, counts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
+// organsOf computes Figure 3 the way a cold build does: every Û row
+// folded into the group sums of its primary organ (Equation 1).
+func organsOf(a *Attention) (*OrganCharacterization, error) {
+	gs := NewGroupSums(organ.Count)
+	for r := 0; r < a.Users(); r++ {
+		if err := gs.Fold(a.PrimaryOrgan(r).Index(), a.Matrix().RowView(r), 1); err != nil {
+			return nil, err
+		}
+	}
+	return gs.Organs()
+}
+
+// regionsOf computes Figure 4 the way a cold build does: every Û row
+// whose user has a known state folded into that state's group sums
+// (Equation 2). Users without one are left out.
+func regionsOf(a *Attention, states map[int64]string) (*RegionCharacterization, error) {
+	gs := NewGroupSums(len(geo.StateCodes()))
+	for r, id := range a.UserIDs() {
+		if s := geo.StateIndex(states[id]); s >= 0 {
+			if err := gs.Fold(s, a.Matrix().RowView(r), 1); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return gs.Regions()
+}
+
+// cellsOf counts every user with a known state into the Figure 5 cells,
+// with the mention mask read off the user's Û row.
+func cellsOf(a *Attention, states map[int64]string) *StateOrganCells {
+	c := NewStateOrganCells()
+	for r, id := range a.UserIDs() {
+		if s := geo.StateIndex(states[id]); s >= 0 {
+			mask := uint8(0)
+			for j, v := range a.Matrix().RowView(r) {
+				if v > 0 {
+					mask |= 1 << j
+				}
+			}
+			c.AddUser(s, mask, 1)
+		}
+	}
+	return c
+}
+
+func TestBuilderNormalizesRows(t *testing.T) {
+	b := users{}
+	b[1] = mentions(organ.Heart, 3, organ.Kidney, 1)
+	b[2] = mentions(organ.Liver, 2)
+	a := attentionOf(t, b)
 	if a.Users() != 2 {
 		t.Fatalf("Users = %d, want 2", a.Users())
 	}
@@ -40,42 +103,30 @@ func TestBuilderNormalizesRows(t *testing.T) {
 	}
 }
 
-func TestBuilderAccumulatesAcrossObservations(t *testing.T) {
-	b := NewAttentionBuilder()
-	b.Observe(7, mentions(organ.Heart, 1))
-	b.Observe(7, mentions(organ.Heart, 1, organ.Lung, 2))
-	a, _ := b.Build()
-	r := a.Row(a.RowOf(7))
-	if r[organ.Heart.Index()] != 0.5 || r[organ.Lung.Index()] != 0.5 {
-		t.Errorf("accumulated row = %v", r)
-	}
-}
-
 func TestBuilderIgnoresZeroMentions(t *testing.T) {
-	b := NewAttentionBuilder()
-	b.Observe(1, [organ.Count]int{})
-	if b.Users() != 0 {
-		t.Error("zero-mention observation created a user")
+	a := attentionOf(t, users{1: {}, 2: mentions(organ.Lung, 1)})
+	if a.Users() != 1 || a.RowOf(1) != -1 {
+		t.Errorf("zero-mention user got a row: %d users, row %d", a.Users(), a.RowOf(1))
 	}
-	if _, err := b.Build(); err == nil {
+	if _, err := AttentionFromCounts([]int64{1}, make([]int32, organ.Count)); err == nil {
 		t.Error("empty build accepted")
 	}
 }
 
 func TestRowOfUnknownUser(t *testing.T) {
-	b := NewAttentionBuilder()
-	b.Observe(1, mentions(organ.Heart, 1))
-	a, _ := b.Build()
+	b := users{}
+	b[1] = mentions(organ.Heart, 1)
+	a := attentionOf(t, b)
 	if a.RowOf(99) != -1 {
 		t.Error("unknown user has a row")
 	}
 }
 
 func TestPrimaryOrganArgmaxAndTies(t *testing.T) {
-	b := NewAttentionBuilder()
-	b.Observe(1, mentions(organ.Kidney, 5, organ.Heart, 2))
-	b.Observe(2, mentions(organ.Heart, 1, organ.Lung, 1)) // tie
-	a, _ := b.Build()
+	b := users{}
+	b[1] = mentions(organ.Kidney, 5, organ.Heart, 2)
+	b[2] = mentions(organ.Heart, 1, organ.Lung, 1) // tie
+	a := attentionOf(t, b)
 	if got := a.PrimaryOrgan(a.RowOf(1)); got != organ.Kidney {
 		t.Errorf("primary of user 1 = %v, want kidney", got)
 	}
@@ -92,12 +143,12 @@ func TestPrimaryOrganArgmaxAndTies(t *testing.T) {
 func TestPrimaryOrganTieBreakUnbiased(t *testing.T) {
 	// Across many users, 50/50 heart–kidney ties must split roughly
 	// evenly between the two groups (the Figure 3 debiasing property).
-	b := NewAttentionBuilder()
+	b := users{}
 	const n = 2000
 	for i := int64(0); i < n; i++ {
-		b.Observe(i+1, mentions(organ.Heart, 1, organ.Kidney, 1))
+		b[i+1] = mentions(organ.Heart, 1, organ.Kidney, 1)
 	}
-	a, _ := b.Build()
+	a := attentionOf(t, b)
 	heart := 0
 	for row := 0; row < a.Users(); row++ {
 		switch a.PrimaryOrgan(row) {
@@ -115,11 +166,11 @@ func TestPrimaryOrganTieBreakUnbiased(t *testing.T) {
 }
 
 func TestUserIDsSorted(t *testing.T) {
-	b := NewAttentionBuilder()
+	b := users{}
 	for _, id := range []int64{42, 7, 99, 13} {
-		b.Observe(id, mentions(organ.Heart, 1))
+		b[id] = mentions(organ.Heart, 1)
 	}
-	a, _ := b.Build()
+	a := attentionOf(t, b)
 	ids := a.UserIDs()
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] >= ids[i] {
@@ -135,12 +186,12 @@ func TestUserIDsSorted(t *testing.T) {
 
 func TestCharacterizeOrgansHandComputed(t *testing.T) {
 	// Two heart-primary users and one kidney-primary user.
-	b := NewAttentionBuilder()
-	b.Observe(1, mentions(organ.Heart, 3, organ.Kidney, 1)) // [.75 .25 ...]
-	b.Observe(2, mentions(organ.Heart, 1))                  // [1 0 ...]
-	b.Observe(3, mentions(organ.Kidney, 4, organ.Liver, 1)) // kidney primary
-	a, _ := b.Build()
-	oc, err := CharacterizeOrgans(a)
+	b := users{}
+	b[1] = mentions(organ.Heart, 3, organ.Kidney, 1) // [.75 .25 ...]
+	b[2] = mentions(organ.Heart, 1)                  // [1 0 ...]
+	b[3] = mentions(organ.Kidney, 4, organ.Liver, 1) // kidney primary
+	a := attentionOf(t, b)
+	oc, err := organsOf(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +211,10 @@ func TestCharacterizeOrgansHandComputed(t *testing.T) {
 func floatEq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
 func TestCoMentionRank(t *testing.T) {
-	b := NewAttentionBuilder()
-	b.Observe(1, mentions(organ.Heart, 10, organ.Kidney, 3, organ.Liver, 1))
-	a, _ := b.Build()
-	oc, _ := CharacterizeOrgans(a)
+	b := users{}
+	b[1] = mentions(organ.Heart, 10, organ.Kidney, 3, organ.Liver, 1)
+	a := attentionOf(t, b)
+	oc, _ := organsOf(a)
 	rank := oc.CoMentionRank(organ.Heart)
 	if len(rank) != organ.Count-1 {
 		t.Fatalf("rank length %d", len(rank))
@@ -183,7 +234,7 @@ func TestKRowsAreDistributions(t *testing.T) {
 	// since Equation 3 averages distributions.
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 21))
-		b := NewAttentionBuilder()
+		b := users{}
 		n := 5 + r.IntN(50)
 		for i := 0; i < n; i++ {
 			var m [organ.Count]int
@@ -191,13 +242,10 @@ func TestKRowsAreDistributions(t *testing.T) {
 				m[j] = r.IntN(5)
 			}
 			m[r.IntN(organ.Count)]++ // ensure non-zero
-			b.Observe(int64(i), m)
+			b[int64(i)] = m
 		}
-		a, err := b.Build()
-		if err != nil {
-			return false
-		}
-		oc, err := CharacterizeOrgans(a)
+		a := attentionOf(t, b)
+		oc, err := organsOf(a)
 		if err != nil {
 			return false
 		}
@@ -222,12 +270,12 @@ func TestKRowsAreDistributions(t *testing.T) {
 
 func buildRegionFixture(t *testing.T) (*Attention, map[int64]string) {
 	t.Helper()
-	b := NewAttentionBuilder()
+	b := users{}
 	states := map[int64]string{}
 	id := int64(0)
 	add := func(state string, m [organ.Count]int) {
 		id++
-		b.Observe(id, m)
+		b[id] = m
 		states[id] = state
 	}
 	// Kansas: kidney-heavy (kidney-only users so heart isn't also
@@ -252,16 +300,13 @@ func buildRegionFixture(t *testing.T) (*Attention, map[int64]string) {
 	for i := 0; i < 30; i++ {
 		add("CA", mentions(organ.Kidney, 1))
 	}
-	a, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := attentionOf(t, b)
 	return a, states
 }
 
 func TestCharacterizeRegions(t *testing.T) {
 	a, states := buildRegionFixture(t)
-	rc, err := CharacterizeRegions(a, states)
+	rc, err := regionsOf(a, states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +339,11 @@ func TestCharacterizeRegions(t *testing.T) {
 }
 
 func TestCharacterizeRegionsSkipsUnknownStates(t *testing.T) {
-	b := NewAttentionBuilder()
-	b.Observe(1, mentions(organ.Heart, 1))
-	b.Observe(2, mentions(organ.Kidney, 1))
-	a, _ := b.Build()
-	rc, err := CharacterizeRegions(a, map[int64]string{1: "KS", 2: "XX"})
+	b := users{}
+	b[1] = mentions(organ.Heart, 1)
+	b[2] = mentions(organ.Kidney, 1)
+	a := attentionOf(t, b)
+	rc, err := regionsOf(a, map[int64]string{1: "KS", 2: "XX"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,14 +351,14 @@ func TestCharacterizeRegionsSkipsUnknownStates(t *testing.T) {
 		t.Error("KS user not counted")
 	}
 	// No state assignment at all → error.
-	if _, err := CharacterizeRegions(a, map[int64]string{}); err == nil {
+	if _, err := regionsOf(a, map[int64]string{}); err == nil {
 		t.Error("no assignable users accepted")
 	}
 }
 
 func TestHighlightOrgansFindsKansasKidney(t *testing.T) {
 	a, states := buildRegionFixture(t)
-	h, err := HighlightOrgans(a, states)
+	h, err := cellsOf(a, states).Highlight()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,20 +389,20 @@ func TestHighlightOrgansFindsKansasKidney(t *testing.T) {
 }
 
 func TestHighlightErrorsWithNoStates(t *testing.T) {
-	b := NewAttentionBuilder()
-	b.Observe(1, mentions(organ.Heart, 1))
-	a, _ := b.Build()
-	if _, err := HighlightOrgans(a, map[int64]string{}); err == nil {
+	b := users{}
+	b[1] = mentions(organ.Heart, 1)
+	a := attentionOf(t, b)
+	if _, err := cellsOf(a, map[int64]string{}).Highlight(); err == nil {
 		t.Error("no-state highlight accepted")
 	}
-	if _, err := WinnerTakesAll(a, map[int64]string{}); err == nil {
+	if _, err := cellsOf(a, map[int64]string{}).WinnerTakesAll(); err == nil {
 		t.Error("no-state winner-takes-all accepted")
 	}
 }
 
 func TestWinnerTakesAllDominatedByPrevalentOrgan(t *testing.T) {
 	a, states := buildRegionFixture(t)
-	w, err := WinnerTakesAll(a, states)
+	w, err := cellsOf(a, states).WinnerTakesAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,21 +428,21 @@ func TestWinnerTakesAllDominatedByPrevalentOrgan(t *testing.T) {
 func TestHighlightUsesUsersNotTweets(t *testing.T) {
 	// One hyperactive kidney user in Texas must not flip the state: the
 	// prevalence unit is users.
-	b := NewAttentionBuilder()
+	b := users{}
 	states := map[int64]string{}
 	for i := int64(1); i <= 20; i++ {
-		b.Observe(i, mentions(organ.Heart, 1))
+		b[i] = mentions(organ.Heart, 1)
 		states[i] = "TX"
 	}
 	// The heavy tweeter: 500 kidney mentions, still one user.
-	b.Observe(100, mentions(organ.Kidney, 500))
+	b[100] = mentions(organ.Kidney, 500)
 	states[100] = "TX"
 	for i := int64(200); i < 260; i++ {
-		b.Observe(i, mentions(organ.Heart, 1, organ.Kidney, 1))
+		b[i] = mentions(organ.Heart, 1, organ.Kidney, 1)
 		states[i] = "CA"
 	}
-	a, _ := b.Build()
-	h, err := HighlightOrgans(a, states)
+	a := attentionOf(t, b)
+	h, err := cellsOf(a, states).Highlight()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,20 +455,20 @@ func TestHighlightUsesUsersNotTweets(t *testing.T) {
 
 func BenchmarkCharacterizeOrgans(b *testing.B) {
 	r := rand.New(rand.NewPCG(1, 1))
-	bld := NewAttentionBuilder()
+	bld := users{}
 	for i := 0; i < 70000; i++ {
 		var m [organ.Count]int
 		m[r.IntN(organ.Count)] = 1 + r.IntN(5)
 		if r.Float64() < 0.15 {
 			m[r.IntN(organ.Count)] += 1
 		}
-		bld.Observe(int64(i), m)
+		bld[int64(i)] = m
 	}
-	a, _ := bld.Build()
+	a := attentionOf(b, bld)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CharacterizeOrgans(a); err != nil {
+		if _, err := organsOf(a); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ func TestCorrectionString(t *testing.T) {
 
 func TestAdjustedHighlightsNoCorrectionMatchesPaperRule(t *testing.T) {
 	a, states := buildRegionFixture(t)
-	h, err := HighlightOrgans(a, states)
+	h, err := cellsOf(a, states).Highlight()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func sortOrgans(os []organ.Organ) {
 
 func TestCorrectionsAreMonotonicallyStricter(t *testing.T) {
 	a, states := buildRegionFixture(t)
-	h, err := HighlightOrgans(a, states)
+	h, err := cellsOf(a, states).Highlight()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestCorrectionsAreMonotonicallyStricter(t *testing.T) {
 
 func TestStrongSignalSurvivesBonferroni(t *testing.T) {
 	// A very strong planted excess must survive even FWER control.
-	b := NewAttentionBuilder()
+	b := users{}
 	states := map[int64]string{}
 	id := int64(0)
 	add := func(state string, m [organ.Count]int) {
 		id++
-		b.Observe(id, m)
+		b[id] = m
 		states[id] = state
 	}
 	for i := 0; i < 200; i++ {
@@ -94,8 +94,8 @@ func TestStrongSignalSurvivesBonferroni(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		add("TX", mentions(organ.Kidney, 1))
 	}
-	a, _ := b.Build()
-	h, err := HighlightOrgans(a, states)
+	a := attentionOf(t, b)
+	h, err := cellsOf(a, states).Highlight()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func ksRow(h *HighlightResult) int {
 
 func TestAdjustedHighlightsErrors(t *testing.T) {
 	a, states := buildRegionFixture(t)
-	h, err := HighlightOrgans(a, states)
+	h, err := cellsOf(a, states).Highlight()
 	if err != nil {
 		t.Fatal(err)
 	}

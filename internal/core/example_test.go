@@ -4,19 +4,19 @@ import (
 	"fmt"
 
 	"donorsense/internal/core"
+	"donorsense/internal/geo"
 	"donorsense/internal/organ"
 )
 
-// ExampleAttentionBuilder shows the paper's §III-B user characterization:
-// mention counts become a row-normalized attention distribution Û.
-func ExampleAttentionBuilder() {
-	b := core.NewAttentionBuilder()
-	var mentions [organ.Count]int
-	mentions[organ.Heart.Index()] = 3
-	mentions[organ.Kidney.Index()] = 1
-	b.Observe(42, mentions)
+// ExampleAttentionFromCounts shows the paper's §III-B user
+// characterization: mention counts become a row-normalized attention
+// distribution Û.
+func ExampleAttentionFromCounts() {
+	counts := make([]int32, organ.Count)
+	counts[organ.Heart.Index()] = 3
+	counts[organ.Kidney.Index()] = 1
 
-	a, _ := b.Build()
+	a, _ := core.AttentionFromCounts([]int64{42}, counts)
 	row := a.Row(a.RowOf(42))
 	fmt.Printf("heart=%.2f kidney=%.2f primary=%s\n",
 		row[organ.Heart.Index()], row[organ.Kidney.Index()], a.PrimaryOrgan(a.RowOf(42)))
@@ -24,19 +24,14 @@ func ExampleAttentionBuilder() {
 	// heart=0.75 kidney=0.25 primary=heart
 }
 
-// ExampleHighlightOrgans demonstrates the Figure 5 relative-risk rule on
-// a toy two-state population.
-func ExampleHighlightOrgans() {
-	b := core.NewAttentionBuilder()
-	states := map[int64]string{}
-	id := int64(0)
+// ExampleStateOrganCells_Highlight demonstrates the Figure 5
+// relative-risk rule on a toy two-state population: each user is counted
+// once, by state and by the organs they mention.
+func ExampleStateOrganCells_Highlight() {
+	c := core.NewStateOrganCells()
 	add := func(state string, o organ.Organ, n int) {
 		for i := 0; i < n; i++ {
-			id++
-			var m [organ.Count]int
-			m[o.Index()] = 1
-			b.Observe(id, m)
-			states[id] = state
+			c.AddUser(geo.StateIndex(state), 1<<o.Index(), 1)
 		}
 	}
 	add("KS", organ.Kidney, 30) // kidney-heavy Kansas
@@ -44,8 +39,7 @@ func ExampleHighlightOrgans() {
 	add("TX", organ.Heart, 150) // heart-typical Texas
 	add("TX", organ.Kidney, 50)
 
-	a, _ := b.Build()
-	h, _ := core.HighlightOrgans(a, states)
+	h, _ := c.Highlight()
 	for _, o := range h.HighlightedOrgans("KS") {
 		fmt.Println("Kansas highlights:", o)
 	}
@@ -53,16 +47,16 @@ func ExampleHighlightOrgans() {
 	// Kansas highlights: kidney
 }
 
-// ExampleCharacterizeOrgans shows a Figure 3 organ signature.
-func ExampleCharacterizeOrgans() {
-	b := core.NewAttentionBuilder()
-	var m [organ.Count]int
-	m[organ.Heart.Index()] = 8
-	m[organ.Kidney.Index()] = 2
-	b.Observe(1, m)
+// ExampleGroupSums_Organs shows a Figure 3 organ signature: Equation 3
+// averages the Û rows of the users whose primary organ is heart.
+func ExampleGroupSums_Organs() {
+	gs := core.NewGroupSums(organ.Count)
+	row := make([]float64, organ.Count)
+	row[organ.Heart.Index()] = 0.8
+	row[organ.Kidney.Index()] = 0.2
+	_ = gs.Fold(organ.Heart.Index(), row, 1)
 
-	a, _ := b.Build()
-	oc, _ := core.CharacterizeOrgans(a)
+	oc, _ := gs.Organs()
 	rank := oc.CoMentionRank(organ.Heart)
 	fmt.Println("heart users co-mention first:", rank[0])
 	// Output:

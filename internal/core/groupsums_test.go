@@ -84,11 +84,6 @@ func newEq3Population(rng *rand.Rand, users int) *eq3Population {
 	return p
 }
 
-func (p *eq3Population) lookup(id int64) (string, bool) {
-	s, ok := p.state[id]
-	return s, ok
-}
-
 func (p *eq3Population) stateRow(id int64) int { return geo.StateIndex(p.state[id]) }
 
 // checkAgainstOracle asserts the organ and region characterizations are
@@ -114,11 +109,11 @@ func TestEquation3MatchesRatOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oc, err := CharacterizeOrgans(a)
+		oc, err := organsOf(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := CharacterizeRegionsFunc(a, p.lookup)
+		rc, err := regionsOf(a, p.state)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +220,11 @@ func TestAggregateDeltaBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAgainstOracle(t, a, p, oc, rc)
-		coldOrg, err := CharacterizeOrgans(a)
+		coldOrg, err := organsOf(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldReg, err := CharacterizeRegionsFunc(a, p.lookup)
+		coldReg, err := regionsOf(a, p.state)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,11 +306,11 @@ func TestEquation3PermutationInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, err := CharacterizeOrgans(a)
+	oc, err := organsOf(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := CharacterizeRegionsFunc(a, p.lookup)
+	rc, err := regionsOf(a, p.state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +326,11 @@ func TestEquation3PermutationInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poc, err := CharacterizeOrgans(b)
+	poc, err := organsOf(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prc, err := CharacterizeRegionsFunc(b, q.lookup)
+	prc, err := regionsOf(b, q.state)
 	if err != nil {
 		t.Fatal(err)
 	}

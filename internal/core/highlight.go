@@ -68,41 +68,3 @@ func (h *HighlightResult) StatesHighlighting(o organ.Organ) []string {
 	}
 	return out
 }
-
-// HighlightOrgans computes, for every state and organ, the relative risk
-// of a user mentioning the organ inside the state versus outside it
-// (Equation 4), with the paper's α = 0.05 log-normal significance rule.
-//
-// The prevalence unit is users (not tweets), matching the paper's
-// user-based characterization: a is the number of users in state r who
-// mention organ i, b the users in r who do not, c and d the same outside
-// r.
-func HighlightOrgans(a *Attention, stateOf map[int64]string) (*HighlightResult, error) {
-	return HighlightOrgansFunc(a, lookupMap(stateOf))
-}
-
-// HighlightOrgansFunc is HighlightOrgans with a StateLookup callback
-// instead of a materialized map. The cell counts are integers, so the
-// result is identical for any lookup backing. It scans Û into a
-// StateOrganCells accumulator and builds the result with Highlight —
-// the same constructor the incremental engine feeds from its in-place
-// accumulators, so the two paths cannot diverge.
-func HighlightOrgansFunc(a *Attention, stateOf StateLookup) (*HighlightResult, error) {
-	return cellsFromAttention(a, stateOf).Highlight()
-}
-
-// WinnerTakesAll is the baseline the paper argues against (§IV-B1): the
-// most-mentioned organ per state by raw user counts. Because organ
-// prevalence is skewed, this declares heart nearly everywhere; the bench
-// harness contrasts it with the RR highlighting. States with no users map
-// to -1.
-func WinnerTakesAll(a *Attention, stateOf map[int64]string) (map[string]organ.Organ, error) {
-	return WinnerTakesAllFunc(a, lookupMap(stateOf))
-}
-
-// WinnerTakesAllFunc is WinnerTakesAll with a StateLookup callback. Like
-// HighlightOrgansFunc it scans into a StateOrganCells accumulator and
-// shares the WinnerTakesAll constructor with the incremental engine.
-func WinnerTakesAllFunc(a *Attention, stateOf StateLookup) (map[string]organ.Organ, error) {
-	return cellsFromAttention(a, stateOf).WinnerTakesAll()
-}

@@ -17,19 +17,6 @@ type OrganCharacterization struct {
 	GroupSizes []int
 }
 
-// CharacterizeOrgans builds the organ perspective from the attention
-// matrix: users are grouped by arg-max organ (Equation 1) and aggregated
-// with Equation 3.
-func CharacterizeOrgans(a *Attention) (*OrganCharacterization, error) {
-	gs := NewGroupSums(organ.Count)
-	for row := 0; row < a.Users(); row++ {
-		if err := gs.Fold(a.PrimaryOrgan(row).Index(), a.u.RowView(row), 1); err != nil {
-			return nil, err
-		}
-	}
-	return gs.Organs()
-}
-
 // Signature returns organ o's characterization row: how users focused on
 // o distribute attention across all organs.
 func (oc *OrganCharacterization) Signature(o organ.Organ) []float64 {
@@ -66,51 +53,6 @@ type RegionCharacterization struct {
 	GroupSizes []int
 	// EmptyStates lists row indices with no users (all-zero rows).
 	EmptyStates []int
-}
-
-// StateLookup resolves a user id to its USPS state code. It is the
-// callback form of the old map[int64]string argument: the columnar store
-// answers it with an O(1) hash probe and an interned string, so callers
-// no longer materialize an O(users) map to run the region analyses.
-type StateLookup func(id int64) (string, bool)
-
-// lookupMap adapts a materialized state map to a StateLookup.
-func lookupMap(stateOf map[int64]string) StateLookup {
-	return func(id int64) (string, bool) {
-		code, ok := stateOf[id]
-		return code, ok
-	}
-}
-
-// CharacterizeRegions builds the region perspective: users are grouped by
-// home state (Equation 2) and aggregated with Equation 3. stateOf maps a
-// user ID to its USPS state code; users missing from the map or with
-// unknown codes are left out of the aggregation (the paper drops users it
-// cannot locate).
-func CharacterizeRegions(a *Attention, stateOf map[int64]string) (*RegionCharacterization, error) {
-	return CharacterizeRegionsFunc(a, lookupMap(stateOf))
-}
-
-// CharacterizeRegionsFunc is CharacterizeRegions with a StateLookup
-// callback instead of a materialized map. Group sums are exact, so K is
-// bit-identical no matter how the lookup is backed or in which order
-// users are visited.
-func CharacterizeRegionsFunc(a *Attention, stateOf StateLookup) (*RegionCharacterization, error) {
-	gs := NewGroupSums(len(geo.StateCodes()))
-	for row, id := range a.UserIDs() {
-		code, ok := stateOf(id)
-		if !ok {
-			continue
-		}
-		idx := geo.StateIndex(code)
-		if idx < 0 {
-			continue
-		}
-		if err := gs.Fold(idx, a.u.RowView(row), 1); err != nil {
-			return nil, err
-		}
-	}
-	return gs.Regions()
 }
 
 // StateRow returns the index of a state code in the characterization, or

@@ -11,6 +11,8 @@ import (
 
 	"donorsense/internal/cluster"
 	"donorsense/internal/core"
+	"donorsense/internal/geo"
+	"donorsense/internal/mat"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
 	"donorsense/internal/temporal"
@@ -18,18 +20,23 @@ import (
 	"donorsense/internal/twitter"
 )
 
-func buildFixture(t *testing.T) (*core.Attention, map[int64]string) {
+// buildFixture characterizes 160 single-organ users in KS, TX and CA:
+// their Û rows in user order, Figure 4 and Figure 5.
+func buildFixture(t *testing.T) (*mat.Matrix, *core.RegionCharacterization, *core.HighlightResult) {
 	t.Helper()
-	b := core.NewAttentionBuilder()
-	states := map[int64]string{}
-	var id int64
+	var rows [][]float64
+	sums := core.NewGroupSums(len(geo.StateCodes()))
+	cells := core.NewStateOrganCells()
 	add := func(state string, o organ.Organ, n int) {
 		for i := 0; i < n; i++ {
-			id++
-			var m [organ.Count]int
-			m[o.Index()] = 1
-			b.Observe(id, m)
-			states[id] = state
+			row := make([]float64, organ.Count)
+			row[o.Index()] = 1
+			rows = append(rows, row)
+			s := geo.StateIndex(state)
+			if err := sums.Fold(s, row, 1); err != nil {
+				t.Fatal(err)
+			}
+			cells.AddUser(s, 1<<o.Index(), 1)
 		}
 	}
 	add("KS", organ.Kidney, 20)
@@ -38,11 +45,19 @@ func buildFixture(t *testing.T) (*core.Attention, map[int64]string) {
 	add("TX", organ.Kidney, 15)
 	add("CA", organ.Liver, 30)
 	add("CA", organ.Heart, 30)
-	a, err := b.Build()
+	u, err := mat.FromRows(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, states
+	rc, err := sums.Regions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cells.Highlight()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u, rc, h
 }
 
 func parseCSV(t *testing.T, s string) [][]string {
@@ -55,11 +70,7 @@ func parseCSV(t *testing.T, s string) [][]string {
 }
 
 func TestStateSignaturesCSV(t *testing.T) {
-	a, states := buildFixture(t)
-	rc, err := core.CharacterizeRegions(a, states)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rc, _ := buildFixture(t)
 	var buf bytes.Buffer
 	if err := StateSignaturesCSV(&buf, rc); err != nil {
 		t.Fatal(err)
@@ -91,11 +102,7 @@ func TestStateSignaturesCSV(t *testing.T) {
 }
 
 func TestRelativeRiskCSV(t *testing.T) {
-	a, states := buildFixture(t)
-	h, err := core.HighlightOrgans(a, states)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, h := buildFixture(t)
 	var buf bytes.Buffer
 	if err := RelativeRiskCSV(&buf, h); err != nil {
 		t.Fatal(err)
@@ -119,8 +126,8 @@ func TestRelativeRiskCSV(t *testing.T) {
 }
 
 func TestClustersCSV(t *testing.T) {
-	a, _ := buildFixture(t)
-	res, err := cluster.KMeans(a.Rows(), cluster.KMeansConfig{K: 3, Seed: 1})
+	u, _, _ := buildFixture(t)
+	res, err := cluster.KMeans(u, cluster.KMeansConfig{K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +168,7 @@ func TestSeriesCSV(t *testing.T) {
 }
 
 func TestSummaryJSONRoundTrip(t *testing.T) {
-	a, states := buildFixture(t)
-	h, err := core.HighlightOrgans(a, states)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, h := buildFixture(t)
 	stats := pipeline.TableI{Users: 160, TweetsCollected: 160, Days: 385}
 	var pop [organ.Count]int
 	pop[organ.Heart.Index()] = 95

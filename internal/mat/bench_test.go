@@ -18,15 +18,6 @@ func benchMatrix(n, dim int, seed uint64) *Matrix {
 	return m
 }
 
-// benchMembership assigns every row round-robin to one of g groups.
-func benchMembership(rows, g int) *Membership {
-	l := NewMembership(rows, g)
-	for i := 0; i < rows; i++ {
-		l.Assign(i, i%g)
-	}
-	return l
-}
-
 // BenchmarkNormalizeRows is the Û construction: turning count rows into
 // distributions, 10k users × 6 organs.
 func BenchmarkNormalizeRows(b *testing.B) {
@@ -37,33 +28,5 @@ func BenchmarkNormalizeRows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(dst.data, src.data)
 		dst.NormalizeRows()
-	}
-}
-
-// BenchmarkAggregate is Equation 3 over the sparse membership fast path:
-// 10k users × 6 organs into 51 state groups.
-func BenchmarkAggregate(b *testing.B) {
-	u := benchMatrix(10000, 6, 2)
-	l := benchMembership(10000, 51)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := l.Aggregate(u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMulGram forms the 6×6 Gram matrix ÛᵀÛ of a 10k×6 matrix, the
-// shape of every Mul on the analyze path.
-func BenchmarkMulGram(b *testing.B) {
-	u := benchMatrix(10000, 6, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := u.T()
-		if _, err := Mul(t, u); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

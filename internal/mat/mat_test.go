@@ -79,155 +79,12 @@ func TestRowColCopySemantics(t *testing.T) {
 	if m.At(0, 0) != 1 {
 		t.Error("Row should copy, matrix mutated")
 	}
-	c := m.Col(1)
-	c[0] = 99
-	if m.At(0, 1) != 2 {
-		t.Error("Col should copy, matrix mutated")
-	}
 	v := m.RowView(1)
 	v[0] = 42
 	if m.At(1, 0) != 42 {
 		t.Error("RowView should alias storage")
 	}
 }
-
-func TestTranspose(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
-	if tr.Rows() != 3 || tr.Cols() != 2 {
-		t.Fatalf("T shape = %dx%d, want 3x2", tr.Rows(), tr.Cols())
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if m.At(i, j) != tr.At(j, i) {
-				t.Errorf("T mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 1))
-		m := randMatrix(r, 1+r.IntN(8), 1+r.IntN(8))
-		return Equal(m, m.T().T(), 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := Mul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := FromRows([][]float64{{19, 22}, {43, 50}})
-	if !Equal(c, want, 1e-12) {
-		t.Errorf("Mul wrong: got %v", c.data)
-	}
-}
-
-func TestMulShapeError(t *testing.T) {
-	a := New(2, 3)
-	b := New(2, 3)
-	if _, err := Mul(a, b); err == nil {
-		t.Error("Mul with mismatched shapes did not error")
-	}
-}
-
-func TestMulIdentityProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 2))
-		n := 1 + r.IntN(6)
-		m := randMatrix(r, n, n)
-		left, _ := Mul(Identity(n), m)
-		right, _ := Mul(m, Identity(n))
-		return Equal(left, m, 1e-12) && Equal(right, m, 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMulAssociativityProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 3))
-		p, q, s, u := 1+r.IntN(5), 1+r.IntN(5), 1+r.IntN(5), 1+r.IntN(5)
-		a := randMatrix(r, p, q)
-		b := randMatrix(r, q, s)
-		c := randMatrix(r, s, u)
-		ab, _ := Mul(a, b)
-		abc1, _ := Mul(ab, c)
-		bc, _ := Mul(b, c)
-		abc2, _ := Mul(a, bc)
-		return Equal(abc1, abc2, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInverse2x2(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := FromRows([][]float64{{0.6, -0.7}, {-0.2, 0.4}})
-	if !Equal(inv, want, 1e-12) {
-		t.Errorf("Inverse wrong: %v", inv.data)
-	}
-}
-
-func TestInverseSingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Inverse(a); err == nil {
-		t.Error("Inverse of singular matrix did not error")
-	}
-}
-
-func TestInverseNonSquare(t *testing.T) {
-	if _, err := Inverse(New(2, 3)); err == nil {
-		t.Error("Inverse of non-square matrix did not error")
-	}
-}
-
-func TestInverseProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 4))
-		n := 1 + r.IntN(7)
-		// Diagonally dominant matrices are comfortably invertible.
-		a := randMatrix(r, n, n)
-		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n)+1)
-		}
-		inv, err := Inverse(a)
-		if err != nil {
-			return false
-		}
-		prod, _ := Mul(a, inv)
-		return Equal(prod, Identity(n), 1e-8)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInverseNeedsPivoting(t *testing.T) {
-	// Zero in the (0,0) position forces a row swap.
-	a, _ := FromRows([][]float64{{0, 1}, {1, 0}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(inv, a, 1e-12) {
-		t.Errorf("inverse of permutation wrong: %v", inv.data)
-	}
-}
-
 func TestNormalizeRows(t *testing.T) {
 	m, _ := FromRows([][]float64{{2, 2}, {0, 0}, {1, 3}})
 	zero := m.NormalizeRows()
@@ -286,252 +143,10 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiff(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}})
-	b, _ := FromRows([][]float64{{1.5, 2}})
-	if d := MaxAbsDiff(a, b); d != 0.5 {
-		t.Errorf("MaxAbsDiff = %v, want 0.5", d)
-	}
-}
-
 func randMatrix(r *rand.Rand, rows, cols int) *Matrix {
 	m := New(rows, cols)
 	for i := range m.data {
 		m.data[i] = r.Float64()*10 - 5
 	}
 	return m
-}
-
-// --- Membership / Equation 3 ---
-
-func TestMembershipAssignAndSizes(t *testing.T) {
-	l := NewMembership(5, 3)
-	l.Assign(0, 0)
-	l.Assign(1, 0)
-	l.Assign(2, 2)
-	if got := l.Sizes(); got[0] != 2 || got[1] != 0 || got[2] != 1 {
-		t.Errorf("Sizes = %v, want [2 0 1]", got)
-	}
-	if l.Assigned() != 3 {
-		t.Errorf("Assigned = %d, want 3", l.Assigned())
-	}
-	l.Assign(0, -1)
-	if l.Group(0) != -1 || l.Assigned() != 2 {
-		t.Error("unassign failed")
-	}
-}
-
-func TestMembershipPanics(t *testing.T) {
-	l := NewMembership(2, 2)
-	for _, fn := range []func(){
-		func() { l.Assign(-1, 0) },
-		func() { l.Assign(2, 0) },
-		func() { l.Assign(0, 2) },
-		func() { l.Assign(0, -2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad Assign did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestAggregateIsGroupMean(t *testing.T) {
-	u, _ := FromRows([][]float64{
-		{1, 0},
-		{0, 1},
-		{0.5, 0.5},
-		{0.25, 0.75},
-	})
-	l := NewMembership(4, 2)
-	l.Assign(0, 0)
-	l.Assign(1, 0)
-	l.Assign(2, 1)
-	l.Assign(3, 1)
-	k, empty, err := l.Aggregate(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty) != 0 {
-		t.Errorf("empty groups = %v, want none", empty)
-	}
-	want, _ := FromRows([][]float64{{0.5, 0.5}, {0.375, 0.625}})
-	if !Equal(k, want, 1e-12) {
-		t.Errorf("Aggregate = %v, want %v", k.data, want.data)
-	}
-}
-
-func TestAggregateEmptyGroupAndUnassigned(t *testing.T) {
-	u, _ := FromRows([][]float64{{1, 0}, {0, 1}})
-	l := NewMembership(2, 3)
-	l.Assign(0, 2)
-	// row 1 unassigned
-	k, empty, err := l.Aggregate(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty) != 2 || empty[0] != 0 || empty[1] != 1 {
-		t.Errorf("empty = %v, want [0 1]", empty)
-	}
-	if k.At(2, 0) != 1 || k.At(2, 1) != 0 {
-		t.Errorf("group 2 row = %v", k.Row(2))
-	}
-}
-
-func TestAggregateShapeMismatch(t *testing.T) {
-	l := NewMembership(3, 2)
-	if _, _, err := l.Aggregate(New(2, 2)); err == nil {
-		t.Error("Aggregate with wrong row count did not error")
-	}
-}
-
-// TestAggregateMatchesGeneral is the key validation: the sparse fast path
-// must agree with the literal K = (LᵀL)⁻¹LᵀÛ of Equation 3 whenever every
-// group is non-empty.
-func TestAggregateMatchesGeneral(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 6))
-		g := 2 + r.IntN(4)
-		m := g + r.IntN(20) // at least one row per group
-		u := randMatrix(r, m, 1+r.IntN(5))
-		l := NewMembership(m, g)
-		// Guarantee non-empty groups, then assign the rest randomly.
-		for i := 0; i < g; i++ {
-			l.Assign(i, i)
-		}
-		for i := g; i < m; i++ {
-			l.Assign(i, r.IntN(g))
-		}
-		fast, empty, err := l.Aggregate(u)
-		if err != nil || len(empty) != 0 {
-			return false
-		}
-		general, err := l.AggregateGeneral(u)
-		if err != nil {
-			return false
-		}
-		return Equal(fast, general, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAggregateGeneralSingularOnEmptyGroup(t *testing.T) {
-	u, _ := FromRows([][]float64{{1, 0}})
-	l := NewMembership(1, 2)
-	l.Assign(0, 0)
-	if _, err := l.AggregateGeneral(u); err == nil {
-		t.Error("AggregateGeneral with empty group did not error")
-	}
-}
-
-func TestMembershipDense(t *testing.T) {
-	l := NewMembership(3, 2)
-	l.Assign(0, 1)
-	l.Assign(2, 0)
-	d := l.Dense()
-	want, _ := FromRows([][]float64{{0, 1}, {0, 0}, {1, 0}})
-	if !Equal(d, want, 0) {
-		t.Errorf("Dense = %v, want %v", d.data, want.data)
-	}
-}
-
-func BenchmarkAggregateFast(b *testing.B) {
-	r := rand.New(rand.NewPCG(1, 1))
-	const m, g, n = 70000, 51, 6
-	u := randMatrix(r, m, n)
-	l := NewMembership(m, g)
-	for i := 0; i < m; i++ {
-		l.Assign(i, r.IntN(g))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := l.Aggregate(u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAggregateGeneral(b *testing.B) {
-	r := rand.New(rand.NewPCG(1, 1))
-	const m, g, n = 5000, 51, 6 // the dense path is O(m·g) memory; keep moderate
-	u := randMatrix(r, m, n)
-	l := NewMembership(m, g)
-	for i := 0; i < m; i++ {
-		l.Assign(i, r.IntN(g))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.AggregateGeneral(u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestSolveKnownSystem(t *testing.T) {
-	a, _ := FromRows([][]float64{{2, 1}, {1, 3}})
-	b, _ := FromRows([][]float64{{5}, {10}})
-	x, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2x + y = 5, x + 3y = 10 → x = 1, y = 3.
-	if math.Abs(x.At(0, 0)-1) > 1e-12 || math.Abs(x.At(1, 0)-3) > 1e-12 {
-		t.Errorf("Solve = %v, %v; want 1, 3", x.At(0, 0), x.At(1, 0))
-	}
-}
-
-func TestSolveMultipleRHS(t *testing.T) {
-	a, _ := FromRows([][]float64{{0, 1}, {1, 0}}) // needs pivoting
-	b, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	x, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ax, _ := Mul(a, x)
-	if !Equal(ax, b, 1e-12) {
-		t.Errorf("A·X != B: %v", ax.data)
-	}
-}
-
-func TestSolveErrors(t *testing.T) {
-	if _, err := Solve(New(2, 3), New(2, 1)); err == nil {
-		t.Error("non-square A accepted")
-	}
-	if _, err := Solve(New(2, 2), New(3, 1)); err == nil {
-		t.Error("mismatched B accepted")
-	}
-	sing, _ := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Solve(sing, New(2, 1)); err == nil {
-		t.Error("singular A accepted")
-	}
-}
-
-func TestSolveAgainstInverseProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 10))
-		n := 1 + r.IntN(7)
-		a := randMatrix(r, n, n)
-		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n)+1) // diagonally dominant
-		}
-		b := randMatrix(r, n, 1+r.IntN(4))
-		x1, err1 := Solve(a, b)
-		inv, err2 := Inverse(a)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		x2, _ := Mul(inv, b)
-		return Equal(x1, x2, 1e-8)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
 }

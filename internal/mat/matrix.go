@@ -1,23 +1,17 @@
-// Package mat implements the small dense-matrix algebra the
-// characterization method needs: transpose, multiplication, Gauss-Jordan
-// inversion, row normalization, and the least-squares aggregation
-// K = (LᵀL)⁻¹LᵀÛ of the paper's Equation 3 — including a fast path for
-// the disjoint-membership case where LᵀL is diagonal.
+// Package mat holds the numeric storage the characterization method
+// runs on: a dense row-major float64 matrix with row normalization (the
+// Û of the paper), and Exact, the order-independent accumulator behind
+// every Equation 3 group sum.
 //
 // The package is deliberately minimal and allocation-conscious rather than
-// a general linear-algebra library: matrices here are at most a few tens
-// of thousands of rows by a handful of columns.
+// a general linear-algebra library: matrices here are at most a few million
+// rows by a handful of columns.
 package mat
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
-
-// ErrSingular is returned when a matrix inversion or solve encounters a
-// (numerically) singular matrix.
-var ErrSingular = errors.New("mat: singular matrix")
 
 // ErrShape is returned when operand dimensions are incompatible.
 var ErrShape = errors.New("mat: incompatible shapes")
@@ -30,12 +24,6 @@ type Matrix struct {
 	rows, cols int
 	data       []float64
 }
-
-// Dense is the name the analytics packages use for the shared flat
-// row-major matrix. It is the same type as Matrix; the alias exists so
-// call sites can say what they mean (a dense numeric block, not the
-// package's algebra entry point).
-type Dense = Matrix
 
 // New returns a zero matrix with the given shape. It panics if either
 // dimension is non-positive, since a zero-sized matrix is always a
@@ -61,15 +49,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 		copy(m.data[i*m.cols:(i+1)*m.cols], r)
 	}
 	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
 }
 
 // FromFlat adopts data as the backing store of a rows×cols matrix
@@ -145,182 +124,11 @@ func (m *Matrix) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product a·b.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("%w: %dx%d · %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	c := New(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		crow := c.data[i*c.cols : (i+1)*c.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-	return c, nil
-}
-
-// Inverse returns the inverse of a square matrix via Gauss-Jordan
-// elimination with partial pivoting. It returns ErrSingular when a pivot
-// is numerically zero.
-func Inverse(a *Matrix) (*Matrix, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("%w: inverse of %dx%d", ErrShape, a.rows, a.cols)
-	}
-	n := a.rows
-	// Augment [A | I] and reduce.
-	w := New(n, 2*n)
-	for i := 0; i < n; i++ {
-		copy(w.data[i*2*n:i*2*n+n], a.data[i*n:(i+1)*n])
-		w.data[i*2*n+n+i] = 1
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot: largest |value| in this column at or below row col.
-		pivot := col
-		best := math.Abs(w.data[col*2*n+col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(w.data[r*2*n+col]); v > best {
-				best, pivot = v, r
-			}
-		}
-		if best < 1e-12 {
-			return nil, fmt.Errorf("%w: pivot %d", ErrSingular, col)
-		}
-		if pivot != col {
-			swapRows(w, pivot, col)
-		}
-		// Scale pivot row to 1.
-		pv := w.data[col*2*n+col]
-		prow := w.data[col*2*n : (col+1)*2*n]
-		for j := range prow {
-			prow[j] /= pv
-		}
-		// Eliminate the column from every other row.
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := w.data[r*2*n+col]
-			if f == 0 {
-				continue
-			}
-			rrow := w.data[r*2*n : (r+1)*2*n]
-			for j := range rrow {
-				rrow[j] -= f * prow[j]
-			}
-		}
-	}
-	inv := New(n, n)
-	for i := 0; i < n; i++ {
-		copy(inv.data[i*n:(i+1)*n], w.data[i*2*n+n:(i+1)*2*n])
-	}
-	return inv, nil
-}
-
-// Solve returns X solving A·X = B for square A via Gaussian elimination
-// with partial pivoting — numerically preferable to forming A⁻¹ when the
-// inverse itself is not needed. It returns ErrSingular on a (numerically)
-// singular A.
-func Solve(a, b *Matrix) (*Matrix, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("%w: solve with %dx%d coefficient matrix", ErrShape, a.rows, a.cols)
-	}
-	if a.rows != b.rows {
-		return nil, fmt.Errorf("%w: solve %dx%d against %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	n, m := a.rows, b.cols
-	// Augment [A | B].
-	w := New(n, n+m)
-	for i := 0; i < n; i++ {
-		copy(w.data[i*(n+m):i*(n+m)+n], a.data[i*n:(i+1)*n])
-		copy(w.data[i*(n+m)+n:(i+1)*(n+m)], b.data[i*m:(i+1)*m])
-	}
-	stride := n + m
-	// Forward elimination with partial pivoting.
-	for col := 0; col < n; col++ {
-		pivot := col
-		best := math.Abs(w.data[col*stride+col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(w.data[r*stride+col]); v > best {
-				best, pivot = v, r
-			}
-		}
-		if best < 1e-12 {
-			return nil, fmt.Errorf("%w: pivot %d", ErrSingular, col)
-		}
-		if pivot != col {
-			swapRows(w, pivot, col)
-		}
-		prow := w.data[col*stride : (col+1)*stride]
-		for r := col + 1; r < n; r++ {
-			f := w.data[r*stride+col] / prow[col]
-			if f == 0 {
-				continue
-			}
-			rrow := w.data[r*stride : (r+1)*stride]
-			for j := col; j < stride; j++ {
-				rrow[j] -= f * prow[j]
-			}
-		}
-	}
-	// Back substitution.
-	x := New(n, m)
-	for i := n - 1; i >= 0; i-- {
-		irow := w.data[i*stride : (i+1)*stride]
-		for j := 0; j < m; j++ {
-			v := irow[n+j]
-			for k := i + 1; k < n; k++ {
-				v -= irow[k] * x.data[k*m+j]
-			}
-			x.data[i*m+j] = v / irow[i]
-		}
-	}
-	return x, nil
-}
-
-func swapRows(m *Matrix, a, b int) {
-	ra := m.data[a*m.cols : (a+1)*m.cols]
-	rb := m.data[b*m.cols : (b+1)*m.cols]
-	for j := range ra {
-		ra[j], rb[j] = rb[j], ra[j]
-	}
 }
 
 // NormalizeRows scales every row of m in place so it sums to 1, turning
@@ -343,33 +151,4 @@ func (m *Matrix) NormalizeRows() (zeroRows []int) {
 		}
 	}
 	return zeroRows
-}
-
-// Equal reports whether a and b have the same shape and all elements agree
-// within tol.
-func Equal(a, b *Matrix, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i, v := range a.data {
-		if math.Abs(v-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxAbsDiff returns the largest absolute elementwise difference between a
-// and b. It panics on shape mismatch.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic("mat: MaxAbsDiff shape mismatch")
-	}
-	max := 0.0
-	for i, v := range a.data {
-		if d := math.Abs(v - b.data[i]); d > max {
-			max = d
-		}
-	}
-	return max
 }

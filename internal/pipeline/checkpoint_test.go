@@ -38,7 +38,7 @@ func assertDatasetsEqual(t *testing.T, got, want *Dataset) {
 	if gt != wt || gu != wu {
 		t.Errorf("Figure 2(b) mismatch: (%v,%v) vs (%v,%v)", gt, gu, wt, wu)
 	}
-	if !reflect.DeepEqual(got.StateOf(), want.StateOf()) {
+	if !reflect.DeepEqual(stateMap(got), stateMap(want)) {
 		t.Error("user → state map mismatch")
 	}
 }

@@ -340,38 +340,6 @@ func (d *Dataset) TotalCollected() int { return d.totalCollected }
 // GeoTagged returns how many retained US tweets were located via GPS.
 func (d *Dataset) GeoTagged() int { return d.geoTagged }
 
-// StateOf materializes the userID → state map. It allocates O(users);
-// the analysis paths use StateLookup instead, which answers per-id
-// queries straight off the store's hash index. StateOf remains for
-// callers that genuinely want a snapshot map.
-func (d *Dataset) StateOf() map[int64]string {
-	out := make(map[int64]string, d.store.Len())
-	d.EachUserState(func(id int64, code string) { out[id] = code })
-	return out
-}
-
-// StateLookup returns an O(1) userID → state resolver backed by the
-// store's hash index. The returned closure reads live store state; it is
-// only valid while the dataset is not mutated concurrently.
-func (d *Dataset) StateLookup() core.StateLookup {
-	return func(id int64) (string, bool) {
-		row, ok := d.store.Find(id)
-		if !ok {
-			return "", false
-		}
-		return d.store.StateCode(row), true
-	}
-}
-
-// EachUserState calls fn with every retained user's id and state code,
-// straight off the columns — no map allocation. Iteration order is
-// unspecified.
-func (d *Dataset) EachUserState(fn func(id int64, code string)) {
-	for row := int32(0); row < int32(d.store.Len()); row++ {
-		fn(d.store.ID(row), d.store.StateCode(row))
-	}
-}
-
 // EachStateSlice iterates the per-state bitset indices: fn receives each
 // interned state's code, its retained user count, and the column sums of
 // its users' organ mentions. States whose users were all deleted are
@@ -388,17 +356,11 @@ func (d *Dataset) EachStateSlice(fn func(code string, users int, mentions [organ
 	}
 }
 
-// BuildAttention constructs the normalized attention matrix Û over the
-// retained users, straight from the store's id column and row-major
-// mention matrix — no per-user map or copy-into-matrix step.
-func (d *Dataset) BuildAttention() (*core.Attention, error) {
-	return core.AttentionFromCounts(d.store.IDs(), d.store.Mentions())
-}
-
-// BuildAttentionStates is BuildAttention that also returns each Û row's
-// geo.StateCodes() row (-1 when the user's state is not a known code),
-// read through the store's interned state column — no per-user id
-// lookup.
+// BuildAttentionStates constructs the normalized attention matrix Û over
+// the retained users, straight from the store's id column and row-major
+// mention matrix, and returns each Û row's geo.StateCodes() row (-1 when
+// the user's state is not a known code), read through the store's
+// interned state column — no per-user map or id lookup.
 func (d *Dataset) BuildAttentionStates() (*core.Attention, []int16, error) {
 	att, src, err := core.AttentionWithSources(d.store.IDs(), d.store.Mentions())
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"donorsense/internal/gen"
+	"donorsense/internal/geo"
 	"donorsense/internal/organ"
 	"donorsense/internal/twitter"
 )
@@ -23,6 +24,13 @@ func TestMain(m *testing.M) {
 		sharedDataset.Process(tw)
 	}
 	m.Run()
+}
+
+// stateMap returns every retained user's state code by user id.
+func stateMap(d *Dataset) map[int64]string {
+	out := make(map[int64]string, d.Users())
+	d.EachUser(func(u *UserRecord) { out[u.ID] = u.StateCode })
+	return out
 }
 
 func TestProcessOutcomes(t *testing.T) {
@@ -67,8 +75,8 @@ func TestGeoTagBeatsProfile(t *testing.T) {
 	if got := d.Process(tw); got != CollectedUS {
 		t.Fatalf("geo-tagged tweet outcome = %v", got)
 	}
-	if d.StateOf()[1] != "KS" {
-		t.Errorf("state = %s, want KS", d.StateOf()[1])
+	if got := stateMap(d)[1]; got != "KS" {
+		t.Errorf("state = %s, want KS", got)
 	}
 	if d.GeoTagged() != 1 {
 		t.Error("geo-tag not counted")
@@ -184,12 +192,19 @@ func TestFigure2bCrossover(t *testing.T) {
 }
 
 func TestBuildAttentionMatchesUsers(t *testing.T) {
-	a, err := sharedDataset.BuildAttention()
+	a, states, err := sharedDataset.BuildAttentionStates()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Users() != sharedDataset.Users() {
-		t.Errorf("attention users = %d, dataset users = %d", a.Users(), sharedDataset.Users())
+	if a.Users() != sharedDataset.Users() || len(states) != a.Users() {
+		t.Errorf("attention users = %d, state rows = %d, dataset users = %d", a.Users(), len(states), sharedDataset.Users())
+	}
+	// Every state row is the user's own state.
+	byID := stateMap(sharedDataset)
+	for r, id := range a.UserIDs() {
+		if want := geo.StateIndex(byID[id]); int(states[r]) != want {
+			t.Fatalf("row %d (user %d) state %d, want %d", r, id, states[r], want)
+		}
 	}
 	// Every attention row must be a distribution.
 	for i := 0; i < a.Users(); i++ {
@@ -204,7 +219,7 @@ func TestBuildAttentionMatchesUsers(t *testing.T) {
 }
 
 func TestStateAssignmentAccuracy(t *testing.T) {
-	states := sharedDataset.StateOf()
+	states := stateMap(sharedDataset)
 	checked, wrong := 0, 0
 	for id, code := range states {
 		p := sharedCorpus.Profiles[id]

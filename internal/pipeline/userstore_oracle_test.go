@@ -105,26 +105,60 @@ func (o *mapStoreOracle) process(t twitter.Tweet) {
 	o.mentionSum += distinct
 }
 
-// attention builds Û the old way: the map-based AttentionBuilder.
-func (o *mapStoreOracle) attention(t *testing.T) *core.Attention {
+// attention builds Û from the oracle's per-user counts, with each row's
+// geo.StateCodes() row read from the oracle's map.
+func (o *mapStoreOracle) attention(t *testing.T) (*core.Attention, []int16) {
 	t.Helper()
-	b := core.NewAttentionBuilder()
+	ids := make([]int64, 0, len(o.users))
+	counts := make([]int32, 0, len(o.users)*organ.Count)
 	for id, u := range o.users {
-		b.Observe(id, u.Mentions)
+		ids = append(ids, id)
+		for _, m := range u.Mentions {
+			counts = append(counts, int32(m))
+		}
 	}
-	att, err := b.Build()
+	att, err := core.AttentionFromCounts(ids, counts)
 	if err != nil {
 		t.Fatalf("oracle attention: %v", err)
 	}
-	return att
+	states := make([]int16, att.Users())
+	for r, id := range att.UserIDs() {
+		states[r] = int16(geo.StateIndex(o.users[id].StateCode))
+	}
+	return att, states
 }
 
-func (o *mapStoreOracle) stateOf() map[int64]string {
-	out := make(map[int64]string, len(o.users))
-	for id, u := range o.users {
-		out[id] = u.StateCode
+// figuresOf computes Figure 4, Figure 5 and the winner-takes-all
+// baseline from Û and its rows' states, the way a cold build does.
+func figuresOf(att *core.Attention, states []int16) (*core.RegionCharacterization, *core.HighlightResult, map[string]organ.Organ, error) {
+	sums := core.NewGroupSums(len(geo.StateCodes()))
+	cells := core.NewStateOrganCells()
+	for r, s := range states {
+		if s < 0 {
+			continue
+		}
+		row := att.Matrix().RowView(r)
+		if err := sums.Fold(int(s), row, 1); err != nil {
+			return nil, nil, nil, err
+		}
+		mask := uint8(0)
+		for j, v := range row {
+			if v > 0 {
+				mask |= 1 << j
+			}
+		}
+		cells.AddUser(int(s), mask, 1)
 	}
-	return out
+	rc, err := sums.Regions()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	h, err := cells.Highlight()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	w, err := cells.WinnerTakesAll()
+	return rc, h, w, err
 }
 
 // assertMatchesOracle checks every paper statistic of d bit-for-bit
@@ -186,18 +220,18 @@ func assertMatchesOracle(t *testing.T, label string, d *Dataset, o *mapStoreOrac
 	}
 
 	// Attention: same users, same row order, bit-identical Û.
-	att, err := d.BuildAttention()
+	att, states, err := d.BuildAttentionStates()
 	if err != nil {
 		t.Fatalf("%s: attention: %v", label, err)
 	}
-	oatt := o.attention(t)
+	oatt, ostates := o.attention(t)
 	if att.Users() != oatt.Users() {
 		t.Fatalf("%s: attention rows %d, oracle %d", label, att.Users(), oatt.Users())
 	}
 	gotIDs, wantIDs := att.UserIDs(), oatt.UserIDs()
 	for r := range gotIDs {
-		if gotIDs[r] != wantIDs[r] {
-			t.Fatalf("%s: attention row %d id %d, oracle %d", label, r, gotIDs[r], wantIDs[r])
+		if gotIDs[r] != wantIDs[r] || states[r] != ostates[r] {
+			t.Fatalf("%s: attention row %d id %d state %d, oracle %d state %d", label, r, gotIDs[r], states[r], wantIDs[r], ostates[r])
 		}
 		gr, wr := att.Matrix().RowView(r), oatt.Matrix().RowView(r)
 		for c := range gr {
@@ -207,44 +241,28 @@ func assertMatchesOracle(t *testing.T, label string, d *Dataset, o *mapStoreOrac
 		}
 	}
 
+	gotRC, gotH, gotW, err1 := figuresOf(att, states)
+	wantRC, wantH, wantW, err2 := figuresOf(oatt, ostates)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("%s: figures: %v / %v", label, err1, err2)
+	}
 	// State signatures (Figure 4): float-exact K.
-	stateOf := o.stateOf()
-	gotRC, err1 := core.CharacterizeRegionsFunc(att, d.StateLookup())
-	wantRC, err2 := core.CharacterizeRegions(oatt, stateOf)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("%s: region errors diverge: %v vs %v", label, err1, err2)
-	}
-	if err1 == nil {
-		for s := 0; s < len(wantRC.StateCodes); s++ {
-			gr, wr := gotRC.K.RowView(s), wantRC.K.RowView(s)
-			for c := range gr {
-				if gr[c] != wr[c] {
-					t.Fatalf("%s: K[%s,%d] = %v, oracle %v", label, wantRC.StateCodes[s], c, gr[c], wr[c])
-				}
+	for s := 0; s < len(wantRC.StateCodes); s++ {
+		gr, wr := gotRC.K.RowView(s), wantRC.K.RowView(s)
+		for c := range gr {
+			if gr[c] != wr[c] {
+				t.Fatalf("%s: K[%s,%d] = %v, oracle %v", label, wantRC.StateCodes[s], c, gr[c], wr[c])
 			}
 		}
 	}
-
 	// Relative risks (Figure 5): bit-identical estimates and intervals.
-	gotH, err1 := core.HighlightOrgansFunc(att, d.StateLookup())
-	wantH, err2 := core.HighlightOrgans(oatt, stateOf)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("%s: highlight errors diverge: %v vs %v", label, err1, err2)
-	}
-	if err1 == nil {
-		for s := range wantH.Risks {
-			for j := range wantH.Risks[s] {
-				if gotH.Risks[s][j] != wantH.Risks[s][j] {
-					t.Fatalf("%s: RR[%s][%d] = %+v, oracle %+v", label,
-						wantH.StateCodes[s], j, gotH.Risks[s][j], wantH.Risks[s][j])
-				}
+	for s := range wantH.Risks {
+		for j := range wantH.Risks[s] {
+			if gotH.Risks[s][j] != wantH.Risks[s][j] {
+				t.Fatalf("%s: RR[%s][%d] = %+v, oracle %+v", label,
+					wantH.StateCodes[s], j, gotH.Risks[s][j], wantH.Risks[s][j])
 			}
 		}
-	}
-	gotW, err1 := core.WinnerTakesAllFunc(att, d.StateLookup())
-	wantW, err2 := core.WinnerTakesAll(oatt, stateOf)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("%s: winner-takes-all errors diverge: %v vs %v", label, err1, err2)
 	}
 	for code, want := range wantW {
 		if gotW[code] != want {
@@ -255,8 +273,8 @@ func assertMatchesOracle(t *testing.T, label string, d *Dataset, o *mapStoreOrac
 	// Cluster assignments (Figure 7): identical labels row for row.
 	if att.Users() >= 12 {
 		cfg := cluster.KMeansConfig{K: 12, Seed: 1, Restarts: 2}
-		gotKM, err1 := cluster.KMeansDense(att.Matrix(), cfg)
-		wantKM, err2 := cluster.KMeansDense(oatt.Matrix(), cfg)
+		gotKM, err1 := cluster.KMeans(att.Matrix(), cfg)
+		wantKM, err2 := cluster.KMeans(oatt.Matrix(), cfg)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: kmeans: %v / %v", label, err1, err2)
 		}

@@ -20,9 +20,12 @@ import (
 // Figure 5, the per-group characterization state, the pairwise-distance
 // cache, and the K-Means warm state — and on each Refresh folds in only
 // the users the dataset changed since the previous one (DESIGN.md §14).
-// The produced *Analysis is bit-identical to what Analyze would compute
-// over the same dataset (with Warm off; warm K-Means is converged-equal,
-// reached through a resumed rather than restarted run).
+// Analyze is this engine's cold build, so a refresh's *Analysis is
+// bit-identical to Analyze over the same dataset in everything but
+// Figure 7: the K-Means clustering resumes from the previous refresh's
+// converged state (labels of changed rows invalidated) instead of
+// restarting, and is converged-equal to a cold run rather than
+// bit-identical.
 //
 // Cost of a warm Refresh. The per-user work — classifying the dirty
 // rows, the accumulator updates (including the exact Equation 3 group
@@ -47,12 +50,6 @@ import (
 type Engine struct {
 	d   *pipeline.Dataset
 	cfg AnalysisConfig
-
-	// Warm resumes K-Means from the previous refresh's converged state
-	// (labels of changed rows invalidated) instead of cold-starting with
-	// restarts. On: refreshes stop paying the dominant clustering cost.
-	// Off: every refresh's clustering is bit-identical to Analyze's.
-	Warm bool
 
 	att *core.Attention
 
@@ -89,10 +86,10 @@ type Engine struct {
 
 // NewEngine wraps a dataset for incremental analysis, enabling its
 // change tracking. The first Refresh is a cold build; subsequent ones
-// consume deltas. Warm-started K-Means is on by default.
+// consume deltas.
 func NewEngine(d *pipeline.Dataset, cfg AnalysisConfig) *Engine {
 	d.EnableDeltaTracking()
-	return &Engine{d: d, cfg: cfg, Warm: true}
+	return &Engine{d: d, cfg: cfg}
 }
 
 // SetMetrics attaches refresh instrumentation (nil disables).
@@ -119,8 +116,9 @@ func (e *Engine) LastRefresh() (dirtyRows int, latency time.Duration, cold bool)
 	return e.lastDirty, e.lastLatency, e.lastCold
 }
 
-// Refresh stages timed on the report.refresh span, in order. On a cold
-// build the patch stage is the build of Û.
+// Refresh stages, in order, timed on the report.refresh span and on the
+// donorsense_analyze_stage_seconds histogram. On a cold build the patch
+// stage is the build of Û.
 const (
 	stagePatch        = iota // Û patch and the splice of its row-aligned columns
 	stageCharacterize        // accumulator updates and Figures 3 and 4
@@ -167,6 +165,9 @@ func (e *Engine) Refresh() (*Analysis, error) {
 		m.refresh.Since(start)
 		m.epoch.Set(float64(e.Epoch()))
 		m.dirty.Set(float64(dirty))
+		for i, d := range e.stages {
+			m.stages[i].Observe(d.Seconds())
+		}
 	}
 	if sp != nil {
 		// At most eight attributes fit a span: two always, four stages,
@@ -204,9 +205,8 @@ func (e *Engine) reset() {
 	e.kmWarm = nil
 }
 
-// coldBuild computes everything from scratch — the same work Analyze
-// does, through the cache- and accumulator-aware entry points — and
-// seeds the incremental state from the results.
+// coldBuild computes everything from scratch and seeds the incremental
+// state from the results. It is all of Analyze.
 func (e *Engine) coldBuild() (*Analysis, error) {
 	clock := time.Now()
 	att, states, err := e.d.BuildAttentionStates()
@@ -244,7 +244,7 @@ func (e *Engine) userRow(r int) userRow {
 	ur := userRow{state: e.states[r], prim: int16(e.att.PrimaryOrgan(r).Index())}
 	copy(ur.u[:], e.att.Matrix().RowView(r))
 	for j, v := range ur.u {
-		if v > 0 { // core.MentionMask, from the copy
+		if v > 0 {
 			ur.mask |= 1 << j
 		}
 	}
@@ -353,10 +353,10 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 	sort.Slice(removes, func(i, j int) bool { return removes[i] < removes[j] })
 
 	// The K-Means warm state is row-aligned with Û and is kept aligned
-	// through the splice below; with Warm off it is recaptured cold on
-	// every refresh, so there is nothing to keep.
+	// through the splice below; a state restored for another Û is
+	// dropped, and the clustering cold-starts.
 	ws := e.kmWarm
-	if !e.Warm || (ws != nil && len(ws.Labels) != e.att.Users()) {
+	if ws != nil && len(ws.Labels) != e.att.Users() {
 		ws, e.kmWarm = nil, nil
 	}
 
@@ -475,7 +475,6 @@ func (e *Engine) assemble(stateDirty func(code string) bool) (*Analysis, error) 
 	a.Spearman = sp
 
 	a.Attention = e.att
-	a.StateOf = d.StateLookup()
 	a.Organs, a.Regions = e.organs, e.regions
 
 	if a.Highlight, err = e.acc.cells.Highlight(); err != nil {
@@ -498,14 +497,10 @@ func (e *Engine) assemble(stateDirty func(code string) bool) (*Analysis, error) 
 
 	u := e.att.Matrix()
 	if cfg.KUsers > 0 && u.Rows() >= cfg.KUsers {
-		warm := e.kmWarm
-		if !e.Warm {
-			warm = nil
-		}
 		e.lap(stageAssemble, &clock)
-		res, ws, _, kerr := cluster.KMeansDenseWarm(u, cluster.KMeansConfig{
+		res, ws, _, kerr := cluster.KMeansWarm(u, cluster.KMeansConfig{
 			K: cfg.KUsers, Seed: cfg.Seed, Restarts: 2, Workers: cfg.Workers,
-		}, warm)
+		}, e.kmWarm)
 		e.lap(stageKMeans, &clock)
 		if kerr != nil {
 			return nil, fmt.Errorf("report: figure 7: %w", kerr)
@@ -513,10 +508,8 @@ func (e *Engine) assemble(stateDirty func(code string) bool) (*Analysis, error) 
 		a.Clusters = res
 		e.kmWarm = ws
 	}
-	if len(cfg.SweepKs) > 0 && u.Rows() > maxInt(cfg.SweepKs) {
-		if a.Sweep, err = cluster.SweepKDense(u, cfg.SweepKs, cfg.Seed, cfg.SilhouetteSample, cfg.Workers); err != nil {
-			return nil, fmt.Errorf("report: k sweep: %w", err)
-		}
+	if err := a.RunSweep(cfg); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

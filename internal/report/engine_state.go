@@ -4,24 +4,26 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"strings"
 
 	"donorsense/internal/cluster"
 	"donorsense/internal/obs"
 	"donorsense/internal/organ"
 )
 
-// EngineMetrics instruments the incremental engine: refresh latency, the
-// attention epoch, and the rows applied by the last refresh. Attach via
-// Engine.SetMetrics.
+// EngineMetrics instruments the incremental engine: refresh latency and
+// its per-stage split, the attention epoch, and the rows applied by the
+// last refresh. Attach via Engine.SetMetrics.
 type EngineMetrics struct {
 	refresh *obs.Histogram
+	stages  [numStages]*obs.Histogram
 	epoch   *obs.Gauge
 	dirty   *obs.Gauge
 }
 
 // NewEngineMetrics registers the analytics metric families on reg.
 func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
-	return &EngineMetrics{
+	m := &EngineMetrics{
 		refresh: reg.Histogram("donorsense_analytics_refresh_seconds",
 			"Incremental analysis refresh latency (delta drain through full report assembly).",
 			obs.ExpBuckets(0.001, 2, 14)),
@@ -30,6 +32,13 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 		dirty: reg.Gauge("donorsense_analytics_dirty_rows",
 			"User rows applied by the last analysis refresh."),
 	}
+	stage := reg.HistogramVec("donorsense_analyze_stage_seconds",
+		"Per-stage analysis refresh latency (patch, characterize, kmeans, assemble).",
+		nil, "stage")
+	for i, attr := range stageAttrs {
+		m.stages[i] = stage.With(strings.TrimSuffix(attr, "_us"))
+	}
+	return m
 }
 
 // engineWarmBlob is the gob shape of the persisted clustering warm state
@@ -61,7 +70,7 @@ func (e *Engine) MarshalWarm() ([]byte, error) {
 // [-1, k), non-finite centroids, or negative or non-finite bounds — is
 // refused with an error and leaves the engine as it was, so callers can
 // ignore it and cold-start. A state that is consistent but stale (a
-// different row count) is safe to restore: KMeansDenseWarm cold-starts
+// different row count) is safe to restore: cluster.KMeansWarm cold-starts
 // when it does not fit the data. A nil/empty blob is a no-op.
 //
 // Any byte string is safe to pass: decoding never panics, and it

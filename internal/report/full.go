@@ -2,8 +2,8 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 
 	"donorsense/internal/cluster"
 	"donorsense/internal/core"
@@ -23,10 +23,6 @@ type Analysis struct {
 	MultiUsers  [organ.Count]int
 
 	Attention *core.Attention
-	// StateOf resolves a user id to its state straight off the dataset's
-	// columnar store — no O(users) map is materialized for the region
-	// analyses anymore.
-	StateOf core.StateLookup
 
 	Organs    *core.OrganCharacterization  // Figure 3
 	Regions   *core.RegionCharacterization // Figure 4
@@ -60,8 +56,6 @@ type AnalysisConfig struct {
 	// Workers bounds the concurrency of the clustering passes
 	// (0 = GOMAXPROCS). Results are bit-identical for any value.
 	Workers int
-	// Metrics, when non-nil, records per-stage latencies.
-	Metrics *Metrics
 }
 
 // DefaultAnalysisConfig mirrors the paper's choices.
@@ -77,87 +71,27 @@ func DefaultAnalysisConfig() AnalysisConfig {
 // Analyze runs the complete evaluation of the paper over a processed
 // dataset: Table I, Figure 2 histograms and Spearman validation, the
 // organ/region characterizations, RR highlighting, state clustering, and
-// user clustering.
+// user clustering. It is the Engine's cold build, run on a fresh engine
+// that neither enables nor drains the dataset's change tracking, so an
+// Analyze next to a live Engine leaves that engine's delta alone.
 func Analyze(d *pipeline.Dataset, cfg AnalysisConfig) (*Analysis, error) {
-	a := &Analysis{
-		Stats:      d.Stats(),
-		Popularity: d.UsersPerOrgan(),
-		KUsers:     cfg.KUsers,
-	}
-	a.MultiTweets, a.MultiUsers = d.MultiOrganHistogram()
-
-	sp, err := d.PopularityCorrelation()
-	if err != nil {
-		return nil, fmt.Errorf("report: popularity correlation: %w", err)
-	}
-	a.Spearman = sp
-
-	start := time.Now()
-	att, err := d.BuildAttention()
-	if err != nil {
-		return nil, fmt.Errorf("report: attention: %w", err)
-	}
-	cfg.Metrics.observe(StageAttention, start)
-	a.Attention = att
-	a.StateOf = d.StateLookup()
-
-	start = time.Now()
-	if a.Organs, err = core.CharacterizeOrgans(att); err != nil {
-		return nil, fmt.Errorf("report: figure 3: %w", err)
-	}
-	if a.Regions, err = core.CharacterizeRegionsFunc(att, a.StateOf); err != nil {
-		return nil, fmt.Errorf("report: figure 4: %w", err)
-	}
-	if a.Highlight, err = core.HighlightOrgansFunc(att, a.StateOf); err != nil {
-		return nil, fmt.Errorf("report: figure 5: %w", err)
-	}
-	if a.Baseline, err = core.WinnerTakesAllFunc(att, a.StateOf); err != nil {
-		return nil, fmt.Errorf("report: winner-takes-all: %w", err)
-	}
-	cfg.Metrics.observe(StageCharacterize, start)
-
-	rows, codes := a.Regions.NonEmptyRows()
-	a.StateCodes = codes
-	if len(rows) >= 2 {
-		start = time.Now()
-		if a.StateDist, err = cluster.PairwiseMatrixWorkers(rows, cluster.Bhattacharyya, cfg.Workers); err != nil {
-			return nil, fmt.Errorf("report: figure 6 distances: %w", err)
-		}
-		if a.Dendrogram, err = cluster.Agglomerative(a.StateDist, cluster.AverageLinkage); err != nil {
-			return nil, fmt.Errorf("report: figure 6 clustering: %w", err)
-		}
-		cfg.Metrics.observe(StageStateCluster, start)
-	}
-
-	// The user clustering runs zero-copy against Û's flat matrix.
-	u := att.Matrix()
-	if cfg.KUsers > 0 && u.Rows() >= cfg.KUsers {
-		start = time.Now()
-		if a.Clusters, err = cluster.KMeansDense(u, cluster.KMeansConfig{
-			K: cfg.KUsers, Seed: cfg.Seed, Restarts: 2, Workers: cfg.Workers,
-		}); err != nil {
-			return nil, fmt.Errorf("report: figure 7: %w", err)
-		}
-		cfg.Metrics.observe(StageUserCluster, start)
-	}
-	if len(cfg.SweepKs) > 0 && u.Rows() > maxInt(cfg.SweepKs) {
-		start = time.Now()
-		if a.Sweep, err = cluster.SweepKDense(u, cfg.SweepKs, cfg.Seed, cfg.SilhouetteSample, cfg.Workers); err != nil {
-			return nil, fmt.Errorf("report: k sweep: %w", err)
-		}
-		cfg.Metrics.observe(StageSweep, start)
-	}
-	return a, nil
+	e := &Engine{d: d, cfg: cfg}
+	return e.coldBuild()
 }
 
-func maxInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
+// RunSweep fills a.Sweep with the K-Means model-selection sweep over Û
+// at cfg.SweepKs. It leaves Sweep nil when cfg lists no ks or when there
+// are no more users than the largest k.
+func (a *Analysis) RunSweep(cfg AnalysisConfig) error {
+	u := a.Attention.Matrix()
+	if len(cfg.SweepKs) == 0 || u.Rows() <= slices.Max(cfg.SweepKs) {
+		return nil
 	}
-	return m
+	var err error
+	if a.Sweep, err = cluster.SweepK(u, cfg.SweepKs, cfg.Seed, cfg.SilhouetteSample, cfg.Workers); err != nil {
+		return fmt.Errorf("report: k sweep: %w", err)
+	}
+	return nil
 }
 
 // Render produces the complete textual report, every table and figure in

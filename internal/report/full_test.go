@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"donorsense/internal/core"
 	"donorsense/internal/gen"
 	"donorsense/internal/geo"
 	"donorsense/internal/organ"
@@ -124,14 +123,14 @@ func TestFigure5SignificanceAtScale(t *testing.T) {
 	for _, tw := range corpus.Tweets {
 		d.Process(tw)
 	}
-	att, err := d.BuildAttention()
+	cfg := DefaultAnalysisConfig()
+	cfg.KUsers = 0 // Figure 5 and the baseline only
+	cfg.SweepKs = nil
+	a, err := Analyze(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := core.HighlightOrgans(att, d.StateOf())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := a.Highlight
 	kidneyStates := h.StatesHighlighting(organ.Kidney)
 	foundKS := false
 	for _, code := range kidneyStates {
@@ -177,10 +176,7 @@ func TestFigure5SignificanceAtScale(t *testing.T) {
 	// The raw-count baseline names heart in the overwhelming majority of
 	// states — the paper's §IV-B1 blind spot ("most states have their
 	// first-most-mentioned organ as heart").
-	w, err := core.WinnerTakesAll(att, d.StateOf())
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := a.Baseline
 	heartWins, total := 0, 0
 	for _, code := range h.StateCodes {
 		if w[code] == organ.Organ(-1) {

@@ -7,6 +7,8 @@ import (
 
 	"donorsense/internal/cluster"
 	"donorsense/internal/core"
+	"donorsense/internal/geo"
+	"donorsense/internal/mat"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
 	"donorsense/internal/stats"
@@ -75,35 +77,37 @@ func TestMultiOrganText(t *testing.T) {
 	}
 }
 
-func buildSmallCharacterization(t *testing.T) (*core.Attention, map[int64]string) {
+// buildSmallCharacterization characterizes 30 users, alternately in KS
+// and TX, each with two mentions of one organ and one of the next.
+func buildSmallCharacterization(t *testing.T) (*core.OrganCharacterization, *core.RegionCharacterization) {
 	t.Helper()
-	b := core.NewAttentionBuilder()
-	states := map[int64]string{}
-	var m [organ.Count]int
-	for i := int64(1); i <= 30; i++ {
-		m = [organ.Count]int{}
-		m[int(i)%organ.Count] = 2
-		m[(int(i)+1)%organ.Count] = 1
-		b.Observe(i, m)
+	organs := core.NewGroupSums(organ.Count)
+	regions := core.NewGroupSums(len(geo.StateCodes()))
+	for i := 1; i <= 30; i++ {
+		row := make([]float64, organ.Count)
+		row[i%organ.Count] = 2.0 / 3
+		row[(i+1)%organ.Count] = 1.0 / 3
+		state := "TX"
 		if i%2 == 0 {
-			states[i] = "KS"
-		} else {
-			states[i] = "TX"
+			state = "KS"
+		}
+		if organs.Fold(i%organ.Count, row, 1) != nil || regions.Fold(geo.StateIndex(state), row, 1) != nil {
+			t.Fatal("fold refused a row")
 		}
 	}
-	a, err := b.Build()
+	oc, err := organs.Organs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, states
+	rc, err := regions.Regions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oc, rc
 }
 
 func TestOrganCharacterizationText(t *testing.T) {
-	a, _ := buildSmallCharacterization(t)
-	oc, err := core.CharacterizeOrgans(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oc, _ := buildSmallCharacterization(t)
 	out := OrganCharacterizationText(oc)
 	for _, name := range organ.Names() {
 		if !strings.Contains(out, "["+name+"]") {
@@ -113,11 +117,7 @@ func TestOrganCharacterizationText(t *testing.T) {
 }
 
 func TestRegionCharacterizationText(t *testing.T) {
-	a, states := buildSmallCharacterization(t)
-	rc, err := core.CharacterizeRegions(a, states)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rc := buildSmallCharacterization(t)
 	out := RegionCharacterizationText(rc)
 	if !strings.Contains(out, "KS") || !strings.Contains(out, "TX") {
 		t.Errorf("states missing:\n%s", out)
@@ -128,26 +128,21 @@ func TestRegionCharacterizationText(t *testing.T) {
 }
 
 func TestHighlightText(t *testing.T) {
-	b := core.NewAttentionBuilder()
-	states := map[int64]string{}
-	for i := int64(1); i <= 40; i++ {
-		var m [organ.Count]int
+	c := core.NewStateOrganCells()
+	ks, tx := geo.StateIndex("KS"), geo.StateIndex("TX")
+	kidney, heart := uint8(1)<<organ.Kidney.Index(), uint8(1)<<organ.Heart.Index()
+	for i := 1; i <= 40; i++ {
 		switch {
 		case i <= 20:
-			m[organ.Kidney.Index()] = 1
-			states[i] = "KS"
+			c.AddUser(ks, kidney, 1)
 		case i <= 23:
 			// A few kidney mentions outside KS so the RR is defined.
-			m[organ.Kidney.Index()] = 1
-			states[i] = "TX"
+			c.AddUser(tx, kidney, 1)
 		default:
-			m[organ.Heart.Index()] = 1
-			states[i] = "TX"
+			c.AddUser(tx, heart, 1)
 		}
-		b.Observe(i, m)
 	}
-	a, _ := b.Build()
-	h, err := core.HighlightOrgans(a, states)
+	h, err := c.Highlight()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +163,7 @@ func TestSimilarityHeatmapAndDendrogram(t *testing.T) {
 		{0.15, 0.85, 0, 0, 0, 0},
 	}
 	codes := []string{"AA", "BB", "CC", "DD"}
-	dist, err := cluster.PairwiseMatrix(rows, cluster.Hellinger)
+	dist, err := cluster.PairwiseMatrix(rows, cluster.Hellinger, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +199,11 @@ func TestUserClustersText(t *testing.T) {
 		{1, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0},
 		{0, 1, 0, 0, 0, 0}, {0, 1, 0, 0, 0, 0}, {0, 1, 0, 0, 0, 0},
 	}
-	res, err := cluster.KMeans(rows, cluster.KMeansConfig{K: 2, Seed: 1})
+	m, err := mat.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.KMeans(m, cluster.KMeansConfig{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +247,7 @@ func TestLogBarEdgeCases(t *testing.T) {
 }
 
 func TestRegionHistogramsText(t *testing.T) {
-	a, states := buildSmallCharacterization(t)
-	rc, err := core.CharacterizeRegions(a, states)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rc := buildSmallCharacterization(t)
 	out := RegionHistogramsText(rc)
 	if !strings.Contains(out, "KS") || !strings.Contains(out, "▇") {
 		t.Errorf("histogram view malformed:\n%s", out)

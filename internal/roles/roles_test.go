@@ -8,6 +8,7 @@ import (
 
 	"donorsense/internal/cluster"
 	"donorsense/internal/gen"
+	"donorsense/internal/mat"
 	"donorsense/internal/pipeline"
 )
 
@@ -237,7 +238,11 @@ func TestKMeansClustersAlignWithRoles(t *testing.T) {
 		rows[i] = append([]float64(nil), s.X[:6]...)
 		truth[i] = s.Y
 	}
-	res, err := cluster.KMeans(rows, cluster.KMeansConfig{K: 12, Seed: 1})
+	m, err := mat.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.KMeans(m, cluster.KMeansConfig{K: 12, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
