@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test examples race check chaos-shards trace-smoke vulncheck bench benchcmp bench-userstore bench-userstore-baseline bench-incremental bench-incremental-baseline bench-serve bench-serve-baseline serve-smoke bench-paper fuzz fmt
+.PHONY: all build vet test e2e-test examples race check chaos-shards trace-smoke vulncheck bench benchcmp bench-userstore bench-userstore-baseline bench-incremental bench-incremental-baseline bench-serve bench-serve-baseline serve-smoke bench-paper fuzz fmt
 
 # Packages on the ingest hot path whose benchmarks are archived and gated.
 BENCH_PKGS = ./internal/pipeline/ ./internal/text/ ./internal/geo/
@@ -22,6 +22,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark harness's own tests. e2ebench is a separate
+# module that imports this one through a replace directive, so it runs
+# with run.sh's environment: no workspace, no proxy, the local toolchain.
+e2e-test:
+	cd e2ebench && GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) test ./...
 
 # Run every example end to end; any non-zero exit fails the target.
 EXAMPLES = quickstart statemap streaming campaign
@@ -181,12 +187,14 @@ serve-smoke:
 	sh scripts/serve_smoke.sh /tmp/donorsense /tmp/queryload
 
 # Differential fuzz of the wire codec against the encoding/json oracle,
-# and of the checkpointed analytics warm-state decoder (refuse or
-# validate, never panic, allocation bounded by the input). CI runs the
-# same targets for 30s each on every push.
+# of the checkpointed analytics warm-state decoder (refuse or validate,
+# never panic, allocation bounded by the input), and of the query API's
+# parameter parsing (only 200, 400 or 404, allocation bounded by the
+# query). CI runs the same targets for 30s each on every push.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWire -fuzztime 30s ./internal/twitter/
 	$(GO) test -run '^$$' -fuzz FuzzRestoreWarm -fuzztime 30s ./internal/report/
+	$(GO) test -run '^$$' -fuzz FuzzServeQuery -fuzztime 30s ./internal/serve/
 
 # The full per-table/per-figure benchmark suite from the repo root.
 bench-paper:

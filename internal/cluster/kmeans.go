@@ -124,8 +124,9 @@ type kmeansRun struct {
 // kmeansChunk is one chunk's contribution to a pass: vector-sum and
 // count deltas from reassignments (or, in a warm run, the reassignments
 // themselves), the chunk's farthest-point candidate for empty-cluster
-// repair, and the final pass's per-chunk sizes, inertia, and count of
-// rows that arrived labeled.
+// repair, the final pass's per-chunk sizes and inertia, and a warm
+// sweep's count of rows that arrived labeled, slack classes, and
+// candidates.
 type kmeansChunk struct {
 	deltaSums []float64 // k×dim
 	deltaCnt  []int     // k
@@ -135,6 +136,10 @@ type kmeansChunk struct {
 	sizes     []int // k
 	inertia   float64
 	labeled   int
+
+	// A warm sweep's slack classes and candidate rows.
+	hist  []int
+	cands []int32
 }
 
 // kmeansMove is one reassignment of a warm run: row left cluster from

@@ -18,33 +18,50 @@ import (
 // accumulators), and its count n_c. A caller that knows which rows
 // changed takes each one out of its cluster with Unassign before the
 // row's data changes (its vector leaves the moments and its label
-// becomes -1), and gives new rows label -1. The survivors keep their
-// entries: their bounds remain valid, because the centroids they were
-// proved against are exactly the positions the warm run starts from. A
-// resume exactly re-assigns only the -1 rows, adds them to the moments,
-// and re-enters the standard pruned Lloyd loop, whose centroids are
-// fl(S_c)·fl(1/n_c). On an unchanged dataset it converges immediately,
-// and after a small delta it typically needs one or two iterations in
-// which every clean point is pruned by its carried bounds. The final
-// pass only checks labels against the bounds, reading a row's data only
-// when its bounds fail, and serves the inertia from the moments,
-// Σ_c max(0, Q_c − 2c·S_c + n_c‖c‖²), in O(k·dim).
+// becomes -1). New rows arrive through Grow with label -1, and a row
+// that leaves is swap-removed through SwapRemove after its Unassign. The
+// survivors keep their entries: their bounds remain valid, because the
+// centroids they were proved against are exactly the positions the warm
+// run starts from. A resume exactly re-assigns only the -1 rows, adds
+// them to the moments, and re-enters the standard pruned Lloyd loop,
+// whose centroids are fl(S_c)·fl(1/n_c), until it converges. It serves
+// the inertia from the moments, Σ_c max(0, Q_c − 2c·S_c + n_c‖c‖²), in
+// O(k·dim).
+//
+// Bounds are carried lazily (Hamerly 2010, "Making k-means even
+// faster"; Ding et al. 2015, "Yinyang K-Means"), so a resume costs what
+// changed, not a pass over every row. Instead of adding each centroid
+// move to every row's bounds, the state sums the moves: a per-cluster
+// offset D_c and a global offset G that grows by the largest move of
+// each update. A row stores its upper bound less D of its cluster and
+// its lower bound plus G, so its effective bounds are Upper+D_label and
+// Lower−G and stay valid without a write. Since no D_c grows faster than
+// G, a row's slack (lower − upper) shrinks by at most 2G. The rows whose
+// slack, when last stored, was below a threshold τ form the candidate
+// list. While 2G < τ, no other row's bounds can fail, so the pruned
+// passes and the final label check visit only the candidates and the -1
+// rows, which the state lists as they arrive. Once 2G reaches τ (or the
+// list has doubled since it was built) one sweep over every row checks
+// it, restates its bounds without offsets, resets D and G, and rebuilds
+// the list; τ is chosen there from the rows' slacks, so that about one
+// row in 32 is a candidate. Stale list entries (rows that moved or left)
+// cost a re-check, never a wrong label. Every label a resume serves is
+// still the exact nearest centroid.
 //
 // Exact moments do not drift: after any history of resumes they equal a
 // re-sum of the labeled rows, and they do not depend on the order rows
 // were added or on the worker count, so a resume is bit-identical for
 // any number of workers. They are re-summed in full only when missing
 // (a state restored from a checkpoint) or when they no longer account
-// for every labeled row (a caller marked rows -1 without Unassign).
-// Data the moments cannot hold exactly (see mat.Exact) makes the warm
-// path unavailable: the run falls back to the cold path and captures no
-// state. Restarts are skipped — a warm run continues the incumbent
-// solution rather than re-searching initializations — so callers fall
-// back to the cold path (and its restarts) whenever the state is
-// missing or no longer fits the data. Warm results are verified
-// converged-equal, not bit-identical, against cold runs: the same
-// partition at an inertia within 1e-9 relative, reached through
-// different float sequences.
+// for every labeled row. Data the moments cannot hold exactly (see
+// mat.Exact) makes the warm path unavailable: the run falls back to the
+// cold path and captures no state. Restarts are skipped — a warm run
+// continues the incumbent solution rather than re-searching
+// initializations — so callers fall back to the cold path (and its
+// restarts) whenever the state is missing or no longer fits the data.
+// Warm results are verified converged-equal, not bit-identical, against
+// cold runs: the same partition at an inertia within 1e-9 relative,
+// reached through different float sequences.
 //
 // For the (≤ 51-state) agglomerative clustering the expensive part is
 // the O(n²) transcendental distance evaluations, so PairwiseCache keys
@@ -55,18 +72,22 @@ import (
 
 // KMeansWarmState is the resumable state of a converged K-Means run.
 // Labels[i] == -1 marks a row whose data changed since the state was
-// captured (bounds invalid, exact re-assignment required). A resume
-// updates the state in place; once it has been checked (Validate, or a
-// resume), callers may change it only through Unassign and by moving
-// rows in all three per-row slices together, giving inserted rows label
-// -1.
+// captured (bounds invalid, exact re-assignment required).
+//
+// The exported fields are the persisted shape. In a state that was
+// decoded, assembled by a caller, or just captured from a cold run they
+// hold plain bounds, and any of them may be written until the state's
+// first resume, which sweeps every row. From then on a resume updates
+// the state in place and tracks its rows: Upper and Lower hold bounds
+// relative to the carried offsets (Reorder states them plainly), and
+// callers change the rows only through Unassign, SwapRemove and Grow.
 type KMeansWarmState struct {
 	K         int
 	Dim       int
 	Centroids []float64 // k×dim final positions
 	Labels    []int32   // per row; -1 = dirty/new
-	Upper     []float64 // Hamerly upper bound per row
-	Lower     []float64 // Hamerly lower bound per row
+	Upper     []float64 // Hamerly upper bound per row, less its cluster's offset
+	Lower     []float64 // Hamerly lower bound per row, plus the global offset
 
 	// Carried between resumes, not persisted.
 	sums    []mat.Exact   // k×dim exact vector sums S_c of the labeled rows
@@ -74,7 +95,16 @@ type KMeansWarmState struct {
 	counts  []int         // labeled rows per cluster
 	checked bool          // the state passed Validate or was built here
 	parts   []kmeansChunk // per-chunk scratch, reused
-	out     []int         // result labels, reused
+
+	// Lazy bounds, valid while tracked.
+	offsets   []float64 // k cumulative drifts D_c since the last sweep
+	maxOffset float64   // G: the summed largest drift of each update since then
+	slack     float64   // τ: rows off the candidate list had at least this slack
+	cands     []int32   // candidate rows; may hold stale and repeated entries
+	candBase  int       // len(cands) right after the last sweep
+	dirty     []int32   // rows given label -1 since the last resume; may be stale
+	out       []int     // result labels, equal to Labels after a resume
+	tracked   bool      // a resume swept the state and has tracked its rows since
 }
 
 // Validate checks the state is internally consistent: k ≥ 1, dim ≥ 1,
@@ -129,6 +159,9 @@ func (ws *KMeansWarmState) Unassign(i int, row []float64) {
 		return
 	}
 	ws.Labels[i] = -1
+	if ws.tracked {
+		ws.dirty = append(ws.dirty, int32(i))
+	}
 	if len(ws.counts) != ws.K || len(ws.sums) != ws.K*ws.Dim || len(ws.sqNorms) != ws.K {
 		return
 	}
@@ -140,6 +173,81 @@ func (ws *KMeansWarmState) Unassign(i int, row []float64) {
 	ws.counts[l]--
 }
 
+// SwapRemove drops row i after the caller dropped its data row the same
+// way: the last row moves into row i and the row count shrinks by one.
+// Row i must have left its cluster through Unassign first; otherwise
+// the moments no longer match and the next resume re-sums them.
+func (ws *KMeansWarmState) SwapRemove(i int) {
+	if ws.Labels[i] >= 0 {
+		ws.sums, ws.sqNorms, ws.counts = nil, nil, nil
+	}
+	last := len(ws.Labels) - 1
+	ws.Labels[i], ws.Upper[i], ws.Lower[i] = ws.Labels[last], ws.Upper[last], ws.Lower[last]
+	ws.Labels, ws.Upper, ws.Lower = ws.Labels[:last], ws.Upper[:last], ws.Lower[:last]
+	if !ws.tracked {
+		return
+	}
+	ws.out[i] = ws.out[last]
+	ws.out = ws.out[:last]
+	if i == last {
+		return
+	}
+	if ws.Labels[i] < 0 {
+		ws.dirty = append(ws.dirty, int32(i))
+	} else {
+		ws.cands = append(ws.cands, int32(i))
+	}
+}
+
+// Grow appends rows up to n after the caller appended their data rows.
+// They get label -1, for the next resume to assign.
+func (ws *KMeansWarmState) Grow(n int) {
+	old := len(ws.Labels)
+	ws.Labels = mat.ResizeRows(ws.Labels, n, 1)
+	ws.Upper = mat.ResizeRows(ws.Upper, n, 1)
+	ws.Lower = mat.ResizeRows(ws.Lower, n, 1)
+	if ws.tracked {
+		ws.out = mat.ResizeRows(ws.out, n, 1)
+	}
+	for i := old; i < n; i++ {
+		ws.Labels[i], ws.Upper[i], ws.Lower[i] = -1, 0, 0
+		if ws.tracked {
+			ws.dirty = append(ws.dirty, int32(i))
+		}
+	}
+}
+
+// Reorder returns a standalone copy of the state in the persisted shape:
+// its row i is row rows[i] of ws, with the effective bounds stated
+// plainly (no offsets), so it validates and resumes like a decoded
+// state.
+func (ws *KMeansWarmState) Reorder(rows []int32) *KMeansWarmState {
+	c := &KMeansWarmState{
+		K:         ws.K,
+		Dim:       ws.Dim,
+		Centroids: slices.Clone(ws.Centroids),
+		Labels:    make([]int32, len(rows)),
+		Upper:     make([]float64, len(rows)),
+		Lower:     make([]float64, len(rows)),
+	}
+	for i, r := range rows {
+		c.Labels[i] = ws.Labels[r]
+		if c.Labels[i] >= 0 {
+			c.Upper[i], c.Lower[i] = ws.bounds(int(r))
+		}
+	}
+	return c
+}
+
+// bounds returns labeled row i's effective upper and lower bounds.
+func (ws *KMeansWarmState) bounds(i int) (float64, float64) {
+	off := 0.0
+	if len(ws.offsets) == ws.K {
+		off = ws.offsets[ws.Labels[i]]
+	}
+	return max(ws.Upper[i]+off, 0), max(ws.Lower[i]-ws.maxOffset, 0)
+}
+
 // KMeansWarm is KMeans with warm-start: when warm carries a compatible
 // and valid prior state the run resumes from it in place (resumed
 // true), otherwise it cold-starts through KMeans — bit-identical to a
@@ -148,7 +256,7 @@ func (ws *KMeansWarmState) Unassign(i int, row []float64) {
 // returned state captures the finished run for the next resume, with
 // bounds valid against its final centroids; it is nil when the data
 // holds such a row. A resumed result's Labels and Centroids share the
-// state's memory: they hold until the state's next resume.
+// state's memory: they hold until the state next changes.
 func KMeansWarm(m *mat.Matrix, cfg KMeansConfig, warm *KMeansWarmState) (*KMeansResult, *KMeansWarmState, bool, error) {
 	n, dim := m.Rows(), m.Cols()
 	if cfg.K < 1 || cfg.K > n {
@@ -166,12 +274,20 @@ func KMeansWarm(m *mat.Matrix, cfg KMeansConfig, warm *KMeansWarmState) (*KMeans
 	return res, captureWarm(m, res, resolveWorkers(cfg.Workers)), false, nil
 }
 
+// warmRun is a kmeansRun bound to a warm state's memory, with the lazy
+// passes of a resume.
+type warmRun struct {
+	*kmeansRun
+	ws *KMeansWarmState
+}
+
 // kmeansResume continues a run from warm state: exactly assign the -1
-// rows, fold them into the carried moments (or re-sum everything when
-// the moments cannot be trusted), then iterate the standard pruned loop
-// to convergence and capture the result in place. Iterations counts the
-// centroid updates. It returns nil when a row cannot be held by the
-// exact moments.
+// rows and fold them into the carried moments, then iterate the
+// standard pruned loop to convergence, checking only the candidates
+// while the offsets allow it and sweeping every row when they do not,
+// and serve the result from the state. Iterations counts the centroid
+// updates. It returns nil when a row cannot be held by the exact
+// moments.
 func kmeansResume(m *mat.Matrix, cfg KMeansConfig, ws *KMeansWarmState) *KMeansResult {
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
@@ -181,33 +297,41 @@ func kmeansResume(m *mat.Matrix, cfg KMeansConfig, ws *KMeansWarmState) *KMeansR
 	if tol <= 0 {
 		tol = 1e-9
 	}
-	run := ws.run(m, resolveWorkers(cfg.Workers))
-	run.assignDirty()
+	lazy := ws.tracked && len(ws.counts) == ws.K
+	run := warmRun{ws.run(m, resolveWorkers(cfg.Workers)), ws}
+	run.refreshHalf()
+	if lazy {
+		run.visit(ws.dirty)
+		ws.dirty = ws.dirty[:0]
+	} else {
+		run.sweep()
+	}
 	// A pruned pass before the first update could only confirm labels:
 	// every clean row holds its exact nearest centroid from the previous
-	// capture, every dirty row's was just computed, and no centroid has
+	// resume, every dirty row's was just computed, and no centroid has
 	// moved since. So the resume starts with the update. Only an emptied
 	// cluster needs a pass first, for its farthest-point repair.
 	if run.err == nil && slices.Contains(run.counts, 0) {
-		run.refreshHalf()
-		run.assignPruned()
+		run.sweep()
 	}
 	iter := 1
-	for moved := run.updateCentroids(); run.err == nil && moved > tol && iter < maxIter; iter++ {
+	for moved := run.update(); run.err == nil && moved > tol && iter < maxIter; iter++ {
 		run.refreshHalf()
-		run.assignPruned()
-		moved = run.updateCentroids()
+		run.check()
+		moved = run.update()
 	}
-	var res *KMeansResult
 	if run.err == nil {
-		res = run.finishCapture(iter, ws.out[:run.n])
+		// The final label check, against the last (sub-tolerance) move.
+		run.refreshHalf()
+		run.check()
 	}
 	if run.err != nil {
 		// The moments no longer match the labels; a later resume re-sums.
 		ws.sums, ws.sqNorms, ws.counts = nil, nil, nil
+		ws.tracked = false
 		return nil
 	}
-	return res
+	return run.result(iter)
 }
 
 // run binds a kmeansRun to the state's memory: positions, labels,
@@ -218,12 +342,13 @@ func (ws *KMeansWarmState) run(m *mat.Matrix, workers int) *kmeansRun {
 	if len(ws.sums) != k*dim || len(ws.sqNorms) != k || len(ws.counts) != k {
 		ws.sums, ws.sqNorms, ws.counts = make([]mat.Exact, k*dim), make([]mat.Exact, k), make([]int, k)
 	}
+	if len(ws.offsets) != k {
+		ws.offsets = make([]float64, k)
+	}
 	if c := numChunks(n); len(ws.parts) < c {
 		ws.parts = append(ws.parts, newChunks(c-len(ws.parts), k, dim)...)
 	}
-	if cap(ws.out) < n {
-		ws.out = make([]int, n, n+n/64)
-	}
+	ws.out = mat.ResizeRows(ws.out, n, 1)
 	run := &kmeansRun{
 		data: m.Data(), n: n, dim: dim, k: k, workers: workers,
 		pos:    ws.Centroids,
@@ -243,42 +368,219 @@ func (ws *KMeansWarmState) run(m *mat.Matrix, workers int) *kmeansRun {
 	return run
 }
 
-// assignDirty gives every -1 row its exact two closest centroids and
-// adds it to the moments. If the rows that arrived labeled are not
-// exactly the ones the carried counts account for, the moments are
-// rebuilt from all labels instead.
-func (run *kmeansRun) assignDirty() {
+// update moves the centroids and carries each cluster's drift into the
+// offsets instead of into every row's bounds.
+func (run warmRun) update() float64 {
+	moved := run.updateCentroids()
+	largest := 0.0
+	for c, d := range run.drift {
+		run.ws.offsets[c] += d
+		largest = max(largest, d)
+	}
+	run.ws.maxOffset += largest
+	return moved
+}
+
+// check is one pruned assignment pass. While the offsets have not used
+// up the slack the candidate list was built for, and the list has not
+// doubled, only the candidates can fail their bounds, so only they are
+// visited. Otherwise, or when the pass empties a cluster (whose repair
+// needs the farthest row), every row is swept.
+func (run warmRun) check() {
+	ws := run.ws
+	if 2*ws.maxOffset >= ws.slack || len(ws.cands) > 2*ws.candBase+assignChunkRows || slices.Contains(run.counts, 0) {
+		run.sweep()
+		return
+	}
+	run.visit(ws.cands)
+	if slices.Contains(run.counts, 0) {
+		run.sweep()
+	}
+}
+
+// visit is the pruned pass over the listed rows alone. A -1 row gets
+// its exact two closest centroids, joins the moments, and is listed as
+// a candidate when its slack is below τ. Any other row whose effective
+// bounds still prove its label is not written; one that fails tightens
+// its upper bound and, failing that, rescans exactly. New bounds are
+// stored against the offsets. Entries past the last row are stale.
+func (run warmRun) visit(rows []int32) {
+	ws := run.ws
+	off, g := ws.offsets, ws.maxOffset
+	p := &run.parts[0]
+	run.resetChunk(p)
+	for _, r := range rows {
+		i := int(r)
+		if i >= run.n {
+			continue
+		}
+		a := int(run.labels[i])
+		var u, l float64
+		if a >= 0 {
+			u, l = run.upper[i]+off[a], run.lower[i]-g
+			m := max(run.half[a], l)
+			if u <= m {
+				continue
+			}
+			if u = math.Sqrt(sqDistTo(run.row(i), run.pos[a*run.dim:(a+1)*run.dim])); u <= m {
+				run.upper[i] = u - off[a]
+				continue
+			}
+		}
+		row := run.row(i)
+		bi, bd, sd := run.closestTwo(row)
+		u, l = math.Sqrt(bd), math.Sqrt(sd)
+		if bi != a {
+			run.labels[i] = int32(bi)
+			ws.out[i] = bi
+			run.move(p, i, a, row)
+		}
+		run.upper[i], run.lower[i] = u-off[bi], l+g
+		if a < 0 && max(run.half[bi], l)-u < ws.slack {
+			ws.cands = append(ws.cands, r)
+		}
+	}
+	run.foldDeltas()
+}
+
+// slackBuckets is the number of power-of-two slack classes the sweep
+// counts to choose τ: class b holds slacks below 2^(b+slackMinExp), and
+// class 0 also every smaller or non-positive one.
+const (
+	slackBuckets = 64
+	slackMinExp  = -62
+)
+
+// slackBucket returns the class of a finite slack.
+func slackBucket(s float64) int {
+	if s <= 0 {
+		return 0
+	}
+	_, e := math.Frexp(s) // s < 2^e
+	return min(max(e-slackMinExp, 0), slackBuckets-1)
+}
+
+// sweep visits every row. A -1 row gets its exact two closest
+// centroids; every other row is checked as the pruned pass checks it,
+// against its effective bounds. Every row's bounds are then stored
+// plainly, the offsets reset, and the candidate list rebuilt. If the
+// rows that arrived labeled are not exactly the ones the carried counts
+// account for, the moments are rebuilt from all labels.
+func (run warmRun) sweep() {
+	ws := run.ws
+	off, g, dim := ws.offsets, ws.maxOffset, run.dim
+	// Rows whose slack is near where the last list was cut get exact
+	// bounds (none in the first sweep of a state).
+	tighten := 2 * ws.slack
 	parallelChunks(len(run.parts), run.workers, func(c int) {
 		p := &run.parts[c]
 		lo, hi := run.chunkBounds(c)
 		run.resetChunk(p)
-		labeled := 0
-		for i := lo; i < hi; i++ {
-			if run.labels[i] >= 0 {
-				labeled++
-				continue
-			}
-			row := run.row(i)
-			bi, bd, sd := run.closestTwo(row)
-			run.labels[i] = int32(bi)
-			run.upper[i] = math.Sqrt(bd)
-			run.lower[i] = math.Sqrt(sd)
-			run.move(p, i, -1, row)
+		if p.hist == nil {
+			p.hist = make([]int, slackBuckets)
 		}
+		clear(p.hist)
+		labeled := 0
+		farD, farIdx := p.farD, p.farIdx
+		for i := lo; i < hi; i++ {
+			a := int(run.labels[i])
+			var u, l float64
+			if a < 0 {
+				row := run.row(i)
+				bi, bd, sd := run.closestTwo(row)
+				u, l = math.Sqrt(bd), math.Sqrt(sd)
+				run.labels[i] = int32(bi)
+				run.move(p, i, -1, row)
+				a = bi
+			} else {
+				labeled++
+				u, l = run.upper[i]+off[a], run.lower[i]-g
+				if m := max(run.half[a], l); u > m || m-u < tighten {
+					row := run.row(i)
+					exact := false
+					if u > m {
+						if u = math.Sqrt(sqDistTo(row, run.pos[a*dim:(a+1)*dim])); u > m {
+							bi, bd, sd := run.closestTwo(row)
+							u, l, exact = math.Sqrt(bd), math.Sqrt(sd), true
+							if bi != a {
+								run.labels[i] = int32(bi)
+								run.move(p, i, a, row)
+								a = bi
+							}
+						}
+					}
+					// Loose bounds understate the slack; near the cut
+					// they are recomputed, keeping the label (which
+					// they proved) on an exact tie.
+					if !exact && max(run.half[a], l)-u < tighten {
+						if bi, bd, sd := run.closestTwo(row); bi == a {
+							u, l = math.Sqrt(bd), math.Sqrt(sd)
+						}
+					}
+				}
+				// A negative lower bound never prunes (the half
+				// distances are ≥ 0), so storing it as 0 changes no
+				// decision and keeps every stored bound non-negative.
+				l = max(l, 0)
+			}
+			run.upper[i], run.lower[i] = u, l
+			ws.out[i] = a
+			if u > farD {
+				farD, farIdx = u, i
+			}
+			if s := max(run.half[a], l) - u; !math.IsInf(s, 1) {
+				p.hist[slackBucket(s)]++
+			}
+		}
+		p.farD, p.farIdx = farD, farIdx
 		p.labeled = labeled
 	})
 	labeled, counted := 0, 0
+	var hist [slackBuckets]int
 	for c := range run.parts {
 		labeled += run.parts[c].labeled
+		for b, v := range run.parts[c].hist {
+			hist[b] += v
+		}
 	}
 	for _, n := range run.counts {
 		counted += n
 	}
 	if labeled == counted {
 		run.foldDeltas()
-		return
+	} else {
+		run.resum()
 	}
-	run.resum()
+	clear(ws.offsets)
+	ws.maxOffset = 0
+
+	// τ is the largest class edge with at most one row in 32 below it.
+	target, below, b := max(run.n/32, 256), hist[0], 0
+	for b+1 < slackBuckets && below+hist[b+1] <= target {
+		b++
+		below += hist[b]
+	}
+	ws.slack = math.Ldexp(1, b+slackMinExp)
+	if b == slackBuckets-1 {
+		ws.slack = math.Inf(1)
+	}
+	parallelChunks(len(run.parts), run.workers, func(c int) {
+		p := &run.parts[c]
+		lo, hi := run.chunkBounds(c)
+		p.cands = p.cands[:0]
+		for i := lo; i < hi; i++ {
+			if max(run.half[run.labels[i]], run.lower[i])-run.upper[i] < ws.slack {
+				p.cands = append(p.cands, int32(i))
+			}
+		}
+	})
+	ws.cands = ws.cands[:0]
+	for c := range run.parts {
+		ws.cands = append(ws.cands, run.parts[c].cands...)
+	}
+	ws.candBase = len(ws.cands)
+	ws.dirty = ws.dirty[:0]
+	ws.tracked = true
 }
 
 // resum rebuilds the exact moments and counts from every row's label.
@@ -380,56 +682,11 @@ func (run *kmeansRun) roundSums() {
 	}
 }
 
-// finishCapture finalizes the run against the loop's last centroid
-// move, writing the result labels into out and the next warm state into
-// the run's own slices in one sweep. It is a label check: a point whose
-// carried bounds, moved by the final (sub-tolerance) drift, prove its
-// label reads nothing but its label and bounds, and keeps the moved
-// bounds, which remain valid for the next resume. Only points the
-// bounds cannot clear read their row — to tighten against their own
-// centroid and, failing that, rescan exactly — and the few that change
-// cluster move between the exact moments. The inertia comes from the
-// moments in O(k·dim): Σ_c max(0, Q_c − 2c·S_c + n_c‖c‖²).
-func (run *kmeansRun) finishCapture(iterations int, out []int) *KMeansResult {
+// result serves a finished resume from the state: the labels it keeps,
+// the final positions, and the inertia from the moments in O(k·dim):
+// Σ_c max(0, Q_c − 2c·S_c + n_c‖c‖²).
+func (run warmRun) result(iterations int) *KMeansResult {
 	k, dim := run.k, run.dim
-	run.refreshHalf() // half-distances against the final positions
-	maxDrift := 0.0
-	for _, d := range run.drift {
-		if d > maxDrift {
-			maxDrift = d
-		}
-	}
-	parallelChunks(len(run.parts), run.workers, func(c int) {
-		p := &run.parts[c]
-		run.resetChunk(p)
-		lo, hi := run.chunkBounds(c)
-		for i := lo; i < hi; i++ {
-			a := int(run.labels[i])
-			u := run.upper[i] + run.drift[a]
-			l := run.lower[i] - maxDrift
-			m := max(run.half[a], l)
-			if u > m {
-				row := run.row(i)
-				u = math.Sqrt(sqDistTo(row, run.pos[a*dim:(a+1)*dim]))
-				if u > m {
-					bi, bd, sd := run.closestTwo(row)
-					u, l = math.Sqrt(bd), math.Sqrt(sd)
-					if bi != a {
-						run.labels[i] = int32(bi)
-						run.move(p, i, a, row)
-						a = bi
-					}
-				}
-			}
-			out[i] = a
-			run.upper[i] = u
-			// A negative carried lower bound never prunes (the half
-			// distances are ≥ 0), so storing it as 0 changes no decision
-			// and keeps every persisted bound non-negative.
-			run.lower[i] = max(l, 0)
-		}
-	})
-	run.foldDeltas()
 	inertia := 0.0
 	for c := 0; c < k; c++ {
 		pc := run.pos[c*dim : (c+1)*dim]
@@ -447,7 +704,7 @@ func (run *kmeansRun) finishCapture(iterations int, out []int) *KMeansResult {
 	return &KMeansResult{
 		K:          k,
 		Centroids:  cents,
-		Labels:     out,
+		Labels:     run.ws.out[:run.n],
 		Inertia:    inertia,
 		Iterations: iterations,
 		Sizes:      append([]int(nil), run.counts...),

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"donorsense/internal/mat"
@@ -495,5 +496,186 @@ func TestKMeansWarmMomentInertia(t *testing.T) {
 		if tol == 0 {
 			lloydFixedPoint(t, m, res, 1e-9)
 		}
+	}
+}
+
+// eagerResume is the resume as it ran before bounds were carried
+// lazily, kept as the oracle for the lazy one: it finds the -1 rows by
+// scanning every label, and its pruned passes and final label check
+// sweep every row, moving each row's bounds by the last drift. It runs
+// on a state in the persisted shape (Reorder), whose bounds carry no
+// offsets.
+func eagerResume(m *mat.Matrix, cfg KMeansConfig, ws *KMeansWarmState) *KMeansResult {
+	maxIter := cfg.MaxIterations
+	if maxIter <= 0 {
+		maxIter = 100
+	}
+	tol := cfg.Tolerance
+	if tol <= 0 {
+		tol = 1e-9
+	}
+	run := ws.run(m, resolveWorkers(cfg.Workers))
+	eagerAssignDirty(run)
+	if run.err == nil && slices.Contains(run.counts, 0) {
+		run.refreshHalf()
+		run.assignPruned()
+	}
+	iter := 1
+	for moved := run.updateCentroids(); run.err == nil && moved > tol && iter < maxIter; iter++ {
+		run.refreshHalf()
+		run.assignPruned()
+		moved = run.updateCentroids()
+	}
+	if run.err != nil {
+		return nil
+	}
+	eagerFinish(run, ws.out)
+	return warmRun{run, ws}.result(iter)
+}
+
+// eagerAssignDirty gives every -1 row its exact two closest centroids
+// and adds it to the moments, re-summing them when the rows that arrived
+// labeled are not the ones the counts account for.
+func eagerAssignDirty(run *kmeansRun) {
+	parallelChunks(len(run.parts), run.workers, func(c int) {
+		p := &run.parts[c]
+		lo, hi := run.chunkBounds(c)
+		run.resetChunk(p)
+		labeled := 0
+		for i := lo; i < hi; i++ {
+			if run.labels[i] >= 0 {
+				labeled++
+				continue
+			}
+			row := run.row(i)
+			bi, bd, sd := run.closestTwo(row)
+			run.labels[i] = int32(bi)
+			run.upper[i] = math.Sqrt(bd)
+			run.lower[i] = math.Sqrt(sd)
+			run.move(p, i, -1, row)
+		}
+		p.labeled = labeled
+	})
+	labeled, counted := 0, 0
+	for c := range run.parts {
+		labeled += run.parts[c].labeled
+	}
+	for _, n := range run.counts {
+		counted += n
+	}
+	if labeled == counted {
+		run.foldDeltas()
+		return
+	}
+	run.resum()
+}
+
+// eagerFinish is the final label check over every row against the last
+// centroid move, writing the labels into out.
+func eagerFinish(run *kmeansRun, out []int) {
+	run.refreshHalf()
+	maxDrift := slices.Max(run.drift)
+	parallelChunks(len(run.parts), run.workers, func(c int) {
+		p := &run.parts[c]
+		run.resetChunk(p)
+		lo, hi := run.chunkBounds(c)
+		for i := lo; i < hi; i++ {
+			a := int(run.labels[i])
+			u := run.upper[i] + run.drift[a]
+			l := run.lower[i] - maxDrift
+			if m := max(run.half[a], l); u > m {
+				row := run.row(i)
+				if u = math.Sqrt(sqDistTo(row, run.pos[a*run.dim:(a+1)*run.dim])); u > m {
+					bi, bd, sd := run.closestTwo(row)
+					u, l = math.Sqrt(bd), math.Sqrt(sd)
+					if bi != a {
+						run.labels[i] = int32(bi)
+						run.move(p, i, a, row)
+						a = bi
+					}
+				}
+			}
+			out[i] = a
+			run.upper[i], run.lower[i] = u, max(l, 0)
+		}
+	})
+	run.foldDeltas()
+}
+
+// TestKMeansWarmLazyMatchesEager drives a warm state through a random
+// history of updates, inserts and swap-removes, the way the engine
+// drives it, and after every resume compares it with the eager oracle
+// resumed from the same state: the same labels, centroids, inertia,
+// sizes and iteration count, bit for bit. Every row's effective bounds
+// must also bracket its true distances: the upper bound is at least the
+// distance to its centroid, the lower bound at most the distance to any
+// other.
+func TestKMeansWarmLazyMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const dim = 6
+	m := warmTestData(rng, 20000, dim)
+	cfg := KMeansConfig{K: 6, Seed: 7, Restarts: 2, Workers: 3}
+	_, ws, _, err := KMeansWarm(m, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(dst []float64) { copy(dst, warmTestData(rng, 1, dim).Data()) }
+	lazyFinals := 0
+	for step := 0; step < 300; step++ {
+		for op := 0; op < 1+rng.Intn(4); op++ {
+			n := m.Rows()
+			data := m.Data()
+			switch i := rng.Intn(n); rng.Intn(4) {
+			case 0, 1: // update
+				ws.Unassign(i, data[i*dim:(i+1)*dim])
+				fresh(data[i*dim : (i+1)*dim])
+			case 2: // insert
+				m.Resize(n + 1)
+				fresh(m.Data()[n*dim:])
+				ws.Grow(n + 1)
+			default: // swap-remove
+				ws.Unassign(i, data[i*dim:(i+1)*dim])
+				copy(data[i*dim:(i+1)*dim], data[(n-1)*dim:])
+				m.Resize(n - 1)
+				ws.SwapRemove(i)
+			}
+		}
+		n := m.Rows()
+		order := make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
+		}
+		want := eagerResume(m, cfg, ws.Reorder(order))
+		got, next, resumed, err := KMeansWarm(m, cfg, ws)
+		if err != nil || !resumed || next != ws {
+			t.Fatalf("step %d: resumed=%v replaced=%v, %v", step, resumed, next != ws, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: lazy resume differs from the eager oracle:\n got %v iterations, inertia %v, sizes %v\nwant %v iterations, inertia %v, sizes %v",
+				step, got.Iterations, got.Inertia, got.Sizes, want.Iterations, want.Inertia, want.Sizes)
+		}
+		for i := 0; i < n; i++ {
+			row := m.Data()[i*dim : (i+1)*dim]
+			a := int(ws.Labels[i])
+			u, l := ws.bounds(i)
+			if d := math.Sqrt(sqDistTo(row, ws.Centroids[a*dim:(a+1)*dim])); d > u+1e-12 {
+				t.Fatalf("step %d: row %d upper bound %v below its distance %v", step, i, u, d)
+			}
+			for c := 0; c < cfg.K; c++ {
+				if d := math.Sqrt(sqDistTo(row, ws.Centroids[c*dim:(c+1)*dim])); c != a && d < l-1e-12 {
+					t.Fatalf("step %d: row %d lower bound %v above its distance %v to cluster %d", step, i, l, d, c)
+				}
+			}
+		}
+		if ws.maxOffset > 0 {
+			lazyFinals++
+		}
+
+	}
+
+	// The final check of most resumes must have visited only the
+	// candidates: a sweep resets the offsets.
+	if lazyFinals < 150 {
+		t.Fatalf("only %d of 300 resumes finished without a sweep", lazyFinals)
 	}
 }

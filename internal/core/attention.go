@@ -128,31 +128,45 @@ func sortByID(pairs []idRow) []idRow {
 }
 
 // Attention is the normalized user-attention matrix Û. Each row is a
-// discrete probability distribution over the six organs. Rows are
-// ordered by ascending user id — lookups binary-search the id column,
-// which keeps incremental patching (Patch) free of any per-user index
-// maintenance. epoch counts applied patches: 0 is a cold build, and
-// every Patch call increments it, so consumers caching row-derived
-// state can detect staleness cheaply.
+// discrete probability distribution over the six organs. A cold build
+// (AttentionFromCounts) orders the rows by ascending user id; Patch then
+// keeps every surviving row where it is, appends new users and fills a
+// leaving user's row with the last one, so after a patch the order is
+// arbitrary. epoch counts applied patches: 0 is a cold build, and every
+// Patch call increments it, so consumers caching row-derived state can
+// detect staleness cheaply.
 type Attention struct {
 	ids   []int64
 	u     *mat.Matrix
 	epoch uint64
+
+	// The id → row index (attention_patch.go), built by the first Patch.
+	// Until then slots is nil and the rows are in id order.
+	slots []int32
+	mask  uint64
 }
 
 // Users returns the number of users (rows).
 func (a *Attention) Users() int { return len(a.ids) }
 
-// UserIDs returns the user IDs in row order. The slice is shared; do not
-// mutate.
+// UserIDs returns the user IDs in row order: ascending right after a
+// cold build, arbitrary once a Patch has run. The slice is shared; do
+// not mutate.
 func (a *Attention) UserIDs() []int64 { return a.ids }
 
 // Epoch returns the number of patches applied since the cold build.
 func (a *Attention) Epoch() uint64 { return a.epoch }
 
-// RowOf returns the row index of the user, or -1 if unknown. Rows are
-// sorted by user id, so this is a binary search.
+// RowOf returns the row index of the user, or -1 if unknown: a binary
+// search while the rows are in id order (a cold build), a hash probe of
+// the index once a Patch has run.
 func (a *Attention) RowOf(userID int64) int {
+	if a.slots != nil {
+		if slot, ok := a.slotOf(userID); ok {
+			return int(a.slots[slot])
+		}
+		return -1
+	}
 	lo, hi := 0, len(a.ids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -166,6 +180,21 @@ func (a *Attention) RowOf(userID int64) int {
 		return lo
 	}
 	return -1
+}
+
+// RowsByID returns the row indices in ascending user-id order: the
+// order a cold build lays the rows out in.
+func (a *Attention) RowsByID() []int32 {
+	pairs := make([]idRow, len(a.ids))
+	for r, id := range a.ids {
+		pairs[r] = idRow{id: id, row: int32(r)}
+	}
+	pairs = sortByID(pairs)
+	rows := make([]int32, len(pairs))
+	for i, p := range pairs {
+		rows[i] = p.row
+	}
+	return rows
 }
 
 // Row returns a copy of the attention distribution of the given row.

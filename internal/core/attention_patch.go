@@ -7,6 +7,11 @@ import (
 	"donorsense/internal/organ"
 )
 
+// RowMove is one swap-remove of a Patch: the row at From, then the last
+// row, moved into To, the row of a user who left Û. From == To when that
+// user's row was itself the last.
+type RowMove struct{ From, To int }
+
 // Patch applies one refresh's worth of user changes to Û in place of a
 // full rebuild, advancing the epoch. ids/counts carry the users whose
 // mention vectors changed (ids strictly ascending, counts row-major
@@ -17,24 +22,27 @@ import (
 // are skipped, so callers may pass deletions of users that never earned
 // a Û row.
 //
-// The result is bit-identical to AttentionFromCounts over the
-// post-change columnar state: updated and inserted rows are normalized
-// with the exact float sequence mat.NormalizeRows uses (left-to-right
-// float64 sum, then per-element divide), and every other row is moved,
-// never recomputed.
+// Every user's row is bit-identical to the one AttentionFromCounts
+// builds over the post-change columnar state: updated and inserted rows
+// are normalized with the exact float sequence mat.NormalizeRows uses
+// (left-to-right float64 sum, then per-element divide), and every other
+// row is moved, never recomputed. Only the row order differs. Rows stay
+// where they are: each removed user's row is filled by the then-last
+// row, in the order of removes, and each inserted user is appended, in
+// ascending id order.
 //
-// Patch returns the row-move plan it applied. Callers holding columns
-// aligned with UserIDs() replay it with SpliceColumn so they stay
-// aligned through the same moves.
+// Patch returns the swap-removes it applied, in order. A caller holding
+// columns aligned with the rows replays each move (row To takes row
+// From's values), then resizes the columns to Users() rows: the first
+// pre-patch Users() − len(moves) rows are the survivors and the rest are
+// the inserted users.
 //
-// Cost: planning is O(touched · log users). Applying the plan moves the
-// rows after the first insert or remove once, with memmove, inside the
-// existing backing arrays. The arrays are regrown, with bounded
-// headroom, only when the inserts outrun the spare capacity. When no
-// user appears or disappears nothing moves and the cost is O(touched).
-// The plan is validated in full before anything is written, so an error
-// leaves Û unchanged.
-func (a *Attention) Patch(ids []int64, counts []int32, removes []int64) (*Splice, error) {
+// Cost: O(touched), apart from the id → row index the first Patch builds
+// (O(users), once) and its rare doubling. The arrays regrow, with
+// bounded headroom (mat.ResizeRows), only when the inserts outrun the
+// spare capacity. Everything is validated before anything is written,
+// so an error leaves Û unchanged.
+func (a *Attention) Patch(ids []int64, counts []int32, removes []int64) ([]RowMove, error) {
 	if len(counts) != len(ids)*organ.Count {
 		return nil, fmt.Errorf("core: patch counts length %d does not match %d users", len(counts), len(ids))
 	}
@@ -68,173 +76,60 @@ func (a *Attention) Patch(ids []int64, counts []int32, removes []int64) (*Splice
 		}
 	}
 
-	sp := a.plan(ids, removes)
-	if sp.newN == 0 {
+	if a.slots == nil {
+		a.buildIndex()
+	}
+	inserts, n := 0, len(a.ids)
+	for _, id := range ids {
+		if a.RowOf(id) < 0 {
+			inserts++
+		}
+	}
+	for _, id := range removes {
+		if a.RowOf(id) >= 0 {
+			n--
+		}
+	}
+	if n+inserts == 0 {
 		return nil, fmt.Errorf("core: no users observed")
 	}
-	if !sp.identity() {
-		a.ids = SpliceColumn(sp, a.ids, 1)
-		for i, r := range sp.fresh {
-			a.ids[r] = sp.freshIDs[i]
-		}
-		data := SpliceColumn(sp, a.u.Data(), organ.Count)
-		u, err := mat.FromFlat(sp.newN, organ.Count, data)
-		if err != nil {
-			return nil, fmt.Errorf("core: patch: %w", err)
-		}
-		a.u = u
-	}
+
+	var moves []RowMove
 	data := a.u.Data()
+	for _, id := range removes {
+		slot, ok := a.slotOf(id)
+		if !ok {
+			continue
+		}
+		row, last := int(a.slots[slot]), len(a.ids)-1
+		a.deleteSlot(slot)
+		if row != last {
+			moved, _ := a.slotOf(a.ids[last])
+			a.slots[moved] = int32(row)
+			a.ids[row] = a.ids[last]
+			copy(data[row*organ.Count:(row+1)*organ.Count], data[last*organ.Count:])
+		}
+		a.ids = a.ids[:last]
+		moves = append(moves, RowMove{From: last, To: row})
+	}
+
+	a.growIndex(n + inserts)
+	a.ids = mat.ResizeRows(a.ids, n+inserts, 1)
+	a.u.Resize(n + inserts)
+	data = a.u.Data()
+	next := n
 	for r, id := range ids {
 		row := a.RowOf(id)
+		if row < 0 {
+			row = next
+			next++
+			a.ids[row] = id
+			a.insertSlot(row)
+		}
 		normalizeInto(data[row*organ.Count:(row+1)*organ.Count], counts[r*organ.Count:(r+1)*organ.Count])
 	}
 	a.epoch++
-	return sp, nil
-}
-
-// plan derives the splice from the sorted update and remove ids: every
-// update id unknown to Û is an insert before its lower-bound row, every
-// known remove id drops its row. Both event lists come out in ascending
-// row order, so one merge builds the segments.
-func (a *Attention) plan(ids, removes []int64) *Splice {
-	sp := &Splice{oldN: len(a.ids)}
-	insAt := make([]int, 0, len(ids)) // lower-bound old row of each insert, ascending
-	for _, id := range ids {
-		at := a.lowerBound(id)
-		if at < len(a.ids) && a.ids[at] == id {
-			continue
-		}
-		insAt = append(insAt, at)
-		sp.freshIDs = append(sp.freshIDs, id)
-	}
-	var rmAt []int // old rows to drop, ascending
-	for _, id := range removes {
-		if row := a.RowOf(id); row >= 0 {
-			rmAt = append(rmAt, row)
-		}
-	}
-	sp.newN = sp.oldN + len(insAt) - len(rmAt)
-	if len(insAt) == 0 && len(rmAt) == 0 {
-		return sp
-	}
-	// Walk the events in old-row order; an insert at row p lands before
-	// old row p, so it precedes a remove of that same row.
-	from, to := 0, 0
-	cut := func(end int) {
-		if end > from {
-			sp.segs = append(sp.segs, spliceSeg{from: from, to: to, n: end - from})
-			to += end - from
-			from = end
-		}
-	}
-	i, j := 0, 0
-	for i < len(insAt) || j < len(rmAt) {
-		if i < len(insAt) && (j >= len(rmAt) || insAt[i] <= rmAt[j]) {
-			cut(insAt[i])
-			sp.fresh = append(sp.fresh, to)
-			to++
-			i++
-			continue
-		}
-		cut(rmAt[j])
-		from++
-		j++
-	}
-	cut(sp.oldN)
-	return sp
-}
-
-// lowerBound returns the first row whose id is ≥ userID.
-func (a *Attention) lowerBound(userID int64) int {
-	lo, hi := 0, len(a.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a.ids[mid] < userID {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Splice is the order-preserving row-move plan of one Patch: which
-// pre-patch rows survive and where they land, and which post-patch rows
-// are fresh inserts.
-type Splice struct {
-	oldN, newN int
-	segs       []spliceSeg // maximal runs of surviving rows, ascending
-	fresh      []int       // post-patch rows of inserted users, ascending
-	freshIDs   []int64     // their user ids
-}
-
-// spliceSeg moves rows [from, from+n) of the old order to [to, to+n).
-type spliceSeg struct{ from, to, n int }
-
-// identity reports whether the plan moves nothing: no user entered or
-// left Û, so every row kept its index.
-func (sp *Splice) identity() bool { return len(sp.segs) == 0 && len(sp.fresh) == 0 }
-
-// SpliceColumn replays a Patch's plan on a column aligned with the
-// pre-patch rows, width elements per row, and returns the column
-// aligned with the post-patch rows. Rows move inside the column's own
-// backing array. Left moves go in ascending order and right moves in
-// descending order, so no move overwrites a row still waiting to move,
-// and each row is copied at most once. The array is regrown only when
-// its capacity cannot hold the new rows. The regrown array gets
-// max(inserts, rows/64) rows of headroom, so a stream of small inserts
-// regrows it rarely while the spare memory stays a bounded fraction.
-// Slots of fresh rows keep stale values.
-func SpliceColumn[T any](sp *Splice, col []T, width int) []T {
-	if len(col) != sp.oldN*width {
-		panic(fmt.Sprintf("core: splice of a %d-element column, want %d rows × %d", len(col), sp.oldN, width))
-	}
-	if sp.identity() {
-		return col
-	}
-	need := sp.newN * width
-	if cap(col) < need {
-		spare := max(len(sp.fresh), sp.newN/64)
-		grown := make([]T, need, (sp.newN+spare)*width)
-		for _, s := range sp.segs {
-			copy(grown[s.to*width:], col[s.from*width:(s.from+s.n)*width])
-		}
-		return grown
-	}
-	full := col[:max(len(col), need)]
-	for _, s := range sp.segs {
-		if s.to < s.from {
-			moveBlocks(full, s.from*width, s.to*width, s.n*width)
-		}
-	}
-	for i := len(sp.segs) - 1; i >= 0; i-- {
-		if s := sp.segs[i]; s.to > s.from {
-			moveBlocks(full, s.from*width, s.to*width, s.n*width)
-		}
-	}
-	return full[:need]
-}
-
-// moveBlocks moves col[from:from+n] to col[to:to+n] in blocks of a few
-// KiB, front first for a left move and back first for a right one, so
-// no block overwrites data still to be read. A right move is an
-// overlapping backward copy, and one such memmove over tens of MiB ran
-// at half the speed of the same move done in cache-sized blocks
-// (measured on a 2-vCPU Xeon VM).
-func moveBlocks[T any](col []T, from, to, n int) {
-	const block = 4096
-	if to < from {
-		for off := 0; off < n; off += block {
-			end := min(off+block, n)
-			copy(col[to+off:to+end], col[from+off:from+end])
-		}
-		return
-	}
-	for end := n; end > 0; end -= block {
-		off := max(end-block, 0)
-		copy(col[to+off:to+end], col[from+off:from+end])
-	}
+	return moves, nil
 }
 
 // normalizeInto writes the row-normalized form of an integer mention
@@ -247,5 +142,89 @@ func normalizeInto(dst []float64, cnt []int32) {
 	}
 	for j, v := range cnt {
 		dst[j] = float64(v) / sum
+	}
+}
+
+// The id → row index is an open-addressing hash table in the style of
+// userstore's: slots hold row indices or -1, and probes compare against
+// the ids column, so the index costs 4 bytes per slot, at most 4/3 slots
+// per row. Deletions shift later entries of a probe chain back, so
+// lookups need no tombstones.
+
+// buildIndex indexes every row.
+func (a *Attention) buildIndex() {
+	a.growIndex(len(a.ids))
+	for r := range a.ids {
+		a.insertSlot(r)
+	}
+}
+
+// growIndex makes the table hold rows rows at a load of at most 3/4,
+// doubling it (at least 16 slots) and reinserting the rows it held.
+func (a *Attention) growIndex(rows int) {
+	size := max(len(a.slots), 16)
+	for rows*4 > size*3 {
+		size *= 2
+	}
+	if size == len(a.slots) {
+		return
+	}
+	old := a.slots
+	a.slots = make([]int32, size)
+	for i := range a.slots {
+		a.slots[i] = -1
+	}
+	a.mask = uint64(size - 1)
+	for _, r := range old {
+		if r >= 0 {
+			a.insertSlot(int(r))
+		}
+	}
+}
+
+// insertSlot indexes row; the table must have a free slot.
+func (a *Attention) insertSlot(row int) {
+	i := splitmix64(uint64(a.ids[row])) & a.mask
+	for a.slots[i] >= 0 {
+		i = (i + 1) & a.mask
+	}
+	a.slots[i] = int32(row)
+}
+
+// slotOf returns the table slot holding id.
+func (a *Attention) slotOf(id int64) (uint64, bool) {
+	i := splitmix64(uint64(id)) & a.mask
+	for {
+		r := a.slots[i]
+		if r < 0 {
+			return 0, false
+		}
+		if a.ids[r] == id {
+			return i, true
+		}
+		i = (i + 1) & a.mask
+	}
+}
+
+// deleteSlot empties slot i and moves later entries of its probe chain
+// back into the hole.
+func (a *Attention) deleteSlot(i uint64) {
+	for {
+		a.slots[i] = -1
+		j := i
+		for {
+			j = (j + 1) & a.mask
+			if a.slots[j] < 0 {
+				return
+			}
+			ideal := splitmix64(uint64(a.ids[a.slots[j]])) & a.mask
+			// Entry j may move into the hole at i only if its ideal
+			// position is cyclically at or before i.
+			if (j-ideal)&a.mask >= (j-i)&a.mask {
+				a.slots[i] = a.slots[j]
+				i = j
+				break
+			}
+		}
 	}
 }

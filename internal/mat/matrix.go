@@ -124,6 +124,34 @@ func (m *Matrix) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
+// Resize sets m's row count, keeping its leading rows. Rows past the old
+// count hold unspecified values until the caller writes them. Storage
+// grows as ResizeRows grows it.
+func (m *Matrix) Resize(rows int) {
+	if rows <= 0 {
+		panic(fmt.Sprintf("mat: invalid shape %dx%d", rows, m.cols))
+	}
+	m.data = ResizeRows(m.data, rows, m.cols)
+	m.rows = rows
+}
+
+// ResizeRows returns col, a row-major column of width elements per row,
+// resized to rows rows, keeping its leading rows. It reuses col's backing
+// array when the capacity suffices. Otherwise it copies into a new array
+// with rows/64 + 1 rows of headroom, so a stream of small appends
+// reallocates rarely and the spare memory stays a bounded fraction
+// (append's growth would leave up to a quarter of a million-row column
+// spare). Elements past the old length hold unspecified values.
+func ResizeRows[T any](col []T, rows, width int) []T {
+	need := rows * width
+	if need <= cap(col) {
+		return col[:need]
+	}
+	grown := make([]T, need, (rows+rows/64+1)*width)
+	copy(grown, col)
+	return grown
+}
+
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.rows, m.cols)

@@ -82,7 +82,46 @@ func benchFromScratchAnalyze(b *testing.B, users int) {
 	}
 }
 
+// benchNewUsersDirty is the delta of one BenchmarkIncrementalRefreshNewUsers
+// iteration, about what one refresh drains on the live_1m end-to-end
+// workload.
+const benchNewUsersDirty = 230
+
+// benchIncrementalRefreshNewUsers times one refresh after a delta of
+// about benchNewUsersDirty rows in which half the tweets come from users
+// never seen before, so every iteration inserts rows into Û and its
+// row-aligned columns. (The fixed 10k-tweet delta above re-folds the
+// same tweets, so after the first iteration no user enters Û.)
+func benchIncrementalRefreshNewUsers(b *testing.B, users int) {
+	d, e, _ := benchSetup(b, users)
+	pool := gen.Generate(gen.DefaultConfig(0.02)).Tweets[5000:]
+	next, fresh := 0, int64(1)<<50
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for d.DirtyRows() < benchNewUsersDirty {
+			tw := pool[next%len(pool)]
+			if next++; next%2 == 0 {
+				tw.User.ID = fresh
+				fresh++
+			}
+			d.Process(tw)
+		}
+		b.StartTimer()
+		if _, err := e.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkIncrementalRefresh100k(b *testing.B) { benchIncrementalRefresh(b, 100_000) }
 func BenchmarkFromScratchAnalyze100k(b *testing.B) { benchFromScratchAnalyze(b, 100_000) }
 func BenchmarkIncrementalRefresh1M(b *testing.B)   { benchIncrementalRefresh(b, 1_000_000) }
 func BenchmarkFromScratchAnalyze1M(b *testing.B)   { benchFromScratchAnalyze(b, 1_000_000) }
+func BenchmarkIncrementalRefreshNewUsers100k(b *testing.B) {
+	benchIncrementalRefreshNewUsers(b, 100_000)
+}
+func BenchmarkIncrementalRefreshNewUsers1M(b *testing.B) {
+	benchIncrementalRefreshNewUsers(b, 1_000_000)
+}

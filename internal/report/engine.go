@@ -8,6 +8,7 @@ import (
 	"donorsense/internal/cluster"
 	"donorsense/internal/core"
 	"donorsense/internal/geo"
+	"donorsense/internal/mat"
 	"donorsense/internal/obs/trace"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
@@ -21,24 +22,28 @@ import (
 // cache, and the K-Means warm state — and on each Refresh folds in only
 // the users the dataset changed since the previous one (DESIGN.md §14).
 // Analyze is this engine's cold build, so a refresh's *Analysis is
-// bit-identical to Analyze over the same dataset in everything but
-// Figure 7: the K-Means clustering resumes from the previous refresh's
-// converged state (labels of changed rows invalidated) instead of
-// restarting, and is converged-equal to a cold run rather than
-// bit-identical.
+// bit-identical to Analyze over the same dataset in everything but Û's
+// row order and Figure 7. Û holds every user's bit-identical row, in the
+// order the refreshes left (Attention.RowOf finds a user). The K-Means
+// clustering resumes from the previous refresh's converged state (labels
+// of changed rows invalidated) instead of restarting, and is
+// converged-equal to a cold run rather than bit-identical.
 //
 // Cost of a warm Refresh. The per-user work — classifying the dirty
 // rows, the accumulator updates (including the exact Equation 3 group
-// sums, so Figures 3 and 4 cost O(users changed + groups)), the splice
-// plan, the K-Means re-assignment of changed rows — is O(users changed).
-// What remains O(users) is a fixed set of allocation-free memory sweeps
-// that never read Û except where a row changed: splicing Û, its id
-// column and the row-aligned columns (state shadow, K-Means labels and
-// bounds) when users enter or leave it, and the K-Means sweeps — a
-// label scan, a bounds check per Lloyd iteration, and the final label
-// check, which reads a row of Û only when its bounds fail (the inertia
-// comes from carried moments). None of them copies or allocates an
-// O(users) structure, and none grows with corpus age.
+// sums, so Figures 3 and 4 cost O(users changed + groups)), the Û patch,
+// the K-Means re-assignment of changed rows — is O(users changed). Û
+// keeps its own row order: a new user's row is appended to Û and to the
+// row-aligned columns (the state shadow and the K-Means labels and
+// bounds), and a leaving user's row is filled by the last one, so no
+// row moves for another's sake. The K-Means resume carries its bounds
+// lazily and visits only rows whose bounds could fail. What remains
+// O(users) is rare and amortized: regrowing a column past its bounded
+// headroom, doubling Û's id → row index, the index's first build at the
+// first warm refresh, and the K-Means sweep that re-states every row's
+// bounds once the centroids have drifted by the slack the candidate
+// list was cut at. Figure 7's inertia comes from carried moments, so no
+// refresh reads Û except where a row changed or a bound failed.
 //
 // The returned *Analysis shares the engine's Û and K-Means result
 // memory; it holds until the next Refresh. Callers that keep parts of it
@@ -120,7 +125,7 @@ func (e *Engine) LastRefresh() (dirtyRows int, latency time.Duration, cold bool)
 // donorsense_analyze_stage_seconds histogram. On a cold build the patch
 // stage is the build of Û.
 const (
-	stagePatch        = iota // Û patch and the splice of its row-aligned columns
+	stagePatch        = iota // Û patch and the replay on its row-aligned columns
 	stageCharacterize        // accumulator updates and Figures 3 and 4
 	stageKMeans              // Figure 7
 	stageAssemble            // everything else the Analysis needs
@@ -353,7 +358,7 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 	sort.Slice(removes, func(i, j int) bool { return removes[i] < removes[j] })
 
 	// The K-Means warm state is row-aligned with Û and is kept aligned
-	// through the splice below; a state restored for another Û is
+	// through the patch below; a state restored for another Û is
 	// dropped, and the clustering cold-starts.
 	ws := e.kmWarm
 	if ws != nil && len(ws.Labels) != e.att.Users() {
@@ -391,16 +396,23 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 		upIDs[i] = ups[i].id
 		upCounts = append(upCounts, ups[i].counts[:]...)
 	}
-	sp, err := e.att.Patch(upIDs, upCounts, removes)
+	moves, err := e.att.Patch(upIDs, upCounts, removes)
 	if err != nil {
 		return nil, fmt.Errorf("report: patch: %w", err)
 	}
-	// Replay Patch's row moves on every row-aligned column.
-	e.states = core.SpliceColumn(sp, e.states, 1)
+	// Replay Patch's swap-removes on every row-aligned column, then grow
+	// them for the appended users. Inserted rows join the K-Means
+	// re-assignment with label -1.
+	for _, mv := range moves {
+		e.states[mv.To] = e.states[mv.From]
+		e.states = e.states[:mv.From]
+		if ws != nil {
+			ws.SwapRemove(mv.To)
+		}
+	}
+	e.states = mat.ResizeRows(e.states, e.att.Users(), 1)
 	if ws != nil {
-		ws.Labels = core.SpliceColumn(sp, ws.Labels, 1)
-		ws.Upper = core.SpliceColumn(sp, ws.Upper, 1)
-		ws.Lower = core.SpliceColumn(sp, ws.Lower, 1)
+		ws.Grow(e.att.Users())
 	}
 	e.lap(stagePatch, &clock)
 
@@ -425,9 +437,6 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 		}
 		if up.state >= 0 {
 			regDirty[up.state] = true
-		}
-		if ws != nil {
-			ws.Labels[row] = -1 // inserted rows join the re-assignment
 		}
 	}
 	for i := range rms {

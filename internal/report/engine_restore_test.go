@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"donorsense/internal/cluster"
@@ -124,4 +127,81 @@ func FuzzRestoreWarm(f *testing.F) {
 			t.Fatalf("%d-byte blob allocated %d bytes, limit %d", len(b), got, limit)
 		}
 	})
+}
+
+// TestEngineRestartAfterChurn drives a warm engine through inserts and
+// through tweet deletions that zero users out of Û or remove them from
+// the store, so its Û and K-Means rows are far from id order, then
+// restarts it the way the collector does: MarshalWarm, SaveCheckpoint,
+// LoadCheckpoint, NewEngine + RestoreWarm, first Refresh. The restarted
+// clustering must resume from the blob rather than fall back to a cold
+// run, and give every user the cluster the live engine gave it.
+func TestEngineRestartAfterChurn(t *testing.T) {
+	tweets := gen.Generate(gen.DefaultConfig(0.05)).Tweets
+	cfg := engineTestConfig()
+	d := pipeline.NewDataset()
+	d.TrackDeletions()
+	e := NewEngine(d, cfg)
+	refresh := func() *Analysis {
+		t.Helper()
+		a, err := e.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	third := len(tweets) / 3
+	for _, tw := range tweets[:third] {
+		d.Process(tw)
+	}
+	refresh()
+	for i, tw := range tweets[third : 2*third] {
+		d.Process(tw)
+		if i%700 == 699 {
+			refresh()
+		}
+	}
+	grown := e.att.Users()
+	for i, tw := range tweets[:third] {
+		if i%3 == 0 {
+			d.Delete(tw.ID)
+		}
+		if i%900 == 899 {
+			refresh()
+		}
+	}
+	live := refresh()
+	if e.att.Users() >= grown || slices.IsSorted(live.Attention.UserIDs()) {
+		t.Fatalf("fixture drifted: %d → %d users, rows in id order %v", grown, e.att.Users(), slices.IsSorted(live.Attention.UserIDs()))
+	}
+
+	blob, err := e.MarshalWarm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetAnalyticsState(blob)
+	path := filepath.Join(t.TempDir(), "state.ckpt")
+	if err := d.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := pipeline.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := NewEngine(d2, cfg)
+	if err := e2.RestoreWarm(d2.AnalyticsState()); err != nil {
+		t.Fatal(err)
+	}
+	restored := e2.kmWarm
+	got, err := e2.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2.kmWarm != restored {
+		t.Fatal("the restarted clustering fell back to a cold run")
+	}
+	if !reflect.DeepEqual(clustersByID(got), clustersByID(live)) {
+		t.Fatal("a user's cluster changed across the restart")
+	}
 }

@@ -51,27 +51,36 @@ type engineWarmBlob struct {
 
 // MarshalWarm serializes the clustering warm state for checkpointing
 // (Dataset.SetAnalyticsState). Returns nil when there is nothing to
-// persist yet.
+// persist yet. The rows are written in ascending user-id order, the
+// order a restart's cold build lays Û out in, whatever order the live
+// Û has reached.
 func (e *Engine) MarshalWarm() ([]byte, error) {
-	if e.kmWarm == nil {
+	ws := e.kmWarm
+	if ws == nil {
 		return nil, nil
 	}
+	if e.att != nil && len(ws.Labels) == e.att.Users() {
+		ws = ws.Reorder(e.att.RowsByID())
+	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(engineWarmBlob{KMeans: e.kmWarm}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(engineWarmBlob{KMeans: ws}); err != nil {
 		return nil, fmt.Errorf("report: marshal warm state: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
 // RestoreWarm loads a blob produced by MarshalWarm, seeding the next
-// refresh's K-Means resume. A blob that does not decode, or decodes to
-// a state that is not internally consistent — k < 1, a dimension other
-// than organ.Count, slices of disagreeing lengths, labels outside
-// [-1, k), non-finite centroids, or negative or non-finite bounds — is
-// refused with an error and leaves the engine as it was, so callers can
-// ignore it and cold-start. A state that is consistent but stale (a
-// different row count) is safe to restore: cluster.KMeansWarm cold-starts
-// when it does not fit the data. A nil/empty blob is a no-op.
+// refresh's K-Means resume. That refresh is a cold build, so Û is in id
+// order and aligned with the blob: restoring into an engine that has
+// refreshed drops its incremental state. A blob that does not decode,
+// or decodes to a state that is not internally consistent — k < 1, a
+// dimension other than organ.Count, slices of disagreeing lengths,
+// labels outside [-1, k), non-finite centroids, or negative or
+// non-finite bounds — is refused with an error and leaves the engine as
+// it was, so callers can ignore it and cold-start. A state that is
+// consistent but stale (a different row count) is safe to restore:
+// cluster.KMeansWarm cold-starts when it does not fit the data. A
+// nil/empty blob is a no-op.
 //
 // Any byte string is safe to pass: decoding never panics, and it
 // allocates at most a small multiple of len(b) (see checkWarmBlob).
@@ -96,6 +105,7 @@ func (e *Engine) RestoreWarm(b []byte) error {
 	if err := ws.Validate(); err != nil {
 		return fmt.Errorf("report: restore warm state: %w", err)
 	}
+	e.reset()
 	e.kmWarm = ws
 	return nil
 }
