@@ -188,12 +188,15 @@ serve-smoke:
 
 # Differential fuzz of the wire codec against the encoding/json oracle,
 # of the checkpointed analytics warm-state decoder (refuse or validate,
-# never panic, allocation bounded by the input), and of the query API's
-# parameter parsing (only 200, 400 or 404, allocation bounded by the
-# query). CI runs the same targets for 30s each on every push.
+# never panic, allocation bounded by the input), of the checkpoint reader
+# (load or refuse, never panic, allocation bounded by the file), and of
+# the query API's parameter parsing (only 200, 400 or 404, allocation
+# bounded by the query). CI runs the same targets for 30s each on every
+# push.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWire -fuzztime 30s ./internal/twitter/
 	$(GO) test -run '^$$' -fuzz FuzzRestoreWarm -fuzztime 30s ./internal/report/
+	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 30s ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzServeQuery -fuzztime 30s ./internal/serve/
 
 # The full per-table/per-figure benchmark suite from the repo root.

@@ -18,6 +18,7 @@ import (
 	"donorsense/internal/mat"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
+	"donorsense/internal/stats"
 	"donorsense/internal/text"
 	"donorsense/internal/twitter"
 )
@@ -79,23 +80,37 @@ func stateSignatures() (*core.RegionCharacterization, error) {
 	return gs.Regions()
 }
 
+// rowMask is Û row r's mention mask: bit j set when organ j is mentioned.
+func rowMask(r int) uint8 {
+	mask := uint8(0)
+	for j, v := range benchU.RowView(r) {
+		if v > 0 {
+			mask |= 1 << j
+		}
+	}
+	return mask
+}
+
 // stateCells counts every located user into the Equation 4 cells behind
 // Figure 5 and the winner-takes-all baseline.
 func stateCells() *core.StateOrganCells {
 	c := core.NewStateOrganCells()
 	for r, s := range benchStates {
-		if s < 0 {
-			continue
+		if s >= 0 {
+			c.AddUser(int(s), rowMask(r), 1)
 		}
-		mask := uint8(0)
-		for j, v := range benchU.RowView(r) {
-			if v > 0 {
-				mask |= 1 << j
-			}
-		}
-		c.AddUser(int(s), mask, 1)
 	}
 	return c
+}
+
+// mentionAccum counts every user's mention mask into the accumulator
+// behind Analysis.Popularity and Analysis.MultiUsers (Figure 2).
+func mentionAccum() *core.MentionAccum {
+	var m core.MentionAccum
+	for r := range benchStates {
+		m.AddMask(rowMask(r), 1)
+	}
+	return &m
 }
 
 // buildAttention builds Û from rows of mention counts, one row per id.
@@ -134,28 +149,33 @@ func BenchmarkFigure1_KeywordProduct(b *testing.B) {
 }
 
 // BenchmarkFigure2a_OrganPopularity times the users-per-organ histogram
-// and its Spearman validation against OPTN transplant counts.
+// (Analysis.Popularity) and its Spearman validation against OPTN
+// transplant counts (Analysis.Spearman).
 func BenchmarkFigure2a_OrganPopularity(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		counts := benchDataset.UsersPerOrgan()
+		counts := mentionAccum().UsersPerOrgan()
 		if counts[organ.Heart.Index()] == 0 {
 			b.Fatal("no heart users")
 		}
-		if _, err := benchDataset.PopularityCorrelation(); err != nil {
+		x := make([]float64, organ.Count)
+		for j, c := range counts {
+			x[j] = float64(c)
+		}
+		if _, err := stats.Spearman(x, organ.TransplantCounts()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkFigure2b_MultiOrganMentions times the tweets-vs-users
-// multi-organ histograms.
+// multi-organ histograms (Analysis.MultiTweets and Analysis.MultiUsers).
 func BenchmarkFigure2b_MultiOrganMentions(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tweets, users := benchDataset.MultiOrganHistogram()
+		tweets, users := benchDataset.TweetOrganHistogram(), mentionAccum().MultiOrganUsers()
 		if tweets[0] == 0 || users[0] == 0 {
 			b.Fatal("degenerate histogram")
 		}

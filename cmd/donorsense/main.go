@@ -318,7 +318,7 @@ func cmdCollect(args []string) error {
 	k := fs.Int("k", 12, "user cluster count (Figure 7)")
 	sweep := fs.String("sweep", "", "comma-separated ks for the model-selection sweep")
 	sil := fs.Int("silhouette-sample", 2000, "silhouette sample size (0 = exact)")
-	workers := fs.Int("workers", 1, "extract/geocode workers for live collection (0 = GOMAXPROCS, 1 = sequential)")
+	workers := fs.Int("workers", 1, "extract/geocode goroutines for live collection (0 = GOMAXPROCS); any count folds the same dataset")
 	checkpoint := fs.String("checkpoint", "", "checkpoint file: load on start (if present), save periodically and on shutdown")
 	checkpointEvery := fs.Duration("checkpoint-every", 30*time.Second, "interval between periodic checkpoint saves")
 	reportEvery := fs.Duration("report-every", 0, "interval between in-flight incremental analysis refreshes (0 = off; single-shard mode only)")
@@ -651,81 +651,33 @@ func cmdCollect(args []string) error {
 		logger.Info("progress", attrs...)
 	}
 
-	n := 0
-	if *workers != 1 {
-		// Parallel ingest: extraction and geocoding fan out across
-		// workers while folding (and these callbacks) stay on this
-		// goroutine, so the checkpoint/progress closures read a quiescent
-		// dataset exactly as in the sequential loop below.
-		var saveErr error
-		reachedMax := false
-		n = d.CollectParallel(ctx, tweets, pipeline.CollectOptions{
-			Workers: *workers,
-			OnFold: func(total int) bool {
-				if *checkpoint != "" && time.Since(lastSave) >= *checkpointEvery {
-					if err := save(); err != nil {
-						saveErr = err
-						return false
-					}
-					lastSave = time.Now()
-				}
-				if engine != nil && time.Since(lastReport) >= *reportEvery {
-					refreshReport()
-					lastReport = time.Now()
-				}
-				if *maxTweets > 0 && total >= *maxTweets {
-					reachedMax = true
+	// Extraction and geocoding fan out across the workers while folding
+	// (and these callbacks) stay on this goroutine, so the checkpoint and
+	// report closures read a quiescent dataset. The loop ends when the
+	// relay closes its stream — at the stream's end, on a signal, or after
+	// exactly -max tweets — so it watches no context of its own: a stop
+	// must not strand tweets the relay already passed on.
+	var saveErr error
+	n := d.CollectParallel(context.Background(), limitStream(ctx, stop, tweets, *maxTweets, nil), pipeline.CollectOptions{
+		Workers: *workers,
+		OnFold: func(int) bool {
+			if *checkpoint != "" && time.Since(lastSave) >= *checkpointEvery {
+				if saveErr = save(); saveErr != nil {
 					return false
 				}
-				return true
-			},
-			Ticks:  progressC,
-			OnTick: progress,
-		})
-		if saveErr != nil {
-			return saveErr
-		}
-		if reachedMax {
-			stop()
-			// Drain remaining deliveries so the client can exit.
-			go func() {
-				for range tweets {
-				}
-			}()
-		}
-	} else {
-	collect:
-		for {
-			select {
-			case t, ok := <-tweets:
-				if !ok {
-					break collect
-				}
-				d.Process(t)
-				n++
-				if *checkpoint != "" && time.Since(lastSave) >= *checkpointEvery {
-					if err := save(); err != nil {
-						return err
-					}
-					lastSave = time.Now()
-				}
-				if engine != nil && time.Since(lastReport) >= *reportEvery {
-					refreshReport()
-					lastReport = time.Now()
-				}
-				if *maxTweets > 0 && n >= *maxTweets {
-					stop()
-					// Drain remaining deliveries so the client can exit.
-					go func() {
-						for range tweets {
-						}
-					}()
-					break collect
-				}
-			case <-progressC:
-				progress(n)
+				lastSave = time.Now()
 			}
-		}
+			if engine != nil && time.Since(lastReport) >= *reportEvery {
+				refreshReport()
+				lastReport = time.Now()
+			}
+			return true
+		},
+		Ticks:  progressC,
+		OnTick: progress,
+	})
+	if saveErr != nil {
+		return saveErr
 	}
 	if err := <-errc; err != nil && ctx.Err() == nil {
 		saveErr := save() // keep the data even when the stream died
@@ -753,6 +705,51 @@ func cmdCollect(args []string) error {
 		engine.SetMetrics(engineMetrics)
 	}
 	return analyzeDataset(d, engine, cfg, nil, "")
+}
+
+// limitStream relays tweets from in to the returned channel, counting
+// each into n (when set), until in closes or ctx ends. With max > 0 it
+// relays exactly max tweets, then cancels the stream through stop and
+// drains in so the client can exit. The returned channel closes when the
+// relay ends, so a consumer that reads it to the end sees every relayed
+// tweet.
+func limitStream(ctx context.Context, stop context.CancelFunc, in <-chan twitter.Tweet, max int, n *atomic.Int64) <-chan twitter.Tweet {
+	// Buffered like the client's delivery channel, so the relay does not
+	// add a per-tweet rendezvous between the client and the fold.
+	out := make(chan twitter.Tweet, 1024)
+	go func() {
+		defer close(out)
+		relayed := 0
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case t, ok := <-in:
+				if !ok {
+					return
+				}
+				select {
+				case out <- t:
+				case <-ctx.Done():
+					return
+				}
+				relayed++
+				if n != nil {
+					n.Add(1)
+				}
+				if max > 0 && relayed >= max {
+					stop()
+					// Drain remaining deliveries so the client can exit.
+					go func() {
+						for range in {
+						}
+					}()
+					return
+				}
+			}
+		}
+	}()
+	return out
 }
 
 // cmdReplay serves an archived NDJSON corpus over the Stream API

@@ -139,37 +139,10 @@ func collectSharded(ctx context.Context, stop context.CancelFunc, opt shardedCol
 	errc := make(chan error, 1)
 	go func() { errc <- opt.client.Filter(ctx, organ.TrackTerms(), tweets) }()
 
-	// The router consumes this relay channel; the relay enforces -max and
+	// The router consumes the relayed stream; the relay enforces -max and
 	// counts throughput for the progress log.
-	routed := make(chan twitter.Tweet, 1024)
 	var routedN atomic.Int64
-	go func() {
-		defer close(routed)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case t, ok := <-tweets:
-				if !ok {
-					return
-				}
-				select {
-				case routed <- t:
-				case <-ctx.Done():
-					return
-				}
-				if n := routedN.Add(1); opt.maxTweets > 0 && n >= int64(opt.maxTweets) {
-					stop()
-					// Drain remaining deliveries so the client can exit.
-					go func() {
-						for range tweets {
-						}
-					}()
-					return
-				}
-			}
-		}
-	}()
+	routed := limitStream(ctx, stop, tweets, opt.maxTweets, &routedN)
 
 	runDone := make(chan struct{})
 	if opt.progressEvery > 0 {

@@ -103,22 +103,23 @@ func main() {
 	}
 }
 
-// snapshot prints the sensor's current reading.
+// snapshot prints the sensor's current reading: Table I and the
+// popularity ranking from a fresh analysis, and — once enough users are
+// in — the Kansas kidney signal.
 func snapshot(d *pipeline.Dataset, n int) {
-	s := d.Stats()
-	fmt.Printf("\n--- after %d stream tweets: %d US users, %d US tweets ---\n",
-		n, s.Users, s.TweetsCollected)
-	rank := d.PopularityRank()
-	fmt.Printf("  popularity: %v\n", rank)
-
-	if s.Users < 500 {
-		return // too early for geographic signals
-	}
 	cfg := report.DefaultAnalysisConfig()
 	cfg.SweepKs = nil
 	a, err := report.Analyze(d, cfg)
 	if err != nil {
+		fmt.Printf("\n--- after %d stream tweets: no analysis yet (%v) ---\n", n, err)
 		return
+	}
+	fmt.Printf("\n--- after %d stream tweets: %d US users, %d US tweets ---\n",
+		n, a.Stats.Users, a.Stats.TweetsCollected)
+	fmt.Printf("  popularity: %v\n", report.PopularityRank(a.Popularity))
+
+	if a.Stats.Users < 500 {
+		return // too early for geographic signals
 	}
 	row := geo.StateIndex("KS")
 	rr := a.Highlight.Risks[row][organ.Kidney.Index()]

@@ -10,7 +10,7 @@
 //	magic   [8]byte  "DSCKPT\x00" + version byte
 //	length  uint64   payload byte count
 //	crc32   uint32   IEEE CRC of the payload
-//	payload []byte   gob-encoded checkpointState
+//	payload []byte   gob-encoded checkpointStateV4
 //
 // Saves are atomic: the snapshot is written to a temporary file in the
 // target directory, synced, and renamed over the destination, so a crash
@@ -44,31 +44,16 @@ var checkpointMagic = [8]byte{'D', 'S', 'C', 'K', 'P', 'T', 0, checkpointVersion
 
 // checkpointVersion is the format written by WriteCheckpoint. Version 4
 // is version 3 (the user store as flat columns) plus the report engine's
-// opaque analytics warm-start blob. Versions 3 and 2 (the legacy
-// map-of-records payload) are still readable so older snapshots migrate
-// on load.
+// opaque analytics warm-start blob. Version 3 is still readable, so
+// older snapshots migrate on load; nothing older is.
 const (
-	checkpointVersion       = 4
-	checkpointVersionV3     = 3
-	checkpointVersionLegacy = 2
+	checkpointVersion   = 4
+	checkpointVersionV3 = 3
 )
 
 // ErrCheckpointCorrupt reports a snapshot that failed validation (bad
 // magic, truncation, or checksum mismatch).
 var ErrCheckpointCorrupt = errors.New("pipeline: checkpoint corrupt")
-
-// checkpointUser mirrors the legacy (v2) per-user record for gob.
-type checkpointUser struct {
-	ID               int64
-	StateCode        string
-	GeoTagged        bool
-	Tweets           int
-	Mentions         [organ.Count]int
-	ClinicalMentions int
-	Hashtags         int
-	FirstSeen        int64
-	FirstTweetID     int64
-}
 
 // checkpointContribution mirrors tweetContribution.
 type checkpointContribution struct {
@@ -78,26 +63,6 @@ type checkpointContribution struct {
 	Hashtags  int8
 	Distinct  int8
 	GeoTagged bool
-}
-
-// checkpointState is the legacy v2 gob payload: the complete
-// serializable state of a Dataset with users as a map of records.
-type checkpointState struct {
-	Users          map[int64]checkpointUser
-	TotalCollected int
-	USTweets       int
-	GeoTagged      int
-	MentionSum     int
-	FirstTweet     time.Time
-	LastTweet      time.Time
-	OrgansPerTweet map[int]int
-	TrackDeletions bool
-	Contributions  map[int64]checkpointContribution
-	LocCache       map[string]geo.Location
-	// Cursor is the feeding layer's stream position at snapshot time (see
-	// Dataset.SetCursor); the shard supervisor's replay skip depends on
-	// it surviving the round-trip.
-	Cursor uint64
 }
 
 // checkpointStateV4 is the v4 gob payload: the user store as flat
@@ -195,40 +160,6 @@ func snapshotContributions(contribs map[int64]tweetContribution) map[int64]check
 	return out
 }
 
-// restoreCommon applies the non-user fields shared by both snapshot
-// versions to a fresh dataset.
-func restoreCommon(d *Dataset, totalCollected, usTweets, geoTagged, mentionSum int,
-	firstTweet, lastTweet time.Time, organsPerTweet map[int]int,
-	trackDeletions bool, contribs map[int64]checkpointContribution,
-	locCache map[string]geo.Location, cursor uint64) {
-	d.totalCollected = totalCollected
-	d.usTweets = usTweets
-	d.geoTagged = geoTagged
-	d.mentionSum = mentionSum
-	d.firstTweet = firstTweet
-	d.lastTweet = lastTweet
-	d.cursor = cursor
-	for k, n := range organsPerTweet {
-		d.organsPerTweet[k] = n
-	}
-	if trackDeletions {
-		d.TrackDeletions()
-		for id, c := range contribs {
-			d.contributions[id] = tweetContribution{
-				userID:    c.UserID,
-				mentions:  c.Mentions,
-				clinical:  c.Clinical,
-				hashtags:  c.Hashtags,
-				distinct:  c.Distinct,
-				geoTagged: c.GeoTagged,
-			}
-		}
-	}
-	for k, v := range locCache {
-		d.locCache.put(k, v)
-	}
-}
-
 // restore rebuilds a fresh dataset from a decoded v3/v4 snapshot,
 // adopting the decoded column slices directly into the store.
 func restore(st checkpointStateV4) (*Dataset, error) {
@@ -250,35 +181,33 @@ func restore(st checkpointStateV4) (*Dataset, error) {
 	d := NewDataset()
 	d.store = store
 	d.analytics = st.Analytics
-	restoreCommon(d, st.TotalCollected, st.USTweets, st.GeoTagged, st.MentionSum,
-		st.FirstTweet, st.LastTweet, st.OrgansPerTweet,
-		st.TrackDeletions, st.Contributions, st.LocCache, st.Cursor)
-	return d, nil
-}
-
-// restoreLegacy rebuilds a dataset from a decoded v2 snapshot: the map
-// of user records is folded into a fresh columnar store. Store row order
-// after a migration is map-iteration order — unspecified, and invisible:
-// every consumer either sorts by user id or aggregates
-// order-independently.
-func restoreLegacy(st checkpointState) *Dataset {
-	d := NewDataset()
-	for id, u := range st.Users {
-		var flags uint8
-		if u.GeoTagged {
-			flags = userstore.FlagGeoTagged
-		}
-		row := d.store.Insert(id, u.StateCode, flags, u.FirstSeen, u.FirstTweetID)
-		d.store.AddCounts(row, int32(u.Tweets), int32(u.ClinicalMentions), int32(u.Hashtags))
-		mrow := d.store.MentionsRow(row)
-		for i, m := range u.Mentions {
-			mrow[i] = int32(m)
+	d.totalCollected = st.TotalCollected
+	d.usTweets = st.USTweets
+	d.geoTagged = st.GeoTagged
+	d.mentionSum = st.MentionSum
+	d.firstTweet = st.FirstTweet
+	d.lastTweet = st.LastTweet
+	d.cursor = st.Cursor
+	for k, n := range st.OrgansPerTweet {
+		d.organsPerTweet[k] = n
+	}
+	if st.TrackDeletions {
+		d.TrackDeletions()
+		for id, c := range st.Contributions {
+			d.contributions[id] = tweetContribution{
+				userID:    c.UserID,
+				mentions:  c.Mentions,
+				clinical:  c.Clinical,
+				hashtags:  c.Hashtags,
+				distinct:  c.Distinct,
+				geoTagged: c.GeoTagged,
+			}
 		}
 	}
-	restoreCommon(d, st.TotalCollected, st.USTweets, st.GeoTagged, st.MentionSum,
-		st.FirstTweet, st.LastTweet, st.OrgansPerTweet,
-		st.TrackDeletions, st.Contributions, st.LocCache, st.Cursor)
-	return d
+	for k, v := range st.LocCache {
+		d.locCache.put(k, v)
+	}
+	return d, nil
 }
 
 // WriteCheckpoint serializes the dataset to w in the checkpoint format.
@@ -304,8 +233,13 @@ func (d *Dataset) WriteCheckpoint(w io.Writer) error {
 
 // ReadCheckpoint deserializes a dataset from r, verifying the header and
 // checksum. It returns ErrCheckpointCorrupt (wrapped) for torn or
-// tampered snapshots.
-func ReadCheckpoint(r io.Reader) (*Dataset, error) {
+// tampered snapshots. Memory is bounded by the bytes r actually holds,
+// whatever payload length the header claims.
+func ReadCheckpoint(r io.Reader) (*Dataset, error) { return readCheckpoint(r, -1) }
+
+// readCheckpoint is ReadCheckpoint with a hint of how many payload bytes
+// r holds (negative when unknown), used to size the payload buffer.
+func readCheckpoint(r io.Reader, sizeHint int64) (*Dataset, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCheckpointCorrupt, err)
@@ -314,10 +248,9 @@ func ReadCheckpoint(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
 	}
 	version := magic[7]
-	if version != checkpointVersion && version != checkpointVersionV3 &&
-		version != checkpointVersionLegacy {
-		return nil, fmt.Errorf("pipeline: checkpoint version %d not supported (want %d..%d)",
-			version, checkpointVersionLegacy, checkpointVersion)
+	if version != checkpointVersion && version != checkpointVersionV3 {
+		return nil, fmt.Errorf("pipeline: checkpoint version %d not supported (want %d or %d)",
+			version, checkpointVersionV3, checkpointVersion)
 	}
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -329,19 +262,12 @@ func ReadCheckpoint(r io.Reader) (*Dataset, error) {
 	if length > maxCheckpoint {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCheckpointCorrupt, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int64(length), sizeHint)
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCheckpointCorrupt, err)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
-	}
-	if version == checkpointVersionLegacy {
-		var st checkpointState
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
-			return nil, fmt.Errorf("%w: decode: %v", ErrCheckpointCorrupt, err)
-		}
-		return restoreLegacy(st), nil
 	}
 	// v3 and v4 share the decode path: a v3 payload simply lacks the
 	// Analytics field, which gob leaves nil.
@@ -350,6 +276,25 @@ func ReadCheckpoint(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("%w: decode: %v", ErrCheckpointCorrupt, err)
 	}
 	return restore(st)
+}
+
+// readPayload reads exactly length payload bytes. The buffer starts at
+// the caller's count of bytes present (sizeHint; negative when unknown,
+// then bytes.Buffer's own growth applies) and grows only as data arrives,
+// so a torn header claiming gigabytes costs what the input holds, not
+// what it claims.
+func readPayload(r io.Reader, length, sizeHint int64) ([]byte, error) {
+	var buf bytes.Buffer
+	// MinRead spare room lets ReadFrom see EOF without regrowing a buffer
+	// the payload filled exactly.
+	buf.Grow(int(min(length, max(sizeHint, 0))) + bytes.MinRead)
+	if _, err := buf.ReadFrom(io.LimitReader(r, length)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) < length {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), nil
 }
 
 // CheckpointBackupPath returns the path of the last-good backup snapshot
@@ -503,7 +448,11 @@ func loadCheckpointFile(path string) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	d, err := ReadCheckpoint(f)
+	sizeHint := int64(-1)
+	if fi, err := f.Stat(); err == nil {
+		sizeHint = fi.Size() - int64(len(checkpointMagic)) - 12
+	}
+	d, err := readCheckpoint(f, sizeHint)
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", path, err)
 	}

@@ -13,58 +13,10 @@ import (
 	"donorsense/internal/geo"
 )
 
-// This file covers the checkpoint v2 → v3 migration: a legacy snapshot
-// (users as a map of records) must load into the columnar store with
-// nothing lost, and re-saving it must produce a v3 snapshot that round-
-// trips to the same dataset — merge cursor and delete log included.
-
-// writeCheckpointV2 emits a dataset in the legacy v2 format. It is the
-// old snapshot()+WriteCheckpoint pair, kept test-side as the fixture
-// generator for migration coverage.
-func writeCheckpointV2(t *testing.T, d *Dataset, w *bytes.Buffer) {
-	t.Helper()
-	st := checkpointState{
-		Users:          make(map[int64]checkpointUser, d.Users()),
-		TotalCollected: d.totalCollected,
-		USTweets:       d.usTweets,
-		GeoTagged:      d.geoTagged,
-		MentionSum:     d.mentionSum,
-		FirstTweet:     d.firstTweet,
-		LastTweet:      d.lastTweet,
-		OrgansPerTweet: d.organsPerTweet,
-		TrackDeletions: d.contributions != nil,
-		Contributions:  snapshotContributions(d.contributions),
-		LocCache:       make(map[string]geo.Location, d.locCache.len()),
-		Cursor:         d.cursor,
-	}
-	d.EachUser(func(u *UserRecord) {
-		st.Users[u.ID] = checkpointUser{
-			ID:               u.ID,
-			StateCode:        u.StateCode,
-			GeoTagged:        u.GeoTagged,
-			Tweets:           u.Tweets,
-			Mentions:         u.Mentions,
-			ClinicalMentions: u.ClinicalMentions,
-			Hashtags:         u.Hashtags,
-			FirstSeen:        u.FirstSeen,
-			FirstTweetID:     u.FirstTweetID,
-		}
-	})
-	d.locCache.each(func(k string, v geo.Location) { st.LocCache[k] = v })
-
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		t.Fatalf("encode v2: %v", err)
-	}
-	magic := checkpointMagic
-	magic[7] = checkpointVersionLegacy
-	w.Write(magic[:])
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload.Bytes()))
-	w.Write(hdr[:])
-	w.Write(payload.Bytes())
-}
+// This file covers the checkpoint v3 → v4 migration: a pre-analytics
+// snapshot must load with nothing lost, and re-saving it must produce a
+// v4 snapshot that round-trips to the same dataset — merge cursor and
+// delete log included.
 
 // assertDatasetsIdenticalFull is assertDatasetsEqual plus the state a
 // resumed collector depends on: every user record, the stream cursor,
@@ -91,68 +43,6 @@ func assertDatasetsIdenticalFull(t *testing.T, got, want *Dataset) {
 	})
 	if got.Users() != want.Users() {
 		t.Errorf("users = %d, want %d", got.Users(), want.Users())
-	}
-}
-
-// TestCheckpointV2MigrationRoundTrip is the migration property test over
-// randomized datasets: build a dataset (randomized tweet window, delete
-// tracking on or off, random deletes, a nonzero cursor), write it in the
-// legacy v2 format, load it (migrating into the columnar store), assert
-// full equality, then save v3 and reload, asserting equality survives
-// the new format too.
-func TestCheckpointV2MigrationRoundTrip(t *testing.T) {
-	tweets := sharedCorpus.Tweets
-	for seed := int64(1); seed <= 4; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		d := NewDataset()
-		track := seed%2 == 0
-		if track {
-			d.TrackDeletions()
-		}
-		lo := r.Intn(len(tweets) / 2)
-		hi := lo + 1 + r.Intn(len(tweets)-lo-1)
-		var retained []int64
-		for _, tw := range tweets[lo:hi] {
-			if d.Process(tw) == CollectedUS {
-				retained = append(retained, tw.ID)
-			}
-		}
-		if track {
-			for i := 0; i < len(retained)/3; i++ {
-				d.Delete(retained[r.Intn(len(retained))])
-			}
-		}
-		d.SetCursor(uint64(r.Int63()))
-
-		var v2 bytes.Buffer
-		writeCheckpointV2(t, d, &v2)
-		migrated, err := ReadCheckpoint(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			t.Fatalf("seed %d: load v2: %v", seed, err)
-		}
-		assertDatasetsIdenticalFull(t, migrated, d)
-
-		var v3 bytes.Buffer
-		if err := migrated.WriteCheckpoint(&v3); err != nil {
-			t.Fatalf("seed %d: save v3: %v", seed, err)
-		}
-		if v3.Bytes()[7] != checkpointVersion {
-			t.Fatalf("seed %d: re-save wrote version %d, want %d",
-				seed, v3.Bytes()[7], checkpointVersion)
-		}
-		reloaded, err := ReadCheckpoint(bytes.NewReader(v3.Bytes()))
-		if err != nil {
-			t.Fatalf("seed %d: reload v3: %v", seed, err)
-		}
-		assertDatasetsIdenticalFull(t, reloaded, d)
-
-		// The migrated dataset must keep collecting identically: fold the
-		// suffix into both and compare again.
-		for _, tw := range tweets[hi:min(hi+2000, len(tweets))] {
-			d.Process(tw)
-			reloaded.Process(tw)
-		}
-		assertDatasetsIdenticalFull(t, reloaded, d)
 	}
 }
 
@@ -226,22 +116,34 @@ func writeCheckpointV3(t *testing.T, d *Dataset, w *bytes.Buffer) {
 	w.Write(payload.Bytes())
 }
 
-// TestCheckpointV3MigrationRoundTrip covers the v3 → v4 migration: a
-// pre-analytics snapshot must load with the analytics blob nil and
-// everything else intact, and re-saving must produce a v4 snapshot that
-// round-trips the blob byte-for-byte once one is attached.
+// TestCheckpointV3MigrationRoundTrip is the migration property test over
+// randomized datasets (randomized tweet window, delete tracking on or
+// off, random deletes, a nonzero cursor): a pre-analytics snapshot must
+// load with the analytics blob nil and everything else intact,
+// re-saving must produce a v4 snapshot that round-trips the blob
+// byte-for-byte once one is attached, and the migrated dataset must keep
+// collecting identically.
 func TestCheckpointV3MigrationRoundTrip(t *testing.T) {
 	tweets := sharedCorpus.Tweets
 	for seed := int64(1); seed <= 4; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		d := NewDataset()
-		if seed%2 == 0 {
+		track := seed%2 == 0
+		if track {
 			d.TrackDeletions()
 		}
 		lo := r.Intn(len(tweets) / 2)
 		hi := lo + 1 + r.Intn(len(tweets)-lo-1)
+		var retained []int64
 		for _, tw := range tweets[lo:hi] {
-			d.Process(tw)
+			if d.Process(tw) == CollectedUS {
+				retained = append(retained, tw.ID)
+			}
+		}
+		if track {
+			for i := 0; i < len(retained)/3; i++ {
+				d.Delete(retained[r.Intn(len(retained))])
+			}
 		}
 		d.SetCursor(uint64(r.Int63()))
 
@@ -275,5 +177,11 @@ func TestCheckpointV3MigrationRoundTrip(t *testing.T) {
 		if !bytes.Equal(reloaded.AnalyticsState(), blob) {
 			t.Fatalf("seed %d: analytics blob did not round-trip", seed)
 		}
+
+		for _, tw := range tweets[hi:min(hi+2000, len(tweets))] {
+			d.Process(tw)
+			reloaded.Process(tw)
+		}
+		assertDatasetsIdenticalFull(t, reloaded, d)
 	}
 }

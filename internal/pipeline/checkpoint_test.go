@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -30,11 +32,11 @@ func assertDatasetsEqual(t *testing.T, got, want *Dataset) {
 	if !tableIEqual(got.Stats(), want.Stats()) {
 		t.Errorf("Table I mismatch:\n got %+v\nwant %+v", got.Stats(), want.Stats())
 	}
-	if got.UsersPerOrgan() != want.UsersPerOrgan() {
-		t.Errorf("Figure 2(a) mismatch: %v vs %v", got.UsersPerOrgan(), want.UsersPerOrgan())
+	if g, w := usersPerOrgan(got), usersPerOrgan(want); g != w {
+		t.Errorf("Figure 2(a) mismatch: %v vs %v", g, w)
 	}
-	gt, gu := got.MultiOrganHistogram()
-	wt, wu := want.MultiOrganHistogram()
+	gt, gu := got.TweetOrganHistogram(), userOrganHistogram(got)
+	wt, wu := want.TweetOrganHistogram(), userOrganHistogram(want)
 	if gt != wt || gu != wu {
 		t.Errorf("Figure 2(b) mismatch: (%v,%v) vs (%v,%v)", gt, gu, wt, wu)
 	}
@@ -132,12 +134,81 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}
 	}
 
-	// A future version must be refused, but not as "corrupt".
-	futur := append([]byte(nil), good...)
-	futur[7] = checkpointVersion + 1
-	if _, err := ReadCheckpoint(bytes.NewReader(futur)); err == nil || errors.Is(err, ErrCheckpointCorrupt) {
-		t.Errorf("future version: err = %v, want version error", err)
+	// A future version and the retired v2 map format must be refused as
+	// unsupported, not as "corrupt": a version mismatch is a deployment
+	// problem, so the loader must not fall back to an older .bak either.
+	for _, version := range []byte{2, checkpointVersion + 1} {
+		other := append([]byte(nil), good...)
+		other[7] = version
+		if _, err := ReadCheckpoint(bytes.NewReader(other)); err == nil ||
+			errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "not supported") {
+			t.Errorf("version %d: err = %v, want a not-supported error", version, err)
+		}
+		path := filepath.Join(t.TempDir(), "state.ckpt")
+		if err := d.SaveCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(path, CheckpointBackupPath(path)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, other, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, usedBackup, err := LoadCheckpointFallback(path); err == nil || usedBackup ||
+			!strings.Contains(err.Error(), "not supported") {
+			t.Errorf("version %d: load err = %v, usedBackup = %v; want a not-supported error and no fallback",
+				version, err, usedBackup)
+		}
 	}
+}
+
+// TestReadCheckpointAllocationBoundedByInput: a torn 20-byte file whose
+// header claims a 4 GiB payload is corrupt, and reading it allocates
+// about what the file holds, not what the header claims.
+func TestReadCheckpointAllocationBoundedByInput(t *testing.T) {
+	hdr := make([]byte, 20)
+	copy(hdr, checkpointMagic[:])
+	binary.LittleEndian.PutUint64(hdr[8:16], 1<<32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCheckpoint(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Errorf("err = %v, want ErrCheckpointCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("reading a 20-byte file allocated %d bytes", alloc)
+	}
+}
+
+// FuzzReadCheckpoint: any input either loads or is refused with an error
+// — never a panic — and allocation stays bounded by the input's size.
+// The seeds are a valid v4 snapshot and truncations of it.
+func FuzzReadCheckpoint(f *testing.F) {
+	d := NewDataset()
+	for _, tw := range sharedCorpus.Tweets[:300] {
+		d.Process(tw)
+	}
+	var buf bytes.Buffer
+	if err := d.WriteCheckpoint(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	for _, n := range []int{len(good), len(good) - 1, len(good) / 2, 21, 20, 19, 8, 0} {
+		f.Add(good[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ReadCheckpoint(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if (got == nil) == (err == nil) {
+			t.Fatalf("dataset %v with error %v", got != nil, err)
+		}
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(256<<10+64*len(data)); alloc > bound {
+			t.Fatalf("%d-byte input allocated %d bytes, bound %d", len(data), alloc, bound)
+		}
+	})
 }
 
 func flipByte(b []byte, i int) []byte {

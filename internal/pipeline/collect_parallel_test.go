@@ -45,41 +45,32 @@ func assertDatasetsIdentical(t *testing.T, got, want *Dataset) {
 	})
 }
 
-// TestCollectParallelMatchesCollect: the streaming parallel path must
-// produce a bit-identical dataset to sequential Collect over the same
-// delivery sequence — the Table I guarantee for live collection.
-func TestCollectParallelMatchesCollect(t *testing.T) {
-	corpus := gen.Generate(gen.DefaultConfig(0.01))
-
-	seq := NewDataset()
-	seqN := seq.Collect(context.Background(), feed(corpus.Tweets))
-
-	par := NewDataset()
-	parN := par.CollectParallel(context.Background(), feed(corpus.Tweets), CollectOptions{Workers: 4})
-
-	if parN != seqN {
-		t.Fatalf("parallel folded %d tweets, sequential %d", parN, seqN)
-	}
-	assertDatasetsIdentical(t, par, seq)
-}
-
-// TestCollectParallelWorkerOne: Workers == 1 must behave exactly like
-// Collect, including the per-tweet OnFold cadence.
+// TestCollectParallelWorkerOne: one worker is one prepare goroutine
+// behind the same chunked fold, so OnFold fires once per folded chunk —
+// never more than once per tweet, with a strictly growing total that ends
+// at the stream length — and the dataset equals the Process oracle.
 func TestCollectParallelWorkerOne(t *testing.T) {
 	corpus := gen.Generate(gen.DefaultConfig(0.002))
-	seq := NewDataset()
-	seq.Collect(context.Background(), feed(corpus.Tweets))
+	want := NewDataset()
+	for _, tw := range corpus.Tweets {
+		want.Process(tw)
+	}
 
 	par := NewDataset()
-	folds := 0
+	var totals []int
 	n := par.CollectParallel(context.Background(), feed(corpus.Tweets), CollectOptions{
 		Workers: 1,
-		OnFold:  func(total int) bool { folds = total; return true },
+		OnFold:  func(total int) bool { totals = append(totals, total); return true },
 	})
-	if n != len(corpus.Tweets) || folds != n {
-		t.Fatalf("folded %d (last callback %d), want %d", n, folds, len(corpus.Tweets))
+	if n != len(corpus.Tweets) || len(totals) == 0 || totals[len(totals)-1] != n {
+		t.Fatalf("folded %d (callbacks %d), want %d", n, len(totals), len(corpus.Tweets))
 	}
-	assertDatasetsIdentical(t, par, seq)
+	for i := 1; i < len(totals); i++ {
+		if d := totals[i] - totals[i-1]; d <= 0 || d > ingestChunkSize {
+			t.Fatalf("OnFold step %d folded %d tweets, want 1..%d", i, d, ingestChunkSize)
+		}
+	}
+	assertDatasetsIdentical(t, par, want)
 }
 
 // TestCollectParallelEarlyStop: OnFold returning false must stop the
@@ -144,36 +135,95 @@ func TestCollectParallelContextCancel(t *testing.T) {
 	}
 }
 
-// TestProcessAllWiresMetrics: the parallel path must feed the same
-// instruments Process does — outcome counters, stage histograms, and the
-// geocode memo hit/miss counters (it used to bypass all of them).
+// TestProcessAllWiresMetrics: every ingest entry point records the same
+// pipeline metrics for the same corpus — Process one tweet at a time,
+// ProcessAll, and CollectParallel at one and four workers. Outcome and
+// USA-filter counters, the per-stage histogram counts and the size
+// gauges must agree across rows, and with the outcome counts.
 func TestProcessAllWiresMetrics(t *testing.T) {
 	corpus := gen.Generate(gen.DefaultConfig(0.01))
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	d := NewDataset()
-	d.SetMetrics(m)
-	rej, nonUS, us := d.ProcessAll(corpus.Tweets, 4)
+	ingest := []struct {
+		name string
+		run  func(d *Dataset)
+	}{
+		{"Process", func(d *Dataset) {
+			for _, tw := range corpus.Tweets {
+				d.Process(tw)
+			}
+		}},
+		{"ProcessAll", func(d *Dataset) { d.ProcessAll(corpus.Tweets, 4) }},
+		{"CollectParallel/workers-1", func(d *Dataset) {
+			d.CollectParallel(context.Background(), feed(corpus.Tweets), CollectOptions{Workers: 1})
+		}},
+		{"CollectParallel/workers-4", func(d *Dataset) {
+			d.CollectParallel(context.Background(), feed(corpus.Tweets), CollectOptions{Workers: 4})
+		}},
+	}
+	causes := []string{"geotag_us", "geotag_foreign", "profile_us", "profile_us_unlocated", "profile_unresolved", "profile_foreign"}
+	// observed reads every instrument the rows must agree on.
+	observed := func(m *Metrics) map[string]float64 {
+		got := map[string]float64{
+			"users":           m.users.Value(),
+			"us_tweets":       m.usTweets.Value(),
+			"total_collected": m.totalCollected.Value(),
+			"cache_entries":   m.cacheEntries.Value(),
+			"userstore_rows":  m.userstoreRows.Value(),
+			"userstore_bytes": m.userstoreBytes.Value(),
+		}
+		for _, o := range []Outcome{Rejected, CollectedNonUS, CollectedUS} {
+			got["tweets/"+outcomeLabel(o)] = m.tweets.With(outcomeLabel(o)).Value()
+		}
+		for _, c := range causes {
+			got["filter/"+c] = m.filter.With(c).Value()
+		}
+		for _, st := range []string{StageIngest, StageExtract, StageLocate} {
+			got["stage/"+st] = float64(m.stage.With(st).Count())
+		}
+		return got
+	}
 
-	if got := int(m.tweets.With(outcomeLabel(Rejected)).Value()); got != rej {
-		t.Errorf("rejected counter %d, want %d", got, rej)
-	}
-	if got := int(m.tweets.With(outcomeLabel(CollectedNonUS)).Value()); got != nonUS {
-		t.Errorf("non-US counter %d, want %d", got, nonUS)
-	}
-	if got := int(m.tweets.With(outcomeLabel(CollectedUS)).Value()); got != us {
-		t.Errorf("US counter %d, want %d", got, us)
-	}
-	if got := int(m.stage.With(StageExtract).Count()); got != len(corpus.Tweets) {
-		t.Errorf("extract stage observed %d tweets, want %d", got, len(corpus.Tweets))
-	}
-	if got := int(m.stage.With(StageLocate).Count()); got != nonUS+us {
-		t.Errorf("locate stage observed %d tweets, want %d in-context", got, nonUS+us)
-	}
-	if hits, misses := m.cacheHits.Value(), m.cacheMisses.Value(); hits == 0 || misses == 0 {
-		t.Errorf("cache counters hits=%v misses=%v, want both > 0", hits, misses)
-	}
-	if got := int(m.usTweets.Value()); got != us {
-		t.Errorf("us_tweets gauge %d, want %d", got, us)
+	var want map[string]float64
+	for _, row := range ingest {
+		m := NewMetrics(obs.NewRegistry())
+		d := NewDataset()
+		d.SetMetrics(m)
+		row.run(d)
+		got := observed(m)
+
+		inContext := d.TotalCollected()
+		rej := len(corpus.Tweets) - inContext
+		checks := []struct {
+			key  string
+			want int
+		}{
+			{"tweets/" + outcomeLabel(Rejected), rej},
+			{"tweets/" + outcomeLabel(CollectedNonUS), inContext - d.USTweets()},
+			{"tweets/" + outcomeLabel(CollectedUS), d.USTweets()},
+			{"stage/" + StageExtract, len(corpus.Tweets)},
+			{"stage/" + StageIngest, len(corpus.Tweets)},
+			{"stage/" + StageLocate, inContext},
+			{"us_tweets", d.USTweets()},
+			{"users", d.Users()},
+		}
+		for _, c := range checks {
+			if int(got[c.key]) != c.want {
+				t.Errorf("%s: %s = %v, want %d", row.name, c.key, got[c.key], c.want)
+			}
+		}
+		filtered := 0.0
+		for _, c := range causes {
+			filtered += got["filter/"+c]
+		}
+		if int(filtered) != inContext {
+			t.Errorf("%s: %v USA-filter decisions, want one per in-context tweet (%d)", row.name, filtered, inContext)
+		}
+		if hits, misses := m.cacheHits.Value(), m.cacheMisses.Value(); hits == 0 || misses == 0 {
+			t.Errorf("%s: cache counters hits=%v misses=%v, want both > 0", row.name, hits, misses)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s metrics differ from %s:\n got %v\nwant %v", row.name, ingest[0].name, got, want)
+		}
 	}
 }

@@ -44,7 +44,7 @@ func (d *Dataset) Mentions() []int32 { return d.store.Mentions() }
 
 // TweetOrganHistogram returns the Figure 2(b) tweet histogram (index 0 ⇒
 // k = 1 distinct organs) straight from the per-tweet counter — O(6), no
-// user scan, unlike MultiOrganHistogram which also derives the user half.
+// user scan.
 func (d *Dataset) TweetOrganHistogram() [organ.Count]int {
 	var tweets [organ.Count]int
 	for k, n := range d.organsPerTweet {

@@ -10,7 +10,7 @@ import (
 
 // Pipeline stage labels for the stage-latency histogram.
 const (
-	StageIngest  = "ingest"  // whole collect → augment → filter pass
+	StageIngest  = "ingest"  // extract + locate of one tweet; the fold is not timed
 	StageExtract = "extract" // tokenize + Context × Subject matching
 	StageLocate  = "locate"  // geo-tag reverse or profile geocode (cached)
 )
@@ -52,7 +52,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		tweets: reg.CounterVec("donorsense_pipeline_tweets_total",
 			"Tweets processed, by outcome (Table I's collected/retained split).", "outcome"),
 		stage: reg.HistogramVec("donorsense_pipeline_stage_seconds",
-			"Per-stage processing latency.", nil, "stage"),
+			"Per-tweet processing latency by stage: extract, locate (in-context tweets only), and ingest = extract + locate. The in-order fold into the dataset is not timed.", nil, "stage"),
 		filter: reg.CounterVec("donorsense_pipeline_usa_filter_total",
 			"USA-filter decisions on in-context tweets, by cause.", "cause"),
 		cacheHits: reg.Counter("donorsense_pipeline_geocode_cache_hits_total",
@@ -91,7 +91,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 }
 
 // SetMetrics attaches the instruments to the dataset: stage timers and
-// outcome counters in Process, hit/miss/rotation on the geocode memo, and
+// outcome counters on every ingest path, hit/miss/rotation on the geocode memo, and
 // resolution observations on the geocoder. Call before processing; pass
 // nil to detach.
 func (d *Dataset) SetMetrics(m *Metrics) {
@@ -120,22 +120,12 @@ func (d *Dataset) SetMetrics(m *Metrics) {
 	m.updateSizes(d)
 }
 
-// observeOutcome folds one processed tweet into the throughput counters
-// and size gauges. A sampled tweet additionally pins its trace ID as the
-// ingest histogram's exemplar.
-func (m *Metrics) observeOutcome(d *Dataset, o Outcome, elapsed time.Duration, tc trace.SpanContext) {
-	m.tweets.With(outcomeLabel(o)).Inc()
-	m.stage.With(StageIngest).ObserveExemplar(elapsed.Seconds(), exemplarID(tc))
-	m.updateSizes(d)
-}
-
-// observeFold is observeOutcome's twin for the parallel path: the outcome
-// counter plus the stage timings measured on the worker. The ingest stage
-// records extract + locate worker time (the fold itself is map updates,
-// negligible next to either). The filter counter only fires for
-// in-context tweets, exactly as in Process. Size gauges are refreshed
-// once per chunk via updateSizes, not here.
-func (m *Metrics) observeFold(o Outcome, p prepared, hadGPS bool, tc trace.SpanContext) {
+// observe records one folded tweet: its outcome, its prepare-stage
+// timings, and, for in-context tweets, the locate time and the
+// USA-filter cause. A sampled tweet pins its trace ID as the
+// histograms' exemplar. The caller refreshes the size gauges (updateSizes)
+// once per folded batch.
+func (m *Metrics) observe(o Outcome, p *prepared, hadGPS bool, tc trace.SpanContext) {
 	ex := exemplarID(tc)
 	m.tweets.With(outcomeLabel(o)).Inc()
 	m.stage.With(StageExtract).ObserveExemplar(p.dExtract.Seconds(), ex)

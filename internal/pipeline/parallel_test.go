@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"reflect"
 	"testing"
 
 	"donorsense/internal/gen"
@@ -34,41 +33,19 @@ func TestProcessAllMatchesSequential(t *testing.T) {
 		t.Fatalf("outcome counts differ: parallel (%d,%d,%d) vs sequential (%d,%d,%d)",
 			rej, nonUS, us, seqRej, seqNonUS, seqUS)
 	}
-	if par.Users() != seq.Users() || par.USTweets() != seq.USTweets() ||
-		par.TotalCollected() != seq.TotalCollected() || par.GeoTagged() != seq.GeoTagged() {
-		t.Fatal("aggregate counters differ")
-	}
-	if !reflect.DeepEqual(par.Stats(), seq.Stats()) {
-		t.Errorf("stats differ:\n%+v\n%+v", par.Stats(), seq.Stats())
-	}
-	if par.UsersPerOrgan() != seq.UsersPerOrgan() {
-		t.Error("users-per-organ differ")
-	}
-	pt, pu := par.MultiOrganHistogram()
-	st, su := seq.MultiOrganHistogram()
-	if pt != st || pu != su {
-		t.Error("multi-organ histograms differ")
-	}
-	// Per-user records identical.
-	seq.EachUser(func(u *UserRecord) {
-		pu, ok := par.LookupUser(u.ID)
-		if !ok || pu != *u {
-			t.Fatalf("user %d differs: %+v vs %+v", u.ID, pu, u)
-		}
-	})
+	assertDatasetsIdentical(t, par, seq)
 }
 
 func TestProcessAllWorkerCounts(t *testing.T) {
 	corpus := gen.Generate(gen.DefaultConfig(0.005))
 	want := NewDataset()
-	want.ProcessAll(corpus.Tweets, 1)
-	for _, workers := range []int{0, 2, 3, 8} {
+	for _, tw := range corpus.Tweets {
+		want.Process(tw)
+	}
+	for _, workers := range []int{0, 1, 2, 3, 8} {
 		d := NewDataset()
 		d.ProcessAll(corpus.Tweets, workers)
-		if d.Users() != want.Users() || d.USTweets() != want.USTweets() {
-			t.Errorf("workers=%d: %d users / %d tweets, want %d / %d",
-				workers, d.Users(), d.USTweets(), want.Users(), want.USTweets())
-		}
+		assertDatasetsIdentical(t, d, want)
 	}
 }
 

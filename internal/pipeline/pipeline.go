@@ -5,13 +5,14 @@
 // the retained set it builds the user-attention matrix and the dataset
 // statistics of Table I and Figure 2.
 //
-// Processing is incremental: feed tweets one at a time (or from a stream
-// channel via Collect) and snapshot statistics at any point — the
-// "real-time social sensor" mode the paper's conclusion envisions.
+// Processing is incremental: feed tweets one at a time (Process), as a
+// slice (ProcessAll), or from a stream channel (CollectParallel) — all
+// three run the same per-tweet kernel — and snapshot statistics at any
+// point: the "real-time social sensor" mode the paper's conclusion
+// envisions.
 package pipeline
 
 import (
-	"context"
 	"time"
 
 	"donorsense/internal/core"
@@ -94,17 +95,18 @@ func (u *UserRecord) DistinctOrgans() int {
 }
 
 // Dataset is the incrementally-built collection state. It is not safe for
-// concurrent mutation; Collect owns it while running.
+// concurrent mutation; ProcessAll and CollectParallel own it while
+// running.
 type Dataset struct {
-	extractor *text.Extractor
+	extractor *text.Extractor // Process's scratch; loop workers have their own
 	geocoder  *geo.Geocoder
 
 	// locCache memoizes profile-location geocoding; profile strings
 	// repeat heavily across tweets of the same user. It is bounded: a
 	// 385-day run sees an unbounded stream of distinct (possibly
 	// adversarial) profile strings, and an uncapped map is a
-	// memory-exhaustion hazard. Sharded so ProcessAll / CollectParallel
-	// workers can share it without contending on one lock.
+	// memory-exhaustion hazard. Sharded so the prepare goroutines can
+	// share it without contending on one lock.
 	locCache *shardedLocCache
 
 	// store holds every retained user columnar: an open-addressing id →
@@ -172,74 +174,8 @@ func NewDataset() *Dataset {
 	}
 }
 
-// Process runs one tweet through collect → augment → filter and folds it
-// into the dataset. It returns what happened to the tweet.
-func (d *Dataset) Process(t twitter.Tweet) Outcome {
-	m := d.metrics
-	if m == nil {
-		return d.process(t)
-	}
-	start := time.Now()
-	o := d.process(t)
-	m.observeOutcome(d, o, time.Since(start), t.TraceCtx)
-	return o
-}
-
-func (d *Dataset) process(t twitter.Tweet) Outcome {
-	m := d.metrics
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	sp := d.startSpan("ingest.extract", t.TraceCtx)
-	ex := d.extractor.Extract(t.Text)
-	sp.End()
-	if m != nil {
-		m.stage.With(StageExtract).ObserveExemplar(time.Since(t0).Seconds(), exemplarID(t.TraceCtx))
-	}
-	if !ex.InContext() {
-		return Rejected
-	}
-	d.totalCollected++
-
-	if m != nil {
-		t0 = time.Now()
-	}
-	sp = d.startSpan("ingest.locate", t.TraceCtx)
-	loc, viaGeoTag := d.locate(t)
-	if sp != nil {
-		sp.SetAttr("resolved", loc.String())
-		sp.End()
-	}
-	if m != nil {
-		m.stage.With(StageLocate).ObserveExemplar(time.Since(t0).Seconds(), exemplarID(t.TraceCtx))
-		m.filter.With(filterCause(t.HasCoordinates, loc, viaGeoTag)).Inc()
-	}
-	fsp := d.startSpan("ingest.fold", t.TraceCtx)
-	if !loc.IsUSState() {
-		d.endFold(fsp, t.TraceCtx, CollectedNonUS)
-		return CollectedNonUS
-	}
-
-	d.usTweets++
-	if viaGeoTag {
-		d.geoTagged++
-	}
-	if d.firstTweet.IsZero() || t.CreatedAt.Before(d.firstTweet) {
-		d.firstTweet = t.CreatedAt
-	}
-	if t.CreatedAt.After(d.lastTweet) {
-		d.lastTweet = t.CreatedAt
-	}
-
-	d.foldUSTweet(t, ex, loc.StateCode, viaGeoTag)
-	d.endFold(fsp, t.TraceCtx, CollectedUS)
-	return CollectedUS
-}
-
 // foldUSTweet applies one retained US tweet to the user store and the
-// tweet-level aggregates. It is the shared tail of Process and the
-// parallel fold path.
+// tweet-level aggregates: the US-tweet tail of fold.
 func (d *Dataset) foldUSTweet(t twitter.Tweet, ex text.Extraction, stateCode string, viaGeoTag bool) {
 	row, ok := d.store.Find(t.User.ID)
 	if !ok {
@@ -269,7 +205,7 @@ func (d *Dataset) foldUSTweet(t twitter.Tweet, ex text.Extraction, stateCode str
 // locate augments the tweet with a location: the GPS geo-tag wins when
 // present (precise but rare); otherwise the self-reported profile
 // location is geocoded (cached by string).
-func (d *Dataset) locate(t twitter.Tweet) (loc geo.Location, viaGeoTag bool) {
+func (d *Dataset) locate(t *twitter.Tweet) (loc geo.Location, viaGeoTag bool) {
 	if t.HasCoordinates {
 		if l, ok := d.geocoder.Reverse(t.Coordinates.Lat, t.Coordinates.Lon); ok {
 			return l, true
@@ -291,25 +227,6 @@ func (d *Dataset) locate(t twitter.Tweet) (loc geo.Location, viaGeoTag bool) {
 	l := d.geocoder.Locate(raw)
 	d.locCache.put(raw, l)
 	return l, false
-}
-
-// Collect drains tweets from the channel into the dataset until the
-// channel closes or the context is cancelled. It returns the number of
-// tweets processed.
-func (d *Dataset) Collect(ctx context.Context, tweets <-chan twitter.Tweet) int {
-	n := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return n
-		case t, ok := <-tweets:
-			if !ok {
-				return n
-			}
-			d.Process(t)
-			n++
-		}
-	}
 }
 
 // Cursor returns the stream position last recorded with SetCursor (0 if

@@ -3,12 +3,14 @@ package pipeline
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
 	"donorsense/internal/gen"
 	"donorsense/internal/geo"
 	"donorsense/internal/organ"
+	"donorsense/internal/stats"
 	"donorsense/internal/twitter"
 )
 
@@ -143,22 +145,56 @@ func TestTableIShape(t *testing.T) {
 	}
 }
 
+// usersPerOrgan counts the distinct users mentioning each organ — Figure
+// 2(a), the organ "popularity" histogram — from the user records.
+func usersPerOrgan(d *Dataset) [organ.Count]int {
+	var out [organ.Count]int
+	d.EachUser(func(u *UserRecord) {
+		for i, m := range u.Mentions {
+			if m > 0 {
+				out[i]++
+			}
+		}
+	})
+	return out
+}
+
+// userOrganHistogram counts the users mentioning exactly k distinct
+// organs — Figure 2(b)'s user half; index 0 ⇒ k = 1.
+func userOrganHistogram(d *Dataset) [organ.Count]int {
+	var out [organ.Count]int
+	d.EachUser(func(u *UserRecord) {
+		if k := u.DistinctOrgans(); k >= 1 {
+			out[k-1]++
+		}
+	})
+	return out
+}
+
 func TestFigure2aPopularityOrder(t *testing.T) {
-	rank := sharedDataset.PopularityRank()
+	counts := usersPerOrgan(sharedDataset)
+	rank := organ.All()
+	sort.SliceStable(rank, func(i, j int) bool {
+		return counts[rank[i].Index()] > counts[rank[j].Index()]
+	})
 	want := []organ.Organ{organ.Heart, organ.Kidney, organ.Liver, organ.Lung, organ.Pancreas, organ.Intestine}
 	for i := range want {
 		if rank[i] != want[i] {
 			t.Fatalf("popularity rank = %v, want %v", rank, want)
 		}
 	}
-	counts := sharedDataset.UsersPerOrgan()
 	if counts[organ.Intestine.Index()] == 0 {
 		t.Error("intestine never mentioned; histogram degenerate")
 	}
 }
 
 func TestFigure2aSpearmanValidation(t *testing.T) {
-	res, err := sharedDataset.PopularityCorrelation()
+	counts := usersPerOrgan(sharedDataset)
+	x := make([]float64, organ.Count)
+	for i, c := range counts {
+		x[i] = float64(c)
+	}
+	res, err := stats.Spearman(x, organ.TransplantCounts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +210,7 @@ func TestFigure2aSpearmanValidation(t *testing.T) {
 }
 
 func TestFigure2bCrossover(t *testing.T) {
-	tweets, users := sharedDataset.MultiOrganHistogram()
+	tweets, users := sharedDataset.TweetOrganHistogram(), userOrganHistogram(sharedDataset)
 	// Paper: "The number of tweets is greater than the number of users
 	// only for single mentions."
 	if tweets[0] <= users[0] {
@@ -241,32 +277,56 @@ func TestStateAssignmentAccuracy(t *testing.T) {
 	}
 }
 
+// TestCollectFromChannel: the one ingest loop drains a channel into the
+// same dataset a sequential Process oracle builds over the same delivery
+// sequence, at every worker count.
 func TestCollectFromChannel(t *testing.T) {
 	corpus := gen.Generate(gen.DefaultConfig(0.002))
-	ch := make(chan twitter.Tweet, 64)
-	d := NewDataset()
-	done := make(chan int)
-	go func() { done <- d.Collect(context.Background(), ch) }()
+	want := NewDataset()
 	for _, tw := range corpus.Tweets {
-		ch <- tw
+		want.Process(tw)
 	}
-	close(ch)
-	n := <-done
-	if n != len(corpus.Tweets) {
-		t.Errorf("Collect processed %d, want %d", n, len(corpus.Tweets))
-	}
-	if d.Users() == 0 || d.USTweets() == 0 {
-		t.Error("Collect produced empty dataset")
+	for _, workers := range []int{1, 2, 4} {
+		d := NewDataset()
+		if n := d.CollectParallel(context.Background(), feed(corpus.Tweets), CollectOptions{Workers: workers}); n != len(corpus.Tweets) {
+			t.Errorf("workers=%d: folded %d, want %d", workers, n, len(corpus.Tweets))
+		}
+		assertDatasetsIdentical(t, d, want)
 	}
 }
 
+// TestCollectRespectsContext: cancelling mid-stream ends collection, and
+// the dataset equals the Process oracle over exactly the prefix that was
+// folded, at every worker count.
 func TestCollectRespectsContext(t *testing.T) {
-	ch := make(chan twitter.Tweet)
-	d := NewDataset()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if n := d.Collect(ctx, ch); n != 0 {
-		t.Errorf("cancelled Collect processed %d", n)
+	corpus := gen.Generate(gen.DefaultConfig(0.002))
+	half := len(corpus.Tweets) / 2
+	for _, workers := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ch := make(chan twitter.Tweet)
+		go func() {
+			for i, tw := range corpus.Tweets {
+				if i == half {
+					cancel()
+				}
+				select {
+				case ch <- tw:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}()
+		d := NewDataset()
+		n := d.CollectParallel(ctx, ch, CollectOptions{Workers: workers})
+		cancel()
+		if n < half || n > len(corpus.Tweets) {
+			t.Fatalf("workers=%d: folded %d tweets, want at least the %d sent before cancelling", workers, n, half)
+		}
+		want := NewDataset()
+		for _, tw := range corpus.Tweets[:n] {
+			want.Process(tw)
+		}
+		assertDatasetsIdentical(t, d, want)
 	}
 }
 
@@ -346,11 +406,11 @@ func TestDeleteReversesContribution(t *testing.T) {
 		t.Fatalf("counts differ after delete: %d/%d vs %d/%d",
 			full.USTweets(), full.Users(), ref.USTweets(), ref.Users())
 	}
-	if full.UsersPerOrgan() != ref.UsersPerOrgan() {
+	if usersPerOrgan(full) != usersPerOrgan(ref) {
 		t.Error("users-per-organ differ after delete")
 	}
-	ft, fu := full.MultiOrganHistogram()
-	rt, ru := ref.MultiOrganHistogram()
+	ft, fu := full.TweetOrganHistogram(), userOrganHistogram(full)
+	rt, ru := ref.TweetOrganHistogram(), userOrganHistogram(ref)
 	if ft != rt || fu != ru {
 		t.Error("multi-organ histograms differ after delete")
 	}

@@ -1,11 +1,9 @@
 package pipeline
 
 import (
-	"sort"
 	"time"
 
 	"donorsense/internal/organ"
-	"donorsense/internal/stats"
 )
 
 // TableI is the dataset-statistics summary of the paper's Table I.
@@ -23,7 +21,9 @@ type TableI struct {
 }
 
 // Stats summarizes the dataset in Table I form. Day count is derived from
-// the observed tweet span (inclusive of both end days).
+// the observed tweet span (inclusive of both end days). OrgansPerUser
+// costs one scan of the mention matrix; the report engine reads Table I
+// through StatsFromDistinct instead, with the pair total it maintains.
 func (d *Dataset) Stats() TableI {
 	t := d.statsBase()
 	if t.Users > 0 {
@@ -78,63 +78,4 @@ func (d *Dataset) statsBase() TableI {
 		t.GeoTagRate = float64(d.geoTagged) / float64(d.usTweets)
 	}
 	return t
-}
-
-// UsersPerOrgan counts the distinct users mentioning each organ —
-// Figure 2(a), the organ "popularity" histogram. One linear sweep of the
-// row-major mention matrix.
-func (d *Dataset) UsersPerOrgan() [organ.Count]int {
-	var out [organ.Count]int
-	ments := d.store.Mentions()
-	for r := 0; r < d.store.Len(); r++ {
-		for i, m := range ments[r*organ.Count : (r+1)*organ.Count] {
-			if m > 0 {
-				out[i]++
-			}
-		}
-	}
-	return out
-}
-
-// MultiOrganHistogram returns, for k = 1..6, the number of US tweets and
-// the number of US users mentioning exactly k distinct organs —
-// Figure 2(b). Index 0 corresponds to k = 1.
-func (d *Dataset) MultiOrganHistogram() (tweets, users [organ.Count]int) {
-	tweets = d.TweetOrganHistogram()
-	ments := d.store.Mentions()
-	for r := 0; r < d.store.Len(); r++ {
-		k := 0
-		for _, m := range ments[r*organ.Count : (r+1)*organ.Count] {
-			if m > 0 {
-				k++
-			}
-		}
-		if k >= 1 && k <= organ.Count {
-			users[k-1]++
-		}
-	}
-	return tweets, users
-}
-
-// PopularityCorrelation computes the Spearman rank correlation between
-// the per-organ user counts (Figure 2a) and the OPTN 2012 national
-// transplant counts — the paper's r = .84 validation.
-func (d *Dataset) PopularityCorrelation() (stats.SpearmanResult, error) {
-	counts := d.UsersPerOrgan()
-	x := make([]float64, organ.Count)
-	for i, c := range counts {
-		x[i] = float64(c)
-	}
-	return stats.Spearman(x, organ.TransplantCounts())
-}
-
-// PopularityRank returns the organs ordered by descending user count,
-// ties broken by canonical order.
-func (d *Dataset) PopularityRank() []organ.Organ {
-	counts := d.UsersPerOrgan()
-	order := organ.All()
-	sort.SliceStable(order, func(i, j int) bool {
-		return counts[order[i].Index()] > counts[order[j].Index()]
-	})
-	return order
 }

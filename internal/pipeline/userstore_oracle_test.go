@@ -205,7 +205,7 @@ func assertMatchesOracle(t *testing.T, label string, d *Dataset, o *mapStoreOrac
 			oMultiUsers[k-1]++
 		}
 	}
-	if d.UsersPerOrgan() != oPerOrgan {
+	if usersPerOrgan(d) != oPerOrgan {
 		t.Errorf("%s: users-per-organ diverges", label)
 	}
 	var oMultiTweets [organ.Count]int
@@ -214,7 +214,7 @@ func assertMatchesOracle(t *testing.T, label string, d *Dataset, o *mapStoreOrac
 			oMultiTweets[k-1] = n
 		}
 	}
-	mt, mu := d.MultiOrganHistogram()
+	mt, mu := d.TweetOrganHistogram(), userOrganHistogram(d)
 	if mt != oMultiTweets || mu != oMultiUsers {
 		t.Errorf("%s: multi-organ histogram diverges", label)
 	}

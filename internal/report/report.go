@@ -50,6 +50,16 @@ func logBar(count, maxCount int, width int) string {
 	return strings.Repeat("#", n)
 }
 
+// PopularityRank orders the organs by descending user count (Figure
+// 2a's Analysis.Popularity), ties broken by canonical order.
+func PopularityRank(counts [organ.Count]int) []organ.Organ {
+	order := organ.All()
+	sort.SliceStable(order, func(i, j int) bool {
+		return counts[order[i].Index()] > counts[order[j].Index()]
+	})
+	return order
+}
+
 // UsersPerOrganText renders Figure 2(a): users per organ, log-scale bars.
 func UsersPerOrganText(counts [organ.Count]int) string {
 	maxCount := 0
@@ -61,11 +71,7 @@ func UsersPerOrganText(counts [organ.Count]int) string {
 	var b strings.Builder
 	b.WriteString("Figure 2(a): users per organ (log scale)\n")
 	// Present in descending popularity like the paper's histogram.
-	order := organ.All()
-	sort.SliceStable(order, func(i, j int) bool {
-		return counts[order[i].Index()] > counts[order[j].Index()]
-	})
-	for _, o := range order {
+	for _, o := range PopularityRank(counts) {
 		c := counts[o.Index()]
 		fmt.Fprintf(&b, "  %-10s %8d %s\n", o, c, logBar(c, maxCount, 40))
 	}
