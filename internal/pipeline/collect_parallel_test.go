@@ -45,6 +45,26 @@ func assertDatasetsIdentical(t *testing.T, got, want *Dataset) {
 	})
 }
 
+// TestCollectParallelMatchesCollect: the streaming parallel path must
+// produce a bit-identical dataset to sequential Process over the same
+// delivery sequence — the Table I guarantee for live collection.
+func TestCollectParallelMatchesCollect(t *testing.T) {
+	corpus := gen.Generate(gen.DefaultConfig(0.01))
+
+	seq := NewDataset()
+	for _, tw := range corpus.Tweets {
+		seq.Process(tw)
+	}
+
+	par := NewDataset()
+	parN := par.CollectParallel(context.Background(), feed(corpus.Tweets), CollectOptions{Workers: 4})
+
+	if parN != len(corpus.Tweets) {
+		t.Fatalf("parallel folded %d tweets, sequential %d", parN, len(corpus.Tweets))
+	}
+	assertDatasetsIdentical(t, par, seq)
+}
+
 // TestCollectParallelWorkerOne: one worker is one prepare goroutine
 // behind the same chunked fold, so OnFold fires once per folded chunk —
 // never more than once per tweet, with a strictly growing total that ends
