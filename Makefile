@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test e2e-test examples race check chaos-shards trace-smoke vulncheck bench benchcmp bench-userstore bench-userstore-baseline bench-incremental bench-incremental-baseline bench-serve bench-serve-baseline serve-smoke bench-paper fuzz fmt
+.PHONY: all build vet fmt-check test e2e-test examples race check chaos-shards trace-smoke vulncheck bench benchcmp bench-userstore bench-userstore-baseline bench-incremental bench-incremental-baseline bench-serve bench-serve-baseline serve-smoke bench-paper fuzz fmt
 
 # Packages on the ingest hot path whose benchmarks are archived and gated.
 BENCH_PKGS = ./internal/pipeline/ ./internal/text/ ./internal/geo/
@@ -19,6 +19,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file is not gofmt-clean, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -44,7 +48,7 @@ examples:
 race:
 	$(GO) test -race -short ./internal/obs/... ./internal/twitter/ ./internal/pipeline/ ./internal/userstore/ ./internal/cluster/ ./internal/serve/ ./cmd/...
 
-check: build vet test race
+check: build vet fmt-check test race
 
 # Multi-shard chaos suite under the race detector: shard crashes, stalls,
 # kill-during-checkpoint-save, cross-session resume, and the merge

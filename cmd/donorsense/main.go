@@ -311,400 +311,417 @@ func cmdAnalyze(args []string) error {
 	return analyzeDataset(d, nil, cfg, series, *exportDir)
 }
 
+// collector is the collect subcommand: its flags and the scaffold both
+// fold sinks share — the stream client, the tracer and the telemetry
+// registry.
+type collector struct {
+	url                              string
+	maxTweets, k, sil, workers       int
+	sweep, checkpoint, telemetryAddr string
+	checkpointEvery, reportEvery     time.Duration
+	shards, shardBuffer              int
+	heartbeatTimeout, restartBackoff time.Duration
+	stallTimeout, backoff, rlBackoff time.Duration
+	serveAPI                         bool
+	serveTop                         int
+	progressEvery                    time.Duration
+	logLevel                         string
+	logJSON                          bool
+	traceSample                      float64
+	traceRing                        int
+	traceSlow                        time.Duration
+
+	started       time.Time
+	logger        *slog.Logger
+	tracer        *trace.Tracer // nil without -trace-sample
+	client        *twitter.StreamClient
+	relayed       atomic.Int64  // tweets relayed to the sink so far
+	reg           *obs.Registry // nil without -telemetry-addr
+	engineCfg     report.AnalysisConfig
+	engineMetrics *report.EngineMetrics
+}
+
+// collectSink is the one part of collect that differs between the
+// modes: where the relayed stream is folded.
+type collectSink interface {
+	// telemetry registers the mode's /statusz sections and health checks,
+	// and returns the extra lines of the memory section (nil for none).
+	telemetry(srv *obs.Server) func(sec *obs.StatusSection)
+	// fold consumes tweets until the relay closes the channel.
+	fold(ctx context.Context, tweets <-chan twitter.Tweet) error
+	// flush makes what was folded durable.
+	flush() error
+	// result returns the dataset to analyse and, when one ran live, its
+	// engine.
+	result() (*pipeline.Dataset, *report.Engine, error)
+}
+
 func cmdCollect(args []string) error {
+	c := &collector{started: time.Now()}
 	fs := flag.NewFlagSet("collect", flag.ExitOnError)
-	url := fs.String("url", "http://127.0.0.1:7700", "stream server base URL")
-	maxTweets := fs.Int("max", 0, "stop after this many collected tweets (0 = until stream ends)")
-	k := fs.Int("k", 12, "user cluster count (Figure 7)")
-	sweep := fs.String("sweep", "", "comma-separated ks for the model-selection sweep")
-	sil := fs.Int("silhouette-sample", 2000, "silhouette sample size (0 = exact)")
-	workers := fs.Int("workers", 1, "extract/geocode goroutines for live collection (0 = GOMAXPROCS); any count folds the same dataset")
-	checkpoint := fs.String("checkpoint", "", "checkpoint file: load on start (if present), save periodically and on shutdown")
-	checkpointEvery := fs.Duration("checkpoint-every", 30*time.Second, "interval between periodic checkpoint saves")
-	reportEvery := fs.Duration("report-every", 0, "interval between in-flight incremental analysis refreshes (0 = off; single-shard mode only)")
-	shards := fs.Int("shards", 1, "hash-partitioned shard workers; >1 runs the crash-tolerant shard supervisor (-checkpoint becomes the per-shard base path)")
-	shardBuffer := fs.Int("shard-buffer", 8192, "per-shard replay buffer capacity (sharded mode; full buffer = backpressure, not loss)")
-	heartbeatTimeout := fs.Duration("heartbeat-timeout", 30*time.Second, "restart a shard silent for this long with pending work (sharded mode)")
-	restartBackoff := fs.Duration("restart-backoff", 250*time.Millisecond, "initial delay before restarting a crashed shard, doubling per failure (sharded mode)")
-	stallTimeout := fs.Duration("stall-timeout", 90*time.Second, "tear down connections silent for this long")
-	backoff := fs.Duration("backoff", 250*time.Millisecond, "initial reconnect delay (doubles per failure, full jitter)")
-	rlBackoff := fs.Duration("ratelimit-backoff", 60*time.Second, "initial delay after a 420/429 rate limit (doubles per repeat)")
-	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /healthz, /statusz, /debug/traces, /debug/pprof, /debug/vars on this address (empty = off)")
-	serveAPI := fs.Bool("serve", false, "expose the live analysis as /api/... query endpoints on the telemetry server (requires -telemetry-addr and -report-every)")
-	serveTop := fs.Int("serve-top", 250, "top mentioning users retained per published snapshot for /api/top")
-	progressEvery := fs.Duration("progress-every", 10*time.Second, "interval between progress log lines (0 = silent)")
-	logLevel := fs.String("log-level", "info", "log verbosity: debug|info|warn|error")
-	logJSON := fs.Bool("log-json", false, "emit logs as single-line JSON instead of text")
-	traceSample := fs.Float64("trace-sample", 0, "fraction of tweets to span-trace end to end (0 = off, 1 = every tweet)")
-	traceRing := fs.Int("trace-ring", 4096, "spans retained in the /debug/traces ring")
-	traceSlow := fs.Duration("trace-slow", 250*time.Millisecond, "log a wide event for any sampled span at least this slow")
+	fs.StringVar(&c.url, "url", "http://127.0.0.1:7700", "stream server base URL")
+	fs.IntVar(&c.maxTweets, "max", 0, "stop after this many collected tweets (0 = until stream ends)")
+	fs.IntVar(&c.k, "k", 12, "user cluster count (Figure 7)")
+	fs.StringVar(&c.sweep, "sweep", "", "comma-separated ks for the model-selection sweep")
+	fs.IntVar(&c.sil, "silhouette-sample", 2000, "silhouette sample size (0 = exact)")
+	fs.IntVar(&c.workers, "workers", 1, "extract/geocode goroutines for live collection (0 = GOMAXPROCS); any count folds the same dataset")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint file: load on start (if present), save periodically and on shutdown")
+	fs.DurationVar(&c.checkpointEvery, "checkpoint-every", 30*time.Second, "interval between periodic checkpoint saves")
+	fs.DurationVar(&c.reportEvery, "report-every", 0, "interval between in-flight incremental analysis refreshes (0 = off; single-shard mode only)")
+	fs.IntVar(&c.shards, "shards", 1, "hash-partitioned shard workers; >1 runs the crash-tolerant shard supervisor (-checkpoint becomes the per-shard base path)")
+	fs.IntVar(&c.shardBuffer, "shard-buffer", 8192, "per-shard replay buffer capacity (sharded mode; full buffer = backpressure, not loss)")
+	fs.DurationVar(&c.heartbeatTimeout, "heartbeat-timeout", 30*time.Second, "restart a shard silent for this long with pending work (sharded mode)")
+	fs.DurationVar(&c.restartBackoff, "restart-backoff", 250*time.Millisecond, "initial delay before restarting a crashed shard, doubling per failure (sharded mode)")
+	fs.DurationVar(&c.stallTimeout, "stall-timeout", 90*time.Second, "tear down connections silent for this long")
+	fs.DurationVar(&c.backoff, "backoff", 250*time.Millisecond, "initial reconnect delay (doubles per failure, full jitter)")
+	fs.DurationVar(&c.rlBackoff, "ratelimit-backoff", 60*time.Second, "initial delay after a 420/429 rate limit (doubles per repeat)")
+	fs.StringVar(&c.telemetryAddr, "telemetry-addr", "", "serve /metrics, /healthz, /statusz, /debug/traces, /debug/pprof, /debug/vars on this address (empty = off)")
+	fs.BoolVar(&c.serveAPI, "serve", false, "expose the live analysis as /api/... query endpoints on the telemetry server (requires -telemetry-addr and -report-every)")
+	fs.IntVar(&c.serveTop, "serve-top", 250, "top mentioning users retained per published snapshot for /api/top")
+	fs.DurationVar(&c.progressEvery, "progress-every", 10*time.Second, "interval between progress log lines (0 = silent)")
+	fs.StringVar(&c.logLevel, "log-level", "info", "log verbosity: debug|info|warn|error")
+	fs.BoolVar(&c.logJSON, "log-json", false, "emit logs as single-line JSON instead of text")
+	fs.Float64Var(&c.traceSample, "trace-sample", 0, "fraction of tweets to span-trace end to end (0 = off, 1 = every tweet)")
+	fs.IntVar(&c.traceRing, "trace-ring", 4096, "spans retained in the /debug/traces ring")
+	fs.DurationVar(&c.traceSlow, "trace-slow", 250*time.Millisecond, "log a wide event for any sampled span at least this slow")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	level, err := obs.ParseLevel(*logLevel)
+	level, err := obs.ParseLevel(c.logLevel)
 	if err != nil {
 		return err
 	}
-	cfg, err := analysisConfig(*k, *sweep, *sil, *workers)
+	cfg, err := analysisConfig(c.k, c.sweep, c.sil, c.workers)
 	if err != nil {
 		return err
 	}
-	if *serveAPI {
+	if c.serveAPI {
 		switch {
-		case *telemetryAddr == "":
+		case c.telemetryAddr == "":
 			return fmt.Errorf("-serve requires -telemetry-addr (the /api endpoints ride the telemetry mux)")
-		case *reportEvery <= 0:
+		case c.reportEvery <= 0:
 			return fmt.Errorf("-serve requires -report-every > 0 (snapshots publish after each refresh)")
-		case *shards > 1:
+		case c.shards > 1:
 			return fmt.Errorf("-serve is single-shard only (the incremental engine does not run under -shards)")
 		}
 	}
 	// Tee warn-or-worse records into the /statusz error ring on the way to
 	// stderr, so the page can show recent trouble without log scraping.
 	errRing := obs.NewErrorRing(64)
-	obs.SetLogger(slog.New(obs.CaptureErrors(obs.NewLogger(os.Stderr, level, *logJSON).Handler(), errRing)))
-	logger := obs.Logger("collect")
+	obs.SetLogger(slog.New(obs.CaptureErrors(obs.NewLogger(os.Stderr, level, c.logJSON).Handler(), errRing)))
+	c.logger = obs.Logger("collect")
 
-	var tracer *trace.Tracer
-	if *traceSample > 0 {
-		tracer = trace.New(trace.Config{
-			SampleRate: *traceSample,
-			RingSize:   *traceRing,
-			SlowSpan:   *traceSlow,
+	if c.traceSample > 0 {
+		c.tracer = trace.New(trace.Config{
+			SampleRate: c.traceSample,
+			RingSize:   c.traceRing,
+			SlowSpan:   c.traceSlow,
 			Logger:     obs.Logger("trace"),
 		})
 	}
+	// Sampling decisions happen once, at the stream read; the sink's
+	// datasets continue the sampled traces.
+	c.client = &twitter.StreamClient{
+		BaseURL:          c.url,
+		StallTimeout:     c.stallTimeout,
+		InitialBackoff:   c.backoff,
+		RateLimitBackoff: c.rlBackoff,
+		Tracer:           c.tracer,
+	}
+	if c.telemetryAddr != "" {
+		c.reg = obs.NewRegistry()
+		c.engineMetrics = report.NewEngineMetrics(c.reg)
+	}
+	if c.shards > 1 {
+		cfg.Workers = 1 // the merged dataset is analysed on one worker
+	}
+	// Engines refresh without the model-selection sweep: it is a cold
+	// model-selection tool, not a live artifact, so the final analysis
+	// runs it.
+	c.engineCfg = cfg
+	c.engineCfg.SweepKs = nil
 
-	if *shards > 1 {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		return collectSharded(ctx, stop, shardedCollectOptions{
-			client: &twitter.StreamClient{
-				BaseURL:          *url,
-				StallTimeout:     *stallTimeout,
-				InitialBackoff:   *backoff,
-				RateLimitBackoff: *rlBackoff,
-			},
-			shards:           *shards,
-			checkpoint:       *checkpoint,
-			checkpointEvery:  *checkpointEvery,
-			heartbeatTimeout: *heartbeatTimeout,
-			restartBackoff:   *restartBackoff,
-			bufferCap:        *shardBuffer,
-			maxTweets:        *maxTweets,
-			cfg:              cfg,
-			telemetryAddr:    *telemetryAddr,
-			progressEvery:    *progressEvery,
-			tracer:           tracer,
-			errRing:          errRing,
-		})
+	var sink collectSink
+	if c.shards > 1 {
+		sink, err = newShardSink(c)
+	} else {
+		sink, err = newDatasetSink(c)
+	}
+	if err != nil {
+		return err
 	}
 
-	// lastSaveUnixNano is read by the /healthz checkpoint check from the
-	// telemetry goroutine while the collect loop writes it; 0 = never.
-	var lastSaveUnixNano atomic.Int64
-	started := time.Now()
-
-	d := pipeline.NewDataset()
-	if *checkpoint != "" {
-		switch loaded, err := pipeline.LoadCheckpoint(*checkpoint); {
-		case err == nil:
-			d = loaded
-			logger.Info("resumed from checkpoint",
-				"path", *checkpoint, "us_tweets", d.USTweets(), "users", d.Users())
-		case os.IsNotExist(err):
-			logger.Info("no checkpoint; starting fresh", "path", *checkpoint)
-		default:
-			return err
-		}
-	}
-
-	// Incremental analytics: an engine that keeps the full report warm
-	// between refreshes, patching only the users touched since the last
-	// one. Its clustering warm state rides the checkpoint (v4), so a
-	// resumed collector skips the cold start too. Refreshes run on the
-	// collect goroutine against a quiescent dataset; the sweep is left off
-	// — it is a cold model-selection tool, not a live artifact.
-	var engine *report.Engine
-	ecfg := cfg
-	ecfg.SweepKs = nil
-	probe := &analyticsProbe{enabled: *reportEvery > 0, every: *reportEvery}
-	if *reportEvery > 0 {
-		engine = report.NewEngine(d, ecfg)
-		if err := engine.RestoreWarm(d.AnalyticsState()); err != nil {
-			logger.Warn("ignoring unreadable analytics warm state", "err", err)
-		}
-		if tracer != nil {
-			engine.SetTracer(tracer)
-		}
-	}
-
-	// SIGINT and SIGTERM both end collection; the deferred save below
-	// checkpoints whatever was gathered before the process exits.
+	// SIGINT and SIGTERM both end collection; the sink's flush below
+	// keeps whatever was gathered before the process exits.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	client := &twitter.StreamClient{
-		BaseURL:          *url,
-		StallTimeout:     *stallTimeout,
-		InitialBackoff:   *backoff,
-		RateLimitBackoff: *rlBackoff,
-	}
-	if tracer != nil {
-		client.Tracer = tracer
-		d.SetTracer(tracer)
-	}
-
-	// Telemetry: registry + instrumented client/pipeline + HTTP endpoint.
-	var streamMetrics *twitter.StreamMetrics
-	var engineMetrics *report.EngineMetrics
-	// pub, when -serve is on, owns the RCU snapshot behind /api/...; the
-	// collect goroutine publishes after each refresh, request goroutines
-	// only load the pointer.
-	var pub *serve.Publisher
-	if *telemetryAddr != "" {
-		reg := obs.NewRegistry()
-		d.SetMetrics(pipeline.NewMetrics(reg))
-		engineMetrics = report.NewEngineMetrics(reg)
-		streamMetrics = twitter.NewStreamMetrics(reg)
-		streamMetrics.Instrument(reg, client)
-		client.Codec = twitter.NewDecoder()
-		twitter.NewWireMetrics(reg).Observe(client.Codec)
-		srv := obs.NewServer(reg)
-		srv.AddHealthCheck("stream", func() (any, error) {
-			st := client.Snapshot()
-			detail := map[string]any{
-				"connected":   streamMetrics.Connected(),
-				"connects":    st.Connects,
-				"retries":     st.Retries,
-				"stalls":      st.Stalls,
-				"rate_limits": st.RateLimits,
-				"tweets":      st.Tweets,
-			}
-			if st.Connects > 0 && !streamMetrics.Connected() {
-				return detail, fmt.Errorf("stream disconnected (reconnecting)")
-			}
-			return detail, nil
-		})
-		srv.AddHealthCheck("checkpoint", func() (any, error) {
-			if *checkpoint == "" {
-				return map[string]any{"enabled": false}, nil
-			}
-			last := lastSaveUnixNano.Load()
-			detail := map[string]any{"enabled": true, "path": *checkpoint}
-			var age time.Duration
-			if last == 0 {
-				age = time.Since(started)
-				detail["age_seconds"] = nil // no save yet this run
-			} else {
-				age = time.Since(time.Unix(0, last))
-				detail["age_seconds"] = age.Seconds()
-			}
-			if age > 5**checkpointEvery {
-				return detail, fmt.Errorf("checkpoint stale: last save %s ago", age.Round(time.Second))
-			}
-			return detail, nil
-		})
-		if tracer != nil {
-			srv.SetTraceRing(tracer.Ring())
+	if c.reg != nil {
+		streamMetrics := twitter.NewStreamMetrics(c.reg)
+		streamMetrics.Instrument(c.reg, c.client)
+		c.client.Codec = twitter.NewDecoder()
+		twitter.NewWireMetrics(c.reg).Observe(c.client.Codec)
+		srv := obs.NewServer(c.reg)
+		if c.tracer != nil {
+			srv.SetTraceRing(c.tracer.Ring())
 		}
-		srv.AddStatus("stream", func() obs.StatusSection {
-			st := client.Snapshot()
-			var sec obs.StatusSection
-			sec.Field("connected", streamMetrics.Connected())
-			sec.Field("tweets", st.Tweets)
-			sec.Field("tweets_per_sec", fmt.Sprintf("%.1f", float64(st.Tweets)/time.Since(started).Seconds()))
-			sec.Field("connects", st.Connects)
-			sec.Field("retries", st.Retries)
-			sec.Field("stalls", st.Stalls)
-			sec.Field("rate_limits", st.RateLimits)
-			sec.Field("malformed_lines", st.MalformedLines)
-			return sec
-		})
-		if engine != nil {
-			engine.SetMetrics(engineMetrics)
-		}
-		srv.AddStatus("checkpoint", checkpointStatus(*checkpoint, &lastSaveUnixNano))
-		srv.AddStatus("analytics", analyticsStatus(probe))
-		if *serveAPI {
-			pub = serve.NewPublisher()
-			handler := serve.NewHandler(pub)
-			handler.SetMetrics(serve.NewMetrics(reg, pub))
-			srv.SetQueryAPI(handler)
-			// On shutdown the server flips the publisher into drain mode
-			// first (new requests 503+Retry-After), then Shutdown finishes
-			// the reads already in flight.
-			srv.OnShutdown(pub.BeginDrain)
-			srv.AddStatus("serve", serveStatus(pub))
-		}
-		srv.AddStatus("memory", obs.MemStatsStatusSection(func(sec *obs.StatusSection) {
-			rows, bytes := d.StoreFootprint()
-			sec.Field("userstore_rows", rows)
-			sec.Field("userstore_bytes", obs.FormatBytes(uint64(bytes)))
-		}))
-		srv.AddStatus("tracing", tracingStatus(tracer))
+		srv.AddHealthCheck("stream", streamHealth(c.client, streamMetrics))
+		srv.AddStatus("stream", streamStatus(c.client, streamMetrics, c.started))
+		memory := sink.telemetry(srv)
+		srv.AddStatus("memory", obs.MemStatsStatusSection(memory))
+		srv.AddStatus("tracing", tracingStatus(c.tracer))
 		srv.AddStatus("errors", errRing.StatusSection)
 		go func() {
-			logger.Info("telemetry listening", "addr", *telemetryAddr)
-			if err := srv.ListenAndServe(ctx, *telemetryAddr); err != nil {
-				logger.Error("telemetry server failed", "err", err)
+			c.logger.Info("telemetry listening", "addr", c.telemetryAddr)
+			if err := srv.ListenAndServe(ctx, c.telemetryAddr); err != nil {
+				c.logger.Error("telemetry server failed", "err", err)
 			}
 		}()
 	}
 
 	tweets := make(chan twitter.Tweet, 1024)
 	errc := make(chan error, 1)
-	go func() { errc <- client.Filter(ctx, organ.TrackTerms(), tweets) }()
-
-	save := func() error {
-		if *checkpoint == "" {
-			return nil
-		}
-		// Ride the clustering warm state along in the snapshot (v4) so a
-		// resumed collector's first refresh resumes instead of cold-starting.
-		if engine != nil {
-			if b, err := engine.MarshalWarm(); err != nil {
-				logger.Warn("analytics warm state not persisted", "err", err)
-			} else {
-				d.SetAnalyticsState(b)
-			}
-		}
-		if err := d.SaveCheckpoint(*checkpoint); err != nil {
-			return err
-		}
-		lastSaveUnixNano.Store(time.Now().UnixNano())
-		return nil
-	}
-	lastSave := time.Now()
-
-	// refreshReport runs one incremental refresh and publishes the outcome
-	// to the log and the /statusz probe. Skipped while the dataset is
-	// empty: there is nothing to analyze yet.
-	lastReport := time.Now()
-	refreshReport := func() {
-		if engine == nil || d.Users() == 0 {
-			return
-		}
-		a, err := engine.Refresh()
-		if err != nil {
-			logger.Warn("analysis refresh failed", "err", err)
-			return
-		}
-		if pub != nil {
-			// Publish while this goroutine holds the quiescent dataset:
-			// the snapshot build deep-copies everything the next refresh
-			// will mutate in place.
-			if _, err := pub.Publish(a, serve.Meta{
-				Epoch:     engine.Epoch(),
-				Refreshes: engine.Refreshes(),
-				Top:       report.TopMentioners(d, *serveTop),
-			}); err != nil {
-				logger.Warn("snapshot publish failed", "err", err)
-			}
-		}
-		dirty, latency, cold := engine.LastRefresh()
-		probe.refreshes.Store(engine.Refreshes())
-		probe.epoch.Store(engine.Epoch())
-		probe.dirty.Store(int64(dirty))
-		probe.latencyNS.Store(int64(latency))
-		probe.cold.Store(cold)
-		probe.users.Store(int64(d.Users()))
-		probe.lastUnix.Store(time.Now().UnixNano())
-		logger.Info("analysis refreshed",
-			"epoch", engine.Epoch(), "dirty_rows", dirty, "cold", cold,
-			"latency", latency.Round(time.Microsecond).String(), "users", d.Users())
-	}
-
-	// Progress: a periodic one-line pulse — ingest rate, retention, and
-	// checkpoint age — so a multi-day run is never silent.
-	var progressC <-chan time.Time
-	if *progressEvery > 0 {
-		tick := time.NewTicker(*progressEvery)
-		defer tick.Stop()
-		progressC = tick.C
-	}
-	lastProgress := time.Now()
-	lastProgressTweets := int64(0)
-	progress := func(n int) {
-		st := client.Snapshot()
-		elapsed := time.Since(lastProgress)
-		rate := float64(st.Tweets-lastProgressTweets) / elapsed.Seconds()
-		lastProgress, lastProgressTweets = time.Now(), st.Tweets
-		retained := 0.0
-		if d.TotalCollected() > 0 {
-			retained = 100 * float64(d.USTweets()) / float64(d.TotalCollected())
-		}
-		attrs := []any{
-			"tweets", n,
-			"tweets_per_sec", fmt.Sprintf("%.1f", rate),
-			"retained_pct", fmt.Sprintf("%.1f", retained),
-			"users", d.Users(),
-			"connects", st.Connects,
-		}
-		if *checkpoint != "" {
-			if last := lastSaveUnixNano.Load(); last > 0 {
-				attrs = append(attrs, "checkpoint_age", time.Since(time.Unix(0, last)).Round(time.Second).String())
-			} else {
-				attrs = append(attrs, "checkpoint_age", "never")
-			}
-		}
-		logger.Info("progress", attrs...)
-	}
-
-	// Extraction and geocoding fan out across the workers while folding
-	// (and these callbacks) stay on this goroutine, so the checkpoint and
-	// report closures read a quiescent dataset. The loop ends when the
-	// relay closes its stream — at the stream's end, on a signal, or after
-	// exactly -max tweets — so it watches no context of its own: a stop
-	// must not strand tweets the relay already passed on.
-	var saveErr error
-	n := d.CollectParallel(context.Background(), limitStream(ctx, stop, tweets, *maxTweets, nil), pipeline.CollectOptions{
-		Workers: *workers,
-		OnFold: func(int) bool {
-			if *checkpoint != "" && time.Since(lastSave) >= *checkpointEvery {
-				if saveErr = save(); saveErr != nil {
-					return false
-				}
-				lastSave = time.Now()
-			}
-			if engine != nil && time.Since(lastReport) >= *reportEvery {
-				refreshReport()
-				lastReport = time.Now()
-			}
-			return true
-		},
-		Ticks:  progressC,
-		OnTick: progress,
-	})
-	if saveErr != nil {
-		return saveErr
-	}
-	if err := <-errc; err != nil && ctx.Err() == nil {
-		saveErr := save() // keep the data even when the stream died
-		if saveErr != nil {
-			return fmt.Errorf("stream: %w (and checkpoint save failed: %v)", err, saveErr)
-		}
-		return fmt.Errorf("stream: %w", err)
-	}
-	if err := save(); err != nil {
+	go func() { errc <- c.client.Filter(ctx, organ.TrackTerms(), tweets) }()
+	// The relay closes its stream at the stream's end, on a signal, or
+	// after exactly -max tweets, and the sink folds to that close.
+	if err := sink.fold(ctx, limitStream(ctx, stop, tweets, c.maxTweets, &c.relayed)); err != nil {
 		return err
 	}
-	cs := client.Snapshot()
-	logger.Info("stream ended; analyzing", "tweets", n)
-	logger.Info("client stats",
+	streamErr := <-errc
+	if ctx.Err() != nil {
+		streamErr = nil // a signal or -max ended the stream
+	}
+	// Flush even when the stream died, to keep the data.
+	switch saveErr := sink.flush(); {
+	case streamErr != nil && saveErr != nil:
+		return fmt.Errorf("stream: %w (and checkpoint save failed: %v)", streamErr, saveErr)
+	case streamErr != nil:
+		return fmt.Errorf("stream: %w", streamErr)
+	case saveErr != nil:
+		return saveErr
+	}
+	cs := c.client.Snapshot()
+	c.logger.Info("stream ended; analyzing", "tweets", c.relayed.Load())
+	c.logger.Info("client stats",
 		"connects", cs.Connects, "disconnects", cs.Disconnects, "retries", cs.Retries,
 		"rate_limits", cs.RateLimits, "stalls", cs.Stalls,
 		"skipped_lines", cs.SkippedLines, "malformed_lines", cs.MalformedLines)
+
+	d, e, err := sink.result()
+	if err != nil {
+		return err
+	}
 	if d.Users() == 0 {
 		return fmt.Errorf("no US users collected; nothing to analyze")
 	}
 	// The final analysis is one more refresh of the live engine, or of a
 	// fresh one, so the engine metrics see it too.
-	if engine == nil {
-		engine = report.NewEngine(d, ecfg)
-		engine.SetMetrics(engineMetrics)
+	if e == nil {
+		e = report.NewEngine(d, c.engineCfg)
+		e.SetMetrics(c.engineMetrics)
 	}
-	return analyzeDataset(d, engine, cfg, nil, "")
+	return analyzeDataset(d, e, cfg, nil, "")
+}
+
+// datasetSink folds the stream into one Dataset through CollectParallel,
+// with its periodic checkpoint, the -report-every engine and the -serve
+// publisher.
+type datasetSink struct {
+	*collector
+	d       *pipeline.Dataset
+	metrics *pipeline.Metrics // nil without telemetry
+	engine  *report.Engine    // nil without -report-every
+	pub     *serve.Publisher  // nil without -serve
+	probe   *analyticsProbe
+	// lastSave is the UnixNano of the last checkpoint save (0 = never),
+	// read by the telemetry goroutine while the fold goroutine writes it.
+	lastSave atomic.Int64
+}
+
+func newDatasetSink(c *collector) (*datasetSink, error) {
+	s := &datasetSink{
+		collector: c,
+		d:         pipeline.NewDataset(),
+		probe:     &analyticsProbe{enabled: c.reportEvery > 0, every: c.reportEvery},
+	}
+	if c.checkpoint != "" {
+		switch loaded, err := pipeline.LoadCheckpoint(c.checkpoint); {
+		case err == nil:
+			s.d = loaded
+			c.logger.Info("resumed from checkpoint",
+				"path", c.checkpoint, "us_tweets", s.d.USTweets(), "users", s.d.Users())
+		case os.IsNotExist(err):
+			c.logger.Info("no checkpoint; starting fresh", "path", c.checkpoint)
+		default:
+			return nil, err
+		}
+	}
+	if c.tracer != nil {
+		s.d.SetTracer(c.tracer)
+	}
+	if c.reg != nil {
+		s.metrics = pipeline.NewMetrics(c.reg)
+		s.d.SetMetrics(s.metrics)
+	}
+	// Incremental analytics: an engine that keeps the full report warm
+	// between refreshes, patching only the users touched since the last
+	// one. Its clustering warm state rides the checkpoint (v4), so a
+	// resumed collector skips the cold start too. Refreshes run on the
+	// fold goroutine against a quiescent dataset.
+	if c.reportEvery > 0 {
+		s.engine = report.NewEngine(s.d, c.engineCfg)
+		if err := s.engine.RestoreWarm(s.d.AnalyticsState()); err != nil {
+			c.logger.Warn("ignoring unreadable analytics warm state", "err", err)
+		}
+		if c.tracer != nil {
+			s.engine.SetTracer(c.tracer)
+		}
+		s.engine.SetMetrics(c.engineMetrics)
+	}
+	return s, nil
+}
+
+func (s *datasetSink) telemetry(srv *obs.Server) func(sec *obs.StatusSection) {
+	srv.AddHealthCheck("checkpoint", checkpointHealth(s.checkpoint, s.checkpointEvery, s.started, &s.lastSave))
+	srv.AddStatus("checkpoint", checkpointStatus(s.checkpoint, &s.lastSave))
+	srv.AddStatus("analytics", analyticsStatus(s.probe))
+	if s.serveAPI {
+		// pub owns the RCU snapshot behind /api/...; the fold goroutine
+		// publishes after each refresh, request goroutines only load the
+		// pointer.
+		s.pub = serve.NewPublisher()
+		mountQueryAPI(srv, s.reg, s.pub)
+	}
+	// The fold goroutine owns the dataset, so the footprint comes from
+	// the userstore gauges it keeps current.
+	return func(sec *obs.StatusSection) {
+		rows, bytes := s.metrics.StoreSizes()
+		sec.Field("userstore_rows", rows)
+		sec.Field("userstore_bytes", obs.FormatBytes(uint64(bytes)))
+	}
+}
+
+// fold runs CollectParallel: extraction and geocoding fan out across the
+// workers while folding, the periodic checkpoint and refresh, and the
+// progress line stay on this goroutine, so they read a quiescent
+// dataset. It watches no context of its own: a stop must not strand
+// tweets the relay already passed on.
+func (s *datasetSink) fold(_ context.Context, tweets <-chan twitter.Tweet) error {
+	var progressC <-chan time.Time
+	if s.progressEvery > 0 {
+		tick := time.NewTicker(s.progressEvery)
+		defer tick.Stop()
+		progressC = tick.C
+	}
+	lastSave, lastReport, lastProgress := time.Now(), time.Now(), time.Now()
+	lastProgressTweets := int64(0)
+	var saveErr error
+	s.d.CollectParallel(context.Background(), tweets, pipeline.CollectOptions{
+		Workers: s.workers,
+		OnFold: func(int) bool {
+			if s.checkpoint != "" && time.Since(lastSave) >= s.checkpointEvery {
+				if saveErr = s.flush(); saveErr != nil {
+					return false
+				}
+				lastSave = time.Now()
+			}
+			if s.engine != nil && time.Since(lastReport) >= s.reportEvery {
+				s.refresh()
+				lastReport = time.Now()
+			}
+			return true
+		},
+		Ticks: progressC,
+		// A periodic one-line pulse — ingest rate, retention, and
+		// checkpoint age — so a multi-day run is never silent.
+		OnTick: func(n int) {
+			st := s.client.Snapshot()
+			rate := float64(st.Tweets-lastProgressTweets) / time.Since(lastProgress).Seconds()
+			lastProgress, lastProgressTweets = time.Now(), st.Tweets
+			retained := 0.0
+			if s.d.TotalCollected() > 0 {
+				retained = 100 * float64(s.d.USTweets()) / float64(s.d.TotalCollected())
+			}
+			attrs := []any{
+				"tweets", n,
+				"tweets_per_sec", fmt.Sprintf("%.1f", rate),
+				"retained_pct", fmt.Sprintf("%.1f", retained),
+				"users", s.d.Users(),
+				"connects", st.Connects,
+			}
+			if s.checkpoint != "" {
+				if last := s.lastSave.Load(); last > 0 {
+					attrs = append(attrs, "checkpoint_age", time.Since(time.Unix(0, last)).Round(time.Second).String())
+				} else {
+					attrs = append(attrs, "checkpoint_age", "never")
+				}
+			}
+			s.logger.Info("progress", attrs...)
+		},
+	})
+	return saveErr
+}
+
+// flush saves the checkpoint, when there is one. The clustering warm
+// state rides along in the snapshot (v4) so a resumed collector's first
+// refresh resumes instead of cold-starting.
+func (s *datasetSink) flush() error {
+	if s.checkpoint == "" {
+		return nil
+	}
+	if s.engine != nil {
+		if b, err := s.engine.MarshalWarm(); err != nil {
+			s.logger.Warn("analytics warm state not persisted", "err", err)
+		} else {
+			s.d.SetAnalyticsState(b)
+		}
+	}
+	if err := s.d.SaveCheckpoint(s.checkpoint); err != nil {
+		return err
+	}
+	s.lastSave.Store(time.Now().UnixNano())
+	return nil
+}
+
+// refresh runs one incremental refresh and publishes the outcome to the
+// log, the /statusz probe and, with -serve, the query API. It is skipped
+// while the dataset is empty: there is nothing to analyze yet.
+func (s *datasetSink) refresh() {
+	if s.d.Users() == 0 {
+		return
+	}
+	a, err := s.engine.Refresh()
+	if err != nil {
+		s.logger.Warn("analysis refresh failed", "err", err)
+		return
+	}
+	if s.pub != nil {
+		// Publish while this goroutine holds the quiescent dataset: the
+		// snapshot build deep-copies everything the next refresh will
+		// mutate in place.
+		if _, err := s.pub.Publish(a, serve.Meta{
+			Epoch:     s.engine.Epoch(),
+			Refreshes: s.engine.Refreshes(),
+			Top:       report.TopMentioners(s.d, s.serveTop),
+		}); err != nil {
+			s.logger.Warn("snapshot publish failed", "err", err)
+		}
+	}
+	dirty, latency, cold := s.engine.LastRefresh()
+	s.probe.refreshes.Store(s.engine.Refreshes())
+	s.probe.epoch.Store(s.engine.Epoch())
+	s.probe.dirty.Store(int64(dirty))
+	s.probe.latencyNS.Store(int64(latency))
+	s.probe.cold.Store(cold)
+	s.probe.users.Store(int64(s.d.Users()))
+	s.probe.lastUnix.Store(time.Now().UnixNano())
+	s.logger.Info("analysis refreshed",
+		"epoch", s.engine.Epoch(), "dirty_rows", dirty, "cold", cold,
+		"latency", latency.Round(time.Microsecond).String(), "users", s.d.Users())
+}
+
+func (s *datasetSink) result() (*pipeline.Dataset, *report.Engine, error) {
+	return s.d, s.engine, nil
 }
 
 // limitStream relays tweets from in to the returned channel, counting

@@ -1,0 +1,177 @@
+package main
+
+import (
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"donorsense/internal/obs"
+	"donorsense/internal/twitter"
+)
+
+// telemetryPages is what a live collect's telemetry server showed once
+// every tweet was published: /statusz, /healthz and /metrics.
+type telemetryPages struct {
+	status obs.StatusPage
+	health struct {
+		Status string                    `json:"status"`
+		Checks map[string]map[string]any `json:"checks"`
+	}
+	metrics string
+}
+
+// section returns the named /statusz section's fields, or nil when the
+// page has no such section.
+func (p *telemetryPages) section(name string) map[string]string {
+	for _, sec := range p.status.Sections {
+		if sec.Name == name {
+			fields := map[string]string{}
+			for _, f := range sec.Fields {
+				fields[f.Key] = f.Value
+			}
+			return fields
+		}
+	}
+	return nil
+}
+
+// getTelemetry fetches one telemetry page, retrying while the listener
+// comes up.
+func getTelemetry(url string) ([]byte, error) {
+	var err error
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		var resp *http.Response
+		if resp, err = http.Get(url); err != nil {
+			continue
+		}
+		body, rerr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return body, rerr
+	}
+	return nil, err
+}
+
+// collectWithTelemetry runs collect with -telemetry-addr over the test
+// corpus. The corpus is published in batches, and /statusz is rendered
+// after each one, so the page is read while tweets fold. Once every tweet
+// is out it records the three pages, then closes the stream, which ends
+// the collect.
+func collectWithTelemetry(t *testing.T, extra ...string) *telemetryPages {
+	corpus := durableCorpus()
+	b := twitter.NewBroadcaster()
+	ssrv := twitter.NewStreamServer(b)
+	ssrv.SubscriberBuffer = 1 << 16
+	hs := httptest.NewServer(ssrv.Handler())
+	defer hs.Close()
+	base := "http://" + freeAddr(t)
+
+	pages := &telemetryPages{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer b.Close()
+		for deadline := time.Now().Add(10 * time.Second); b.NumSubscribers() == 0 && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
+		const batch = 200
+		for i := 0; i < len(corpus); i += batch {
+			for _, tw := range corpus[i:min(i+batch, len(corpus))] {
+				b.Publish(tw)
+			}
+			if _, err := getTelemetry(base + "/statusz"); err != nil {
+				t.Errorf("/statusz during ingest: %v", err)
+				return
+			}
+		}
+		raw, err := getTelemetry(base + "/statusz?format=json")
+		if err == nil {
+			err = json.Unmarshal(raw, &pages.status)
+		}
+		if err == nil {
+			raw, err = getTelemetry(base + "/healthz")
+		}
+		if err == nil {
+			err = json.Unmarshal(raw, &pages.health)
+		}
+		if err == nil {
+			raw, err = getTelemetry(base + "/metrics")
+			pages.metrics = string(raw)
+		}
+		if err != nil {
+			t.Errorf("telemetry pages: %v", err)
+		}
+	}()
+	args := append([]string{
+		"-telemetry-addr", strings.TrimPrefix(base, "http://"),
+		"-stall-timeout", "30s", "-progress-every", "0",
+	}, extra...)
+	out := captureStdout(t, func() error { return cmdCollect(collectArgs(hs.URL, args...)) })
+	<-done
+	if !strings.Contains(out, "Table I") {
+		t.Errorf("collect printed no report:\n%s", out)
+	}
+	return pages
+}
+
+// TestCollectStatuszDuringIngest renders /statusz, memory section
+// included, while the single-shard fold goroutine inserts users. Under
+// -race it fails if a section reads the dataset instead of
+// concurrency-safe state.
+func TestCollectStatuszDuringIngest(t *testing.T) {
+	pages := collectWithTelemetry(t)
+	mem := pages.section("memory")
+	if mem == nil {
+		t.Fatal("/statusz has no memory section")
+	}
+	if rows := mem["userstore_rows"]; rows == "" || rows == "0" {
+		t.Errorf("memory section userstore_rows = %q after ingest, want > 0", rows)
+	}
+}
+
+// TestCollectModesShareScaffold runs the same replay at -shards 1 and
+// -shards 2. Both modes must expose the scaffold's metric families,
+// /statusz sections and stream health check, next to their own parts.
+func TestCollectModesShareScaffold(t *testing.T) {
+	for _, mode := range []struct {
+		shards string
+		own    string // the mode's own /statusz section and health check
+	}{
+		{"1", "checkpoint"},
+		{"2", "shards"},
+	} {
+		t.Run("shards="+mode.shards, func(t *testing.T) {
+			pages := collectWithTelemetry(t, "-shards", mode.shards)
+			for _, family := range []string{
+				"donorsense_stream_tweets_total", "donorsense_stream_connected",
+				"donorsense_wire_decode_seconds", "donorsense_wire_decode_errors_total",
+			} {
+				if !strings.Contains(pages.metrics, "# TYPE "+family+" ") {
+					t.Errorf("/metrics lacks family %s", family)
+				}
+			}
+			for _, name := range []string{"stream", "memory", "tracing", "errors", mode.own} {
+				if pages.section(name) == nil {
+					t.Errorf("/statusz lacks section %q", name)
+				}
+			}
+			if got := pages.section("stream")["connected"]; got != "true" {
+				t.Errorf("stream section connected = %q, want true", got)
+			}
+			for _, check := range []string{"stream", mode.own} {
+				if _, ok := pages.health.Checks[check]; !ok {
+					t.Errorf("/healthz lacks check %q (checks %v)", check, pages.health.Checks)
+				}
+			}
+			if got := pages.health.Checks["stream"]["connected"]; got != true {
+				t.Errorf("stream health check connected = %v, want true", got)
+			}
+			if pages.health.Status != "ok" {
+				t.Errorf("/healthz status %q, want ok", pages.health.Status)
+			}
+		})
+	}
+}

@@ -65,11 +65,7 @@ func cmdServe(args []string) error {
 		if d.Users() == 0 {
 			return time.Time{}, fmt.Errorf("checkpoint has no US users; nothing to serve")
 		}
-		cfg := report.DefaultAnalysisConfig()
-		cfg.KUsers = *k
-		cfg.SilhouetteSample = *sil
-		cfg.Workers = *workers
-		cfg.SweepKs = nil
+		cfg, _ := analysisConfig(*k, "", *sil, *workers) // no sweep, so no parse error
 		engine := report.NewEngine(d, cfg)
 		if err := engine.RestoreWarm(d.AnalyticsState()); err != nil {
 			logger.Warn("ignoring unreadable analytics warm state", "err", err)
@@ -99,11 +95,7 @@ func cmdServe(args []string) error {
 
 	reg := obs.NewRegistry()
 	srv := obs.NewServer(reg)
-	handler := serve.NewHandler(pub)
-	handler.SetMetrics(serve.NewMetrics(reg, pub))
-	srv.SetQueryAPI(handler)
-	srv.OnShutdown(pub.BeginDrain)
-	srv.AddStatus("serve", serveStatus(pub))
+	mountQueryAPI(srv, reg, pub)
 	srv.AddStatus("memory", obs.MemStatsStatusSection(nil))
 	srv.AddHealthCheck("snapshot", func() (any, error) {
 		st := pub.Stats()

@@ -16,138 +16,54 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"donorsense/internal/obs"
-	"donorsense/internal/obs/trace"
-	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
 	"donorsense/internal/report"
 	"donorsense/internal/twitter"
 )
 
-// shardedCollectOptions carries the collect flags the sharded path uses.
-type shardedCollectOptions struct {
-	client           *twitter.StreamClient
-	shards           int
-	checkpoint       string
-	checkpointEvery  time.Duration
-	heartbeatTimeout time.Duration
-	restartBackoff   time.Duration
-	bufferCap        int
-	maxTweets        int
-	cfg              report.AnalysisConfig // the final analysis, run with one worker
-	telemetryAddr    string
-	progressEvery    time.Duration
-	tracer           *trace.Tracer
-	errRing          *obs.ErrorRing
+// shardSink routes the stream by user-id hash across shard workers under
+// a pipeline.Supervisor and analyses the merged dataset at the end.
+type shardSink struct {
+	*collector
+	sup *pipeline.Supervisor
 }
 
-// collectSharded consumes the stream through a shard supervisor and
-// analyzes the merged result.
-func collectSharded(ctx context.Context, stop context.CancelFunc, opt shardedCollectOptions) error {
-	logger := obs.Logger("collect")
-	if opt.tracer != nil {
-		// Sampling decisions happen once, at the stream read; the shard
-		// datasets continue the sampled traces via SupervisorConfig.Tracer.
-		opt.client.Tracer = opt.tracer
+func newShardSink(c *collector) (*shardSink, error) {
+	cfg := pipeline.SupervisorConfig{
+		Shards:           c.shards,
+		CheckpointBase:   c.checkpoint,
+		CheckpointEvery:  c.checkpointEvery,
+		HeartbeatTimeout: c.heartbeatTimeout,
+		RestartBackoff:   c.restartBackoff,
+		BufferCap:        c.shardBuffer,
+		Logger:           c.logger,
+		Tracer:           c.tracer,
 	}
-
-	var shardMetrics *pipeline.ShardMetrics
-	var engineMetrics *report.EngineMetrics
-	var sup *pipeline.Supervisor // set below; health check reads it via closure
-	if opt.telemetryAddr != "" {
-		reg := obs.NewRegistry()
-		shardMetrics = pipeline.NewShardMetrics(reg)
-		engineMetrics = report.NewEngineMetrics(reg)
-		streamMetrics := twitter.NewStreamMetrics(reg)
-		streamMetrics.Instrument(reg, opt.client)
-		opt.client.Codec = twitter.NewDecoder()
-		twitter.NewWireMetrics(reg).Observe(opt.client.Codec)
-		srv := obs.NewServer(reg)
-		if opt.tracer != nil {
-			srv.SetTraceRing(opt.tracer.Ring())
-		}
-		started := time.Now()
-		srv.AddStatus("stream", func() obs.StatusSection {
-			st := opt.client.Snapshot()
-			var sec obs.StatusSection
-			sec.Field("connected", streamMetrics.Connected())
-			sec.Field("tweets", st.Tweets)
-			sec.Field("tweets_per_sec", fmt.Sprintf("%.1f", float64(st.Tweets)/time.Since(started).Seconds()))
-			sec.Field("connects", st.Connects)
-			sec.Field("retries", st.Retries)
-			sec.Field("stalls", st.Stalls)
-			sec.Field("rate_limits", st.RateLimits)
-			sec.Field("malformed_lines", st.MalformedLines)
-			return sec
-		})
-		srv.AddStatus("shards", shardStatusSection(func() *pipeline.Supervisor { return sup }))
-		// Runtime memory only: shard datasets are owned by live workers, so
-		// their store footprints are read off /metrics gauges, not here.
-		srv.AddStatus("memory", obs.MemStatsStatusSection(nil))
-		srv.AddStatus("tracing", tracingStatus(opt.tracer))
-		if opt.errRing != nil {
-			srv.AddStatus("errors", opt.errRing.StatusSection)
-		}
-		srv.AddHealthCheck("shards", func() (any, error) {
-			if sup == nil {
-				return map[string]any{"started": false}, nil
-			}
-			detail := map[string]any{}
-			down := 0
-			for _, st := range sup.Status() {
-				detail[fmt.Sprintf("shard_%d", st.Shard)] = map[string]any{
-					"live": st.Live, "done": st.Done,
-					"restarts": st.Restarts, "stalls": st.Stalls,
-					"buffer_depth": st.BufferDepth,
-				}
-				if !st.Live && !st.Done {
-					down++
-				}
-			}
-			if down > 0 {
-				return detail, fmt.Errorf("%d shard(s) down (restarting)", down)
-			}
-			return detail, nil
-		})
-		go func() {
-			logger.Info("telemetry listening", "addr", opt.telemetryAddr)
-			if err := srv.ListenAndServe(ctx, opt.telemetryAddr); err != nil {
-				logger.Error("telemetry server failed", "err", err)
-			}
-		}()
+	if c.reg != nil {
+		cfg.Metrics = pipeline.NewShardMetrics(c.reg)
 	}
+	sup, err := pipeline.NewSupervisor(cfg)
+	return &shardSink{collector: c, sup: sup}, err
+}
 
-	sup, err := pipeline.NewSupervisor(pipeline.SupervisorConfig{
-		Shards:           opt.shards,
-		CheckpointBase:   opt.checkpoint,
-		CheckpointEvery:  opt.checkpointEvery,
-		HeartbeatTimeout: opt.heartbeatTimeout,
-		RestartBackoff:   opt.restartBackoff,
-		BufferCap:        opt.bufferCap,
-		Metrics:          shardMetrics,
-		Logger:           logger,
-		Tracer:           opt.tracer,
-	})
-	if err != nil {
-		return err
-	}
+func (s *shardSink) telemetry(srv *obs.Server) func(sec *obs.StatusSection) {
+	srv.AddStatus("shards", shardStatusSection(s.sup))
+	srv.AddHealthCheck("shards", shardHealth(s.sup))
+	// Runtime memory only: shard datasets are owned by live workers.
+	return nil
+}
 
-	tweets := make(chan twitter.Tweet, 1024)
-	errc := make(chan error, 1)
-	go func() { errc <- opt.client.Filter(ctx, organ.TrackTerms(), tweets) }()
-
-	// The router consumes the relayed stream; the relay enforces -max and
-	// counts throughput for the progress log.
-	var routedN atomic.Int64
-	routed := limitStream(ctx, stop, tweets, opt.maxTweets, &routedN)
-
+// fold runs the supervisor over the relayed stream, with a progress
+// line of routed tweets, restarts and buffered tweets.
+func (s *shardSink) fold(ctx context.Context, tweets <-chan twitter.Tweet) error {
 	runDone := make(chan struct{})
-	if opt.progressEvery > 0 {
+	defer close(runDone)
+	if s.progressEvery > 0 {
 		go func() {
-			tick := time.NewTicker(opt.progressEvery)
+			tick := time.NewTicker(s.progressEvery)
 			defer tick.Stop()
 			for {
 				select {
@@ -155,49 +71,27 @@ func collectSharded(ctx context.Context, stop context.CancelFunc, opt shardedCol
 					return
 				case <-tick.C:
 					restarts, buffered := 0, 0
-					for _, st := range sup.Status() {
+					for _, st := range s.sup.Status() {
 						restarts += st.Restarts
 						buffered += st.BufferDepth
 					}
-					logger.Info("progress",
-						"tweets", routedN.Load(), "shards", opt.shards,
+					s.logger.Info("progress",
+						"tweets", s.relayed.Load(), "shards", s.shards,
 						"restarts", restarts, "buffered", buffered)
 				}
 			}
 		}()
 	}
+	return s.sup.Run(ctx, tweets)
+}
 
-	err = sup.Run(ctx, routed)
-	close(runDone)
-	if err != nil {
-		return err
-	}
-	if serr := <-errc; serr != nil && ctx.Err() == nil {
-		// Shard checkpoints were already taken on drain; the data is safe.
-		return fmt.Errorf("stream: %w", serr)
-	}
+// flush has nothing to do: the shards checkpointed on drain.
+func (s *shardSink) flush() error { return nil }
 
-	cs := opt.client.Snapshot()
-	logger.Info("stream ended; merging shards", "tweets", routedN.Load(), "shards", opt.shards)
-	logger.Info("client stats",
-		"connects", cs.Connects, "disconnects", cs.Disconnects, "retries", cs.Retries,
-		"rate_limits", cs.RateLimits, "stalls", cs.Stalls,
-		"skipped_lines", cs.SkippedLines, "malformed_lines", cs.MalformedLines)
-
-	merged, err := sup.Merged()
-	if err != nil {
-		return err
-	}
-	if merged.Users() == 0 {
-		return fmt.Errorf("no US users collected; nothing to analyze")
-	}
-	cfg := opt.cfg
-	cfg.Workers = 1
-	ecfg := cfg
-	ecfg.SweepKs = nil
-	e := report.NewEngine(merged, ecfg)
-	e.SetMetrics(engineMetrics)
-	return analyzeDataset(merged, e, cfg, nil, "")
+func (s *shardSink) result() (*pipeline.Dataset, *report.Engine, error) {
+	s.logger.Info("merging shards", "shards", s.shards)
+	d, err := s.sup.Merged()
+	return d, nil, err
 }
 
 // cmdMerge folds the shard checkpoints of a sharded run into one dataset

@@ -1,7 +1,7 @@
-// /statusz section builders shared by the sequential and sharded collect
-// paths. Sections run on every page request from the telemetry goroutine,
-// so they may only read concurrency-safe state: atomics, snapshots, and
-// the filesystem.
+// /statusz sections and /healthz checks of the collect telemetry server.
+// They run on every request from the telemetry goroutine, so they may
+// only read concurrency-safe state: atomics, snapshots, and the
+// filesystem.
 package main
 
 import (
@@ -14,17 +14,26 @@ import (
 	"donorsense/internal/obs/trace"
 	"donorsense/internal/pipeline"
 	"donorsense/internal/serve"
+	"donorsense/internal/twitter"
 )
+
+// mountQueryAPI serves pub's snapshots as /api/... on srv, with the
+// serve metrics and /statusz section. On shutdown the server flips the
+// publisher into drain mode first (new requests 503+Retry-After), then
+// Shutdown finishes the reads already in flight.
+func mountQueryAPI(srv *obs.Server, reg *obs.Registry, pub *serve.Publisher) {
+	handler := serve.NewHandler(pub)
+	handler.SetMetrics(serve.NewMetrics(reg, pub))
+	srv.SetQueryAPI(handler)
+	srv.OnShutdown(pub.BeginDrain)
+	srv.AddStatus("serve", serveStatus(pub))
+}
 
 // serveStatus reports the query-API publisher: what epoch readers see
 // and how traffic split across the hit/miss/304 paths.
 func serveStatus(p *serve.Publisher) func() obs.StatusSection {
 	return func() obs.StatusSection {
 		var sec obs.StatusSection
-		if p == nil {
-			sec.Field("enabled", false)
-			return sec
-		}
 		st := p.Stats()
 		sec.Field("enabled", true)
 		sec.Field("epoch", st.Epoch)
@@ -92,7 +101,7 @@ type analyticsProbe struct {
 func analyticsStatus(p *analyticsProbe) func() obs.StatusSection {
 	return func() obs.StatusSection {
 		var sec obs.StatusSection
-		if p == nil || !p.enabled {
+		if !p.enabled {
 			sec.Field("enabled", false)
 			return sec
 		}
@@ -130,17 +139,94 @@ func tracingStatus(tracer *trace.Tracer) func() obs.StatusSection {
 	}
 }
 
-// shardStatusSection renders the supervisor's per-shard health table.
-// The supervisor pointer is read through getter because the telemetry
-// server starts before the supervisor exists.
-func shardStatusSection(getter func() *pipeline.Supervisor) func() obs.StatusSection {
+// streamStatus reports the stream client's connection and delivery
+// counters.
+func streamStatus(client *twitter.StreamClient, m *twitter.StreamMetrics, started time.Time) func() obs.StatusSection {
 	return func() obs.StatusSection {
+		st := client.Snapshot()
 		var sec obs.StatusSection
-		sup := getter()
-		if sup == nil {
-			sec.Field("started", false)
-			return sec
+		sec.Field("connected", m.Connected())
+		sec.Field("tweets", st.Tweets)
+		sec.Field("tweets_per_sec", fmt.Sprintf("%.1f", float64(st.Tweets)/time.Since(started).Seconds()))
+		sec.Field("connects", st.Connects)
+		sec.Field("retries", st.Retries)
+		sec.Field("stalls", st.Stalls)
+		sec.Field("rate_limits", st.RateLimits)
+		sec.Field("malformed_lines", st.MalformedLines)
+		return sec
+	}
+}
+
+// streamHealth fails while a stream that has connected before is down.
+func streamHealth(client *twitter.StreamClient, m *twitter.StreamMetrics) obs.HealthCheck {
+	return func() (any, error) {
+		st := client.Snapshot()
+		detail := map[string]any{
+			"connected":   m.Connected(),
+			"connects":    st.Connects,
+			"retries":     st.Retries,
+			"stalls":      st.Stalls,
+			"rate_limits": st.RateLimits,
+			"tweets":      st.Tweets,
 		}
+		if st.Connects > 0 && !m.Connected() {
+			return detail, fmt.Errorf("stream disconnected (reconnecting)")
+		}
+		return detail, nil
+	}
+}
+
+// checkpointHealth fails when no checkpoint was saved for five
+// checkpoint intervals. lastSave holds the UnixNano of the last
+// successful save (0 = never); before the first, the age runs from
+// started.
+func checkpointHealth(path string, every time.Duration, started time.Time, lastSave *atomic.Int64) obs.HealthCheck {
+	return func() (any, error) {
+		if path == "" {
+			return map[string]any{"enabled": false}, nil
+		}
+		last := lastSave.Load()
+		detail := map[string]any{"enabled": true, "path": path}
+		var age time.Duration
+		if last == 0 {
+			age = time.Since(started)
+			detail["age_seconds"] = nil // no save yet this run
+		} else {
+			age = time.Since(time.Unix(0, last))
+			detail["age_seconds"] = age.Seconds()
+		}
+		if age > 5*every {
+			return detail, fmt.Errorf("checkpoint stale: last save %s ago", age.Round(time.Second))
+		}
+		return detail, nil
+	}
+}
+
+// shardHealth fails while a shard is down (restarting).
+func shardHealth(sup *pipeline.Supervisor) obs.HealthCheck {
+	return func() (any, error) {
+		detail := map[string]any{}
+		down := 0
+		for _, st := range sup.Status() {
+			detail[fmt.Sprintf("shard_%d", st.Shard)] = map[string]any{
+				"live": st.Live, "done": st.Done,
+				"restarts": st.Restarts, "stalls": st.Stalls,
+				"buffer_depth": st.BufferDepth,
+			}
+			if !st.Live && !st.Done {
+				down++
+			}
+		}
+		if down > 0 {
+			return detail, fmt.Errorf("%d shard(s) down (restarting)", down)
+		}
+		return detail, nil
+	}
+}
+
+// shardStatusSection renders the supervisor's per-shard health table.
+func shardStatusSection(sup *pipeline.Supervisor) func() obs.StatusSection {
+	return func() obs.StatusSection {
 		status := sup.Status()
 		live, restarts := 0, 0
 		tbl := &obs.StatusTable{Columns: []string{
@@ -162,6 +248,7 @@ func shardStatusSection(getter func() *pipeline.Supervisor) func() obs.StatusSec
 				fmt.Sprint(st.BufferDepth), st.HeartbeatAge.Round(time.Millisecond).String(),
 			})
 		}
+		var sec obs.StatusSection
 		sec.Field("shards", len(status))
 		sec.Field("live", live)
 		sec.Field("restarts", restarts)

@@ -77,7 +77,7 @@ func TestTraceSmokeWaterfall(t *testing.T) {
 
 	osrv := obs.NewServer(reg)
 	osrv.SetTraceRing(tracer.Ring())
-	osrv.AddStatus("shards", shardStatusSection(func() *pipeline.Supervisor { return sup }))
+	osrv.AddStatus("shards", shardStatusSection(sup))
 	ts := httptest.NewServer(osrv.Handler())
 	defer ts.Close()
 

@@ -22,6 +22,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"donorsense/internal/idindex"
 	"donorsense/internal/mat"
 	"donorsense/internal/organ"
 )
@@ -140,10 +141,9 @@ type Attention struct {
 	u     *mat.Matrix
 	epoch uint64
 
-	// The id → row index (attention_patch.go), built by the first Patch.
-	// Until then slots is nil and the rows are in id order.
-	slots []int32
-	mask  uint64
+	// The id → row index over ids, built by the first Patch. Until then
+	// it is empty and the rows are in id order.
+	index idindex.Table
 }
 
 // Users returns the number of users (rows).
@@ -161,11 +161,9 @@ func (a *Attention) Epoch() uint64 { return a.epoch }
 // search while the rows are in id order (a cold build), a hash probe of
 // the index once a Patch has run.
 func (a *Attention) RowOf(userID int64) int {
-	if a.slots != nil {
-		if slot, ok := a.slotOf(userID); ok {
-			return int(a.slots[slot])
-		}
-		return -1
+	if a.index.Slots() > 0 {
+		row, _ := a.index.Row(a.ids, userID)
+		return int(row)
 	}
 	lo, hi := 0, len(a.ids)
 	for lo < hi {
@@ -226,7 +224,7 @@ func (a *Attention) PrimaryOrgan(row int) organ.Organ {
 	if tied == 1 {
 		return organ.Organ(bi)
 	}
-	h := splitmix64(uint64(a.ids[row]))
+	h := idindex.Splitmix64(uint64(a.ids[row]))
 	pick := int(h % uint64(tied))
 	for i := bi; i < len(r); i++ {
 		if r[i] == best {
@@ -237,12 +235,4 @@ func (a *Attention) PrimaryOrgan(row int) organ.Organ {
 		}
 	}
 	return organ.Organ(bi)
-}
-
-// splitmix64 is the standard 64-bit mix used for deterministic hashing.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -76,8 +76,11 @@ func (a *Attention) Patch(ids []int64, counts []int32, removes []int64) ([]RowMo
 		}
 	}
 
-	if a.slots == nil {
-		a.buildIndex()
+	if a.index.Slots() == 0 {
+		a.index.Reserve(a.ids, len(a.ids))
+		for r := range a.ids {
+			a.index.Insert(a.ids, int32(r))
+		}
 	}
 	inserts, n := 0, len(a.ids)
 	for _, id := range ids {
@@ -97,15 +100,13 @@ func (a *Attention) Patch(ids []int64, counts []int32, removes []int64) ([]RowMo
 	var moves []RowMove
 	data := a.u.Data()
 	for _, id := range removes {
-		slot, ok := a.slotOf(id)
+		r, ok := a.index.Delete(a.ids, id)
 		if !ok {
 			continue
 		}
-		row, last := int(a.slots[slot]), len(a.ids)-1
-		a.deleteSlot(slot)
+		row, last := int(r), len(a.ids)-1
 		if row != last {
-			moved, _ := a.slotOf(a.ids[last])
-			a.slots[moved] = int32(row)
+			a.index.Move(a.ids, a.ids[last], r)
 			a.ids[row] = a.ids[last]
 			copy(data[row*organ.Count:(row+1)*organ.Count], data[last*organ.Count:])
 		}
@@ -113,8 +114,8 @@ func (a *Attention) Patch(ids []int64, counts []int32, removes []int64) ([]RowMo
 		moves = append(moves, RowMove{From: last, To: row})
 	}
 
-	a.growIndex(n + inserts)
 	a.ids = mat.ResizeRows(a.ids, n+inserts, 1)
+	a.index.Reserve(a.ids, n+inserts)
 	a.u.Resize(n + inserts)
 	data = a.u.Data()
 	next := n
@@ -124,7 +125,7 @@ func (a *Attention) Patch(ids []int64, counts []int32, removes []int64) ([]RowMo
 			row = next
 			next++
 			a.ids[row] = id
-			a.insertSlot(row)
+			a.index.Insert(a.ids, int32(row))
 		}
 		normalizeInto(data[row*organ.Count:(row+1)*organ.Count], counts[r*organ.Count:(r+1)*organ.Count])
 	}
@@ -142,89 +143,5 @@ func normalizeInto(dst []float64, cnt []int32) {
 	}
 	for j, v := range cnt {
 		dst[j] = float64(v) / sum
-	}
-}
-
-// The id → row index is an open-addressing hash table in the style of
-// userstore's: slots hold row indices or -1, and probes compare against
-// the ids column, so the index costs 4 bytes per slot, at most 4/3 slots
-// per row. Deletions shift later entries of a probe chain back, so
-// lookups need no tombstones.
-
-// buildIndex indexes every row.
-func (a *Attention) buildIndex() {
-	a.growIndex(len(a.ids))
-	for r := range a.ids {
-		a.insertSlot(r)
-	}
-}
-
-// growIndex makes the table hold rows rows at a load of at most 3/4,
-// doubling it (at least 16 slots) and reinserting the rows it held.
-func (a *Attention) growIndex(rows int) {
-	size := max(len(a.slots), 16)
-	for rows*4 > size*3 {
-		size *= 2
-	}
-	if size == len(a.slots) {
-		return
-	}
-	old := a.slots
-	a.slots = make([]int32, size)
-	for i := range a.slots {
-		a.slots[i] = -1
-	}
-	a.mask = uint64(size - 1)
-	for _, r := range old {
-		if r >= 0 {
-			a.insertSlot(int(r))
-		}
-	}
-}
-
-// insertSlot indexes row; the table must have a free slot.
-func (a *Attention) insertSlot(row int) {
-	i := splitmix64(uint64(a.ids[row])) & a.mask
-	for a.slots[i] >= 0 {
-		i = (i + 1) & a.mask
-	}
-	a.slots[i] = int32(row)
-}
-
-// slotOf returns the table slot holding id.
-func (a *Attention) slotOf(id int64) (uint64, bool) {
-	i := splitmix64(uint64(id)) & a.mask
-	for {
-		r := a.slots[i]
-		if r < 0 {
-			return 0, false
-		}
-		if a.ids[r] == id {
-			return i, true
-		}
-		i = (i + 1) & a.mask
-	}
-}
-
-// deleteSlot empties slot i and moves later entries of its probe chain
-// back into the hole.
-func (a *Attention) deleteSlot(i uint64) {
-	for {
-		a.slots[i] = -1
-		j := i
-		for {
-			j = (j + 1) & a.mask
-			if a.slots[j] < 0 {
-				return
-			}
-			ideal := splitmix64(uint64(a.ids[a.slots[j]])) & a.mask
-			// Entry j may move into the hole at i only if its ideal
-			// position is cyclically at or before i.
-			if (j-ideal)&a.mask >= (j-i)&a.mask {
-				a.slots[i] = a.slots[j]
-				i = j
-				break
-			}
-		}
 	}
 }

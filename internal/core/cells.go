@@ -68,15 +68,6 @@ func (c *StateOrganCells) Clone() *StateOrganCells {
 	return &StateOrganCells{mention: c.mention.Clone(), users: c.users.Clone()}
 }
 
-// MentionUsers returns the count of users in state row s mentioning
-// organ o.
-func (c *StateOrganCells) MentionUsers(s int, o organ.Organ) int64 {
-	return c.mention.At(s, o.Index())
-}
-
-// StateUsers returns the count of users in state row s.
-func (c *StateOrganCells) StateUsers(s int) int64 { return c.users.At(s) }
-
 // Highlight builds the Figure 5 result from accumulated counts: a =
 // mentioning users inside the state, b = state users not mentioning,
 // c/d the same outside. Zero cells that make the

@@ -186,13 +186,3 @@ func timeAt(r *rand.Rand, start time.Time, day int) time.Time {
 func (c *Corpus) End() time.Time {
 	return c.Config.Start.AddDate(0, 0, c.Config.Days)
 }
-
-// InContextTweets counts tweets that genuinely carry the donation context
-// (everything except injected noise); exposed for calibration tests.
-func (c *Corpus) InContextTweets() int {
-	n := 0
-	for _, p := range c.Profiles {
-		n += p.TweetCount
-	}
-	return n
-}

@@ -51,29 +51,11 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// FromFlat adopts data as the backing store of a rows×cols matrix
-// without copying. The slice must hold exactly rows*cols elements in
-// row-major order; mutating it afterwards mutates the matrix.
-func FromFlat(rows, cols int, data []float64) (*Matrix, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("%w: %dx%d", ErrShape, rows, cols)
-	}
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("%w: %d elements for %dx%d", ErrShape, len(data), rows, cols)
-	}
-	return &Matrix{rows: rows, cols: cols, data: data}, nil
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *Matrix) Cols() int { return m.cols }
-
-// Stride returns the distance in elements between the starts of
-// consecutive rows of the backing slice (equal to Cols for this package's
-// always-contiguous matrices).
-func (m *Matrix) Stride() int { return m.cols }
 
 // Data returns the row-major backing slice itself, for hot loops that
 // want to walk the matrix without per-row slicing. Mutating it mutates

@@ -312,10 +312,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	}
 }
 
-// Exemplar returns the series' most recent traced observation, or nil
-// when none has been recorded.
-func (h *Histogram) Exemplar() *Exemplar { return h.s.exemplar.Load() }
-
 // Count returns how many samples have been observed.
 func (h *Histogram) Count() uint64 { return h.s.count.Load() }
 

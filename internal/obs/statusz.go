@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 )
 
@@ -202,23 +201,5 @@ func (s *Server) statusz(w http.ResponseWriter, r *http.Request) {
 		page.WriteJSON(w)
 	default:
 		http.Error(w, "statusz: unknown format (want text or json)", http.StatusBadRequest)
-	}
-}
-
-// RegistryStatusSection summarizes the registry itself (family count and
-// a few headline series) — a cheap default section so even a bare
-// telemetry server has a non-empty page.
-func RegistryStatusSection(reg *Registry) func() StatusSection {
-	return func() StatusSection {
-		reg.mu.RLock()
-		names := make([]string, 0, len(reg.families))
-		for name := range reg.families {
-			names = append(names, name)
-		}
-		reg.mu.RUnlock()
-		sort.Strings(names)
-		var sec StatusSection
-		sec.Field("metric_families", len(names))
-		return sec
 	}
 }

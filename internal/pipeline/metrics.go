@@ -147,6 +147,13 @@ func (m *Metrics) updateSizes(d *Dataset) {
 	m.userstoreBytes.Set(float64(d.store.SizeBytes()))
 }
 
+// StoreSizes returns the userstore rows and bytes gauges as updateSizes
+// last set them. It reads only the gauges, so any goroutine may call it
+// while the dataset's owner keeps folding.
+func (m *Metrics) StoreSizes() (rows, bytes int64) {
+	return int64(m.userstoreRows.Value()), int64(m.userstoreBytes.Value())
+}
+
 // outcomeLabel maps an Outcome to its metric label (snake_case, stable).
 func outcomeLabel(o Outcome) string {
 	switch o {

@@ -243,7 +243,8 @@ func (d *Dataset) Users() int { return d.store.Len() }
 
 // StoreFootprint reports the columnar user store's size: retained rows
 // and the retained bytes of its columns, hash index, and state bitsets.
-// It feeds the userstore gauge pair and the /statusz memory section.
+// Only the dataset's owner may call it; other goroutines read the
+// userstore gauges instead (Metrics.StoreSizes).
 func (d *Dataset) StoreFootprint() (rows int, bytes int64) {
 	return d.store.Len(), d.store.SizeBytes()
 }

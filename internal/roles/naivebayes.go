@@ -3,6 +3,8 @@ package roles
 import (
 	"fmt"
 	"math"
+
+	"donorsense/internal/idindex"
 )
 
 // Sample is one labelled training example.
@@ -79,9 +81,6 @@ func Train(samples []Sample, classes int) (*NaiveBayes, error) {
 	}
 	return nb, nil
 }
-
-// Classes returns the number of classes the model was trained with.
-func (nb *NaiveBayes) Classes() int { return nb.classes }
 
 // LogPosteriors returns the unnormalized log posterior per class.
 func (nb *NaiveBayes) LogPosteriors(x Features) []float64 {
@@ -165,7 +164,7 @@ func Evaluate(nb *NaiveBayes, samples []Sample) (Evaluation, error) {
 // index) into train and test sets with roughly the given train fraction.
 func SplitTrainTest(samples []Sample, trainFrac float64) (train, test []Sample) {
 	for i, s := range samples {
-		h := splitmix64(uint64(i) * 0x9e3779b97f4a7c15)
+		h := idindex.Splitmix64(uint64(i) * 0x9e3779b97f4a7c15)
 		if float64(h%1000)/1000 < trainFrac {
 			train = append(train, s)
 		} else {
@@ -173,11 +172,4 @@ func SplitTrainTest(samples []Sample, trainFrac float64) (train, test []Sample) 
 		}
 	}
 	return train, test
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -35,13 +35,13 @@ var DefaultPaths = []string{
 
 // LoadResult summarizes a load run.
 type LoadResult struct {
-	Requests     int64
-	Errors       int64 // transport errors (not HTTP error statuses)
-	NotModified  int64
-	StatusCounts map[int]int64
-	Bytes        int64
-	Elapsed      time.Duration
-	ReqPerSec    float64
+	Requests           int64
+	Errors             int64 // transport errors (not HTTP error statuses)
+	NotModified        int64
+	StatusCounts       map[int]int64
+	Bytes              int64
+	Elapsed            time.Duration
+	ReqPerSec          float64
 	P50, P90, P99, Max time.Duration
 }
 

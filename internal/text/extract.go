@@ -52,8 +52,9 @@ func (e Extraction) ContextTerms() []string {
 func (e Extraction) NumContextTerms() int { return int(e.ctxN) }
 
 // Organs returns the distinct organs mentioned, in canonical order, or
-// nil when none matched. Hot paths should prefer HasOrgan or iterating
-// Mentions, which do not allocate.
+// nil when none matched. Hot paths should read the Mentions counts
+// instead (organ o was mentioned iff Mentions[o.Index()] > 0), which does
+// not allocate.
 func (e Extraction) Organs() []organ.Organ {
 	if e.organs == 0 {
 		return nil
@@ -65,11 +66,6 @@ func (e Extraction) Organs() []organ.Organ {
 		}
 	}
 	return out
-}
-
-// HasOrgan reports whether the organ was mentioned at least once.
-func (e Extraction) HasOrgan(o organ.Organ) bool {
-	return e.organs&(1<<uint(o.Index())) != 0
 }
 
 // NumOrgans returns how many distinct organs were mentioned.

@@ -144,9 +144,13 @@ func TestChaosServerExactlyOnceUnderFaults(t *testing.T) {
 
 func TestChaosServerDeleteNoticesSurfaced(t *testing.T) {
 	corpus := chaosCorpus(200)
-	cs := NewChaosServer(corpus, ChaosConfig{Seed: 3, FaultRate: 0.5})
-	// Only delete faults matter here; re-roll until some are injected by
-	// running the full stream.
+	// Only delete faults matter here, but the schedule injects stalls too.
+	// The client's watchdog must fire on those (StallTimeout below
+	// StallDuration) and never on a scheduling delay: a spurious teardown
+	// drops tweets the server already counted as delivered. A 100 ms
+	// watchdog lost tweets that way under a loaded race build; 500 ms
+	// still fires well inside the 2 s stall.
+	cs := NewChaosServer(corpus, ChaosConfig{Seed: 3, FaultRate: 0.5, StallDuration: 2 * time.Second})
 	hs := httptest.NewServer(cs.Handler())
 	defer hs.Close()
 
@@ -156,7 +160,7 @@ func TestChaosServerDeleteNoticesSurfaced(t *testing.T) {
 		InitialBackoff:   time.Millisecond,
 		MaxBackoff:       2 * time.Millisecond,
 		RateLimitBackoff: time.Millisecond,
-		StallTimeout:     100 * time.Millisecond,
+		StallTimeout:     500 * time.Millisecond,
 		OnDelete:         func(d DeleteNotice) { deletes = append(deletes, d) },
 		jitter:           func() float64 { return 0 },
 	}

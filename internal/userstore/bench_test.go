@@ -3,6 +3,8 @@ package userstore
 import (
 	"runtime"
 	"testing"
+
+	"donorsense/internal/idindex"
 )
 
 // The benchmark suite behind BENCH_userstore.{txt,json}: memory per user
@@ -26,7 +28,7 @@ var benchStates = func() []string {
 
 // benchID scatters sequential indices across the id space the way real
 // snowflake ids scatter.
-func benchID(i int) int64 { return int64(splitmix64(uint64(i)) >> 1) }
+func benchID(i int) int64 { return int64(idindex.Splitmix64(uint64(i)) >> 1) }
 
 func buildStore(users int) *Store {
 	s := New(benchCols)

@@ -8,9 +8,9 @@
 //
 // Layout:
 //
-//   - A dense-index open-addressing hash (int64 user id → row) with
-//     linear probing and backward-shift deletion. The table is two flat
-//     slices (keys, rows); growth rehashes at 75% load.
+//   - An open-addressing id → row hash (internal/idindex) with linear
+//     probing and backward-shift deletion: 4-byte row slots probing the
+//     ids column; growth rehashes at 75% load.
 //   - Parallel column slices indexed by row: id, first-seen time, first
 //     tweet id (int64); tweet/clinical/hashtag counters (int32); an
 //     interned state index and a flags byte (uint8 each).
@@ -29,6 +29,8 @@ package userstore
 import (
 	"fmt"
 	"math"
+
+	"donorsense/internal/idindex"
 )
 
 // Flag bits of the per-row flags byte.
@@ -44,23 +46,13 @@ const (
 // only exists so the zero column value is never a valid state).
 const NoState = math.MaxUint8
 
-const (
-	minTableSize = 64 // power of two; small enough that tests exercise growth
-	emptySlot    = -1
-)
-
 // Store is the columnar user store. It is not safe for concurrent
 // mutation; like pipeline.Dataset, the collecting goroutine owns it.
 type Store struct {
 	nCols int
 
-	// Open-addressing index: slots[i] is a row index or emptySlot. The
-	// key itself is not duplicated in the table — probes compare
-	// against ids[slots[i]] — so the index costs 4 bytes per slot.
-	// len(slots) is a power of two.
-	slots []int32
-	mask  uint64
-	used  int
+	// The id → row index over the ids column.
+	index idindex.Table
 
 	// Columns, indexed by row. All have identical length.
 	ids          []int64
@@ -101,50 +93,8 @@ func (s *Store) Len() int { return len(s.ids) }
 // Cols returns the number of mention columns per row.
 func (s *Store) Cols() int { return s.nCols }
 
-// splitmix64 is the standard 64-bit finalizer; it spreads sequential
-// user ids across the table.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Find returns the row of id, or (-1, false) when absent.
-func (s *Store) Find(id int64) (int32, bool) {
-	if s.used == 0 {
-		return -1, false
-	}
-	i := splitmix64(uint64(id)) & s.mask
-	for {
-		r := s.slots[i]
-		if r == emptySlot {
-			return -1, false
-		}
-		if s.ids[r] == id {
-			return r, true
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// findSlot returns the table slot holding id, or (0, false).
-func (s *Store) findSlot(id int64) (uint64, bool) {
-	if s.used == 0 {
-		return 0, false
-	}
-	i := splitmix64(uint64(id)) & s.mask
-	for {
-		r := s.slots[i]
-		if r == emptySlot {
-			return 0, false
-		}
-		if s.ids[r] == id {
-			return i, true
-		}
-		i = (i + 1) & s.mask
-	}
-}
+func (s *Store) Find(id int64) (int32, bool) { return s.index.Row(s.ids, id) }
 
 // Insert appends a new row for id with the given identity fields and
 // zeroed counters, and returns its row index. id must not already be
@@ -153,17 +103,11 @@ func (s *Store) Insert(id int64, stateCode string, flags uint8, firstSeen, first
 	if len(s.ids) >= math.MaxInt32 {
 		panic("userstore: row count exceeds int32")
 	}
-	s.grow()
 	row := int32(len(s.ids))
-	i := splitmix64(uint64(id)) & s.mask
-	for s.slots[i] != emptySlot {
-		i = (i + 1) & s.mask
-	}
-	s.slots[i] = row
-	s.used++
-
 	st := s.internState(stateCode)
 	s.ids = append(s.ids, id)
+	s.index.Reserve(s.ids, len(s.ids))
+	s.index.Insert(s.ids, row)
 	s.firstSeen = append(s.firstSeen, firstSeen)
 	s.firstTweetID = append(s.firstTweetID, firstTweetID)
 	s.tweets = append(s.tweets, 0)
@@ -175,33 +119,6 @@ func (s *Store) Insert(id int64, stateCode string, flags uint8, firstSeen, first
 	s.members[st].Set(uint32(row))
 	s.markTouch(row)
 	return row
-}
-
-// grow rehashes the table when load would exceed 75% (or it is empty).
-func (s *Store) grow() {
-	if s.slots != nil && (s.used+1)*4 <= len(s.slots)*3 {
-		return
-	}
-	newSize := minTableSize
-	if len(s.slots) > 0 {
-		newSize = 2 * len(s.slots)
-	}
-	slots := make([]int32, newSize)
-	for i := range slots {
-		slots[i] = emptySlot
-	}
-	mask := uint64(newSize - 1)
-	for _, r := range s.slots {
-		if r == emptySlot {
-			continue
-		}
-		j := splitmix64(uint64(s.ids[r])) & mask
-		for slots[j] != emptySlot {
-			j = (j + 1) & mask
-		}
-		slots[j] = r
-	}
-	s.slots, s.mask = slots, mask
 }
 
 // internState returns the intern index of code, adding it on first use.
@@ -223,13 +140,10 @@ func (s *Store) internState(code string) uint8 {
 // columns stay dense; its hash slot and bitset bit follow. It reports
 // whether the id was present.
 func (s *Store) Remove(id int64) bool {
-	slot, ok := s.findSlot(id)
+	row, ok := s.index.Delete(s.ids, id)
 	if !ok {
 		return false
 	}
-	row := s.slots[slot]
-	s.deleteSlot(slot)
-	s.used--
 
 	last := int32(len(s.ids) - 1)
 	s.markRemove(id, row, last)
@@ -248,11 +162,9 @@ func (s *Store) Remove(id int64) bool {
 		s.flags[row] = s.flags[last]
 		copy(s.mentions[int(row)*s.nCols:(int(row)+1)*s.nCols],
 			s.mentions[int(last)*s.nCols:(int(last)+1)*s.nCols])
-		ms, ok := s.findSlot(s.ids[last])
-		if !ok {
+		if !s.index.Move(s.ids, s.ids[last], row) {
 			panic("userstore: moved row missing from index")
 		}
-		s.slots[ms] = row
 	}
 	s.ids = s.ids[:last]
 	s.firstSeen = s.firstSeen[:last]
@@ -264,30 +176,6 @@ func (s *Store) Remove(id int64) bool {
 	s.flags = s.flags[:last]
 	s.mentions = s.mentions[:int(last)*s.nCols]
 	return true
-}
-
-// deleteSlot removes table slot i with backward-shift deletion: later
-// entries of the probe chain slide back so lookups never need
-// tombstones.
-func (s *Store) deleteSlot(i uint64) {
-	for {
-		s.slots[i] = emptySlot
-		j := i
-		for {
-			j = (j + 1) & s.mask
-			if s.slots[j] == emptySlot {
-				return
-			}
-			ideal := splitmix64(uint64(s.ids[s.slots[j]])) & s.mask
-			// Entry j may move into the hole at i only if its ideal
-			// position is cyclically at or before i.
-			if (j-ideal)&s.mask >= (j-i)&s.mask {
-				s.slots[i] = s.slots[j]
-				i = j
-				break
-			}
-		}
-	}
 }
 
 // Column accessors. Rows are valid indices in [0, Len()); no bounds
@@ -407,7 +295,7 @@ func (s *Store) SizeBytes() int64 {
 	n += int64(cap(s.ids)+cap(s.firstSeen)+cap(s.firstTweetID)) * 8
 	n += int64(cap(s.tweets)+cap(s.clinical)+cap(s.hashtags)+cap(s.mentions)) * 4
 	n += int64(cap(s.stateIdx) + cap(s.flags))
-	n += int64(cap(s.slots)) * 4
+	n += int64(s.index.Slots()) * 4
 	for _, m := range s.members {
 		n += int64(cap(m)) * 8
 	}
@@ -479,29 +367,15 @@ func FromColumns(nCols int, c Columns) (*Store, error) {
 		s.stateByCode[code] = uint8(i)
 	}
 
-	size := minTableSize
-	for size*3 < n*4 {
-		size *= 2
-	}
-	s.slots = make([]int32, size)
-	for i := range s.slots {
-		s.slots[i] = emptySlot
-	}
-	s.mask = uint64(size - 1)
+	s.index.Reserve(s.ids, n)
 	for row, id := range s.ids {
 		st := s.stateIdx[row]
 		if int(st) >= len(s.stateCodes) {
 			return nil, fmt.Errorf("userstore: row %d has state index %d out of range", row, st)
 		}
-		i := splitmix64(uint64(id)) & s.mask
-		for s.slots[i] != emptySlot {
-			if s.ids[s.slots[i]] == id {
-				return nil, fmt.Errorf("userstore: duplicate user id %d", id)
-			}
-			i = (i + 1) & s.mask
+		if !s.index.Insert(s.ids, int32(row)) {
+			return nil, fmt.Errorf("userstore: duplicate user id %d", id)
 		}
-		s.slots[i] = int32(row)
-		s.used++
 		s.members[st].Set(uint32(row))
 	}
 	return s, nil
