@@ -50,14 +50,14 @@ func collectArgs(url string, extra ...string) []string {
 func TestCollectThroughChaosMatchesCleanRun(t *testing.T) {
 	corpus := durableCorpus()
 
-	clean := twitter.NewChaosServer(corpus, twitter.ChaosConfig{})
+	clean := twitter.NewReplayServer(corpus, twitter.ReplayConfig{})
 	cleanSrv := httptest.NewServer(clean.Handler())
 	defer cleanSrv.Close()
 	cleanOut := captureStdout(t, func() error {
 		return cmdCollect(collectArgs(cleanSrv.URL))
 	})
 
-	chaos := twitter.NewChaosServer(corpus, twitter.ChaosConfig{
+	chaos := twitter.NewReplayServer(corpus, twitter.ReplayConfig{
 		Seed:            11,
 		FaultRate:       0.01,
 		StallDuration:   5 * time.Second, // client's 300ms stall timer fires first
@@ -86,7 +86,7 @@ func TestCollectCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "state.ckpt")
 
 	// Baseline: one uninterrupted collection of the full corpus.
-	clean := twitter.NewChaosServer(corpus, twitter.ChaosConfig{})
+	clean := twitter.NewReplayServer(corpus, twitter.ReplayConfig{})
 	cleanSrv := httptest.NewServer(clean.Handler())
 	defer cleanSrv.Close()
 	baseline := captureStdout(t, func() error {
@@ -97,8 +97,8 @@ func TestCollectCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	// session 1 collects the first half under chaos and checkpoints
 	// (periodically and at shutdown); session 2 starts from the
 	// checkpoint and collects the rest.
-	faults := func(seed uint64) twitter.ChaosConfig {
-		return twitter.ChaosConfig{
+	faults := func(seed uint64) twitter.ReplayConfig {
+		return twitter.ReplayConfig{
 			Seed:          seed,
 			FaultRate:     0.01,
 			StallDuration: 5 * time.Second,
@@ -106,7 +106,7 @@ func TestCollectCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		}
 	}
 	half := len(corpus) / 2
-	srv1 := httptest.NewServer(twitter.NewChaosServer(corpus[:half], faults(21)).Handler())
+	srv1 := httptest.NewServer(twitter.NewReplayServer(corpus[:half], faults(21)).Handler())
 	defer srv1.Close()
 	captureStdout(t, func() error {
 		return cmdCollect(collectArgs(srv1.URL, "-checkpoint", ckpt, "-checkpoint-every", "20ms"))
@@ -115,7 +115,7 @@ func TestCollectCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("session 1 left no checkpoint: %v", err)
 	}
 
-	srv2 := httptest.NewServer(twitter.NewChaosServer(corpus[half:], faults(22)).Handler())
+	srv2 := httptest.NewServer(twitter.NewReplayServer(corpus[half:], faults(22)).Handler())
 	defer srv2.Close()
 	resumed := captureStdout(t, func() error {
 		return cmdCollect(collectArgs(srv2.URL, "-checkpoint", ckpt, "-checkpoint-every", "20ms"))
@@ -146,14 +146,14 @@ func TestCollectCheckpointResumeMatchesUninterrupted(t *testing.T) {
 func TestCollectWorkersThroughChaosMatchesCleanRun(t *testing.T) {
 	corpus := durableCorpus()
 
-	clean := twitter.NewChaosServer(corpus, twitter.ChaosConfig{})
+	clean := twitter.NewReplayServer(corpus, twitter.ReplayConfig{})
 	cleanSrv := httptest.NewServer(clean.Handler())
 	defer cleanSrv.Close()
 	cleanOut := captureStdout(t, func() error {
 		return cmdCollect(collectArgs(cleanSrv.URL))
 	})
 
-	chaos := twitter.NewChaosServer(corpus, twitter.ChaosConfig{
+	chaos := twitter.NewReplayServer(corpus, twitter.ReplayConfig{
 		Seed:            31,
 		FaultRate:       0.01,
 		StallDuration:   5 * time.Second,

@@ -11,8 +11,8 @@ import (
 	"donorsense/internal/twitter"
 )
 
-func shardFaults(seed uint64) twitter.ChaosConfig {
-	return twitter.ChaosConfig{
+func shardFaults(seed uint64) twitter.ReplayConfig {
+	return twitter.ReplayConfig{
 		Seed:      seed,
 		FaultRate: 0.01,
 		// Short server-side stalls that end with the server dropping the
@@ -40,7 +40,7 @@ func shardArgs(url string, extra ...string) []string {
 func TestCollectShardedChaosMatchesCleanRun(t *testing.T) {
 	corpus := durableCorpus()
 
-	clean := twitter.NewChaosServer(corpus, twitter.ChaosConfig{})
+	clean := twitter.NewReplayServer(corpus, twitter.ReplayConfig{})
 	cleanSrv := httptest.NewServer(clean.Handler())
 	defer cleanSrv.Close()
 	baseline := captureStdout(t, func() error {
@@ -48,7 +48,7 @@ func TestCollectShardedChaosMatchesCleanRun(t *testing.T) {
 	})
 
 	ckpt := filepath.Join(t.TempDir(), "state.ckpt")
-	chaos := twitter.NewChaosServer(corpus, shardFaults(31))
+	chaos := twitter.NewReplayServer(corpus, shardFaults(31))
 	chaosSrv := httptest.NewServer(chaos.Handler())
 	defer chaosSrv.Close()
 	sharded := captureStdout(t, func() error {
@@ -76,7 +76,7 @@ func TestCollectShardedResumeAndMergeSubcommand(t *testing.T) {
 	corpus := durableCorpus()
 	ckpt := filepath.Join(t.TempDir(), "state.ckpt")
 
-	clean := twitter.NewChaosServer(corpus, twitter.ChaosConfig{})
+	clean := twitter.NewReplayServer(corpus, twitter.ReplayConfig{})
 	cleanSrv := httptest.NewServer(clean.Handler())
 	defer cleanSrv.Close()
 	baseline := captureStdout(t, func() error {
@@ -84,7 +84,7 @@ func TestCollectShardedResumeAndMergeSubcommand(t *testing.T) {
 	})
 
 	half := len(corpus) / 2
-	srv1 := httptest.NewServer(twitter.NewChaosServer(corpus[:half], shardFaults(41)).Handler())
+	srv1 := httptest.NewServer(twitter.NewReplayServer(corpus[:half], shardFaults(41)).Handler())
 	defer srv1.Close()
 	_ = captureStdout(t, func() error {
 		return cmdCollect(shardArgs(srv1.URL,
@@ -92,7 +92,7 @@ func TestCollectShardedResumeAndMergeSubcommand(t *testing.T) {
 			"-restart-backoff", "1ms"))
 	})
 
-	srv2 := httptest.NewServer(twitter.NewChaosServer(corpus[half:], shardFaults(42)).Handler())
+	srv2 := httptest.NewServer(twitter.NewReplayServer(corpus[half:], shardFaults(42)).Handler())
 	defer srv2.Close()
 	resumed := captureStdout(t, func() error {
 		return cmdCollect(shardArgs(srv2.URL,

@@ -58,7 +58,7 @@ func scrapeMetrics(t *testing.T, url string) (map[string]float64, string) {
 // makes a multi-day run's telemetry trustworthy.
 func TestTelemetryMatchesInjectedChaosFaults(t *testing.T) {
 	corpus := durableCorpus()
-	cs := twitter.NewChaosServer(corpus, twitter.ChaosConfig{
+	cs := twitter.NewReplayServer(corpus, twitter.ReplayConfig{
 		Seed:            11,
 		FaultRate:       0.03,
 		StallDuration:   10 * time.Second, // client watchdog must fire first
