@@ -74,22 +74,8 @@ func TestAnalyticsStatusSection(t *testing.T) {
 // reloaded dataset carries an analytics blob a fresh engine accepts.
 func TestCollectReportEvery(t *testing.T) {
 	corpus := gen.Generate(gen.DefaultConfig(0.01))
-	b := twitter.NewBroadcaster()
-	srv := twitter.NewStreamServer(b)
-	srv.SubscriberBuffer = 1 << 16
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(twitter.NewReplayServer(corpus.Tweets, twitter.ReplayConfig{}).Handler())
 	defer hs.Close()
-
-	go func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for b.NumSubscribers() == 0 && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		for _, tw := range corpus.Tweets {
-			b.Publish(tw)
-		}
-		b.Close()
-	}()
 
 	ckpt := filepath.Join(t.TempDir(), "report.ckpt")
 	out := captureStdout(t, func() error {

@@ -2,7 +2,8 @@ package main
 
 import (
 	"context"
-	"net"
+	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -18,14 +19,7 @@ func TestReplayServesCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pick a free port.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-
+	addr := freeAddr(t)
 	done := make(chan error, 1)
 	go func() {
 		done <- cmdReplay([]string{"-in", corpus, "-addr", addr})
@@ -52,10 +46,8 @@ func TestReplayServesCorpus(t *testing.T) {
 	if got == 0 {
 		t.Fatal("replay delivered no tweets")
 	}
-	// The replay server exits once interrupted; send it a synthetic
-	// shutdown by cancelling is not wired — it closed the broadcaster
-	// after the corpus, so the HTTP server is still up. Just verify the
-	// goroutine hasn't errored yet.
+	// The replay keeps serving (410 Gone) until interrupted; it must not
+	// have failed meanwhile.
 	select {
 	case err := <-done:
 		if err != nil {
@@ -63,6 +55,67 @@ func TestReplayServesCorpus(t *testing.T) {
 		}
 	default:
 		// still serving; fine
+	}
+}
+
+// TestReplayUnpacedDeliversEveryTweetToSlowClient: an unpaced replay
+// (-rate 0) to a client that does not read for its first second must
+// still deliver every matching corpus tweet exactly once, in corpus
+// order, and then answer 410 Gone.
+func TestReplayUnpacedDeliversEveryTweetToSlowClient(t *testing.T) {
+	dir := t.TempDir()
+	corpus := filepath.Join(dir, "corpus.ndjson")
+	if err := cmdGenerate([]string{"-scale", "0.05", "-out", corpus}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := twitter.NewTrackFilter(organ.TrackTerms())
+	var want []int64
+	err = (&twitter.NDJSONReader{}).Decode(f, func(tw *twitter.Tweet) error {
+		if filter.Matches(tw.Text) {
+			want = append(want, tw.ID)
+		}
+		return nil
+	})
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := freeAddr(t)
+	go func() { _ = cmdReplay([]string{"-in", corpus, "-addr", addr, "-rate", "0"}) }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	client := &twitter.StreamClient{BaseURL: "http://" + addr, InitialBackoff: 20 * time.Millisecond}
+	out := make(chan twitter.Tweet)
+	errc := make(chan error, 1)
+	go func() { errc <- client.Filter(ctx, organ.TrackTerms(), out) }()
+	time.Sleep(time.Second) // slow at first: nothing is read yet
+	var got []int64
+	for tw := range out {
+		got = append(got, tw.ID)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("slow client received %d tweets, want all %d matching", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("tweet %d: id %d, want %d", i, got[i], want[i])
+		}
+	}
+	resp, err := http.Get("http://" + addr + twitter.FilterPath + "?track=donor+kidney")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Errorf("status after the replay = %d, want 410 Gone", resp.StatusCode)
 	}
 }
 

@@ -55,17 +55,44 @@ func getTelemetry(url string) ([]byte, error) {
 	return nil, err
 }
 
+// replayThenHold serves tweets through a clean replay, then holds the
+// stream open and silent on the same connection, and on any later one,
+// until release closes (never, when nil); after that it answers 410
+// Gone. The test, not the corpus, decides when the collect ends.
+func replayThenHold(tweets []twitter.Tweet, release <-chan struct{}) (*twitter.ReplayServer, http.Handler) {
+	rs := twitter.NewReplayServer(tweets, twitter.ReplayConfig{})
+	replay := rs.Handler()
+	return rs, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+			replay.ServeHTTP(w, r)
+			return
+		default:
+		}
+		if rs.Remaining() > 0 {
+			replay.ServeHTTP(w, r)
+			if rs.Remaining() > 0 {
+				return // dropped mid-corpus: the client reconnects
+			}
+		} else {
+			w.WriteHeader(http.StatusOK)
+		}
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	})
+}
+
 // collectWithTelemetry runs collect with -telemetry-addr over the test
-// corpus. The corpus is published in batches, and /statusz is rendered
-// after each one, so the page is read while tweets fold. Once every tweet
-// is out it records the three pages, then closes the stream, which ends
-// the collect.
+// corpus. /statusz is rendered again and again while the replay runs, so
+// the page is read while tweets fold. Once every tweet is out it records
+// the three pages, then ends the stream, which ends the collect.
 func collectWithTelemetry(t *testing.T, extra ...string) *telemetryPages {
-	corpus := durableCorpus()
-	b := twitter.NewBroadcaster()
-	ssrv := twitter.NewStreamServer(b)
-	ssrv.SubscriberBuffer = 1 << 16
-	hs := httptest.NewServer(ssrv.Handler())
+	release := make(chan struct{})
+	rs, stream := replayThenHold(durableCorpus(), release)
+	hs := httptest.NewServer(stream)
 	defer hs.Close()
 	base := "http://" + freeAddr(t)
 
@@ -73,15 +100,8 @@ func collectWithTelemetry(t *testing.T, extra ...string) *telemetryPages {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		defer b.Close()
-		for deadline := time.Now().Add(10 * time.Second); b.NumSubscribers() == 0 && time.Now().Before(deadline); {
-			time.Sleep(5 * time.Millisecond)
-		}
-		const batch = 200
-		for i := 0; i < len(corpus); i += batch {
-			for _, tw := range corpus[i:min(i+batch, len(corpus))] {
-				b.Publish(tw)
-			}
+		defer close(release)
+		for rs.Remaining() > 0 {
 			if _, err := getTelemetry(base + "/statusz"); err != nil {
 				t.Errorf("/statusz during ingest: %v", err)
 				return

@@ -18,7 +18,6 @@ import (
 	"donorsense/internal/gen"
 	"donorsense/internal/pipeline"
 	"donorsense/internal/serve"
-	"donorsense/internal/twitter"
 )
 
 // freeAddr grabs an ephemeral localhost port for a telemetry listener.
@@ -60,17 +59,15 @@ func apiGet(t *testing.T, base, path, inm string) (int, string, []byte) {
 // clean exit.
 func TestCollectServeEndToEnd(t *testing.T) {
 	corpus := gen.Generate(gen.DefaultConfig(0.01))
-	b := twitter.NewBroadcaster()
-	srv := twitter.NewStreamServer(b)
-	srv.SubscriberBuffer = 1 << 16
-	hs := httptest.NewServer(srv.Handler())
+	_, stream := replayThenHold(corpus.Tweets, nil)
+	hs := httptest.NewServer(stream)
 	defer hs.Close()
 
 	addr := freeAddr(t)
 	base := "http://" + addr
 
-	// Run the collector with its final report swallowed (the stream never
-	// ends on its own here; SIGTERM ends the run).
+	// Run the collector with its final report swallowed (the stream is
+	// held open after the corpus; SIGTERM ends the run).
 	collectDone := make(chan error, 1)
 	stdout := os.Stdout
 	r, w, err := os.Pipe()
@@ -88,18 +85,6 @@ func TestCollectServeEndToEnd(t *testing.T) {
 		})
 	}()
 	defer w.Close()
-
-	// Feed the corpus once the collector subscribes; keep the stream open
-	// so the collector stays live until the signal.
-	go func() {
-		deadline := time.Now().Add(10 * time.Second)
-		for b.NumSubscribers() == 0 && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		for _, tw := range corpus.Tweets {
-			b.Publish(tw)
-		}
-	}()
 
 	// Poll until the first snapshot is served (the route 404s before).
 	var etag string

@@ -32,10 +32,7 @@ var waterfallStages = []string{
 // and /statusz reports every shard.
 func TestTraceSmokeWaterfall(t *testing.T) {
 	corpus := durableCorpus()
-	b := twitter.NewBroadcaster()
-	ssrv := twitter.NewStreamServer(b)
-	ssrv.SubscriberBuffer = 1 << 16
-	hs := httptest.NewServer(ssrv.Handler())
+	hs := httptest.NewServer(twitter.NewReplayServer(corpus, twitter.ReplayConfig{}).Handler())
 	defer hs.Close()
 
 	tracer := trace.New(trace.Config{SampleRate: 1, RingSize: 1 << 15, SlowSpan: time.Hour})
@@ -58,16 +55,6 @@ func TestTraceSmokeWaterfall(t *testing.T) {
 	out := make(chan twitter.Tweet, 256)
 	errc := make(chan error, 1)
 	go func() { errc <- client.Filter(ctx, organ.TrackTerms(), out) }()
-	go func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for b.NumSubscribers() == 0 && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		for _, tw := range corpus {
-			b.Publish(tw)
-		}
-		b.Close()
-	}()
 	if err := sup.Run(ctx, out); err != nil {
 		t.Fatalf("supervisor Run: %v", err)
 	}

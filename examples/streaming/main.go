@@ -27,27 +27,11 @@ import (
 
 func main() {
 	// A stream server replaying a synthetic corpus, as cmd/streamsim
-	// would, but in-process.
+	// would, but in-process. It delivers every matching tweet exactly
+	// once, at the pace the collector reads.
 	corpus := gen.Generate(gen.DefaultConfig(0.05))
-	broadcaster := twitter.NewBroadcaster()
-	streamServer := twitter.NewStreamServer(broadcaster)
-	// A replay is far burstier than a live stream; give subscribers a
-	// deep buffer so the collector is not dropped as stalled.
-	streamServer.SubscriberBuffer = 1 << 16
-	server := httptest.NewServer(streamServer.Handler())
+	server := httptest.NewServer(twitter.NewReplayServer(corpus.Tweets, twitter.ReplayConfig{}).Handler())
 	defer server.Close()
-
-	go func() {
-		// Wait for the collector to subscribe before replaying, else the
-		// head of the corpus is published to nobody.
-		for broadcaster.NumSubscribers() == 0 {
-			time.Sleep(10 * time.Millisecond)
-		}
-		for _, t := range corpus.Tweets {
-			broadcaster.Publish(t)
-		}
-		broadcaster.Close()
-	}()
 
 	// The collector side: the paper's exact keyword filter, a reconnecting
 	// client, and an incrementally updated dataset.

@@ -313,30 +313,7 @@ func TestRelativeRiskMoreDataNarrowsCI(t *testing.T) {
 	}
 }
 
-// --- Histogram / ranking ---
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int{1, 1, 2, 3, 3, 3} {
-		h.Observe(v)
-	}
-	if h.Total() != 6 || h.Count(3) != 3 || h.Count(9) != 0 {
-		t.Errorf("histogram counts wrong: %+v", h)
-	}
-	if got := h.Values(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Errorf("Values = %v", got)
-	}
-	if !approx(h.Mean(), 13.0/6.0, 1e-12) {
-		t.Errorf("Mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Total() != 0 || len(h.Values()) != 0 {
-		t.Error("empty histogram misbehaves")
-	}
-}
+// --- ranking ---
 
 func TestRankDescending(t *testing.T) {
 	got := RankDescending([]float64{0.1, 0.5, 0.3})

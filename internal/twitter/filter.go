@@ -1,10 +1,15 @@
 package twitter
 
 import (
+	"fmt"
 	"strings"
 
 	"donorsense/internal/text"
 )
+
+// FilterPath is the streaming filter endpoint path, matching the real
+// API's POST/GET https://stream.twitter.com/1.1/statuses/filter.json.
+const FilterPath = "/1.1/statuses/filter.json"
 
 // TrackFilter implements the Twitter Stream API "track" parameter
 // semantics: the parameter is a comma-separated list of phrases; a phrase
@@ -64,4 +69,17 @@ func (f *TrackFilter) Matches(tweetText string) bool {
 		}
 	}
 	return false
+}
+
+// ValidateTrack checks a track parameter the way the API's request
+// validation does: non-empty and at most 400 phrases.
+func ValidateTrack(track string) error {
+	f := NewTrackFilter(track)
+	if f.Empty() {
+		return fmt.Errorf("twitter: track parameter has no phrases")
+	}
+	if f.NumPhrases() > 400 {
+		return fmt.Errorf("twitter: track parameter has %d phrases, limit 400", f.NumPhrases())
+	}
+	return nil
 }

@@ -154,133 +154,37 @@ func TestValidateTrackLimit(t *testing.T) {
 	}
 }
 
-func TestBroadcasterDeliversToMatchingSubscribers(t *testing.T) {
-	b := NewBroadcaster()
-	defer b.Close()
-	all, cancelAll := b.Subscribe(10, nil)
-	defer cancelAll()
-	kidneyOnly, cancelK := b.Subscribe(10, NewTrackFilter("kidney donor"))
-	defer cancelK()
-
-	tw := sampleTweet()
-	if n := b.Publish(tw); n != 2 {
-		t.Errorf("Publish delivered to %d, want 2", n)
-	}
-	other := tw
-	other.Text = "heart transplant news"
-	if n := b.Publish(other); n != 1 {
-		t.Errorf("Publish delivered to %d, want 1", n)
-	}
-	if got := <-all; got.ID != tw.ID {
-		t.Error("firehose subscriber missed tweet")
-	}
-	if got := <-kidneyOnly; !strings.Contains(got.Text, "kidney") {
-		t.Error("filtered subscriber got wrong tweet")
-	}
-}
-
-func TestBroadcasterDropsStalledSubscriber(t *testing.T) {
-	b := NewBroadcaster()
-	defer b.Close()
-	ch, cancel := b.Subscribe(1, nil)
-	defer cancel()
-	tw := sampleTweet()
-	b.Publish(tw) // fills buffer
-	b.Publish(tw) // overflows: subscriber dropped
-	if b.NumSubscribers() != 0 {
-		t.Errorf("stalled subscriber not dropped: %d", b.NumSubscribers())
-	}
-	// Channel yields the buffered tweet, then closes.
-	if _, open := <-ch; !open {
-		t.Error("buffered tweet lost")
-	}
-	if _, open := <-ch; open {
-		t.Error("dropped subscriber channel not closed")
-	}
-}
-
-func TestBroadcasterClose(t *testing.T) {
-	b := NewBroadcaster()
-	ch, _ := b.Subscribe(1, nil)
-	b.Close()
-	if _, open := <-ch; open {
-		t.Error("channel open after Close")
-	}
-	if n := b.Publish(sampleTweet()); n != 0 {
-		t.Error("Publish after Close delivered")
-	}
-	ch2, _ := b.Subscribe(1, nil)
-	if _, open := <-ch2; open {
-		t.Error("Subscribe after Close returned open channel")
-	}
-	b.Close() // idempotent
-}
-
-func TestBroadcasterCancelIdempotent(t *testing.T) {
-	b := NewBroadcaster()
-	defer b.Close()
-	_, cancel := b.Subscribe(1, nil)
-	cancel()
-	cancel() // must not panic or double-close
-	if b.NumSubscribers() != 0 {
-		t.Error("cancel did not remove subscriber")
-	}
-}
-
 func TestStreamServerEndToEnd(t *testing.T) {
-	b := NewBroadcaster()
-	srv := httptest.NewServer(NewStreamServer(b).Handler())
+	match := sampleTweet()
+	noMatch := match
+	noMatch.ID = 2
+	noMatch.Text = "nothing relevant"
+	again := match
+	again.ID = 3
+	srv := httptest.NewServer(NewReplayServer([]Tweet{match, noMatch, again}, ReplayConfig{}).Handler())
 	defer srv.Close()
-	defer b.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-
 	client := &StreamClient{BaseURL: srv.URL, MaxConnects: 3}
 	out := make(chan Tweet, 16)
 	errc := make(chan error, 1)
 	go func() { errc <- client.Filter(ctx, "donor kidney", out) }()
 
-	// Wait for the subscription to land, then publish.
-	deadline := time.Now().Add(2 * time.Second)
-	for b.NumSubscribers() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	var ids []int64
+	for tw := range out {
+		ids = append(ids, tw.ID)
 	}
-	if b.NumSubscribers() == 0 {
-		t.Fatal("client never subscribed")
+	if len(ids) != 2 || ids[0] != match.ID || ids[1] != again.ID {
+		t.Errorf("received ids %v, want [%d %d]", ids, match.ID, again.ID)
 	}
-
-	match := sampleTweet()
-	noMatch := match
-	noMatch.ID = 2
-	noMatch.Text = "nothing relevant"
-	b.Publish(match)
-	b.Publish(noMatch)
-	b.Publish(match)
-
-	got := 0
-	for got < 2 {
-		select {
-		case tw := <-out:
-			if tw.ID != match.ID {
-				t.Errorf("received non-matching tweet %d", tw.ID)
-			}
-			got++
-		case <-ctx.Done():
-			t.Fatalf("timed out after %d tweets", got)
-		}
-	}
-
-	b.Close() // clean end of stream
 	if err := <-errc; err != nil {
-		t.Errorf("Filter returned %v, want nil on clean close", err)
+		t.Errorf("Filter returned %v, want nil on clean end of stream", err)
 	}
 }
 
 func TestStreamServerRejectsEmptyTrack(t *testing.T) {
-	b := NewBroadcaster()
-	defer b.Close()
-	srv := httptest.NewServer(NewStreamServer(b).Handler())
+	srv := httptest.NewServer(NewReplayServer([]Tweet{sampleTweet()}, ReplayConfig{}).Handler())
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -302,67 +206,33 @@ func TestStreamServerRejectsEmptyTrack(t *testing.T) {
 	}
 }
 
+// TestStreamClientReconnects: injected disconnects and stalls end
+// connections mid-corpus; the client must reconnect once per ended
+// connection and still receive every matching tweet exactly once.
 func TestStreamClientReconnects(t *testing.T) {
-	b := NewBroadcaster()
-	defer b.Close()
-	srv := httptest.NewServer(NewStreamServer(b).Handler())
+	corpus := chaosCorpus(600)
+	rs := NewReplayServer(corpus, ReplayConfig{Seed: 11, FaultRate: 0.05, StallDuration: time.Millisecond})
+	srv := httptest.NewServer(rs.Handler())
+	defer srv.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	client := &StreamClient{
 		BaseURL:        srv.URL,
-		InitialBackoff: 5 * time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		MaxConnects:    5,
+		InitialBackoff: time.Millisecond,
+		MaxBackoff:     5 * time.Millisecond,
 	}
-	out := make(chan Tweet, 4)
-	errc := make(chan error, 1)
-	go func() { errc <- client.Filter(ctx, "donor kidney", out) }()
-
-	// First connection.
-	deadline := time.Now().Add(2 * time.Second)
-	for b.NumSubscribers() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	ids := collectAll(t, srv.URL, client)
+	if want := wantIDs(corpus); !equalIDs(ids, want) {
+		t.Errorf("delivered %d tweets, want each of the %d matching ones once, in order", len(ids), len(want))
 	}
-	b.Publish(sampleTweet())
-	<-out
-
-	// Force a disconnect by overflowing the subscriber buffer, then check
-	// the client comes back.
-	prevServer := NewStreamServer(b)
-	_ = prevServer
-	// Instead: drop all subscribers via Close is terminal; simulate a
-	// transient server failure by killing the HTTP server and restarting
-	// a new one at a different URL is not possible for the same client.
-	// So exercise reconnection by having the handler's subscriber dropped:
-	// publish faster than the unread client buffer allows. The server-side
-	// subscriber buffer is 1024; fill it without reading.
-	for i := 0; i < 3000; i++ {
-		b.Publish(sampleTweet())
+	st, cs := rs.Stats(), client.Snapshot()
+	if st.Disconnects == 0 || st.Stalls == 0 {
+		t.Fatalf("fault schedule injected %d disconnects and %d stalls, want both", st.Disconnects, st.Stalls)
 	}
-	// Drain whatever arrives; the client must eventually resubscribe.
-	drained := make(chan struct{})
-	go func() {
-		for range out {
-		}
-		close(drained)
-	}()
-	deadline = time.Now().Add(3 * time.Second)
-	reconnected := false
-	for time.Now().Before(deadline) {
-		if b.NumSubscribers() > 0 {
-			reconnected = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Every streaming connection but the last ended in an injected fault.
+	if cs.Connects != st.Connections || cs.Connects < st.Disconnects+st.Stalls+1 {
+		t.Errorf("client connected %d times over %d accepted connections, %d injected disconnects and %d stalls",
+			cs.Connects, st.Connections, st.Disconnects, st.Stalls)
 	}
-	if !reconnected {
-		t.Error("client did not reconnect after being dropped")
-	}
-	cancel()
-	<-errc
-	<-drained
-	srv.Close()
 }
 
 func TestTweetJSONPropertyRoundTrip(t *testing.T) {
@@ -417,40 +287,6 @@ func BenchmarkTweetMarshal(b *testing.B) {
 		if _, err := json.Marshal(tw); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestStreamServerKeepAlive(t *testing.T) {
-	b := NewBroadcaster()
-	defer b.Close()
-	srv := NewStreamServer(b)
-	srv.KeepAlive = 10 * time.Millisecond
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	resp, err := hs.Client().Get(hs.URL + FilterPath + "?track=donor+kidney")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	// With no tweets published, the connection must still deliver blank
-	// keep-alive lines.
-	buf := make([]byte, 8)
-	deadline := time.Now().Add(2 * time.Second)
-	got := 0
-	for got == 0 && time.Now().Before(deadline) {
-		n, err := resp.Body.Read(buf)
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		for _, c := range buf[:n] {
-			if c == '\n' {
-				got++
-			}
-		}
-	}
-	if got == 0 {
-		t.Error("no keep-alive newlines received")
 	}
 }
 
