@@ -12,17 +12,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"donorsense/internal/cluster"
 	"donorsense/internal/core"
 	"donorsense/internal/gen"
-	"donorsense/internal/influence"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
 	"donorsense/internal/report"
-	"donorsense/internal/roles"
 	"donorsense/internal/temporal"
 	"donorsense/internal/text"
 	"donorsense/internal/twitter"
@@ -75,8 +72,6 @@ func run(scale float64, seed uint64, k int) error {
 	fmt.Println("\n=== Extensions ===")
 	printCorrections(a)
 	printTemporal(series, scale)
-	printRoles(d, corpus)
-	printInfluence(d, a)
 
 	fmt.Fprintf(os.Stderr, "total time: %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
@@ -109,64 +104,6 @@ func printTemporal(series *temporal.Series, scale float64) {
 		return
 	}
 	fmt.Print(report.TemporalText(series, bursts))
-}
-
-// printRoles trains and evaluates the user-role classifier against the
-// generator's ground truth.
-func printRoles(d *pipeline.Dataset, corpus *gen.Corpus) {
-	samples := roles.SamplesFromDataset(d, func(id int64) (int, bool) {
-		p, ok := corpus.Profiles[id]
-		return int(p.Role), ok
-	})
-	train, test := roles.SplitTrainTest(samples, 0.7)
-	nb, err := roles.Train(train, gen.NumRoles)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "roles:", err)
-		return
-	}
-	ev, err := roles.Evaluate(nb, test)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "roles:", err)
-		return
-	}
-	fmt.Print(report.RoleEvaluationText(ev))
-}
-
-// printInfluence runs the campaign planner over the dataset's users.
-func printInfluence(d *pipeline.Dataset, a *report.Analysis) {
-	topic := organ.Lung
-	nodes := make([]influence.Node, 0, a.Attention.Users())
-	d.EachUser(func(u *pipeline.UserRecord) {
-		row := a.Attention.RowOf(u.ID)
-		if row < 0 {
-			return
-		}
-		nodes = append(nodes, influence.Node{
-			UserID:    u.ID,
-			StateCode: u.StateCode,
-			Primary:   a.Attention.PrimaryOrgan(row),
-			Activity:  u.Tweets,
-		})
-	})
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].UserID < nodes[j].UserID })
-	g, err := influence.SyntheticGraph(nodes, influence.DefaultGraphConfig())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "influence:", err)
-		return
-	}
-	ccfg := influence.DefaultCascadeConfig(topic)
-	ccfg.Runs = 24
-	c, err := influence.NewCascade(g, ccfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "influence:", err)
-		return
-	}
-	plan, err := influence.PlanCampaign(c, 4)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "influence:", err)
-		return
-	}
-	fmt.Print(report.InfluencePlanText(topic, g, plan))
 }
 
 // printDistanceAblation contrasts state clusterings under the paper's

@@ -13,7 +13,7 @@
 //     -chaos mode that injects disconnects, stalls, malformed lines,
 //     delete notices, and 420/503 responses
 //   - cmd/benchtables — regenerate every table and figure of the paper
-//   - examples/ — quickstart, statemap, campaign, streaming
+//   - examples/ — quickstart, statemap, streaming
 //
 // The root-level benchmarks in bench_test.go time the computation behind
 // each table and figure of the paper's evaluation, plus the ablations

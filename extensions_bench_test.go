@@ -2,19 +2,15 @@ package donorsense_test
 
 // Benchmarks for the extension experiments (DESIGN.md lists them as
 // optional/future-work features of the paper): multiple-testing
-// correction of the Figure 5 map, the temporal burst sensor, user-role
-// recovery, and the parallel pipeline front-end.
+// correction of the Figure 5 map, the temporal burst sensor, and the
+// parallel pipeline front-end.
 
 import (
-	"sort"
 	"testing"
 
 	"donorsense/internal/core"
 	"donorsense/internal/gen"
-	"donorsense/internal/influence"
-	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
-	"donorsense/internal/roles"
 	"donorsense/internal/temporal"
 	"donorsense/internal/text"
 	"donorsense/internal/twitter"
@@ -61,28 +57,6 @@ func BenchmarkExtension_BurstDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkExtension_RoleRecovery times feature extraction, training, and
-// evaluation of the user-role classifier.
-func BenchmarkExtension_RoleRecovery(b *testing.B) {
-	benchSetup(b)
-	labelOf := func(id int64) (int, bool) {
-		p, ok := benchCorpus.Profiles[id]
-		return int(p.Role), ok
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		samples := roles.SamplesFromDataset(benchDataset, labelOf)
-		train, test := roles.SplitTrainTest(samples, 0.7)
-		nb, err := roles.Train(train, gen.NumRoles)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := roles.Evaluate(nb, test); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExtension_ParallelPipeline contrasts the sequential pipeline
 // with the sharded front-end.
 func BenchmarkExtension_ParallelPipeline(b *testing.B) {
@@ -96,43 +70,5 @@ func BenchmarkExtension_ParallelPipeline(b *testing.B) {
 				d.ProcessAll(benchCorpus.Tweets, workers)
 			}
 		})
-	}
-}
-
-// BenchmarkExtension_InfluencePlanning times the full campaign-planning
-// path: synthetic follower graph over the dataset's users, cascade
-// simulation, and greedy seed selection vs the baselines.
-func BenchmarkExtension_InfluencePlanning(b *testing.B) {
-	benchSetup(b)
-	nodes := make([]influence.Node, 0, benchAtt.Users())
-	benchDataset.EachUser(func(u *pipeline.UserRecord) {
-		row := benchAtt.RowOf(u.ID)
-		if row < 0 {
-			return
-		}
-		nodes = append(nodes, influence.Node{
-			UserID:    u.ID,
-			StateCode: u.StateCode,
-			Primary:   benchAtt.PrimaryOrgan(row),
-			Activity:  u.Tweets,
-		})
-	})
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].UserID < nodes[j].UserID })
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, err := influence.SyntheticGraph(nodes, influence.DefaultGraphConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := influence.DefaultCascadeConfig(organ.Lung)
-		cfg.Runs = 16
-		c, err := influence.NewCascade(g, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := influence.PlanCampaign(c, 3); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

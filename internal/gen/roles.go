@@ -11,9 +11,9 @@ import (
 // distinguish: "health care practitioners, donors, waiting-list
 // candidates, organ donation advocacy agencies, or simply ... different
 // behaviors towards organ donation". Each role conditions the user's
-// organ profile, activity, and language; the roles analysis
-// (internal/roles) then tests whether those classes can be recovered from
-// behaviour alone.
+// organ profile, activity, and language, and so shapes the tweet text
+// and the generator's random stream. No analysis reads the roles back:
+// the paper characterizes users only through their organ attention.
 type Role int
 
 // The user roles.

@@ -4,32 +4,23 @@ import (
 	"fmt"
 	"strings"
 
-	"donorsense/internal/gen"
-	"donorsense/internal/influence"
 	"donorsense/internal/organ"
-	"donorsense/internal/roles"
 	"donorsense/internal/temporal"
 )
 
 // sparkRunes render a small time series inline.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
-// Sparkline renders an integer series as a unicode sparkline, scaled to
-// the series maximum.
+// Sparkline renders a non-negative integer series as a unicode
+// sparkline, scaled to the series maximum; an all-zero series is flat.
 func Sparkline(series []int) string {
-	max := 0
+	top := 1
 	for _, v := range series {
-		if v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		return strings.Repeat(string(sparkRunes[0]), len(series))
+		top = max(top, v)
 	}
 	var b strings.Builder
 	for _, v := range series {
-		i := v * (len(sparkRunes) - 1) / max
-		b.WriteRune(sparkRunes[i])
+		b.WriteRune(sparkRunes[v*(len(sparkRunes)-1)/top])
 	}
 	return b.String()
 }
@@ -61,26 +52,6 @@ func TemporalText(s *temporal.Series, bursts []temporal.Burst) string {
 	return b.String()
 }
 
-// RoleEvaluationText renders the role-recovery confusion matrix and
-// per-class metrics.
-func RoleEvaluationText(ev roles.Evaluation) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "User-role recovery (Gaussian naive Bayes, n=%d): accuracy %.3f\n", ev.N, ev.Accuracy)
-	b.WriteString("  true \\ predicted ")
-	for c := 0; c < len(ev.Confusion); c++ {
-		fmt.Fprintf(&b, "%14s", gen.Role(c))
-	}
-	b.WriteString("    recall  precision\n")
-	for c, row := range ev.Confusion {
-		fmt.Fprintf(&b, "  %-16s", gen.Role(c))
-		for _, n := range row {
-			fmt.Fprintf(&b, "%14d", n)
-		}
-		fmt.Fprintf(&b, "  %8.3f %10.3f\n", ev.Recall[c], ev.Precision[c])
-	}
-	return b.String()
-}
-
 // CorrectionComparisonText renders how many Figure 5 highlights survive
 // each multiple-testing correction.
 func CorrectionComparisonText(counts map[string]int) string {
@@ -90,22 +61,6 @@ func CorrectionComparisonText(counts map[string]int) string {
 		if n, ok := counts[name]; ok {
 			fmt.Fprintf(&b, "  %-20s %d (state, organ) pairs\n", name, n)
 		}
-	}
-	return b.String()
-}
-
-// InfluencePlanText renders a campaign plan comparison.
-func InfluencePlanText(topic organ.Organ, g *influence.Graph, plan *influence.CampaignPlan) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Influence campaign plan (%s) over a %d-user, %d-edge follower graph:\n",
-		topic, g.Nodes(), g.Edges())
-	fmt.Fprintf(&b, "  greedy seeds:      reach %.0f users (%.0f %s-interested)\n",
-		plan.Reach, plan.TopicReach, topic)
-	fmt.Fprintf(&b, "  top-degree seeds:  reach %.0f\n", plan.DegreeReach)
-	fmt.Fprintf(&b, "  random seeds:      reach %.0f\n", plan.RandomReach)
-	for _, s := range plan.Seeds {
-		n := g.Node(s)
-		fmt.Fprintf(&b, "    seed %d (%s, %s, %d followers)\n", n.UserID, n.StateCode, n.Primary, g.OutDegree(s))
 	}
 	return b.String()
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"donorsense/internal/organ"
-	"donorsense/internal/roles"
 	"donorsense/internal/temporal"
 	"donorsense/internal/text"
 	"donorsense/internal/twitter"
@@ -45,22 +44,6 @@ func TestTemporalText(t *testing.T) {
 	quiet := TemporalText(s, nil)
 	if !strings.Contains(quiet, "no bursts") {
 		t.Errorf("quiet text malformed:\n%s", quiet)
-	}
-}
-
-func TestRoleEvaluationText(t *testing.T) {
-	ev := roles.Evaluation{
-		Accuracy:  0.8,
-		Confusion: [][]int{{10, 2, 0, 0, 0}, {1, 9, 0, 0, 0}, {0, 0, 5, 0, 0}, {0, 0, 0, 4, 0}, {0, 0, 0, 0, 3}},
-		Recall:    []float64{0.83, 0.9, 1, 1, 1},
-		Precision: []float64{0.91, 0.82, 1, 1, 1},
-		N:         34,
-	}
-	out := RoleEvaluationText(ev)
-	for _, want := range []string{"advocacy", "practitioner", "0.800", "general-public"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("role text missing %q:\n%s", want, out)
-		}
 	}
 }
 
