@@ -834,7 +834,7 @@ func cmdReplay(args []string) error {
 	rs := twitter.NewReplayServer(tweets, twitter.ReplayConfig{Rate: *rate})
 	httpSrv := &http.Server{Addr: *addr, Handler: rs.Handler()}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if reg != nil {
 		osrv := obs.NewServer(reg)

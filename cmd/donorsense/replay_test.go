@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -122,5 +123,38 @@ func TestReplayUnpacedDeliversEveryTweetToSlowClient(t *testing.T) {
 func TestReplayMissingFile(t *testing.T) {
 	if err := cmdReplay([]string{"-in", "/nonexistent.ndjson", "-addr", "127.0.0.1:0"}); err == nil {
 		t.Error("missing corpus accepted")
+	}
+}
+
+// TestReplayStopsGracefullyOnSIGTERM: a container stop sends SIGTERM,
+// and replay must shut its server down and return nil, as on Ctrl-C.
+func TestReplayStopsGracefullyOnSIGTERM(t *testing.T) {
+	corpus := filepath.Join(t.TempDir(), "corpus.ndjson")
+	if err := cmdGenerate([]string{"-scale", "0.002", "-out", corpus}); err != nil {
+		t.Fatal(err)
+	}
+	addr := freeAddr(t)
+	done := make(chan error, 1)
+	go func() { done <- cmdReplay([]string{"-in", corpus, "-addr", addr}) }()
+	// Signal only once the server listens: the handler is installed by then.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if resp, err := http.Get("http://" + addr + "/"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("replay never started listening")
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("replay returned %v after SIGTERM, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("replay did not stop after SIGTERM")
 	}
 }

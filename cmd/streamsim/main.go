@@ -32,6 +32,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"syscall"
 	"time"
 
 	"donorsense/internal/gen"
@@ -171,7 +172,7 @@ func run(o options) error {
 	rs, tweets := newReplay(o, reg)
 	srv := &http.Server{Addr: o.addr, Handler: rs.Handler()}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
 		<-ctx.Done()

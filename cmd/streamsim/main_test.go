@@ -5,8 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -138,5 +142,65 @@ func TestReplayDeliversEveryMatchingTweet(t *testing.T) {
 				t.Errorf("chaos=%v run injected %d faults", chaos, injected)
 			}
 		})
+	}
+}
+
+// TestChaosRunStopsGracefullyOnSIGTERM: a container stop sends SIGTERM,
+// and a -chaos run must shut its server down, return nil and print its
+// one chaos_summary line on stdout, as it does on Ctrl-C.
+func TestChaosRunStopsGracefullyOnSIGTERM(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	o := options{
+		addr: addr, scale: 0.002, seed: 1, rate: 500, chaos: true,
+		faultRate: 0.01, stall: 10 * time.Millisecond, rateLimit: 0.02,
+		serverErr: 0.02, retryAfter: 10 * time.Millisecond,
+	}
+
+	stdout := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	printed := make(chan string)
+	go func() {
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(r)
+		printed <- buf.String()
+	}()
+
+	done := make(chan error, 1)
+	go func() { done <- run(o) }()
+	// Signal only once the server listens: the handler is installed by then.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if resp, err := http.Get("http://" + addr + "/"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("streamsim never started listening")
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("run returned %v after SIGTERM, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("streamsim did not stop after SIGTERM")
+	}
+	w.Close()
+	out := <-printed
+	if n := strings.Count(out, `"event":"chaos_summary"`); n != 1 {
+		t.Errorf("stdout holds %d chaos_summary lines, want 1:\n%s", n, out)
 	}
 }
