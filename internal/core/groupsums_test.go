@@ -86,6 +86,21 @@ func newEq3Population(rng *rand.Rand, users int) *eq3Population {
 
 func (p *eq3Population) stateRow(id int64) int { return geo.StateIndex(p.state[id]) }
 
+// uniqueMaxima raises each user's first largest count by one, so that
+// every user's primary organ (Equation 1) is independent of its id:
+// ties break by an id hash.
+func (p *eq3Population) uniqueMaxima() {
+	for _, row := range p.counts {
+		max, at := int32(-1), 0
+		for j, v := range row {
+			if v > max {
+				max, at = v, j
+			}
+		}
+		row[at] = max + 1
+	}
+}
+
 // checkAgainstOracle asserts the organ and region characterizations are
 // bitwise the big.Rat oracle's over a.
 func checkAgainstOracle(t *testing.T, a *Attention, p *eq3Population, oc *OrganCharacterization, rc *RegionCharacterization) {
@@ -291,17 +306,7 @@ func TestAggregateDeltaValidation(t *testing.T) {
 func TestEquation3PermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := newEq3Population(rng, 600)
-	// Unique maxima keep each user's primary organ independent of its id
-	// (ties break by an id hash).
-	for _, row := range p.counts {
-		max, at := int32(-1), 0
-		for j, v := range row {
-			if v > max {
-				max, at = v, j
-			}
-		}
-		row[at] = max + 1
-	}
+	p.uniqueMaxima()
 	a, err := AttentionFromCounts(p.counts.columns())
 	if err != nil {
 		t.Fatal(err)
