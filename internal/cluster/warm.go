@@ -18,11 +18,10 @@ import (
 // accumulators), and its count n_c. A caller that knows which rows
 // changed takes each one out of its cluster with Unassign before the
 // row's data changes (its vector leaves the moments and its label
-// becomes -1). New rows arrive through Grow with label -1, and a row
-// that leaves is swap-removed through SwapRemove after its Unassign. The
-// survivors keep their entries: their bounds remain valid, because the
-// centroids they were proved against are exactly the positions the warm
-// run starts from. A resume exactly re-assigns only the -1 rows, adds
+// becomes -1). New rows arrive through Grow with label -1; rows never
+// leave. The unchanged rows keep their entries: their bounds remain
+// valid, because the centroids they were proved against are exactly the
+// positions the warm run starts from. A resume exactly re-assigns only the -1 rows, adds
 // them to the moments, and re-enters the standard pruned Lloyd loop,
 // whose centroids are fl(S_c)·fl(1/n_c), until it converges. It serves
 // the inertia from the moments, Σ_c max(0, Q_c − 2c·S_c + n_c‖c‖²), in
@@ -44,8 +43,8 @@ import (
 // list has doubled since it was built) one sweep over every row checks
 // it, restates its bounds without offsets, resets D and G, and rebuilds
 // the list; τ is chosen there from the rows' slacks, so that about one
-// row in 32 is a candidate. Stale list entries (rows that moved or left)
-// cost a re-check, never a wrong label. Every label a resume serves is
+// row in 32 is a candidate. Stale list entries (rows whose bounds have
+// changed since) cost a re-check, never a wrong label. Every label a resume serves is
 // still the exact nearest centroid.
 //
 // Exact moments do not drift: after any history of resumes they equal a
@@ -80,7 +79,7 @@ import (
 // first resume, which sweeps every row. From then on a resume updates
 // the state in place and tracks its rows: Upper and Lower hold bounds
 // relative to the carried offsets (Reorder states them plainly), and
-// callers change the rows only through Unassign, SwapRemove and Grow.
+// callers change the rows only through Unassign and Grow.
 type KMeansWarmState struct {
 	K         int
 	Dim       int
@@ -171,32 +170,6 @@ func (ws *KMeansWarmState) Unassign(i int, row []float64) {
 		return
 	}
 	ws.counts[l]--
-}
-
-// SwapRemove drops row i after the caller dropped its data row the same
-// way: the last row moves into row i and the row count shrinks by one.
-// Row i must have left its cluster through Unassign first; otherwise
-// the moments no longer match and the next resume re-sums them.
-func (ws *KMeansWarmState) SwapRemove(i int) {
-	if ws.Labels[i] >= 0 {
-		ws.sums, ws.sqNorms, ws.counts = nil, nil, nil
-	}
-	last := len(ws.Labels) - 1
-	ws.Labels[i], ws.Upper[i], ws.Lower[i] = ws.Labels[last], ws.Upper[last], ws.Lower[last]
-	ws.Labels, ws.Upper, ws.Lower = ws.Labels[:last], ws.Upper[:last], ws.Lower[:last]
-	if !ws.tracked {
-		return
-	}
-	ws.out[i] = ws.out[last]
-	ws.out = ws.out[:last]
-	if i == last {
-		return
-	}
-	if ws.Labels[i] < 0 {
-		ws.dirty = append(ws.dirty, int32(i))
-	} else {
-		ws.cands = append(ws.cands, int32(i))
-	}
 }
 
 // Grow appends rows up to n after the caller appended their data rows.

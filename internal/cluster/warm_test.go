@@ -603,8 +603,7 @@ func eagerFinish(run *kmeansRun, out []int) {
 }
 
 // TestKMeansWarmLazyMatchesEager drives a warm state through a random
-// history of updates, inserts and swap-removes, the way the engine
-// drives it, and after every resume compares it with the eager oracle
+// history of updates and inserts, the way the engine drives it, and after every resume compares it with the eager oracle
 // resumed from the same state: the same labels, centroids, inertia,
 // sizes and iteration count, bit for bit. Every row's effective bounds
 // must also bracket its true distances: the upper bound is at least the
@@ -625,19 +624,13 @@ func TestKMeansWarmLazyMatchesEager(t *testing.T) {
 		for op := 0; op < 1+rng.Intn(4); op++ {
 			n := m.Rows()
 			data := m.Data()
-			switch i := rng.Intn(n); rng.Intn(4) {
-			case 0, 1: // update
+			if i := rng.Intn(n); rng.Intn(3) < 2 { // update
 				ws.Unassign(i, data[i*dim:(i+1)*dim])
 				fresh(data[i*dim : (i+1)*dim])
-			case 2: // insert
+			} else { // insert
 				m.Resize(n + 1)
 				fresh(m.Data()[n*dim:])
 				ws.Grow(n + 1)
-			default: // swap-remove
-				ws.Unassign(i, data[i*dim:(i+1)*dim])
-				copy(data[i*dim:(i+1)*dim], data[(n-1)*dim:])
-				m.Resize(n - 1)
-				ws.SwapRemove(i)
 			}
 		}
 		n := m.Rows()

@@ -27,14 +27,6 @@ func (sh patchShadow) columns() ([]int64, []int32) {
 	return ids, counts
 }
 
-func rowSum(cnt []int32) int64 {
-	s := int64(0)
-	for _, v := range cnt {
-		s += int64(v)
-	}
-	return s
-}
-
 // tagOf and wideOf are the per-user values of the two row-aligned test
 // columns spliced alongside Û.
 func tagOf(id int64) int64 { return id*7 + 3 }
@@ -42,12 +34,11 @@ func tagOf(id int64) int64 { return id*7 + 3 }
 func wideOf(id int64) [3]int32 { return [3]int32{int32(id), int32(-id), int32(id % 5)} }
 
 // TestAttentionPatchProperty asserts that an Attention patched in place
-// through randomized insert / update / delete / merge batches holds, at
-// every epoch boundary, the bit-identical row of every user that one
-// rebuilt from scratch by AttentionFromCounts holds, that RowOf finds
-// each of them after deletes and merges, and that columns replaying the
-// returned swap-removes stay aligned with UserIDs(): a clean user's
-// value travels with its row. One column starts with exact capacity (the
+// through randomized insert / update / merge batches holds, at every
+// epoch boundary, the bit-identical row of every user that one rebuilt
+// from scratch by AttentionFromCounts holds, that RowOf finds each of
+// them after merges, and that columns grown to Users() stay aligned
+// with UserIDs(): a clean user's value stays on its row. One column starts with exact capacity (the
 // first insert regrows it), the other with ample capacity (every patch
 // runs in place).
 func TestAttentionPatchProperty(t *testing.T) {
@@ -85,13 +76,12 @@ func TestAttentionPatchProperty(t *testing.T) {
 		}
 
 		for batch := 0; batch < 15; batch++ {
-			// One batch = a mix of mention updates, user deletions, and a
-			// merge-like bulk add, applied to the shadow while recording
-			// which ids changed.
+			// One batch = a mix of mention updates and a merge-like bulk
+			// add, applied to the shadow while recording which ids
+			// changed.
 			changed := map[int64]bool{}
 			for op := 0; op < 1+rng.Intn(12); op++ {
-				switch k := rng.Intn(10); {
-				case k < 5: // mention delta on a random (maybe new) user
+				if rng.Intn(10) < 7 { // mention delta on a random (maybe new) user
 					id := int64(rng.Intn(500) + 1)
 					cnt := shadow[id]
 					if cnt == nil {
@@ -100,24 +90,7 @@ func TestAttentionPatchProperty(t *testing.T) {
 					}
 					cnt[rng.Intn(organ.Count)] += int32(rng.Intn(4) + 1)
 					changed[id] = true
-				case k < 7: // decrement (tweet deletion) — may zero the row
-					for id, cnt := range shadow {
-						for c := range cnt {
-							if cnt[c] > 0 {
-								cnt[c]--
-								changed[id] = true
-								break
-							}
-						}
-						break
-					}
-				case k < 8: // hard delete (user removed from the store)
-					for id := range shadow {
-						delete(shadow, id)
-						changed[id] = true
-						break
-					}
-				default: // merge: bulk-add a small foreign shard
+				} else { // merge: bulk-add a small foreign shard
 					for i := 0; i < 3+rng.Intn(5); i++ {
 						id := int64(rng.Intn(500) + 1)
 						cnt := shadow[id]
@@ -132,37 +105,19 @@ func TestAttentionPatchProperty(t *testing.T) {
 			}
 
 			// Build the patch from the changed set.
-			var upIDs, rmIDs []int64
+			var upIDs []int64
 			for id := range changed {
-				if cnt, ok := shadow[id]; ok && rowSum(cnt) > 0 {
-					upIDs = append(upIDs, id)
-				} else {
-					rmIDs = append(rmIDs, id)
-				}
+				upIDs = append(upIDs, id)
 			}
 			sort.Slice(upIDs, func(i, j int) bool { return upIDs[i] < upIDs[j] })
-			sort.Slice(rmIDs, func(i, j int) bool { return rmIDs[i] < rmIDs[j] })
 			upCounts := make([]int32, 0, len(upIDs)*organ.Count)
 			for _, id := range upIDs {
 				upCounts = append(upCounts, shadow[id]...)
 			}
 
 			wantIDs, wantCounts := shadow.columns()
-			live := 0
-			for _, id := range wantIDs {
-				if rowSum(shadow[id]) > 0 {
-					live++
-				}
-			}
 			prevEpoch := att.Epoch()
-			moves, err := att.Patch(upIDs, upCounts, rmIDs)
-			if live == 0 {
-				if err == nil {
-					t.Fatalf("trial %d batch %d: patch to empty matrix succeeded", trial, batch)
-				}
-				break // shadow emptied out; start next trial
-			}
-			if err != nil {
+			if err := att.Patch(upIDs, upCounts); err != nil {
 				t.Fatalf("trial %d batch %d: patch: %v", trial, batch, err)
 			}
 			if att.Epoch() != prevEpoch+1 {
@@ -175,15 +130,10 @@ func TestAttentionPatchProperty(t *testing.T) {
 			}
 			compareAttention(t, att, want)
 
-			// Replay the moves, then set only the patched users' values:
-			// every other row must have carried its own.
-			for _, mv := range moves {
-				tags[mv.To] = tags[mv.From]
-				copy(wide[mv.To*3:mv.To*3+3], wide[mv.From*3:])
-			}
-			kept := len(tags) - len(moves)
-			tags = mat.ResizeRows(tags[:kept], att.Users(), 1)
-			wide = mat.ResizeRows(wide[:kept*3], att.Users(), 3)
+			// Grow the columns, then set only the patched users' values:
+			// every other row must have kept its own.
+			tags = mat.ResizeRows(tags, att.Users(), 1)
+			wide = mat.ResizeRows(wide, att.Users(), 3)
 			for _, id := range upIDs {
 				r := att.RowOf(id)
 				w := wideOf(id)
@@ -234,7 +184,7 @@ func compareAttention(t *testing.T, got, want *Attention) {
 }
 
 // TestAttentionPatchValidation pins the error paths: misordered inputs,
-// zero-sum update rows, update∩remove overlap, and length mismatches.
+// zero-sum update rows, and length mismatches.
 func TestAttentionPatchValidation(t *testing.T) {
 	att, err := AttentionFromCounts([]int64{1, 2}, []int32{
 		1, 0, 0, 0, 0, 0,
@@ -245,26 +195,16 @@ func TestAttentionPatchValidation(t *testing.T) {
 	}
 	row := func(v int32) []int32 { return []int32{v, 0, 0, 0, 0, 0} }
 
-	if _, err := att.Patch([]int64{2, 1}, append(row(1), row(1)...), nil); err == nil {
+	if err := att.Patch([]int64{2, 1}, append(row(1), row(1)...)); err == nil {
 		t.Fatal("unsorted update ids accepted")
 	}
-	if _, err := att.Patch([]int64{1}, row(0), nil); err == nil {
+	if err := att.Patch([]int64{1}, row(0)); err == nil {
 		t.Fatal("zero-sum update row accepted")
 	}
-	if _, err := att.Patch([]int64{1}, row(1), []int64{1}); err == nil {
-		t.Fatal("update∩remove overlap accepted")
-	}
-	if _, err := att.Patch([]int64{1}, nil, nil); err == nil {
+	if err := att.Patch([]int64{1}, nil); err == nil {
 		t.Fatal("counts length mismatch accepted")
-	}
-	if _, err := att.Patch(nil, nil, []int64{3, 3}); err == nil {
-		t.Fatal("non-ascending removes accepted")
 	}
 	if att.Epoch() != 0 {
 		t.Fatalf("failed patches advanced epoch to %d", att.Epoch())
-	}
-	// Removing every user must error, not produce an empty matrix.
-	if _, err := att.Patch(nil, nil, []int64{1, 2}); err == nil {
-		t.Fatal("patch to empty accepted")
 	}
 }

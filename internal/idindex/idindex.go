@@ -3,9 +3,8 @@
 // slots hold int32 row indices into a column of int64 ids the caller
 // owns. The key is not duplicated in the table — probes compare against
 // ids[row] — so the index costs 4 bytes per slot. Probing is linear from
-// the Splitmix64 hash of the id, the load stays at most 3/4, and deletes
-// shift later entries of a probe chain back, so lookups need no
-// tombstones.
+// the Splitmix64 hash of the id and the load stays at most 3/4. Rows are
+// only ever added, so lookups need no tombstones.
 //
 // Every method that probes takes the ids column; it must hold the id of
 // every indexed row. A Table is not safe for concurrent mutation.
@@ -18,7 +17,7 @@ const (
 
 // Splitmix64 is the standard 64-bit finalizer. It spreads sequential
 // user ids across the table, and callers use it for any deterministic
-// per-id hash (the attention tie-break, the roles train/test split).
+// per-id hash (the attention tie-break).
 func Splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -37,40 +36,22 @@ type Table struct {
 // of two.
 func (t *Table) Slots() int { return len(t.slots) }
 
-// find returns the slot holding id, or (0, false) when id is not indexed.
-func (t *Table) find(ids []int64, id int64) (uint64, bool) {
+// Row returns the row of id, or (-1, false) when id is not indexed.
+func (t *Table) Row(ids []int64, id int64) (int32, bool) {
 	if len(t.slots) == 0 {
-		return 0, false
+		return -1, false
 	}
 	i := Splitmix64(uint64(id)) & t.mask
 	for {
 		r := t.slots[i]
 		if r == empty {
-			return 0, false
+			return -1, false
 		}
 		if ids[r] == id {
-			return i, true
+			return r, true
 		}
 		i = (i + 1) & t.mask
 	}
-}
-
-// Row returns the row of id, or (-1, false) when id is not indexed.
-func (t *Table) Row(ids []int64, id int64) (int32, bool) {
-	if i, ok := t.find(ids, id); ok {
-		return t.slots[i], true
-	}
-	return -1, false
-}
-
-// Move points id at row, where a swap-remove moved it. It reports false
-// when id is not indexed.
-func (t *Table) Move(ids []int64, id int64, row int32) bool {
-	i, ok := t.find(ids, id)
-	if ok {
-		t.slots[i] = row
-	}
-	return ok
 }
 
 // Reserve makes the table hold rows rows at a load of at most 3/4,
@@ -115,33 +96,4 @@ func (t *Table) Insert(ids []int64, row int32) bool {
 	}
 	t.slots[i] = row
 	return true
-}
-
-// Delete unindexes id and returns the row it held, or (-1, false) when
-// id is not indexed. Later entries of its probe chain move back into
-// the hole.
-func (t *Table) Delete(ids []int64, id int64) (int32, bool) {
-	i, ok := t.find(ids, id)
-	if !ok {
-		return -1, false
-	}
-	row := t.slots[i]
-	for {
-		t.slots[i] = empty
-		j := i
-		for {
-			j = (j + 1) & t.mask
-			if t.slots[j] == empty {
-				return row, true
-			}
-			ideal := Splitmix64(uint64(ids[t.slots[j]])) & t.mask
-			// Entry j may move into the hole at i only if its ideal
-			// position is cyclically at or before i.
-			if (j-ideal)&t.mask >= (j-i)&t.mask {
-				t.slots[i] = t.slots[j]
-				i = j
-				break
-			}
-		}
-	}
 }

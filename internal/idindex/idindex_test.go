@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestSplitmix64Golden pins the hash: the attention tie-break and the
-// roles train/test split depend on its exact values.
+// TestSplitmix64Golden pins the hash: the attention tie-break depends on
+// its exact values.
 func TestSplitmix64Golden(t *testing.T) {
 	for _, c := range []struct{ in, want uint64 }{
 		{0, 0xe220a8397b1dcdaf},
@@ -20,7 +20,7 @@ func TestSplitmix64Golden(t *testing.T) {
 }
 
 // TestTableMatchesMap drives the table the way the stores do — append a
-// row and index it, or swap-remove a row — against a map oracle.
+// row and index it, or look an id up — against a map oracle.
 func TestTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	var tbl Table
@@ -28,7 +28,8 @@ func TestTableMatchesMap(t *testing.T) {
 	oracle := map[int64]int32{}
 	for step := 0; step < 20000; step++ {
 		id := rng.Int64N(3000) - 1500 // small range: many hits, long chains
-		if _, ok := oracle[id]; !ok && rng.IntN(3) > 0 {
+		want, in := oracle[id]
+		if !in && rng.IntN(3) > 0 {
 			row := int32(len(ids))
 			ids = append(ids, id)
 			tbl.Reserve(ids, len(ids))
@@ -36,17 +37,8 @@ func TestTableMatchesMap(t *testing.T) {
 				t.Fatalf("step %d: Insert(%d) refused a new id", step, id)
 			}
 			oracle[id] = row
-		} else if row, ok := tbl.Delete(ids, id); ok {
-			last := int32(len(ids) - 1)
-			if row != last {
-				if !tbl.Move(ids, ids[last], row) {
-					t.Fatalf("step %d: Move(%d) found no entry", step, ids[last])
-				}
-				ids[row] = ids[last]
-				oracle[ids[row]] = row
-			}
-			ids = ids[:last]
-			delete(oracle, id)
+		} else if got, ok := tbl.Row(ids, id); ok != in || (in && got != want) {
+			t.Fatalf("step %d: Row(%d) = %d, %v; want %d, %v", step, id, got, ok, want, in)
 		}
 		if len(ids)*4 > tbl.Slots()*3 {
 			t.Fatalf("step %d: load %d/%d above 3/4", step, len(ids), tbl.Slots())

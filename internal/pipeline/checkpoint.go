@@ -55,16 +55,6 @@ const (
 // magic, truncation, or checksum mismatch).
 var ErrCheckpointCorrupt = errors.New("pipeline: checkpoint corrupt")
 
-// checkpointContribution mirrors tweetContribution.
-type checkpointContribution struct {
-	UserID    int64
-	Mentions  [organ.Count]int8
-	Clinical  int8
-	Hashtags  int8
-	Distinct  int8
-	GeoTagged bool
-}
-
 // checkpointStateV4 is the v4 gob payload: the user store as flat
 // columns (one slice per field, row-major mention matrix, append-ordered
 // state intern table) plus the dataset counters and the analytics
@@ -91,8 +81,6 @@ type checkpointStateV4 struct {
 	FirstTweet     time.Time
 	LastTweet      time.Time
 	OrgansPerTweet map[int]int
-	TrackDeletions bool
-	Contributions  map[int64]checkpointContribution
 	LocCache       map[string]geo.Location
 	// Cursor is the feeding layer's stream position at snapshot time (see
 	// Dataset.SetCursor); the shard supervisor's replay skip depends on
@@ -127,7 +115,6 @@ func (d *Dataset) snapshot() checkpointStateV4 {
 		FirstTweet:     d.firstTweet,
 		LastTweet:      d.lastTweet,
 		OrgansPerTweet: make(map[int]int, len(d.organsPerTweet)),
-		TrackDeletions: d.contributions != nil,
 		LocCache:       make(map[string]geo.Location, d.locCache.len()),
 		Cursor:         d.cursor,
 		Analytics:      d.analytics,
@@ -135,29 +122,8 @@ func (d *Dataset) snapshot() checkpointStateV4 {
 	for k, n := range d.organsPerTweet {
 		st.OrgansPerTweet[k] = n
 	}
-	st.Contributions = snapshotContributions(d.contributions)
 	d.locCache.each(func(k string, v geo.Location) { st.LocCache[k] = v })
 	return st
-}
-
-// snapshotContributions converts the delete-tracking records (nil stays
-// nil: tracking disabled).
-func snapshotContributions(contribs map[int64]tweetContribution) map[int64]checkpointContribution {
-	if contribs == nil {
-		return nil
-	}
-	out := make(map[int64]checkpointContribution, len(contribs))
-	for id, c := range contribs {
-		out[id] = checkpointContribution{
-			UserID:    c.userID,
-			Mentions:  c.mentions,
-			Clinical:  c.clinical,
-			Hashtags:  c.hashtags,
-			Distinct:  c.distinct,
-			GeoTagged: c.geoTagged,
-		}
-	}
-	return out
 }
 
 // restore rebuilds a fresh dataset from a decoded v3/v4 snapshot,
@@ -190,19 +156,6 @@ func restore(st checkpointStateV4) (*Dataset, error) {
 	d.cursor = st.Cursor
 	for k, n := range st.OrgansPerTweet {
 		d.organsPerTweet[k] = n
-	}
-	if st.TrackDeletions {
-		d.TrackDeletions()
-		for id, c := range st.Contributions {
-			d.contributions[id] = tweetContribution{
-				userID:    c.UserID,
-				mentions:  c.Mentions,
-				clinical:  c.Clinical,
-				hashtags:  c.Hashtags,
-				distinct:  c.Distinct,
-				geoTagged: c.GeoTagged,
-			}
-		}
 	}
 	for k, v := range st.LocCache {
 		d.locCache.put(k, v)

@@ -6,34 +6,26 @@ import (
 	"encoding/gob"
 	"hash/crc32"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
 	"donorsense/internal/geo"
+	"donorsense/internal/organ"
 )
 
-// This file covers the checkpoint v3 → v4 migration: a pre-analytics
+// This file covers the payloads older code wrote: a pre-analytics v3
 // snapshot must load with nothing lost, and re-saving it must produce a
-// v4 snapshot that round-trips to the same dataset — merge cursor and
-// delete log included.
+// v4 snapshot that round-trips to the same dataset, merge cursor
+// included. A v4 snapshot that still carries the delete-tracking fields
+// of earlier releases must load as if they were absent.
 
 // assertDatasetsIdenticalFull is assertDatasetsEqual plus the state a
-// resumed collector depends on: every user record, the stream cursor,
-// and the delete log.
+// resumed collector depends on: every user record and the stream cursor.
 func assertDatasetsIdenticalFull(t *testing.T, got, want *Dataset) {
 	t.Helper()
 	assertDatasetsEqual(t, got, want)
 	if got.Cursor() != want.Cursor() {
 		t.Errorf("cursor = %d, want %d", got.Cursor(), want.Cursor())
-	}
-	if got.DeletionTrackingEnabled() != want.DeletionTrackingEnabled() {
-		t.Fatalf("deletion tracking = %v, want %v",
-			got.DeletionTrackingEnabled(), want.DeletionTrackingEnabled())
-	}
-	if !reflect.DeepEqual(got.contributions, want.contributions) {
-		t.Errorf("delete log differs: %d vs %d records",
-			len(got.contributions), len(want.contributions))
 	}
 	want.EachUser(func(u *UserRecord) {
 		gu, ok := got.LookupUser(u.ID)
@@ -46,10 +38,22 @@ func assertDatasetsIdenticalFull(t *testing.T, got, want *Dataset) {
 	}
 }
 
-// checkpointStateV3Wire is the exact wire shape of a pre-analytics v3
-// payload (checkpointStateV4 without the Analytics field), kept
-// test-side as the fixture generator for v3 → v4 migration coverage.
-type checkpointStateV3Wire struct {
+// legacyContribution is the wire shape of the per-status delete-tracking
+// record earlier releases persisted.
+type legacyContribution struct {
+	UserID    int64
+	Mentions  [organ.Count]int8
+	Clinical  int8
+	Hashtags  int8
+	Distinct  int8
+	GeoTagged bool
+}
+
+// legacyCheckpointWire is the exact wire shape of the payloads earlier
+// releases wrote: checkpointStateV4 plus the delete-tracking fields.
+// gob leaves zero fields out, so with Analytics nil it is also the
+// pre-analytics v3 payload.
+type legacyCheckpointWire struct {
 	UserIDs        []int64
 	FirstSeen      []int64
 	FirstTweetID   []int64
@@ -68,18 +72,16 @@ type checkpointStateV3Wire struct {
 	LastTweet      time.Time
 	OrgansPerTweet map[int]int
 	TrackDeletions bool
-	Contributions  map[int64]checkpointContribution
+	Contributions  map[int64]legacyContribution
 	LocCache       map[string]geo.Location
 	Cursor         uint64
+	Analytics      []byte
 }
 
-// writeCheckpointV3 emits a dataset in the pre-analytics v3 format: the
-// v4 snapshot re-encoded through the old wire struct under the old
-// version byte.
-func writeCheckpointV3(t *testing.T, d *Dataset, w *bytes.Buffer) {
-	t.Helper()
+// legacyWire re-encodes d's v4 snapshot through the legacy wire struct.
+func legacyWire(d *Dataset) legacyCheckpointWire {
 	v4 := d.snapshot()
-	st := checkpointStateV3Wire{
+	return legacyCheckpointWire{
 		UserIDs:        v4.UserIDs,
 		FirstSeen:      v4.FirstSeen,
 		FirstTweetID:   v4.FirstTweetID,
@@ -97,17 +99,22 @@ func writeCheckpointV3(t *testing.T, d *Dataset, w *bytes.Buffer) {
 		FirstTweet:     v4.FirstTweet,
 		LastTweet:      v4.LastTweet,
 		OrgansPerTweet: v4.OrgansPerTweet,
-		TrackDeletions: v4.TrackDeletions,
-		Contributions:  v4.Contributions,
 		LocCache:       v4.LocCache,
 		Cursor:         v4.Cursor,
+		Analytics:      v4.Analytics,
 	}
+}
+
+// writeLegacyCheckpoint frames st under the given version byte with a
+// valid header and checksum.
+func writeLegacyCheckpoint(t *testing.T, st legacyCheckpointWire, version byte, w *bytes.Buffer) {
+	t.Helper()
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		t.Fatalf("encode v3: %v", err)
+		t.Fatalf("encode v%d: %v", version, err)
 	}
 	magic := checkpointMagic
-	magic[7] = checkpointVersionV3
+	magic[7] = version
 	w.Write(magic[:])
 	var hdr [12]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], uint64(payload.Len()))
@@ -117,38 +124,25 @@ func writeCheckpointV3(t *testing.T, d *Dataset, w *bytes.Buffer) {
 }
 
 // TestCheckpointV3MigrationRoundTrip is the migration property test over
-// randomized datasets (randomized tweet window, delete tracking on or
-// off, random deletes, a nonzero cursor): a pre-analytics snapshot must
-// load with the analytics blob nil and everything else intact,
-// re-saving must produce a v4 snapshot that round-trips the blob
-// byte-for-byte once one is attached, and the migrated dataset must keep
-// collecting identically.
+// randomized datasets (randomized tweet window, a nonzero cursor): a
+// pre-analytics snapshot must load with the analytics blob nil and
+// everything else intact, re-saving must produce a v4 snapshot that
+// round-trips the blob byte-for-byte once one is attached, and the
+// migrated dataset must keep collecting identically.
 func TestCheckpointV3MigrationRoundTrip(t *testing.T) {
 	tweets := sharedCorpus.Tweets
 	for seed := int64(1); seed <= 4; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		d := NewDataset()
-		track := seed%2 == 0
-		if track {
-			d.TrackDeletions()
-		}
 		lo := r.Intn(len(tweets) / 2)
 		hi := lo + 1 + r.Intn(len(tweets)-lo-1)
-		var retained []int64
 		for _, tw := range tweets[lo:hi] {
-			if d.Process(tw) == CollectedUS {
-				retained = append(retained, tw.ID)
-			}
-		}
-		if track {
-			for i := 0; i < len(retained)/3; i++ {
-				d.Delete(retained[r.Intn(len(retained))])
-			}
+			d.Process(tw)
 		}
 		d.SetCursor(uint64(r.Int63()))
 
 		var v3 bytes.Buffer
-		writeCheckpointV3(t, d, &v3)
+		writeLegacyCheckpoint(t, legacyWire(d), checkpointVersionV3, &v3)
 		migrated, err := ReadCheckpoint(bytes.NewReader(v3.Bytes()))
 		if err != nil {
 			t.Fatalf("seed %d: load v3: %v", seed, err)
@@ -183,5 +177,47 @@ func TestCheckpointV3MigrationRoundTrip(t *testing.T) {
 			reloaded.Process(tw)
 		}
 		assertDatasetsIdenticalFull(t, reloaded, d)
+	}
+}
+
+// TestCheckpointIgnoresDeletionTrackingFields loads a v4 payload in the
+// shape earlier releases wrote, with delete tracking on and a non-empty
+// contribution log, and requires the same Table I, users, cursor and
+// analytics blob as the same dataset saved by the current code.
+func TestCheckpointIgnoresDeletionTrackingFields(t *testing.T) {
+	d := NewDataset()
+	contribs := map[int64]legacyContribution{}
+	for _, tw := range sharedCorpus.Tweets[:3000] {
+		if d.Process(tw) == CollectedUS {
+			contribs[tw.ID] = legacyContribution{UserID: tw.User.ID, Mentions: [organ.Count]int8{1}, Distinct: 1}
+		}
+	}
+	if len(contribs) == 0 {
+		t.Fatal("no US tweet in prefix; fixture broken")
+	}
+	d.SetCursor(4242)
+	d.SetAnalyticsState([]byte("warm blob"))
+	st := legacyWire(d)
+	st.TrackDeletions, st.Contributions = true, contribs
+
+	var legacy, current bytes.Buffer
+	writeLegacyCheckpoint(t, st, checkpointVersion, &legacy)
+	if err := d.WriteCheckpoint(&current); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCheckpoint(&legacy)
+	if err != nil {
+		t.Fatalf("load legacy v4: %v", err)
+	}
+	want, err := ReadCheckpoint(&current)
+	if err != nil {
+		t.Fatalf("load current v4: %v", err)
+	}
+	if got.Stats() != want.Stats() {
+		t.Errorf("Table I = %+v, want %+v", got.Stats(), want.Stats())
+	}
+	assertDatasetsIdenticalFull(t, got, want)
+	if !bytes.Equal(got.AnalyticsState(), want.AnalyticsState()) {
+		t.Errorf("analytics blob = %q, want %q", got.AnalyticsState(), want.AnalyticsState())
 	}
 }

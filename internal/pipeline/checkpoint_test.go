@@ -74,41 +74,6 @@ func TestCheckpointCrashRestartIdentical(t *testing.T) {
 	}
 }
 
-func TestCheckpointPreservesDeletionTracking(t *testing.T) {
-	d := NewDataset()
-	d.TrackDeletions()
-	var retainedID int64
-	for _, tw := range sharedCorpus.Tweets[:2000] {
-		if d.Process(tw) == CollectedUS {
-			retainedID = tw.ID
-		}
-	}
-	if retainedID == 0 {
-		t.Skip("no US tweet in prefix")
-	}
-	var buf bytes.Buffer
-	if err := d.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d2.DeletionTrackingEnabled() {
-		t.Fatal("deletion tracking lost across checkpoint")
-	}
-	before := d2.USTweets()
-	if !d2.Delete(retainedID) {
-		t.Error("restored dataset lost a contribution record")
-	}
-	if d2.USTweets() != before-1 {
-		t.Errorf("Delete after restore: usTweets %d, want %d", d2.USTweets(), before-1)
-	}
-	if d2.Delete(-12345) {
-		t.Error("unknown status reported as deleted")
-	}
-}
-
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	d := NewDataset()
 	for _, tw := range sharedCorpus.Tweets[:1000] {

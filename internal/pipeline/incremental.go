@@ -25,8 +25,8 @@ func (d *Dataset) DeltaTracking() bool { return d.store.DeltaTracking() }
 func (d *Dataset) DirtyRows() int { return d.store.DirtyRows() }
 
 // DrainDelta hands over the accumulated change set and resets tracking.
-// See userstore.Delta for the consumption contract (apply Deleted first,
-// then re-read the dirty rows against the live store).
+// See userstore.Delta for the consumption contract (re-read the dirty
+// rows against the live store).
 func (d *Dataset) DrainDelta() userstore.Delta { return d.store.DrainDelta() }
 
 // UserAt snapshots the identity fields of one live store row — the read

@@ -24,12 +24,6 @@ import (
 //     tweet id, then lexicographic StateCode, then GeoTagged false
 //     before true. The tie-break is a total order on the identity key,
 //     which is what makes conflicting merges order-insensitive.
-//   - Deletion-tracking contribution records are unioned when every
-//     input tracks them; if either side does not, tracking is disabled
-//     on the result (a delete notice could not be honored exactly).
-//     Status ids are globally unique in a real stream, so cross-shard
-//     contribution collisions are undefined input; Merge keeps the
-//     receiver's record.
 //   - The geocode memo is unioned best-effort (it is a cache; it cannot
 //     change results). The stream cursor is reset to zero: a merged
 //     dataset has no single upstream position.
@@ -69,16 +63,6 @@ func (d *Dataset) Merge(other *Dataset) {
 		dst := d.store.MentionsRow(drow)
 		for i, v := range os.MentionsRow(row) {
 			dst[i] += v
-		}
-	}
-
-	if d.contributions == nil || other.contributions == nil {
-		d.contributions = nil
-	} else {
-		for id, c := range other.contributions {
-			if _, ok := d.contributions[id]; !ok {
-				d.contributions[id] = c
-			}
 		}
 	}
 

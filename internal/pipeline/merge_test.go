@@ -11,13 +11,10 @@ import (
 // shardDatasets partitions the corpus by user-id hash — exactly how the
 // shard supervisor routes — and folds each partition into its own
 // dataset.
-func shardDatasets(tweets []twitter.Tweet, n int, track bool) []*Dataset {
+func shardDatasets(tweets []twitter.Tweet, n int) []*Dataset {
 	parts := make([]*Dataset, n)
 	for i := range parts {
 		parts[i] = NewDataset()
-		if track {
-			parts[i].TrackDeletions()
-		}
 	}
 	for _, tw := range tweets {
 		parts[twitter.ShardIndex(tw.User.ID, n)].Process(tw)
@@ -57,7 +54,7 @@ func TestMergeShardedEqualsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for shards := 2; shards <= 8; shards++ {
 		for trial := 0; trial < 3; trial++ {
-			parts := shardDatasets(tweets, shards, false)
+			parts := shardDatasets(tweets, shards)
 			order := rng.Perm(shards)
 			merged := parts[order[0]]
 			for _, i := range order[1:] {
@@ -73,7 +70,7 @@ func TestMergeShardedEqualsSequential(t *testing.T) {
 // over 8 shards) — the grouping a hierarchical reducer would use — and
 // requires the same result as any flat fold.
 func TestMergeTreeGrouping(t *testing.T) {
-	parts := shardDatasets(sharedCorpus.Tweets, 8, false)
+	parts := shardDatasets(sharedCorpus.Tweets, 8)
 	for len(parts) > 1 {
 		next := parts[:0]
 		for i := 0; i+1 < len(parts); i += 2 {
@@ -148,35 +145,4 @@ func TestMergeUserCollisionTieBreak(t *testing.T) {
 			t.Errorf("timestamp tie: got (%s, %d), want smaller-id record (TX, 300)", u.StateCode, u.FirstTweetID)
 		}
 	})
-}
-
-// TestMergeDeletionTracking: a merged dataset must honor a delete notice
-// for a tweet that was folded on another shard, and tracking must switch
-// off if any input does not track.
-func TestMergeDeletionTracking(t *testing.T) {
-	base := time.Date(2016, time.March, 6, 12, 0, 0, 0, time.UTC)
-	t1 := mergeTweet(100, 42, base, "Wichita, KS")
-	t2 := mergeTweet(200, 43, base.Add(time.Minute), "Austin, TX")
-
-	a, b := NewDataset(), NewDataset()
-	a.TrackDeletions()
-	b.TrackDeletions()
-	a.Process(t1)
-	b.Process(t2)
-	a.Merge(b)
-	if !a.Delete(200) {
-		t.Error("merged dataset did not honor delete of a tweet from the other shard")
-	}
-	if a.USTweets() != 1 || a.Users() != 1 {
-		t.Errorf("after delete: %d tweets / %d users, want 1 / 1", a.USTweets(), a.Users())
-	}
-
-	c, d := NewDataset(), NewDataset()
-	c.TrackDeletions()
-	c.Process(t1)
-	d.Process(t2) // not tracking
-	c.Merge(d)
-	if c.Delete(100) {
-		t.Error("merge with a non-tracking input must disable deletion tracking")
-	}
 }

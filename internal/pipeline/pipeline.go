@@ -139,10 +139,6 @@ type Dataset struct {
 	// sensor) use to observe the stream without re-parsing it.
 	OnUSTweet func(t twitter.Tweet, ex text.Extraction)
 
-	// contributions, when non-nil (TrackDeletions), maps retained status
-	// IDs to their reversal records for delete-notice compliance.
-	contributions map[int64]tweetContribution
-
 	// metrics, when non-nil (SetMetrics), instruments every stage of
 	// Process. Nil keeps the hot path branch-cheap and allocation-free.
 	metrics *Metrics
@@ -196,7 +192,6 @@ func (d *Dataset) foldUSTweet(t twitter.Tweet, ex text.Extraction, stateCode str
 	}
 	d.organsPerTweet[distinct]++
 	d.mentionSum += distinct
-	d.recordContribution(t.ID, t.User.ID, ex.Mentions, ex.ClinicalMentions, ex.Hashtags, distinct, viaGeoTag)
 	if d.OnUSTweet != nil {
 		d.OnUSTweet(t, ex)
 	}
@@ -260,7 +255,7 @@ func (d *Dataset) GeoTagged() int { return d.geoTagged }
 
 // EachStateSlice iterates the per-state bitset indices: fn receives each
 // interned state's code, its retained user count, and the column sums of
-// its users' organ mentions. States whose users were all deleted are
+// its users' organ mentions. States a merge left without users are
 // reported with zero counts.
 func (d *Dataset) EachStateSlice(fn func(code string, users int, mentions [organ.Count]int64)) {
 	var sums [organ.Count]int64

@@ -367,100 +367,3 @@ func BenchmarkProcess(b *testing.B) {
 		}
 	}
 }
-
-func TestDeleteReversesContribution(t *testing.T) {
-	corpus := gen.Generate(gen.DefaultConfig(0.005))
-	// Reference dataset that never sees tweet X.
-	var victim twitter.Tweet
-	ref := NewDataset()
-	full := NewDataset()
-	full.TrackDeletions()
-	for _, tw := range corpus.Tweets {
-		full.Process(tw)
-	}
-	// Pick a retained tweet from a multi-tweet user to delete.
-	counts := map[int64]int{}
-	for _, tw := range corpus.Tweets {
-		if corpus.Profiles[tw.User.ID].TweetCount > 1 && corpus.Profiles[tw.User.ID].US {
-			counts[tw.User.ID]++
-		}
-	}
-	for _, tw := range corpus.Tweets {
-		p := corpus.Profiles[tw.User.ID]
-		if victim.ID == 0 && p.US && p.TweetCount > 1 && full.DeletionTrackingEnabled() {
-			if _, tracked := full.contributions[tw.ID]; tracked {
-				victim = tw
-				continue // ref never processes the victim
-			}
-		}
-		ref.Process(tw)
-	}
-	if victim.ID == 0 {
-		t.Fatal("no deletable tweet found")
-	}
-	if !full.Delete(victim.ID) {
-		t.Fatal("Delete did not find the retained status")
-	}
-	// After deletion, the datasets must agree on everything observable.
-	if full.USTweets() != ref.USTweets() || full.Users() != ref.Users() {
-		t.Fatalf("counts differ after delete: %d/%d vs %d/%d",
-			full.USTweets(), full.Users(), ref.USTweets(), ref.Users())
-	}
-	if usersPerOrgan(full) != usersPerOrgan(ref) {
-		t.Error("users-per-organ differ after delete")
-	}
-	ft, fu := full.TweetOrganHistogram(), userOrganHistogram(full)
-	rt, ru := ref.TweetOrganHistogram(), userOrganHistogram(ref)
-	if ft != rt || fu != ru {
-		t.Error("multi-organ histograms differ after delete")
-	}
-	fullStats, refStats := full.Stats(), ref.Stats()
-	if fullStats.OrgansPerTweet != refStats.OrgansPerTweet || fullStats.OrgansPerUser != refStats.OrgansPerUser {
-		t.Error("ratio statistics differ after delete")
-	}
-	// Totals differ by exactly the deleted tweet's collection.
-	if full.TotalCollected() != ref.TotalCollected() {
-		t.Errorf("total collected %d vs %d", full.TotalCollected(), ref.TotalCollected())
-	}
-}
-
-func TestDeleteLastTweetRemovesUser(t *testing.T) {
-	d := NewDataset()
-	d.TrackDeletions()
-	tw := twitter.Tweet{
-		ID:        555,
-		Text:      "donate a kidney today",
-		CreatedAt: time.Now(),
-		User:      twitter.User{ID: 9, Location: "Topeka, KS"},
-	}
-	if d.Process(tw) != CollectedUS {
-		t.Fatal("tweet not collected")
-	}
-	if !d.Delete(555) {
-		t.Fatal("delete failed")
-	}
-	if d.Users() != 0 || d.USTweets() != 0 {
-		t.Errorf("user survived deletion: users=%d tweets=%d", d.Users(), d.USTweets())
-	}
-	// Unknown and repeated deletes are no-ops.
-	if d.Delete(555) || d.Delete(123) {
-		t.Error("phantom delete succeeded")
-	}
-}
-
-func TestDeleteWithoutTrackingIsNoop(t *testing.T) {
-	d := NewDataset()
-	tw := twitter.Tweet{
-		ID:        7,
-		Text:      "donate a kidney",
-		CreatedAt: time.Now(),
-		User:      twitter.User{ID: 1, Location: "Topeka, KS"},
-	}
-	d.Process(tw)
-	if d.Delete(7) {
-		t.Error("delete succeeded without tracking")
-	}
-	if d.USTweets() != 1 {
-		t.Error("untracked delete mutated the dataset")
-	}
-}

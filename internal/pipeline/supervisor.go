@@ -42,10 +42,6 @@ type SupervisorConfig struct {
 	// the incarnation, and restarts from the last checkpoint (default
 	// 10s; <= 0 disables stall detection).
 	HeartbeatTimeout time.Duration
-	// PollEvery is the monitor cadence; defaults to a quarter of the
-	// shortest of HeartbeatTimeout and CheckpointEvery, clamped to
-	// [1ms, 1s].
-	PollEvery time.Duration
 
 	// RestartBackoff is the delay before the first restart of a crashed
 	// shard, doubling per consecutive failure up to MaxRestartBackoff
@@ -59,10 +55,6 @@ type SupervisorConfig struct {
 	// backpressure; tweets are never dropped. Healthy shards keep
 	// consuming their own buffers meanwhile.
 	BufferCap int
-
-	// TrackDeletions enables delete-notice compliance on each shard
-	// dataset.
-	TrackDeletions bool
 
 	Metrics *ShardMetrics
 	Logger  *slog.Logger
@@ -101,19 +93,20 @@ func (c *SupervisorConfig) withDefaults() SupervisorConfig {
 	if cfg.BufferCap <= 0 {
 		cfg.BufferCap = 8192
 	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = 100 * time.Millisecond
-		if cfg.HeartbeatTimeout > 0 && cfg.HeartbeatTimeout/4 < cfg.PollEvery {
-			cfg.PollEvery = cfg.HeartbeatTimeout / 4
-		}
-		if cfg.CheckpointEvery/4 < cfg.PollEvery {
-			cfg.PollEvery = cfg.CheckpointEvery / 4
-		}
-		if cfg.PollEvery < time.Millisecond {
-			cfg.PollEvery = time.Millisecond
-		}
-	}
 	return cfg
+}
+
+// pollEvery is the monitor cadence: a quarter of the shorter of
+// HeartbeatTimeout and CheckpointEvery, clamped to [1ms, 100ms].
+func (c *SupervisorConfig) pollEvery() time.Duration {
+	poll := 100 * time.Millisecond
+	if c.HeartbeatTimeout > 0 && c.HeartbeatTimeout/4 < poll {
+		poll = c.HeartbeatTimeout / 4
+	}
+	if c.CheckpointEvery/4 < poll {
+		poll = c.CheckpointEvery / 4
+	}
+	return max(poll, time.Millisecond)
 }
 
 // Supervisor runs N shard workers over a hash-partitioned tweet stream
@@ -543,9 +536,6 @@ func (sh *shard) restore() (*Dataset, error) {
 	}
 	if d == nil {
 		d = NewDataset()
-		if sh.sup.cfg.TrackDeletions {
-			d.TrackDeletions()
-		}
 	}
 	return d, nil
 }
@@ -708,11 +698,11 @@ func (sh *shard) run(ctx context.Context, inc *incarnation, incNum int) (err err
 	}
 }
 
-// monitor is the heartbeat watchdog: every PollEvery it exports health
+// monitor is the heartbeat watchdog: every pollEvery it exports health
 // gauges, wakes idle shards so time-based checkpoints fire, and abandons
 // incarnations that sit on pending work past HeartbeatTimeout.
 func (s *Supervisor) monitor(stop <-chan struct{}) {
-	tick := time.NewTicker(s.cfg.PollEvery)
+	tick := time.NewTicker(s.cfg.pollEvery())
 	defer tick.Stop()
 	for {
 		select {

@@ -35,14 +35,13 @@ import (
 // the K-Means re-assignment of changed rows — is O(users changed). Û
 // keeps its own row order: a new user's row is appended to Û and to the
 // row-aligned columns (the state shadow and the K-Means labels and
-// bounds), and a leaving user's row is filled by the last one, so no
-// row moves for another's sake. The K-Means resume carries its bounds
-// lazily and visits only rows whose bounds could fail. What remains
-// O(users) is rare and amortized: regrowing a column past its bounded
-// headroom, doubling Û's id → row index, the index's first build at the
-// first warm refresh, and the K-Means sweep that re-states every row's
-// bounds once the centroids have drifted by the slack the candidate
-// list was cut at. Figure 7's inertia comes from carried moments, so no
+// bounds), and no user ever leaves, so no row moves. The K-Means
+// resume carries its bounds lazily and visits only rows whose bounds
+// could fail. What remains O(users) is rare and amortized: regrowing a
+// column past its bounded headroom, doubling Û's id → row index, the
+// index's first build at the first warm refresh, and the K-Means sweep
+// that re-states every row's bounds once the centroids have drifted by
+// the slack the candidate list was cut at. Figure 7's inertia comes from carried moments, so no
 // refresh reads Û except where a row changed or a bound failed.
 //
 // The returned *Analysis shares the engine's Û and K-Means result
@@ -155,8 +154,8 @@ func (e *Engine) Refresh() (*Analysis, error) {
 		a, err = e.coldBuild()
 	} else {
 		delta := e.d.DrainDelta()
-		dirty = delta.Rows.Count() + len(delta.Deleted)
-		a, err = e.incremental(delta.Rows.Each, delta.Rows.Count(), delta.Deleted)
+		dirty = delta.Rows.Count()
+		a, err = e.incremental(delta.Rows.Each, dirty)
 	}
 	if err != nil {
 		// The partial state is unusable; the next Refresh rebuilds.
@@ -313,60 +312,44 @@ type pendingChange struct {
 
 // incremental folds one drained delta into the cached state. eachRow
 // iterates the dirty store rows (valid against the live store, rows of
-// them), deleted lists removed user ids — userstore.Delta's contract.
-func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int64) (*Analysis, error) {
+// them) — userstore.Delta's contract.
+func (e *Engine) incremental(eachRow func(func(uint32)), rows int) (*Analysis, error) {
 	clock := time.Now()
-	removed := make(map[int64]bool, len(deleted))
-	for _, id := range deleted {
-		removed[id] = true
-	}
 
 	// Classify dirty rows against the previous Û: nonzero rows are
-	// updates or inserts; rows whose mentions dropped to zero leave Û
-	// through removes, mirroring AttentionFromCounts' zero-row filter.
+	// updates or inserts. A zero-sum row is skipped, mirroring
+	// AttentionFromCounts' zero-row filter; mention counts only grow, so
+	// such a row never had a Û row either.
 	ups := make([]pendingChange, 0, rows)
-	var removes []int64
 	eachRow(func(row uint32) {
 		id, code, ments := e.d.UserAt(row)
-		// A deleted id that is live again nets out to an update/insert.
-		delete(removed, id)
 		var cnt [organ.Count]int32
 		copy(cnt[:], ments)
 		sum := int32(0)
 		for _, v := range cnt {
 			sum += v
 		}
-		oldRow := e.att.RowOf(id)
 		if sum == 0 {
-			if oldRow >= 0 {
-				removes = append(removes, id)
-			}
 			return
 		}
 		si := int16(-1)
 		if s := geo.StateIndex(code); s >= 0 {
 			si = int16(s)
 		}
-		ups = append(ups, pendingChange{id: id, state: si, counts: cnt, oldRow: oldRow})
+		ups = append(ups, pendingChange{id: id, state: si, counts: cnt, oldRow: e.att.RowOf(id)})
 	})
-	for id := range removed {
-		if e.att.RowOf(id) >= 0 {
-			removes = append(removes, id)
-		}
-	}
 	sort.Slice(ups, func(i, j int) bool { return ups[i].id < ups[j].id })
-	sort.Slice(removes, func(i, j int) bool { return removes[i] < removes[j] })
 
-	// The K-Means warm state is row-aligned with Û and is kept aligned
-	// through the patch below; a state restored for another Û is
-	// dropped, and the clustering cold-starts.
+	// The K-Means warm state is row-aligned with Û and grows with it
+	// below; a state restored for another Û is dropped, and the
+	// clustering cold-starts.
 	ws := e.kmWarm
 	if ws != nil && len(ws.Labels) != e.att.Users() {
 		ws, e.kmWarm = nil, nil
 	}
 
-	// Capture every changed or removed user's previous contribution, and
-	// take its row out of its K-Means cluster, while the old Û rows are
+	// Capture every changed user's previous contribution, and take its
+	// row out of its K-Means cluster, while the old Û rows are
 	// still in place. The accumulators are only touched after Patch
 	// succeeds; the K-Means state is touched before, but any error resets
 	// the engine and the next Refresh rebuilds it cold.
@@ -381,14 +364,6 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 			ws.Unassign(up.oldRow, u.RowView(up.oldRow))
 		}
 	}
-	rms := make([]userRow, len(removes))
-	for i, id := range removes {
-		row := e.att.RowOf(id)
-		rms[i] = e.userRow(row)
-		if ws != nil {
-			ws.Unassign(row, u.RowView(row))
-		}
-	}
 
 	upIDs := make([]int64, len(ups))
 	upCounts := make([]int32, 0, len(ups)*organ.Count)
@@ -396,20 +371,11 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 		upIDs[i] = ups[i].id
 		upCounts = append(upCounts, ups[i].counts[:]...)
 	}
-	moves, err := e.att.Patch(upIDs, upCounts, removes)
-	if err != nil {
+	if err := e.att.Patch(upIDs, upCounts); err != nil {
 		return nil, fmt.Errorf("report: patch: %w", err)
 	}
-	// Replay Patch's swap-removes on every row-aligned column, then grow
-	// them for the appended users. Inserted rows join the K-Means
-	// re-assignment with label -1.
-	for _, mv := range moves {
-		e.states[mv.To] = e.states[mv.From]
-		e.states = e.states[:mv.From]
-		if ws != nil {
-			ws.SwapRemove(mv.To)
-		}
-	}
+	// Grow the row-aligned columns for the appended users. Inserted rows
+	// join the K-Means re-assignment with label -1.
 	e.states = mat.ResizeRows(e.states, e.att.Users(), 1)
 	if ws != nil {
 		ws.Grow(e.att.Users())
@@ -437,14 +403,6 @@ func (e *Engine) incremental(eachRow func(func(uint32)), rows int, deleted []int
 		}
 		if up.state >= 0 {
 			regDirty[up.state] = true
-		}
-	}
-	for i := range rms {
-		if err := e.acc.fold(&rms[i], -1); err != nil {
-			return nil, err
-		}
-		if rms[i].state >= 0 {
-			regDirty[rms[i].state] = true
 		}
 	}
 	if err := e.characterize(); err != nil {

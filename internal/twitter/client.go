@@ -69,11 +69,6 @@ type StreamClient struct {
 	// MaxConnects, when positive, bounds the number of (re)connection
 	// attempts; useful in tests. Zero means reconnect forever.
 	MaxConnects int
-	// OnDelete, when set, receives status-deletion notices (the
-	// {"delete": ...} control messages the Stream API interleaves with
-	// tweets). A compliant collector must honor them by removing the
-	// tweet from its stores.
-	OnDelete func(DeleteNotice)
 	// OnStateChange, when set, is invoked (from the Filter goroutine)
 	// with every connection lifecycle event — connects, disconnects,
 	// backoff waits, rate limits, stalls, skipped lines.
@@ -156,7 +151,7 @@ type StreamStats struct {
 	Stalls         int64 // connections torn down by the stall timer
 	SkippedLines   int64 // oversized lines discarded
 	MalformedLines int64 // lines that failed to parse as tweet or delete
-	DeleteNotices  int64 // delete control messages surfaced
+	DeleteNotices  int64 // delete control messages recognised and skipped
 	Tweets         int64 // tweets delivered to the output channel
 }
 
@@ -188,18 +183,13 @@ func (c *StreamClient) emit(ev StreamEvent) {
 	}
 }
 
-// DeleteNotice is the Stream API's status-deletion control message.
-type DeleteNotice struct {
-	StatusID int64
-	UserID   int64
-}
-
-// wireDelete mirrors the {"delete":{"status":{...}}} wire shape.
+// wireDelete mirrors the {"delete":{"status":{...}}} wire shape of the
+// Stream API's status-deletion control message. The collection only
+// ever adds, so a notice is counted and otherwise skipped.
 type wireDelete struct {
 	Delete struct {
 		Status struct {
-			ID     int64 `json:"id"`
-			UserID int64 `json:"user_id"`
+			ID int64 `json:"id"`
 		} `json:"status"`
 	} `json:"delete"`
 }
@@ -502,8 +492,8 @@ func (c *StreamClient) streamOnce(ctx context.Context, endpoint string, out chan
 	}
 }
 
-// consumeLine routes one non-empty stream line: delete notices to
-// OnDelete, tweets to out, everything unparseable to the malformed
+// consumeLine routes one non-empty stream line: delete notices to their
+// counter, tweets to out, everything unparseable to the malformed
 // counter. It reports delivered tweets and whether to keep reading
 // (false only when the send was cancelled).
 func (c *StreamClient) consumeLine(ctx context.Context, line []byte, out chan<- Tweet) (int64, bool) {
@@ -511,9 +501,6 @@ func (c *StreamClient) consumeLine(ctx context.Context, line []byte, out chan<- 
 		var dn wireDelete
 		if err := json.Unmarshal(line, &dn); err == nil && dn.Delete.Status.ID != 0 {
 			c.stats.deleteNotices.Add(1)
-			if c.OnDelete != nil {
-				c.OnDelete(DeleteNotice{StatusID: dn.Delete.Status.ID, UserID: dn.Delete.Status.UserID})
-			}
 			return 0, true
 		}
 	}

@@ -72,7 +72,7 @@ func (m *StreamMetrics) Instrument(reg *obs.Registry, c *StreamClient) {
 	reg.CounterFunc("donorsense_stream_malformed_lines_total",
 		"Stream lines that failed to parse as tweet or delete notice.", snap(func(s StreamStats) int64 { return s.MalformedLines }))
 	reg.CounterFunc("donorsense_stream_delete_notices_total",
-		"Status-deletion control messages surfaced.", snap(func(s StreamStats) int64 { return s.DeleteNotices }))
+		"Status-deletion control messages recognised and skipped.", snap(func(s StreamStats) int64 { return s.DeleteNotices }))
 	reg.CounterFunc("donorsense_stream_tweets_total",
 		"Tweets delivered to the collector.", snap(func(s StreamStats) int64 { return s.Tweets }))
 

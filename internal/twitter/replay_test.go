@@ -155,14 +155,12 @@ func TestChaosServerDeleteNoticesSurfaced(t *testing.T) {
 	hs := httptest.NewServer(cs.Handler())
 	defer hs.Close()
 
-	var deletes []DeleteNotice
 	client := &StreamClient{
 		BaseURL:          hs.URL,
 		InitialBackoff:   time.Millisecond,
 		MaxBackoff:       2 * time.Millisecond,
 		RateLimitBackoff: time.Millisecond,
 		StallTimeout:     500 * time.Millisecond,
-		OnDelete:         func(d DeleteNotice) { deletes = append(deletes, d) },
 		jitter:           func() float64 { return 0 },
 	}
 	ids := collectAll(t, hs.URL, client)
@@ -173,13 +171,8 @@ func TestChaosServerDeleteNoticesSurfaced(t *testing.T) {
 	if st.Deletes == 0 {
 		t.Skip("fault schedule injected no deletes at this seed")
 	}
-	if int64(len(deletes)) != st.Deletes {
-		t.Errorf("client surfaced %d delete notices, server injected %d", len(deletes), st.Deletes)
-	}
-	for _, d := range deletes {
-		if d.StatusID < 1<<62 {
-			t.Errorf("injected delete notice %d collides with corpus ID space", d.StatusID)
-		}
+	if got := client.Snapshot().DeleteNotices; got != st.Deletes {
+		t.Errorf("client counted %d delete notices, server injected %d", got, st.Deletes)
 	}
 }
 

@@ -292,8 +292,8 @@ func BenchmarkTweetMarshal(b *testing.B) {
 
 func TestStreamClientDeleteNotices(t *testing.T) {
 	// A raw handler interleaving tweets, delete notices, keep-alives, and
-	// garbage; the client must deliver tweets, surface deletes, and skip
-	// the rest.
+	// garbage; the client must deliver tweets, count deletes apart from
+	// malformed lines, and skip the rest.
 	tw := sampleTweet()
 	payload, _ := json.Marshal(tw)
 	mux := http.NewServeMux()
@@ -309,12 +309,7 @@ func TestStreamClientDeleteNotices(t *testing.T) {
 	hs := httptest.NewServer(mux)
 	defer hs.Close()
 
-	var deletes []DeleteNotice
-	client := &StreamClient{
-		BaseURL:     hs.URL,
-		MaxConnects: 1,
-		OnDelete:    func(d DeleteNotice) { deletes = append(deletes, d) },
-	}
+	client := &StreamClient{BaseURL: hs.URL, MaxConnects: 1}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	out := make(chan Tweet, 8)
@@ -329,7 +324,7 @@ func TestStreamClientDeleteNotices(t *testing.T) {
 	if len(tweets) != 2 {
 		t.Errorf("delivered %d tweets, want 2", len(tweets))
 	}
-	if len(deletes) != 1 || deletes[0].StatusID != 123456789 || deletes[0].UserID != 42 {
-		t.Errorf("deletes = %+v", deletes)
+	if st := client.Snapshot(); st.DeleteNotices != 1 || st.MalformedLines != 1 {
+		t.Errorf("DeleteNotices = %d, MalformedLines = %d; want 1 and 1", st.DeleteNotices, st.MalformedLines)
 	}
 }

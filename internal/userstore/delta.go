@@ -4,38 +4,31 @@ package userstore
 // drain, so incremental consumers (the report engine) can re-read only
 // the touched users instead of scanning every column.
 //
-// The contract is row-centric but consumers key by user id: a drained
-// Delta promises that every user whose counters, mentions, or identity
-// changed since the previous drain occupies a set row bit *now*, and
-// every user removed since then appears in Deleted. Swap-last deletes
-// are covered — the moved row's new position is marked dirty (its values
-// did not change, but anything tracking positions must re-read it) and
-// the vacated tail bit is cleared so no bit ever indexes past Len().
+// The store is append-only, so a row index names the same user for the
+// store's lifetime: a drained Delta promises that every user inserted,
+// or whose counters, mentions, or identity changed, since the previous
+// drain has its row bit set.
 //
 // Tracking is off by default: the hot-path cost when disabled is one
 // nil check per mutator, preserving the committed userstore update
 // benchmarks. MentionsRow hands out a mutable view the store cannot
 // observe writes through; callers that mutate it must pair the write
-// with MarkDirty (the pipeline's fold/delete/merge paths always call
+// with MarkDirty (the pipeline's fold and merge paths always call
 // AddCounts on the same row, which marks it, but the requirement is
 // part of the MentionsRow contract regardless).
 
-// Delta is the drained change-set: Rows holds the indices (valid
-// against the store at drain time) of rows touched since the previous
-// drain, Deleted the user ids removed since then. A user that was both
-// inserted and removed within one window appears only in Deleted.
+// Delta is the drained change-set: Rows holds the indices of rows
+// inserted or touched since the previous drain.
 type Delta struct {
-	Rows    Bitset
-	Deleted []int64
+	Rows Bitset
 }
 
 // Empty reports whether the delta carries no changes.
-func (d Delta) Empty() bool { return len(d.Deleted) == 0 && d.Rows.Count() == 0 }
+func (d Delta) Empty() bool { return d.Rows.Count() == 0 }
 
 // deltaState is the live tracking state; nil means tracking disabled.
 type deltaState struct {
-	dirty   Bitset
-	deleted []int64
+	dirty Bitset
 }
 
 // EnableDeltaTracking starts recording row changes. The first drained
@@ -60,15 +53,14 @@ func (s *Store) DirtyRows() int {
 }
 
 // DrainDelta hands the accumulated change-set to the caller and resets
-// tracking for the next window. The returned slices are owned by the
+// tracking for the next window. The returned bitset is owned by the
 // caller. Returns a zero Delta when tracking is disabled.
 func (s *Store) DrainDelta() Delta {
 	if s.delta == nil {
 		return Delta{}
 	}
-	d := Delta{Rows: s.delta.dirty, Deleted: s.delta.deleted}
+	d := Delta{Rows: s.delta.dirty}
 	s.delta.dirty = nil
-	s.delta.deleted = nil
 	return d
 }
 
@@ -80,24 +72,9 @@ func (s *Store) MarkDirty(row int32) {
 	}
 }
 
-// markInsert, markTouch, and markRemove are the mutator hooks.
-
+// markTouch is the mutator hook.
 func (s *Store) markTouch(row int32) {
 	if s.delta != nil {
 		s.delta.dirty.Set(uint32(row))
-	}
-}
-
-// markRemove records id's removal and fixes up row bits for the
-// swap-last move: the vacated tail bit is cleared (that row index is
-// gone) and, when a row actually moved, its new position is marked.
-func (s *Store) markRemove(id int64, hole, last int32) {
-	if s.delta == nil {
-		return
-	}
-	s.delta.deleted = append(s.delta.deleted, id)
-	s.delta.dirty.Clear(uint32(last))
-	if hole != last {
-		s.delta.dirty.Set(uint32(hole))
 	}
 }

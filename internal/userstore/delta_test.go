@@ -15,11 +15,10 @@ type shadowRec struct {
 }
 
 // TestDeltaOracle drives a store through randomized insert / count /
-// mention / identity / remove sequences against a brute-force shadow
-// map, draining at random points and asserting the delta contract:
-// every live user the oracle saw touched since the last drain sits at a
-// marked row (including users relocated by swap-last deletes), every
-// removal is reported, no bit indexes past Len(), and the drain resets.
+// mention / identity sequences against a brute-force shadow map,
+// draining at random points and asserting the delta contract: every
+// user the oracle saw touched since the last drain sits at a marked
+// row, no bit indexes past Len(), and the drain resets.
 func TestDeltaOracle(t *testing.T) {
 	const nCols = 3
 	rng := rand.New(rand.NewSource(909))
@@ -28,42 +27,21 @@ func TestDeltaOracle(t *testing.T) {
 	s := New(nCols)
 	s.EnableDeltaTracking()
 
-	shadow := map[int64]*shadowRec{} // live users
-	touched := map[int64]bool{}      // ids mutated since last drain
-	var removed []int64              // ids removed since last drain
+	shadow := map[int64]*shadowRec{}
+	touched := map[int64]bool{} // ids mutated since last drain
 
 	drain := func() {
 		d := s.DrainDelta()
-		// Removals: same multiset, order-insensitive.
-		gotDel := map[int64]int{}
-		for _, id := range d.Deleted {
-			gotDel[id]++
-		}
-		wantDel := map[int64]int{}
-		for _, id := range removed {
-			wantDel[id]++
-		}
-		if len(gotDel) != len(wantDel) {
-			t.Fatalf("deleted ids: got %v want %v", d.Deleted, removed)
-		}
-		for id, n := range wantDel {
-			if gotDel[id] != n {
-				t.Fatalf("deleted id %d reported %d times, want %d", id, gotDel[id], n)
-			}
-		}
-		// Every marked row is in range and live.
+		// Every marked row is in range.
 		d.Rows.Each(func(b uint32) {
 			if int(b) >= s.Len() {
 				t.Fatalf("dirty bit %d past Len %d", b, s.Len())
 			}
 		})
-		// Every touched live user sits at a marked row with values
-		// matching the shadow.
+		// Every touched user sits at a marked row with values matching
+		// the shadow.
 		for id := range touched {
-			rec, live := shadow[id]
-			if !live {
-				continue // covered by Deleted
-			}
+			rec := shadow[id]
 			row, ok := s.Find(id)
 			if !ok {
 				t.Fatalf("touched id %d missing from store", id)
@@ -80,7 +58,6 @@ func TestDeltaOracle(t *testing.T) {
 			t.Fatal("second drain not empty")
 		}
 		touched = map[int64]bool{}
-		removed = nil
 	}
 
 	liveIDs := func() []int64 {
@@ -93,7 +70,7 @@ func TestDeltaOracle(t *testing.T) {
 
 	for step := 0; step < 20000; step++ {
 		switch op := rng.Intn(100); {
-		case op < 35: // insert a (possibly recycled) id
+		case op < 40: // insert a new id
 			id := int64(rng.Intn(400) + 1)
 			if _, ok := shadow[id]; ok {
 				break
@@ -104,7 +81,7 @@ func TestDeltaOracle(t *testing.T) {
 			s.Insert(id, st, fl, fs, ft)
 			shadow[id] = &shadowRec{state: st, flags: fl, firstSeen: fs, firstTweetID: ft}
 			touched[id] = true
-		case op < 65: // count + mention update on a live user
+		case op < 75: // count + mention update
 			ids := liveIDs()
 			if len(ids) == 0 {
 				break
@@ -122,7 +99,7 @@ func TestDeltaOracle(t *testing.T) {
 			rec.hashtags += dh
 			rec.mentions[col]++
 			touched[id] = true
-		case op < 75: // identity rewrite
+		case op < 92: // identity rewrite
 			ids := liveIDs()
 			if len(ids) == 0 {
 				break
@@ -136,18 +113,6 @@ func TestDeltaOracle(t *testing.T) {
 			rec := shadow[id]
 			rec.state, rec.flags, rec.firstSeen, rec.firstTweetID = st, fl, fs, ft
 			touched[id] = true
-		case op < 92: // remove (exercises swap-last moves)
-			ids := liveIDs()
-			if len(ids) == 0 {
-				break
-			}
-			id := ids[rng.Intn(len(ids))]
-			if !s.Remove(id) {
-				t.Fatalf("Remove(%d) reported absent", id)
-			}
-			delete(shadow, id)
-			delete(touched, id)
-			removed = append(removed, id)
 		default:
 			drain()
 		}
@@ -194,7 +159,6 @@ func TestDeltaDisabled(t *testing.T) {
 	row := s.Insert(1, "OH", 0, 1, 1)
 	s.AddCounts(row, 1, 0, 0)
 	s.MarkDirty(row)
-	s.Remove(1)
 	if s.DeltaTracking() {
 		t.Fatal("tracking enabled by default")
 	}
@@ -203,47 +167,5 @@ func TestDeltaDisabled(t *testing.T) {
 	}
 	if d := s.DrainDelta(); !d.Empty() {
 		t.Fatalf("drain while disabled: %+v", d)
-	}
-}
-
-// TestDeltaSwapLastMove pins the swap-last contract precisely: deleting
-// a clean middle row must mark the relocated tail row dirty and clear
-// the vacated tail bit.
-func TestDeltaSwapLastMove(t *testing.T) {
-	s := New(2)
-	s.Insert(10, "OH", 0, 1, 1)
-	s.Insert(20, "CA", 0, 2, 2)
-	s.Insert(30, "NY", 0, 3, 3)
-	s.DrainDelta() // not yet tracking: empty
-	s.EnableDeltaTracking()
-	if !s.DrainDelta().Empty() {
-		t.Fatal("expected clean store after enable")
-	}
-
-	s.Remove(10) // row 0 vacated; id 30 moves 2 → 0
-	d := s.DrainDelta()
-	if len(d.Deleted) != 1 || d.Deleted[0] != 10 {
-		t.Fatalf("Deleted = %v, want [10]", d.Deleted)
-	}
-	row30, ok := s.Find(30)
-	if !ok || row30 != 0 {
-		t.Fatalf("id 30 at row %d (ok=%v), want 0", row30, ok)
-	}
-	if !d.Rows.Test(0) {
-		t.Fatal("moved row 0 not marked dirty")
-	}
-	if d.Rows.Test(2) {
-		t.Fatal("vacated tail bit 2 still set")
-	}
-
-	// Deleting the tail row itself (id 20 stayed at row 1) moves
-	// nothing: no dirty rows.
-	s.Remove(20)
-	d = s.DrainDelta()
-	if len(d.Deleted) != 1 || d.Deleted[0] != 20 {
-		t.Fatalf("Deleted = %v, want [20]", d.Deleted)
-	}
-	if d.Rows.Count() != 0 {
-		t.Fatalf("tail delete marked %d rows dirty", d.Rows.Count())
 	}
 }

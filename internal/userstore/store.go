@@ -4,13 +4,13 @@
 // per user before any data; this store keeps the same information in a
 // handful of flat parallel slices — a few dozen bytes per user, no
 // per-entry allocation, nothing for the garbage collector to trace —
-// with O(1) amortized find-or-insert and delete.
+// with O(1) amortized find-or-insert.
 //
 // Layout:
 //
 //   - An open-addressing id → row hash (internal/idindex) with linear
-//     probing and backward-shift deletion: 4-byte row slots probing the
-//     ids column; growth rehashes at 75% load.
+//     probing: 4-byte row slots probing the ids column; growth rehashes
+//     at 75% load.
 //   - Parallel column slices indexed by row: id, first-seen time, first
 //     tweet id (int64); tweet/clinical/hashtag counters (int32); an
 //     interned state index and a flags byte (uint8 each).
@@ -20,10 +20,10 @@
 //   - Per-state Bitset membership indices, so per-state slices iterate
 //     64 rows per word instead of hashing every user.
 //
-// Rows are kept dense: deleting a user moves the last row into the hole
-// (updating its hash slot and bitset bit), so columns never fragment and
-// iteration is always a linear scan. Row order is consequently
-// unspecified; consumers that need determinism sort by user id.
+// Rows are append-only: a user keeps its row for the store's lifetime,
+// so columns never fragment and iteration is always a linear scan. Row
+// order is insertion order, which depends on how the stream was sharded
+// and merged; consumers that need determinism sort by user id.
 package userstore
 
 import (
@@ -134,48 +134,6 @@ func (s *Store) internState(code string) uint8 {
 	s.stateByCode[code] = i
 	s.members = append(s.members, nil)
 	return i
-}
-
-// Remove deletes id's row. The last row is moved into the hole so
-// columns stay dense; its hash slot and bitset bit follow. It reports
-// whether the id was present.
-func (s *Store) Remove(id int64) bool {
-	row, ok := s.index.Delete(s.ids, id)
-	if !ok {
-		return false
-	}
-
-	last := int32(len(s.ids) - 1)
-	s.markRemove(id, row, last)
-	s.members[s.stateIdx[row]].Clear(uint32(row))
-	if row != last {
-		// Move the last row into the hole.
-		s.members[s.stateIdx[last]].Clear(uint32(last))
-		s.members[s.stateIdx[last]].Set(uint32(row))
-		s.ids[row] = s.ids[last]
-		s.firstSeen[row] = s.firstSeen[last]
-		s.firstTweetID[row] = s.firstTweetID[last]
-		s.tweets[row] = s.tweets[last]
-		s.clinical[row] = s.clinical[last]
-		s.hashtags[row] = s.hashtags[last]
-		s.stateIdx[row] = s.stateIdx[last]
-		s.flags[row] = s.flags[last]
-		copy(s.mentions[int(row)*s.nCols:(int(row)+1)*s.nCols],
-			s.mentions[int(last)*s.nCols:(int(last)+1)*s.nCols])
-		if !s.index.Move(s.ids, s.ids[last], row) {
-			panic("userstore: moved row missing from index")
-		}
-	}
-	s.ids = s.ids[:last]
-	s.firstSeen = s.firstSeen[:last]
-	s.firstTweetID = s.firstTweetID[:last]
-	s.tweets = s.tweets[:last]
-	s.clinical = s.clinical[:last]
-	s.hashtags = s.hashtags[:last]
-	s.stateIdx = s.stateIdx[:last]
-	s.flags = s.flags[:last]
-	s.mentions = s.mentions[:int(last)*s.nCols]
-	return true
 }
 
 // Column accessors. Rows are valid indices in [0, Len()); no bounds

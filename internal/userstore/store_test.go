@@ -118,8 +118,7 @@ func checkStateSlices(t *testing.T, s *Store, oracle map[int64]*oracleRec) {
 var testStates = []string{"KS", "NY", "CA", "TX", "FL", "WA", "OH", "VT"}
 
 // TestStoreRandomizedOps drives a long random schedule of inserts,
-// count updates, identity rewrites, and removals against the map
-// oracle, checking full equality (including bitset membership and
+// count updates, and identity rewrites against the map oracle, checking full equality (including bitset membership and
 // per-state slices) at intervals.
 func TestStoreRandomizedOps(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -131,7 +130,7 @@ func TestStoreRandomizedOps(t *testing.T) {
 			const ops = 6000
 			for op := 0; op < ops; op++ {
 				switch k := r.Intn(10); {
-				case k < 5 || len(ids) == 0: // insert or update
+				case k < 8 || len(ids) == 0: // insert or update
 					id := int64(r.Intn(900)) // dense id space → frequent collisions
 					row, ok := s.Find(id)
 					o := oracle[id]
@@ -157,19 +156,6 @@ func TestStoreRandomizedOps(t *testing.T) {
 						d := int32(r.Intn(3))
 						m[c] += d
 						o.mentions[c] += d
-					}
-				case k < 7: // remove a random existing id
-					i := r.Intn(len(ids))
-					id := ids[i]
-					ids[i] = ids[len(ids)-1]
-					ids = ids[:len(ids)-1]
-					if !s.Remove(id) {
-						t.Fatalf("op %d: Remove(%d) reported absent", op, id)
-					}
-					delete(oracle, id)
-				case k < 8: // remove an absent id
-					if s.Remove(-int64(op) - 1) {
-						t.Fatalf("op %d: Remove of absent id succeeded", op)
 					}
 				default: // identity rewrite (merge tie-break path)
 					id := ids[r.Intn(len(ids))]
@@ -214,12 +200,6 @@ func TestStoreColumnsRoundTrip(t *testing.T) {
 		}
 		oracle[id] = o
 	}
-	// A few removals so the snapshot covers post-delete state.
-	for _, id := range []int64{0, 300, 2997} {
-		s.Remove(id)
-		delete(oracle, id)
-	}
-
 	c := s.Columns()
 	cp := Columns{
 		IDs:          append([]int64(nil), c.IDs...),
@@ -244,8 +224,6 @@ func TestStoreColumnsRoundTrip(t *testing.T) {
 	row := re.Insert(999999, "NM", 0, 5, 6)
 	re.AddCounts(row, 1, 0, 0)
 	oracle[999999] = &oracleRec{id: 999999, state: "NM", firstSeen: 5, firstTweetID: 6, tweets: 1}
-	re.Remove(3)
-	delete(oracle, 3)
 	checkAgainstOracle(t, re, oracle)
 	checkStateSlices(t, re, oracle)
 }
@@ -322,9 +300,6 @@ func TestStoreEmpty(t *testing.T) {
 	if _, ok := s.Find(1); ok {
 		t.Error("Find on empty store succeeded")
 	}
-	if s.Remove(1) {
-		t.Error("Remove on empty store succeeded")
-	}
 	if s.SizeBytes() != 0 {
 		t.Errorf("empty SizeBytes = %d", s.SizeBytes())
 	}
@@ -338,22 +313,5 @@ func TestStoreEmpty(t *testing.T) {
 	re.Insert(5, "KS", FlagGeoTagged, 1, 2)
 	if !re.GeoTagged(0) || re.StateCode(0) != "KS" {
 		t.Error("insert after empty restore broken")
-	}
-}
-
-// TestStoreRemoveLastAndOnly covers swap-delete's row==last branch.
-func TestStoreRemoveLastAndOnly(t *testing.T) {
-	s := New(testCols)
-	s.Insert(10, "KS", 0, 1, 1)
-	if !s.Remove(10) || s.Len() != 0 {
-		t.Fatal("remove only row failed")
-	}
-	s.Insert(11, "NY", 0, 1, 1)
-	s.Insert(12, "KS", 0, 2, 2)
-	if !s.Remove(12) || s.Len() != 1 || s.ID(0) != 11 {
-		t.Fatal("remove last row failed")
-	}
-	if row, ok := s.Find(11); !ok || row != 0 {
-		t.Fatal("surviving row lost from index")
 	}
 }
