@@ -81,6 +81,25 @@ func TestCollectThroughChaosMatchesCleanRun(t *testing.T) {
 	t.Logf("chaos injected: %+v", st)
 }
 
+// TestCollectRejectsNonPositiveCheckpointEvery: with -checkpoint, an
+// interval of zero or less is a flag error in both modes. Accepted, it
+// made the single-shard fold save after every chunk, turned into 30 s
+// under -shards, and left /healthz reporting a stale checkpoint forever.
+func TestCollectRejectsNonPositiveCheckpointEvery(t *testing.T) {
+	corpus := durableCorpus()[:50]
+	for _, shards := range []string{"1", "2"} {
+		for _, every := range []string{"0", "-1s"} {
+			srv := httptest.NewServer(twitter.NewReplayServer(corpus, twitter.ReplayConfig{}).Handler())
+			err := cmdCollect(collectArgs(srv.URL, "-shards", shards, "-progress-every", "0",
+				"-checkpoint", filepath.Join(t.TempDir(), "state.ckpt"), "-checkpoint-every", every))
+			srv.Close()
+			if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
+				t.Errorf("-shards %s -checkpoint-every %s: err = %v, want a flag error", shards, every, err)
+			}
+		}
+	}
+}
+
 func TestCollectCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	corpus := durableCorpus()
 	ckpt := filepath.Join(t.TempDir(), "state.ckpt")

@@ -395,6 +395,9 @@ func cmdCollect(args []string) error {
 	if err != nil {
 		return err
 	}
+	if c.checkpoint != "" && c.checkpointEvery <= 0 {
+		return fmt.Errorf("-checkpoint-every must be > 0 with -checkpoint, got %v", c.checkpointEvery)
+	}
 	if c.serveAPI {
 		switch {
 		case c.telemetryAddr == "":
@@ -613,7 +616,7 @@ func (s *datasetSink) fold(_ context.Context, tweets <-chan twitter.Tweet) error
 	// drives the progress line and the saves due while the stream idles,
 	// when no fold comes along to make them.
 	every := s.progressEvery
-	if s.checkpoint != "" && s.checkpointEvery > 0 && (every <= 0 || s.checkpointEvery < every) {
+	if s.checkpoint != "" && (every <= 0 || s.checkpointEvery < every) {
 		every = s.checkpointEvery
 	}
 	var ticks <-chan time.Time
