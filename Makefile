@@ -197,18 +197,31 @@ serve-smoke:
 	$(GO) build -o /tmp/queryload ./cmd/queryload
 	sh scripts/serve_smoke.sh /tmp/donorsense /tmp/queryload
 
-# Differential fuzz of the wire codec against the encoding/json oracle,
-# of the checkpointed analytics warm-state decoder (refuse or validate,
-# never panic, allocation bounded by the input), of the checkpoint reader
-# (load or refuse, never panic, allocation bounded by the file), and of
-# the query API's parameter parsing (only 200, 400 or 404, allocation
-# bounded by the query). CI runs the same targets for 30s each on every
-# push.
+# Every input the program reads from outside, fuzzed for 30s per target
+# (name:package): the wire codec against the encoding/json oracle, the
+# NDJSON corpus reader, the tokenizer and organ extractor (the fast
+# matcher against the full extraction), the geocoder and ZIP lookup (the
+# segmenter against its reference), the checkpointed analytics
+# warm-state decoder and the checkpoint reader (refuse or load, never
+# panic, allocation bounded by the input), and the query API's parameter
+# parsing (only 200, 400 or 404). CI runs this target on every push.
+FUZZ_TARGETS = \
+	FuzzWire:./internal/twitter/ \
+	FuzzReadNDJSON:./internal/twitter/ \
+	FuzzTokenize:./internal/text/ \
+	FuzzExtract:./internal/text/ \
+	FuzzExtractDifferential:./internal/text/ \
+	FuzzLocate:./internal/geo/ \
+	FuzzZIPState:./internal/geo/ \
+	FuzzSegmentDifferential:./internal/geo/ \
+	FuzzRestoreWarm:./internal/report/ \
+	FuzzReadCheckpoint:./internal/pipeline/ \
+	FuzzServeQuery:./internal/serve/
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzWire -fuzztime 30s ./internal/twitter/
-	$(GO) test -run '^$$' -fuzz FuzzRestoreWarm -fuzztime 30s ./internal/report/
-	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 30s ./internal/pipeline/
-	$(GO) test -run '^$$' -fuzz FuzzServeQuery -fuzztime 30s ./internal/serve/
+	@for t in $(FUZZ_TARGETS); do \
+		echo "== $${t%%:*}"; \
+		$(GO) test -run '^$$' -fuzz "^$${t%%:*}$$" -fuzztime 30s "$${t#*:}" || exit 1; \
+	done
 
 # The full per-table/per-figure benchmark suite from the repo root.
 bench-paper:
