@@ -105,12 +105,15 @@ func TestChaosServerExactlyOnceUnderFaults(t *testing.T) {
 	hs := httptest.NewServer(cs.Handler())
 	defer hs.Close()
 
+	// The stall timeout is far below the 10 s injected stall, and long
+	// enough that a scheduling delay under -race does not tear down a
+	// connection whose tweets the server already counted as delivered.
 	client := &StreamClient{
 		BaseURL:          hs.URL,
 		InitialBackoff:   time.Millisecond,
 		MaxBackoff:       4 * time.Millisecond,
 		RateLimitBackoff: time.Millisecond,
-		StallTimeout:     100 * time.Millisecond,
+		StallTimeout:     500 * time.Millisecond,
 		HealthyTweets:    20,
 		jitter:           func() float64 { return 0.5 },
 	}
