@@ -189,9 +189,11 @@ bench-serve:
 	$(GO) run ./cmd/benchjson -threshold 25 -compare BENCH_serve.json /tmp/benchcmp_serve_new.json
 
 # Live serving smoke: build the binaries, start a replayed stream and a
-# collect -serve consumer, poll the query API to 200, assert a 304
-# revalidation, then drive cmd/queryload against it for 5 seconds in
-# strict mode (any transport error or non-200/304 status fails).
+# collect -serve -checkpoint consumer, poll the query API to 200, assert
+# a 304 revalidation, then drive cmd/queryload against it for 5 seconds
+# in strict mode (any transport error or non-200/304 status fails). Once
+# the collector stops, donorsense serve over its checkpoint gets the same
+# checks and 2 seconds of strict queryload.
 serve-smoke:
 	$(GO) build -o /tmp/donorsense ./cmd/donorsense
 	$(GO) build -o /tmp/queryload ./cmd/queryload

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -8,17 +9,18 @@ import (
 	"time"
 
 	"donorsense/internal/gen"
+	"donorsense/internal/obs"
 	"donorsense/internal/pipeline"
 	"donorsense/internal/report"
+	"donorsense/internal/serve"
 	"donorsense/internal/twitter"
 )
 
-// TestAnalyticsStatusSection pins the /statusz analytics section:
-// disabled, enabled-but-idle, and after a refresh has been published.
+// TestAnalyticsStatusSection pins the /statusz analytics section the
+// live step serves: disabled, enabled-but-idle, and after a step.
 func TestAnalyticsStatusSection(t *testing.T) {
-	get := func(p *analyticsProbe, key string) (string, bool) {
-		sec := analyticsStatus(p)()
-		for _, f := range sec.Fields {
+	get := func(l *serve.Live, key string) (string, bool) {
+		for _, f := range l.Status().Fields {
 			if f.Key == key {
 				return f.Value, true
 			}
@@ -26,45 +28,46 @@ func TestAnalyticsStatusSection(t *testing.T) {
 		return "", false
 	}
 
-	if v, _ := get(&analyticsProbe{}, "enabled"); v != "false" {
-		t.Errorf("disabled probe: enabled = %q, want false", v)
+	if v, _ := get(nil, "enabled"); v != "false" {
+		t.Errorf("no live step: enabled = %q, want false", v)
 	}
 
-	p := &analyticsProbe{enabled: true, every: 5 * time.Second}
-	if v, _ := get(p, "enabled"); v != "true" {
-		t.Errorf("enabled probe: enabled = %q, want true", v)
+	d := pipeline.SynthDataset(500, 3)
+	cfg, _ := analysisConfig(6, "", 0, 1)
+	l := &serve.Live{Analysis: cfg, Every: 5 * time.Second, Logger: obs.Logger("analytics")}
+	l.Load(d)
+	if v, _ := get(l, "enabled"); v != "true" {
+		t.Errorf("live step: enabled = %q, want true", v)
 	}
-	if v, _ := get(p, "age"); v != "never refreshed this run" {
-		t.Errorf("idle probe: age = %q, want never refreshed", v)
+	if v, _ := get(l, "age"); v != "never refreshed this run" {
+		t.Errorf("idle step: age = %q, want never refreshed", v)
 	}
-	if _, ok := get(p, "last_dirty_rows"); ok {
-		t.Error("idle probe exposed last_dirty_rows before any refresh")
+	if _, ok := get(l, "last_dirty_rows"); ok {
+		t.Error("idle step exposed last_dirty_rows before any refresh")
 	}
 
-	p.refreshes.Store(3)
-	p.epoch.Store(2)
-	p.dirty.Store(417)
-	p.latencyNS.Store(int64(1500 * time.Microsecond))
-	p.cold.Store(false)
-	p.users.Store(9001)
-	p.lastUnix.Store(time.Now().UnixNano())
+	if err := l.Step(); err != nil {
+		t.Fatal(err)
+	}
 	for key, want := range map[string]string{
 		"refresh_every":   "5s",
-		"refreshes":       "3",
-		"epoch":           "2",
-		"last_dirty_rows": "417",
-		"last_latency":    "1.5ms",
-		"last_cold":       "false",
-		"users":           "9001",
+		"refreshes":       "1",
+		"epoch":           "0",
+		"last_dirty_rows": "0",
+		"last_cold":       "true",
+		"users":           fmt.Sprint(d.Users()),
 	} {
-		got, ok := get(p, key)
+		got, ok := get(l, key)
 		if !ok {
-			t.Errorf("refreshed probe missing field %q", key)
+			t.Errorf("stepped section missing field %q", key)
 			continue
 		}
 		if got != want {
 			t.Errorf("field %s = %q, want %q", key, got, want)
 		}
+	}
+	if v, _ := get(l, "last_latency"); v == "" {
+		t.Error("stepped section has no last_latency")
 	}
 }
 

@@ -21,14 +21,11 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"donorsense/internal/core"
@@ -456,7 +453,7 @@ func cmdCollect(args []string) error {
 
 	// SIGINT and SIGTERM both end collection; the sink's flush below
 	// keeps whatever was gathered before the process exits.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := obs.SignalContext()
 	defer stop()
 
 	if c.reg != nil {
@@ -474,12 +471,7 @@ func cmdCollect(args []string) error {
 		srv.AddStatus("memory", obs.MemStatsStatusSection(memory))
 		srv.AddStatus("tracing", tracingStatus(c.tracer))
 		srv.AddStatus("errors", errRing.StatusSection)
-		go func() {
-			c.logger.Info("telemetry listening", "addr", c.telemetryAddr)
-			if err := srv.ListenAndServe(ctx, c.telemetryAddr); err != nil {
-				c.logger.Error("telemetry server failed", "err", err)
-			}
-		}()
+		srv.Start(ctx, c.telemetryAddr)
 	}
 
 	tweets := make(chan twitter.Tweet, 1024)
@@ -527,26 +519,20 @@ func cmdCollect(args []string) error {
 }
 
 // datasetSink folds the stream into one Dataset through CollectParallel,
-// with its periodic checkpoint, the -report-every engine and the -serve
-// publisher.
+// with its periodic checkpoint and, with -report-every, the live step
+// that refreshes the analysis and, with -serve, publishes it.
 type datasetSink struct {
 	*collector
 	d       *pipeline.Dataset
 	metrics *pipeline.Metrics // nil without telemetry
-	engine  *report.Engine    // nil without -report-every
-	pub     *serve.Publisher  // nil without -serve
-	probe   *analyticsProbe
+	live    *serve.Live       // nil without -report-every; its Publisher is nil without -serve
 	// lastSave is the UnixNano of the last checkpoint save (0 = never),
 	// read by the telemetry goroutine while the fold goroutine writes it.
 	lastSave atomic.Int64
 }
 
 func newDatasetSink(c *collector) (*datasetSink, error) {
-	s := &datasetSink{
-		collector: c,
-		d:         pipeline.NewDataset(),
-		probe:     &analyticsProbe{enabled: c.reportEvery > 0, every: c.reportEvery},
-	}
+	s := &datasetSink{collector: c, d: pipeline.NewDataset()}
 	if c.checkpoint != "" {
 		switch loaded, err := pipeline.LoadCheckpoint(c.checkpoint); {
 		case err == nil:
@@ -566,20 +552,15 @@ func newDatasetSink(c *collector) (*datasetSink, error) {
 		s.metrics = pipeline.NewMetrics(c.reg)
 		s.d.SetMetrics(s.metrics)
 	}
-	// Incremental analytics: an engine that keeps the full report warm
-	// between refreshes, patching only the users touched since the last
-	// one. Its clustering warm state rides the checkpoint (v4), so a
-	// resumed collector skips the cold start too. Refreshes run on the
-	// fold goroutine against a quiescent dataset.
 	if c.reportEvery > 0 {
-		s.engine = report.NewEngine(s.d, c.engineCfg)
-		if err := s.engine.RestoreWarm(s.d.AnalyticsState()); err != nil {
-			c.logger.Warn("ignoring unreadable analytics warm state", "err", err)
+		s.live = &serve.Live{
+			Analysis: c.engineCfg, Every: c.reportEvery, Top: c.serveTop,
+			Metrics: c.engineMetrics, Tracer: c.tracer, Logger: c.logger,
 		}
-		if c.tracer != nil {
-			s.engine.SetTracer(c.tracer)
+		if c.serveAPI {
+			s.live.Publisher = serve.NewPublisher()
 		}
-		s.engine.SetMetrics(c.engineMetrics)
+		s.live.Load(s.d)
 	}
 	return s, nil
 }
@@ -587,13 +568,9 @@ func newDatasetSink(c *collector) (*datasetSink, error) {
 func (s *datasetSink) telemetry(srv *obs.Server) func(sec *obs.StatusSection) {
 	srv.AddHealthCheck("checkpoint", checkpointHealth(s.checkpoint, s.checkpointEvery, s.started, &s.lastSave))
 	srv.AddStatus("checkpoint", checkpointStatus(s.checkpoint, &s.lastSave))
-	srv.AddStatus("analytics", analyticsStatus(s.probe))
+	srv.AddStatus("analytics", s.live.Status)
 	if s.serveAPI {
-		// pub owns the RCU snapshot behind /api/...; the fold goroutine
-		// publishes after each refresh, request goroutines only load the
-		// pointer.
-		s.pub = serve.NewPublisher()
-		mountQueryAPI(srv, s.reg, s.pub)
+		mountQueryAPI(srv, s.reg, s.live.Publisher)
 	}
 	// The fold goroutine owns the dataset, so the footprint comes from
 	// the userstore gauges it keeps current.
@@ -605,19 +582,21 @@ func (s *datasetSink) telemetry(srv *obs.Server) func(sec *obs.StatusSection) {
 }
 
 // fold runs CollectParallel: extraction and geocoding fan out across the
-// workers while folding, the periodic checkpoint and refresh, and the
+// workers while folding, the periodic checkpoint, the live step and the
 // progress line stay on this goroutine, so they read a quiescent
 // dataset. It watches no context of its own: a stop must not strand
 // tweets the relay already passed on.
 func (s *datasetSink) fold(_ context.Context, tweets <-chan twitter.Tweet) error {
-	lastSave, lastReport, lastProgress := time.Now(), time.Now(), time.Now()
+	lastSave, lastProgress := time.Now(), time.Now()
 	savedFolds, lastProgressTweets := 0, int64(0)
-	// One ticker at the shorter of the progress and checkpoint intervals
-	// drives the progress line and the saves due while the stream idles,
-	// when no fold comes along to make them.
-	every := s.progressEvery
-	if s.checkpoint != "" && (every <= 0 || s.checkpointEvery < every) {
-		every = s.checkpointEvery
+	// One ticker at the shortest of the progress, checkpoint and live
+	// step intervals drives what is due while the stream idles, when no
+	// fold comes along to make it (without -checkpoint, a save is a no-op).
+	var every time.Duration
+	for _, d := range []time.Duration{s.progressEvery, s.checkpointEvery, s.reportEvery} {
+		if d > 0 && (every == 0 || d < every) {
+			every = d
+		}
 	}
 	var ticks <-chan time.Time
 	if every > 0 {
@@ -638,21 +617,21 @@ func (s *datasetSink) fold(_ context.Context, tweets <-chan twitter.Tweet) error
 		lastSave, savedFolds = time.Now(), folded
 		return true
 	}
+	// A resumed dataset is published before the first fold.
+	s.live.Tick()
 	s.d.CollectParallel(context.Background(), tweets, pipeline.CollectOptions{
 		Workers: s.workers,
 		OnFold: func(n int) bool {
 			if !save(n) {
 				return false
 			}
-			if s.engine != nil && time.Since(lastReport) >= s.reportEvery {
-				s.refresh()
-				lastReport = time.Now()
-			}
+			s.live.Tick()
 			return true
 		},
 		Ticks: ticks,
 		OnTick: func(n int) {
 			save(n)
+			s.live.Tick()
 			if s.progressEvery <= 0 || time.Since(lastProgress) < s.progressEvery {
 				return
 			}
@@ -685,20 +664,13 @@ func (s *datasetSink) fold(_ context.Context, tweets <-chan twitter.Tweet) error
 	return saveErr
 }
 
-// flush saves the checkpoint, when there is one. The clustering warm
-// state rides along in the snapshot (v4) so a resumed collector's first
-// refresh resumes instead of cold-starting.
+// flush saves the checkpoint, when there is one, with the live step's
+// clustering warm state in it (v4).
 func (s *datasetSink) flush() error {
 	if s.checkpoint == "" {
 		return nil
 	}
-	if s.engine != nil {
-		if b, err := s.engine.MarshalWarm(); err != nil {
-			s.logger.Warn("analytics warm state not persisted", "err", err)
-		} else {
-			s.d.SetAnalyticsState(b)
-		}
-	}
+	s.live.SaveWarm()
 	if err := s.d.SaveCheckpoint(s.checkpoint); err != nil {
 		return err
 	}
@@ -706,49 +678,12 @@ func (s *datasetSink) flush() error {
 	return nil
 }
 
-// refresh runs one incremental refresh and publishes the outcome to the
-// log, the /statusz probe and, with -serve, the query API. It is skipped
-// while the dataset is empty: there is nothing to analyze yet.
-func (s *datasetSink) refresh() {
-	if s.d.Users() == 0 {
-		return
-	}
-	a, err := s.engine.Refresh()
-	if err != nil {
-		s.logger.Warn("analysis refresh failed", "err", err)
-		return
-	}
-	if s.pub != nil {
-		// Publish while this goroutine holds the quiescent dataset: the
-		// snapshot build deep-copies everything the next refresh will
-		// mutate in place.
-		if _, err := s.pub.Publish(a, serve.Meta{
-			Epoch:     s.engine.Epoch(),
-			Refreshes: s.engine.Refreshes(),
-			Top:       report.TopMentioners(s.d, s.serveTop),
-		}); err != nil {
-			s.logger.Warn("snapshot publish failed", "err", err)
-		}
-	}
-	dirty, latency, cold := s.engine.LastRefresh()
-	s.probe.refreshes.Store(s.engine.Refreshes())
-	s.probe.epoch.Store(s.engine.Epoch())
-	s.probe.dirty.Store(int64(dirty))
-	s.probe.latencyNS.Store(int64(latency))
-	s.probe.cold.Store(cold)
-	s.probe.users.Store(int64(s.d.Users()))
-	s.probe.lastUnix.Store(time.Now().UnixNano())
-	s.logger.Info("analysis refreshed",
-		"epoch", s.engine.Epoch(), "dirty_rows", dirty, "cold", cold,
-		"latency", latency.Round(time.Microsecond).String(), "users", s.d.Users())
-}
-
 func (s *datasetSink) result() (*pipeline.Dataset, *report.Engine, error) {
-	return s.d, s.engine, nil
+	return s.d, s.live.Engine(), nil
 }
 
 // limitStream relays tweets from in to the returned channel, counting
-// each into n (when set), until in closes or ctx ends. With max > 0 it
+// each into n, until in closes or ctx ends. With max > 0 it
 // relays exactly max tweets, then cancels the stream through stop and
 // drains in so the client can exit. The returned channel closes when the
 // relay ends, so a consumer that reads it to the end sees every relayed
@@ -774,9 +709,7 @@ func limitStream(ctx context.Context, stop context.CancelFunc, in <-chan twitter
 					return
 				}
 				relayed++
-				if n != nil {
-					n.Add(1)
-				}
+				n.Add(1)
 				if max > 0 && relayed >= max {
 					stop()
 					// Drain remaining deliveries so the client can exit.
@@ -835,9 +768,7 @@ func cmdReplay(args []string) error {
 	fmt.Fprintf(os.Stderr, "replaying %d tweets on %s\n", len(tweets), *addr)
 
 	rs := twitter.NewReplayServer(tweets, twitter.ReplayConfig{Rate: *rate})
-	httpSrv := &http.Server{Addr: *addr, Handler: rs.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := obs.SignalContext()
 	defer stop()
 	if reg != nil {
 		osrv := obs.NewServer(reg)
@@ -851,23 +782,9 @@ func cmdReplay(args []string) error {
 			return sec
 		})
 		osrv.AddStatus("memory", obs.MemStatsStatusSection(nil))
-		go func() {
-			if err := osrv.ListenAndServe(ctx, *telemetryAddr); err != nil {
-				fmt.Fprintf(os.Stderr, "telemetry server failed: %v\n", err)
-			}
-		}()
+		osrv.Start(ctx, *telemetryAddr)
 	}
-	go func() {
-		<-ctx.Done()
-		shCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shCtx)
-	}()
-	err = httpSrv.ListenAndServe()
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
+	return obs.Serve(ctx, *addr, rs.Handler(), nil)
 }
 
 func cmdKeywords(args []string) error {

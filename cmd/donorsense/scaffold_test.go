@@ -55,12 +55,12 @@ func getTelemetry(url string) ([]byte, error) {
 	return nil, err
 }
 
-// replayThenHold serves tweets through a clean replay, then holds the
+// replayThenHold serves tweets through a replay at cfg, then holds the
 // stream open and silent on the same connection, and on any later one,
 // until release closes (never, when nil); after that it answers 410
 // Gone. The test, not the corpus, decides when the collect ends.
-func replayThenHold(tweets []twitter.Tweet, release <-chan struct{}) (*twitter.ReplayServer, http.Handler) {
-	rs := twitter.NewReplayServer(tweets, twitter.ReplayConfig{})
+func replayThenHold(tweets []twitter.Tweet, cfg twitter.ReplayConfig, release <-chan struct{}) (*twitter.ReplayServer, http.Handler) {
+	rs := twitter.NewReplayServer(tweets, cfg)
 	replay := rs.Handler()
 	return rs, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -91,7 +91,7 @@ func replayThenHold(tweets []twitter.Tweet, release <-chan struct{}) (*twitter.R
 // the three pages, then ends the stream, which ends the collect.
 func collectWithTelemetry(t *testing.T, extra ...string) *telemetryPages {
 	release := make(chan struct{})
-	rs, stream := replayThenHold(durableCorpus(), release)
+	rs, stream := replayThenHold(durableCorpus(), twitter.ReplayConfig{}, release)
 	hs := httptest.NewServer(stream)
 	defer hs.Close()
 	base := "http://" + freeAddr(t)

@@ -1,24 +1,19 @@
 // donorsense serve: a standalone read-only query API over a checkpoint.
-// It loads the checkpoint, runs one (warm-restored) analysis refresh,
-// publishes the snapshot behind /api/..., and optionally re-loads when
-// the checkpoint file changes — so a collector writing checkpoints and a
-// serve process reading them compose into a live pipeline without
-// sharing memory.
+// It loads the checkpoint, steps the live step once over it (a
+// warm-restored refresh, the top mentioners and the publish behind
+// /api/...), and optionally re-loads and steps again when the checkpoint
+// file changes — so a collector writing checkpoints and a serve process
+// reading them compose into a live pipeline without sharing memory.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"donorsense/internal/obs"
 	"donorsense/internal/pipeline"
-	"donorsense/internal/report"
 	"donorsense/internal/serve"
 )
 
@@ -43,52 +38,44 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	obs.SetLogger(slog.New(obs.NewLogger(os.Stderr, level, *logJSON).Handler()))
+	obs.SetLogger(obs.NewLogger(os.Stderr, level, *logJSON))
 	logger := obs.Logger("serve")
 
+	cfg, _ := analysisConfig(*k, "", *sil, *workers) // no sweep, so no parse error
 	pub := serve.NewPublisher()
+	live := &serve.Live{Analysis: cfg, Every: *reloadEvery, Top: *top, Publisher: pub, Logger: logger}
 
-	// loadAndPublish reads the checkpoint, refreshes a fresh warm-restored
-	// engine, and swaps the snapshot in. It runs on the main goroutine and
-	// then on the reload poller — never concurrently, and the dataset it
-	// builds is private to this call, so the publish-time copy invariant
-	// holds trivially.
-	loadAndPublish := func() (time.Time, error) {
+	// load reads the checkpoint and steps the live step once over it. It
+	// runs on the main goroutine and then on the reload poller — never
+	// concurrently, and the dataset it loads is private to the step.
+	load := func() (time.Time, error) {
 		fi, err := os.Stat(*checkpoint)
 		if err != nil {
 			return time.Time{}, err
 		}
-		d, err := pipeline.LoadCheckpoint(*checkpoint)
+		d, usedBackup, err := pipeline.LoadCheckpointFallback(*checkpoint)
+		if err == nil && usedBackup && pub.Current() != nil {
+			// The backup is older than the snapshot served: keep serving that.
+			err = fmt.Errorf("%w; not replacing the served snapshot with the older backup", pipeline.ErrCheckpointCorrupt)
+		}
 		if err != nil {
 			return time.Time{}, fmt.Errorf("load checkpoint: %w", err)
 		}
 		if d.Users() == 0 {
 			return time.Time{}, fmt.Errorf("checkpoint has no US users; nothing to serve")
 		}
-		cfg, _ := analysisConfig(*k, "", *sil, *workers) // no sweep, so no parse error
-		engine := report.NewEngine(d, cfg)
-		if err := engine.RestoreWarm(d.AnalyticsState()); err != nil {
-			logger.Warn("ignoring unreadable analytics warm state", "err", err)
-		}
-		a, err := engine.Refresh()
-		if err != nil {
-			return time.Time{}, fmt.Errorf("analysis: %w", err)
-		}
-		snap, err := pub.Publish(a, serve.Meta{
-			Epoch:     engine.Epoch(),
-			Refreshes: engine.Refreshes(),
-			Top:       report.TopMentioners(d, *top),
-		})
-		if err != nil {
+		live.Load(d)
+		if err := live.Step(); err != nil {
 			return time.Time{}, err
 		}
+		snap := pub.Current()
 		logger.Info("snapshot published",
 			"seq", snap.Seq, "epoch", snap.Epoch, "users", snap.Users,
 			"etag", snap.ETag(), "checkpoint_mtime", fi.ModTime().Format(time.RFC3339))
 		return fi.ModTime(), nil
 	}
 
-	mtime, err := loadAndPublish()
+	mtime, err := load()
 	if err != nil {
 		return err
 	}
@@ -96,6 +83,7 @@ func cmdServe(args []string) error {
 	reg := obs.NewRegistry()
 	srv := obs.NewServer(reg)
 	mountQueryAPI(srv, reg, pub)
+	srv.AddStatus("analytics", live.Status)
 	srv.AddStatus("memory", obs.MemStatsStatusSection(nil))
 	srv.AddHealthCheck("snapshot", func() (any, error) {
 		st := pub.Stats()
@@ -106,7 +94,7 @@ func cmdServe(args []string) error {
 		return detail, nil
 	})
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := obs.SignalContext()
 	defer stop()
 
 	if *reloadEvery > 0 {
@@ -119,31 +107,23 @@ func cmdServe(args []string) error {
 					return
 				case <-tick.C:
 				}
-				fi, err := os.Stat(*checkpoint)
-				if err != nil || !fi.ModTime().After(mtime) {
+				if fi, err := os.Stat(*checkpoint); err != nil || !fi.ModTime().After(mtime) {
 					continue
 				}
-				m, err := loadAndPublish()
-				if err != nil {
+				if m, err := load(); err != nil {
 					logger.Warn("checkpoint reload failed; keeping current snapshot", "err", err)
-					continue
+				} else {
+					mtime = m
 				}
-				mtime = m
 			}
 		}()
 	}
 
 	logger.Info("serving", "addr", *addr, "checkpoint", *checkpoint,
 		"reload_every", reloadEvery.String())
-	if err := srv.ListenAndServe(ctx, *addr); err != nil {
+	// The server's bounded Shutdown drains the requests in flight.
+	if err := <-srv.Start(ctx, *addr); err != nil {
 		return err
-	}
-	// ListenAndServe already drained in-flight requests via Shutdown; a
-	// bounded Drain double-checks the handler-side count went to zero.
-	drainCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := pub.Drain(drainCtx); err != nil {
-		logger.Warn("drain incomplete", "inflight", pub.Inflight())
 	}
 	logger.Info("serve stopped", "stats", fmt.Sprintf("%+v", pub.Stats()))
 	return nil

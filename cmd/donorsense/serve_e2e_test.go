@@ -18,6 +18,7 @@ import (
 	"donorsense/internal/gen"
 	"donorsense/internal/pipeline"
 	"donorsense/internal/serve"
+	"donorsense/internal/twitter"
 )
 
 // freeAddr grabs an ephemeral localhost port for a telemetry listener.
@@ -59,7 +60,7 @@ func apiGet(t *testing.T, base, path, inm string) (int, string, []byte) {
 // clean exit.
 func TestCollectServeEndToEnd(t *testing.T) {
 	corpus := gen.Generate(gen.DefaultConfig(0.01))
-	_, stream := replayThenHold(corpus.Tweets, nil)
+	_, stream := replayThenHold(corpus.Tweets, twitter.ReplayConfig{}, nil)
 	hs := httptest.NewServer(stream)
 	defer hs.Close()
 

@@ -80,48 +80,6 @@ func checkpointStatus(path string, lastSave *atomic.Int64) func() obs.StatusSect
 	}
 }
 
-// analyticsProbe holds the last incremental-refresh outcome for the
-// /statusz analytics section. The collect loop stores after every
-// refresh; the telemetry goroutine only loads, so every mutable field is
-// an atomic.
-type analyticsProbe struct {
-	enabled   bool
-	every     time.Duration
-	refreshes atomic.Uint64
-	epoch     atomic.Uint64
-	dirty     atomic.Int64
-	latencyNS atomic.Int64
-	lastUnix  atomic.Int64
-	cold      atomic.Bool
-	users     atomic.Int64
-}
-
-// analyticsStatus reports the incremental analysis engine: refresh
-// cadence, attention epoch, and the cost of the last refresh.
-func analyticsStatus(p *analyticsProbe) func() obs.StatusSection {
-	return func() obs.StatusSection {
-		var sec obs.StatusSection
-		if !p.enabled {
-			sec.Field("enabled", false)
-			return sec
-		}
-		sec.Field("enabled", true)
-		sec.Field("refresh_every", p.every.String())
-		sec.Field("refreshes", p.refreshes.Load())
-		sec.Field("epoch", p.epoch.Load())
-		if last := p.lastUnix.Load(); last > 0 {
-			sec.Field("age", time.Since(time.Unix(0, last)).Round(time.Second).String())
-			sec.Field("last_dirty_rows", p.dirty.Load())
-			sec.Field("last_latency", time.Duration(p.latencyNS.Load()).Round(time.Microsecond).String())
-			sec.Field("last_cold", p.cold.Load())
-			sec.Field("users", p.users.Load())
-		} else {
-			sec.Field("age", "never refreshed this run")
-		}
-		return sec
-	}
-}
-
 // tracingStatus reports the sampler configuration and ring fill.
 func tracingStatus(tracer *trace.Tracer) func() obs.StatusSection {
 	return func() obs.StatusSection {

@@ -100,30 +100,22 @@ func TestTelemetryMatchesInjectedChaosFaults(t *testing.T) {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
 
-	// One incremental analysis refresh so the analytics families are live.
+	// One live step — an incremental analysis refresh and a snapshot
+	// publish behind the query API — so the analytics and serve families
+	// are live in the same exposition.
 	ecfg := report.DefaultAnalysisConfig()
 	ecfg.KUsers = 0
 	ecfg.SweepKs = nil
 	ecfg.SilhouetteSample = 0
 	ecfg.Workers = 1
-	eng := report.NewEngine(d, ecfg)
-	eng.SetMetrics(report.NewEngineMetrics(reg))
-	a, err := eng.Refresh()
-	if err != nil {
-		t.Fatalf("engine Refresh: %v", err)
-	}
-
-	// One snapshot publish behind the query API so the serve families are
-	// live in the same exposition.
 	pub := serve.NewPublisher()
 	apiHandler := serve.NewHandler(pub)
 	apiHandler.SetMetrics(serve.NewMetrics(reg, pub))
-	if _, err := pub.Publish(a, serve.Meta{
-		Epoch:     eng.Epoch(),
-		Refreshes: eng.Refreshes(),
-		Top:       report.TopMentioners(d, 25),
-	}); err != nil {
-		t.Fatalf("snapshot publish: %v", err)
+	live := &serve.Live{Analysis: ecfg, Top: 25, Publisher: pub,
+		Metrics: report.NewEngineMetrics(reg), Logger: obs.Logger("analytics")}
+	live.Load(d)
+	if err := live.Step(); err != nil {
+		t.Fatalf("live step: %v", err)
 	}
 
 	// A minimal sharded run + merge so the supervisor and merge families

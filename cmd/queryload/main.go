@@ -11,16 +11,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"donorsense/internal/obs"
 	"donorsense/internal/serve"
 )
 
@@ -54,7 +52,7 @@ func main() {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := obs.SignalContext()
 	defer stop()
 	res, err := serve.RunLoad(ctx, cfg)
 	if err != nil {

@@ -24,15 +24,11 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"donorsense/internal/gen"
@@ -90,24 +86,6 @@ func (o options) replayConfig() twitter.ReplayConfig {
 		cfg.RetryAfter = o.retryAfter
 	}
 	return cfg
-}
-
-// serveTelemetry starts the obs endpoint (when addr is non-empty) with
-// gauge funcs over the simulator's state and its /statusz section.
-func serveTelemetry(ctx context.Context, addr string, reg *obs.Registry, status func() obs.StatusSection) {
-	if addr == "" {
-		return
-	}
-	logger := obs.Logger("streamsim")
-	srv := obs.NewServer(reg)
-	srv.AddHealthCheck("simulator", func() (any, error) { return "serving", nil })
-	srv.AddStatus("simulator", status)
-	go func() {
-		logger.Info("telemetry listening", "addr", addr)
-		if err := srv.ListenAndServe(ctx, addr); err != nil {
-			logger.Error("telemetry server failed", "err", err)
-		}
-	}()
 }
 
 // shardDistribution computes the per-shard tweet counts a sharded
@@ -170,34 +148,31 @@ func run(o options) error {
 	logger := obs.Logger("streamsim")
 	reg := obs.NewRegistry()
 	rs, tweets := newReplay(o, reg)
-	srv := &http.Server{Addr: o.addr, Handler: rs.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := obs.SignalContext()
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx)
-	}()
-	serveTelemetry(ctx, o.telemetryAddr, reg, func() obs.StatusSection {
-		st := rs.Stats()
-		var sec obs.StatusSection
-		sec.Field("chaos", o.chaos)
-		sec.Field("corpus_tweets", len(tweets))
-		sec.Field("delivered", st.Delivered)
-		sec.Field("remaining", rs.Remaining())
-		sec.Field("connections", st.Connections)
-		sec.Field("rate", o.rate)
-		sec.Field("loop", o.loop)
-		sec.Field("injected_disconnects", st.Disconnects)
-		sec.Field("injected_stalls", st.Stalls)
-		return sec
-	})
+	if o.telemetryAddr != "" {
+		srv := obs.NewServer(reg)
+		srv.AddHealthCheck("simulator", func() (any, error) { return "serving", nil })
+		srv.AddStatus("simulator", func() obs.StatusSection {
+			st := rs.Stats()
+			var sec obs.StatusSection
+			sec.Field("chaos", o.chaos)
+			sec.Field("corpus_tweets", len(tweets))
+			sec.Field("delivered", st.Delivered)
+			sec.Field("remaining", rs.Remaining())
+			sec.Field("connections", st.Connections)
+			sec.Field("rate", o.rate)
+			sec.Field("loop", o.loop)
+			sec.Field("injected_disconnects", st.Disconnects)
+			sec.Field("injected_stalls", st.Stalls)
+			return sec
+		})
+		srv.Start(ctx, o.telemetryAddr)
+	}
 
 	logger.Info("serving stream API", "addr", o.addr, "filter", twitter.FilterPath,
 		"chaos", o.chaos, "loop", o.loop, "rate", o.rate)
-	err := srv.ListenAndServe()
+	err := obs.Serve(ctx, o.addr, rs.Handler(), nil)
 	st := rs.Stats()
 	logger.Info("replay finished",
 		"delivered", st.Delivered, "disconnects", st.Disconnects, "stalls", st.Stalls,
@@ -207,9 +182,6 @@ func run(o options) error {
 		if line, jerr := chaosSummaryJSON(st, rs.Remaining()); jerr == nil {
 			fmt.Println(line)
 		}
-	}
-	if err == http.ErrServerClosed {
-		return nil
 	}
 	return err
 }

@@ -8,9 +8,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"donorsense/internal/obs/trace"
@@ -92,7 +95,7 @@ func (s *Server) SetQueryAPI(h http.Handler) {
 	s.queryAPI.Store(&apiHolder{h: h})
 }
 
-// OnShutdown registers a hook run when ListenAndServe begins its graceful
+// OnShutdown registers a hook run when Start's server begins its graceful
 // shutdown, before in-flight requests are drained — the place a query API
 // flips into 503-with-Retry-After drain mode.
 func (s *Server) OnShutdown(fn func()) {
@@ -257,35 +260,65 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(st)
 }
 
-// ListenAndServe serves the telemetry endpoint on addr until ctx is done,
-// then shuts down gracefully (bounded by a 2s deadline) and logs the
-// final request tallies before returning any terminal serve error.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
+// Start serves the telemetry endpoint on addr in the background until ctx
+// is done: the one telemetry start of every long-running command. The
+// returned channel yields Serve's result once the server has shut down.
+func (s *Server) Start(ctx context.Context, addr string) <-chan error {
+	logger := Logger("telemetry")
+	done := make(chan error, 1)
+	go func() {
+		logger.Info("telemetry listening", "addr", addr)
+		// Flip drain-mode consumers (query API) to 503 first, then let
+		// Shutdown finish the requests already in flight.
+		err := Serve(ctx, addr, s.Handler(), s.runShutdownHooks)
+		if err != nil {
+			logger.Error("telemetry server failed", "err", err)
+		} else {
+			logger.Info("telemetry server stopped",
+				"uptime", time.Since(s.start).Round(time.Second).String(),
+				"scrapes", s.scrapes.Load(), "requests", s.served.Load())
+		}
+		done <- err
+	}()
+	return done
+}
+
+// SignalContext returns a context that SIGINT or SIGTERM cancels: the stop
+// signals of every long-running command, so a Ctrl-C and a container stop
+// both end it gracefully.
+func SignalContext() (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+}
+
+// Serve serves h on addr until ctx is done, then shuts down gracefully:
+// beforeShutdown (when set) runs first, request contexts are cancelled so
+// long-lived streams end, and the requests in flight get a 2s deadline
+// to finish. A clean shutdown returns nil.
+func Serve(ctx context.Context, addr string, h http.Handler, beforeShutdown func()) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	reqCtx, cancelRequests := context.WithCancel(context.Background())
+	defer cancelRequests()
+	srv := &http.Server{Handler: h, BaseContext: func(net.Listener) context.Context { return reqCtx }}
 	done := make(chan struct{})
-	go func() {
+	stop := context.AfterFunc(ctx, func() {
 		defer close(done)
-		<-ctx.Done()
-		// Flip drain-mode consumers (query API) to 503 first, then let
-		// Shutdown finish the requests already in flight.
-		s.runShutdownHooks()
+		if beforeShutdown != nil {
+			beforeShutdown()
+		}
+		cancelRequests()
 		shCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(shCtx)
-	}()
-	err = srv.Serve(ln)
-	<-done
-	Logger("telemetry").Info("telemetry server stopped",
-		"uptime", time.Since(s.start).Round(time.Second).String(),
-		"scrapes", s.scrapes.Load(), "requests", s.served.Load())
-	if err == http.ErrServerClosed {
-		return nil
+	})
+	defer stop()
+	if err = srv.Serve(ln); err != http.ErrServerClosed {
+		return err
 	}
-	return err
+	<-done
+	return nil
 }
 
 // bridgedRegistry is the registry currently published under the

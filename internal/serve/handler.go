@@ -24,7 +24,7 @@ var (
 )
 
 // Handler is the query-API HTTP handler. The unparameterized hot path
-// is: inflight++, one atomic snapshot load, an array-indexed body
+// is: one atomic snapshot load, an array-indexed body
 // lookup, an ETag compare, and a single Write — zero heap allocations
 // and zero lock acquisitions. Everything slower (parameterized renders,
 // error bodies) happens on explicitly cold paths.
@@ -47,8 +47,6 @@ func (h *Handler) SetMetrics(m *Metrics) { h.m = m }
 
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p := h.p
-	p.inflight.Add(1)
-	defer p.inflight.Add(-1)
 
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
@@ -19,9 +18,8 @@ type Publisher struct {
 	seq atomic.Uint64
 
 	// draining flips once at shutdown: new requests get 503+Retry-After
-	// while Drain waits for the in-flight count to reach zero.
+	// while the server's Shutdown finishes the ones in flight.
 	draining atomic.Bool
-	inflight atomic.Int64
 
 	// Request-outcome tallies, owned here (not in obs) so the handler
 	// works lock-free even with no registry attached.
@@ -79,26 +77,6 @@ func (p *Publisher) CacheSize() int {
 // BeginDrain flips the publisher into drain mode: every request from
 // here on answers 503 with Retry-After. Safe to call more than once.
 func (p *Publisher) BeginDrain() { p.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (p *Publisher) Draining() bool { return p.draining.Load() }
-
-// Drain waits until the requests that entered before BeginDrain have
-// finished (or ctx expires). Late arrivals are not waited for — they
-// only ever execute the constant-time 503 path.
-func (p *Publisher) Drain(ctx context.Context) error {
-	for p.inflight.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-	return nil
-}
-
-// Inflight returns the number of requests currently inside the handler.
-func (p *Publisher) Inflight() int64 { return p.inflight.Load() }
 
 // Stats is a point-in-time copy of the request tallies for /statusz.
 type Stats struct {

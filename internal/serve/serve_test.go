@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -360,43 +359,6 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 	if lateCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain request: status %d, want 503", lateCode)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := p.Drain(ctx); err != nil {
-		t.Fatalf("drain with no in-flight requests: %v", err)
-	}
-}
-
-func TestDrainWaitsForInflight(t *testing.T) {
-	p, _ := testPublisher(t, 200, 7)
-	h := NewHandler(p)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	h.testHook = func() {
-		close(entered)
-		<-release
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		get(t, h, "/api/stats")
-	}()
-	<-entered
-	p.BeginDrain()
-
-	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := p.Drain(short); err == nil {
-		t.Fatal("Drain returned while a request was still in flight")
-	}
-	close(release)
-	<-done
-	long, cancel2 := context.WithTimeout(context.Background(), time.Second)
-	defer cancel2()
-	if err := p.Drain(long); err != nil {
-		t.Fatalf("Drain after the request finished: %v", err)
 	}
 }
 
