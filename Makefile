@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test e2e-test examples golden race check chaos-shards trace-smoke vulncheck bench benchcmp bench-userstore bench-userstore-baseline bench-incremental bench-incremental-baseline bench-serve bench-serve-baseline serve-smoke bench-paper fuzz fmt
+.PHONY: all build vet fmt-check test e2e-test examples golden race check trace-smoke vulncheck bench benchcmp bench-userstore bench-userstore-baseline bench-incremental bench-incremental-baseline bench-serve bench-serve-baseline serve-smoke bench-paper fuzz fmt
 
 # Packages on the ingest hot path whose benchmarks are archived and gated.
 BENCH_PKGS = ./internal/pipeline/ ./internal/text/ ./internal/geo/
@@ -57,20 +57,13 @@ race:
 
 check: build vet fmt-check test race
 
-# Multi-shard chaos suite under the race detector: shard crashes, stalls,
-# kill-during-checkpoint-save, cross-session resume, and the merge
-# subcommand — each asserting bit-identical statistics against a
-# single-process reference run.
-chaos-shards:
-	$(GO) test -race -count=1 -run 'Shard|Merge' ./internal/pipeline/ ./internal/twitter/ ./cmd/donorsense/
-
-# End-to-end tracing smoke: a short sharded collect at 100% sampling must
-# yield complete per-tweet waterfalls (stream read → decode → extract →
-# geocode → fold → checkpoint) on /debug/traces, with shard+incarnation
-# attribution — including across an injected shard kill — and a /statusz
-# page reporting every shard.
+# End-to-end tracing smoke: a short collect -checkpoint at 100% sampling
+# must yield complete per-tweet waterfalls (stream read → decode →
+# extract → geocode → fold) on /debug/traces, continued by a
+# checkpoint.save span, while the span ring survives a concurrent
+# write/read stress.
 trace-smoke:
-	$(GO) test -race -count=1 -run 'TraceSmokeWaterfall|SupervisorTraceIncarnation|RingRaceStress' ./cmd/donorsense/ ./internal/pipeline/ ./internal/obs/trace/
+	$(GO) test -race -count=1 -run 'TraceSmokeWaterfall|RingRaceStress' ./cmd/donorsense/ ./internal/obs/trace/
 
 # Known-vulnerability scan of the module graph (stdlib-only, so findings
 # would come from the toolchain itself). Skips with a notice when the

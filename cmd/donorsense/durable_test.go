@@ -82,20 +82,18 @@ func TestCollectThroughChaosMatchesCleanRun(t *testing.T) {
 }
 
 // TestCollectRejectsNonPositiveCheckpointEvery: with -checkpoint, an
-// interval of zero or less is a flag error in both modes. Accepted, it
-// made the single-shard fold save after every chunk, turned into 30 s
-// under -shards, and left /healthz reporting a stale checkpoint forever.
+// interval of zero or less is a flag error. Accepted, it made the fold
+// save after every chunk and left /healthz reporting a stale checkpoint
+// forever.
 func TestCollectRejectsNonPositiveCheckpointEvery(t *testing.T) {
 	corpus := durableCorpus()[:50]
-	for _, shards := range []string{"1", "2"} {
-		for _, every := range []string{"0", "-1s"} {
-			srv := httptest.NewServer(twitter.NewReplayServer(corpus, twitter.ReplayConfig{}).Handler())
-			err := cmdCollect(collectArgs(srv.URL, "-shards", shards, "-progress-every", "0",
-				"-checkpoint", filepath.Join(t.TempDir(), "state.ckpt"), "-checkpoint-every", every))
-			srv.Close()
-			if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
-				t.Errorf("-shards %s -checkpoint-every %s: err = %v, want a flag error", shards, every, err)
-			}
+	for _, every := range []string{"0", "-1s"} {
+		srv := httptest.NewServer(twitter.NewReplayServer(corpus, twitter.ReplayConfig{}).Handler())
+		err := cmdCollect(collectArgs(srv.URL, "-progress-every", "0",
+			"-checkpoint", filepath.Join(t.TempDir(), "state.ckpt"), "-checkpoint-every", every))
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
+			t.Errorf("-checkpoint-every %s: err = %v, want a flag error", every, err)
 		}
 	}
 }
@@ -188,5 +186,57 @@ func TestCollectWorkersThroughChaosMatchesCleanRun(t *testing.T) {
 
 	if got, want := statsSection(t, parallelOut), statsSection(t, cleanOut); got != want {
 		t.Errorf("parallel chaos-run statistics differ from sequential fault-free run:\n--- workers=4 chaos ---\n%s\n--- sequential clean ---\n%s", got, want)
+	}
+}
+
+// TestCollectResumeFromBackupIsReported: when the primary checkpoint
+// fails its checksum, collect resumes from the .bak backup beside it,
+// and says so: a warning in the /statusz errors section and one count
+// on donorsense_checkpoint_fallbacks_total.
+func TestCollectResumeFromBackupIsReported(t *testing.T) {
+	corpus := matchedCorpus()
+	backup := processAll(corpus[:len(corpus)/2])
+	ckpt := filepath.Join(t.TempDir(), "state.ckpt")
+	// Two saves leave the first one as the .bak backup.
+	for i := 0; i < 2; i++ {
+		if err := backup.SaveCheckpoint(ckpt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff // a payload byte: the checksum fails
+	if err := os.WriteFile(ckpt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	pages := collectWithTelemetry(t, "-checkpoint", ckpt)
+	if !strings.Contains(pages.metrics, "\ndonorsense_checkpoint_fallbacks_total 1\n") {
+		t.Errorf("/metrics does not count one checkpoint fallback")
+	}
+	warned := false
+	for _, sec := range pages.status.Sections {
+		if sec.Name != "errors" || sec.Table == nil {
+			continue
+		}
+		for _, row := range sec.Table.Rows {
+			warned = warned || (row[1] == "WARN" && strings.Contains(row[2], "resumed from its backup"))
+		}
+	}
+	if !warned {
+		t.Errorf("/statusz errors section has no fallback warning")
+	}
+
+	// The collect resumed from the backup: its counters carry on from
+	// the backup's.
+	got, err := pipeline.LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := backup.Stats().TotalCollected + processAll(corpus).Stats().TotalCollected
+	if n := got.Stats().TotalCollected; n != want {
+		t.Errorf("tweets collected after resume = %d, want %d", n, want)
 	}
 }

@@ -84,8 +84,8 @@ func usage() {
 commands:
   generate   synthesize a tweet corpus to NDJSON
   analyze    analyze an NDJSON corpus and print the paper's tables/figures
-  collect    consume a stream server, then analyze (-shards N for sharded mode)
-  merge      merge the shard checkpoints of a sharded run and analyze
+  collect    consume a stream server, then analyze
+  merge      merge the shard checkpoints of an earlier sharded run and analyze
   keywords   print the Figure 1 keyword product (Stream API track syntax)
   replay     serve an NDJSON corpus over the Stream API protocol
   serve      expose a checkpoint's analysis as the /api query endpoints
@@ -308,16 +308,16 @@ func cmdAnalyze(args []string) error {
 	return analyzeDataset(d, nil, cfg, series, *exportDir)
 }
 
-// collector is the collect subcommand: its flags and the scaffold both
-// fold sinks share — the stream client, the tracer and the telemetry
-// registry.
+// collector is the collect subcommand: its flags, the stream client,
+// the tracer and the telemetry registry, and the dataset the stream
+// folds into through CollectParallel, with its periodic checkpoint and,
+// with -report-every, the live step that refreshes the analysis and,
+// with -serve, publishes it.
 type collector struct {
 	url                              string
 	maxTweets, k, sil, workers       int
 	sweep, checkpoint, telemetryAddr string
 	checkpointEvery, reportEvery     time.Duration
-	shards, shardBuffer              int
-	heartbeatTimeout, restartBackoff time.Duration
 	stallTimeout, backoff, rlBackoff time.Duration
 	serveAPI                         bool
 	serveTop                         int
@@ -332,25 +332,17 @@ type collector struct {
 	logger        *slog.Logger
 	tracer        *trace.Tracer // nil without -trace-sample
 	client        *twitter.StreamClient
-	relayed       atomic.Int64  // tweets relayed to the sink so far
+	relayed       atomic.Int64  // tweets relayed to the fold so far
 	reg           *obs.Registry // nil without -telemetry-addr
 	engineCfg     report.AnalysisConfig
 	engineMetrics *report.EngineMetrics
-}
 
-// collectSink is the one part of collect that differs between the
-// modes: where the relayed stream is folded.
-type collectSink interface {
-	// telemetry registers the mode's /statusz sections and health checks,
-	// and returns the extra lines of the memory section (nil for none).
-	telemetry(srv *obs.Server) func(sec *obs.StatusSection)
-	// fold consumes tweets until the relay closes the channel.
-	fold(ctx context.Context, tweets <-chan twitter.Tweet) error
-	// flush makes what was folded durable.
-	flush() error
-	// result returns the dataset to analyse and, when one ran live, its
-	// engine.
-	result() (*pipeline.Dataset, *report.Engine, error)
+	d       *pipeline.Dataset
+	metrics *pipeline.Metrics // nil without telemetry
+	live    *serve.Live       // nil without -report-every; its Publisher is nil without -serve
+	// lastSave is the UnixNano of the last checkpoint save (0 = never),
+	// read by the telemetry goroutine while the fold goroutine writes it.
+	lastSave atomic.Int64
 }
 
 func cmdCollect(args []string) error {
@@ -364,11 +356,7 @@ func cmdCollect(args []string) error {
 	fs.IntVar(&c.workers, "workers", 1, "extract/geocode goroutines for live collection (0 = GOMAXPROCS); any count folds the same dataset")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint file: load on start (if present), save periodically and on shutdown")
 	fs.DurationVar(&c.checkpointEvery, "checkpoint-every", 30*time.Second, "interval between periodic checkpoint saves")
-	fs.DurationVar(&c.reportEvery, "report-every", 0, "interval between in-flight incremental analysis refreshes (0 = off; single-shard mode only)")
-	fs.IntVar(&c.shards, "shards", 1, "hash-partitioned shard workers; >1 runs the crash-tolerant shard supervisor (-checkpoint becomes the per-shard base path)")
-	fs.IntVar(&c.shardBuffer, "shard-buffer", 8192, "per-shard replay buffer capacity (sharded mode; full buffer = backpressure, not loss)")
-	fs.DurationVar(&c.heartbeatTimeout, "heartbeat-timeout", 30*time.Second, "restart a shard silent for this long with pending work (sharded mode)")
-	fs.DurationVar(&c.restartBackoff, "restart-backoff", 250*time.Millisecond, "initial delay before restarting a crashed shard, doubling per failure (sharded mode)")
+	fs.DurationVar(&c.reportEvery, "report-every", 0, "interval between in-flight incremental analysis refreshes (0 = off)")
 	fs.DurationVar(&c.stallTimeout, "stall-timeout", 90*time.Second, "tear down connections silent for this long")
 	fs.DurationVar(&c.backoff, "backoff", 250*time.Millisecond, "initial reconnect delay (doubles per failure, full jitter)")
 	fs.DurationVar(&c.rlBackoff, "ratelimit-backoff", 60*time.Second, "initial delay after a 420/429 rate limit (doubles per repeat)")
@@ -401,8 +389,6 @@ func cmdCollect(args []string) error {
 			return fmt.Errorf("-serve requires -telemetry-addr (the /api endpoints ride the telemetry mux)")
 		case c.reportEvery <= 0:
 			return fmt.Errorf("-serve requires -report-every > 0 (snapshots publish after each refresh)")
-		case c.shards > 1:
-			return fmt.Errorf("-serve is single-shard only (the incremental engine does not run under -shards)")
 		}
 	}
 	// Tee warn-or-worse records into the /statusz error ring on the way to
@@ -419,8 +405,8 @@ func cmdCollect(args []string) error {
 			Logger:     obs.Logger("trace"),
 		})
 	}
-	// Sampling decisions happen once, at the stream read; the sink's
-	// datasets continue the sampled traces.
+	// Sampling decisions happen once, at the stream read; the dataset
+	// continues the sampled traces.
 	c.client = &twitter.StreamClient{
 		BaseURL:          c.url,
 		StallTimeout:     c.stallTimeout,
@@ -431,28 +417,19 @@ func cmdCollect(args []string) error {
 	if c.telemetryAddr != "" {
 		c.reg = obs.NewRegistry()
 		c.engineMetrics = report.NewEngineMetrics(c.reg)
-	}
-	if c.shards > 1 {
-		cfg.Workers = 1 // the merged dataset is analysed on one worker
+		c.metrics = pipeline.NewMetrics(c.reg)
 	}
 	// Engines refresh without the model-selection sweep: it is a cold
 	// model-selection tool, not a live artifact, so the final analysis
 	// runs it.
 	c.engineCfg = cfg
 	c.engineCfg.SweepKs = nil
-
-	var sink collectSink
-	if c.shards > 1 {
-		sink, err = newShardSink(c)
-	} else {
-		sink, err = newDatasetSink(c)
-	}
-	if err != nil {
+	if err := c.resume(); err != nil {
 		return err
 	}
 
-	// SIGINT and SIGTERM both end collection; the sink's flush below
-	// keeps whatever was gathered before the process exits.
+	// SIGINT and SIGTERM both end collection; the flush below keeps
+	// whatever was gathered before the process exits.
 	ctx, stop := obs.SignalContext()
 	defer stop()
 
@@ -467,8 +444,19 @@ func cmdCollect(args []string) error {
 		}
 		srv.AddHealthCheck("stream", streamHealth(c.client, streamMetrics))
 		srv.AddStatus("stream", streamStatus(c.client, streamMetrics, c.started))
-		memory := sink.telemetry(srv)
-		srv.AddStatus("memory", obs.MemStatsStatusSection(memory))
+		srv.AddHealthCheck("checkpoint", checkpointHealth(c.checkpoint, c.checkpointEvery, c.started, &c.lastSave))
+		srv.AddStatus("checkpoint", checkpointStatus(c.checkpoint, &c.lastSave))
+		srv.AddStatus("analytics", c.live.Status)
+		if c.serveAPI {
+			mountQueryAPI(srv, c.reg, c.live.Publisher)
+		}
+		// The fold goroutine owns the dataset, so the footprint comes from
+		// the userstore gauges it keeps current.
+		srv.AddStatus("memory", obs.MemStatsStatusSection(func(sec *obs.StatusSection) {
+			rows, bytes := c.metrics.StoreSizes()
+			sec.Field("userstore_rows", rows)
+			sec.Field("userstore_bytes", obs.FormatBytes(uint64(bytes)))
+		}))
 		srv.AddStatus("tracing", tracingStatus(c.tracer))
 		srv.AddStatus("errors", errRing.StatusSection)
 		srv.Start(ctx, c.telemetryAddr)
@@ -478,8 +466,8 @@ func cmdCollect(args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- c.client.Filter(ctx, organ.TrackTerms(), tweets) }()
 	// The relay closes its stream at the stream's end, on a signal, or
-	// after exactly -max tweets, and the sink folds to that close.
-	if err := sink.fold(ctx, limitStream(ctx, stop, tweets, c.maxTweets, &c.relayed)); err != nil {
+	// after exactly -max tweets, and the fold runs to that close.
+	if err := c.fold(limitStream(ctx, stop, tweets, c.maxTweets, &c.relayed)); err != nil {
 		return err
 	}
 	streamErr := <-errc
@@ -487,7 +475,7 @@ func cmdCollect(args []string) error {
 		streamErr = nil // a signal or -max ended the stream
 	}
 	// Flush even when the stream died, to keep the data.
-	switch saveErr := sink.flush(); {
+	switch saveErr := c.flush(); {
 	case streamErr != nil && saveErr != nil:
 		return fmt.Errorf("stream: %w (and checkpoint save failed: %v)", streamErr, saveErr)
 	case streamErr != nil:
@@ -502,83 +490,61 @@ func cmdCollect(args []string) error {
 		"rate_limits", cs.RateLimits, "stalls", cs.Stalls,
 		"skipped_lines", cs.SkippedLines, "malformed_lines", cs.MalformedLines)
 
-	d, e, err := sink.result()
-	if err != nil {
-		return err
-	}
-	if d.Users() == 0 {
+	if c.d.Users() == 0 {
 		return fmt.Errorf("no US users collected; nothing to analyze")
 	}
 	// The final analysis is one more refresh of the live engine, or of a
 	// fresh one, so the engine metrics see it too.
+	e := c.live.Engine()
 	if e == nil {
-		e = report.NewEngine(d, c.engineCfg)
+		e = report.NewEngine(c.d, c.engineCfg)
 		e.SetMetrics(c.engineMetrics)
 	}
-	return analyzeDataset(d, e, cfg, nil, "")
+	return analyzeDataset(c.d, e, cfg, nil, "")
 }
 
-// datasetSink folds the stream into one Dataset through CollectParallel,
-// with its periodic checkpoint and, with -report-every, the live step
-// that refreshes the analysis and, with -serve, publishes it.
-type datasetSink struct {
-	*collector
-	d       *pipeline.Dataset
-	metrics *pipeline.Metrics // nil without telemetry
-	live    *serve.Live       // nil without -report-every; its Publisher is nil without -serve
-	// lastSave is the UnixNano of the last checkpoint save (0 = never),
-	// read by the telemetry goroutine while the fold goroutine writes it.
-	lastSave atomic.Int64
-}
-
-func newDatasetSink(c *collector) (*datasetSink, error) {
-	s := &datasetSink{collector: c, d: pipeline.NewDataset()}
+// resume loads the -checkpoint file, when there is one, into the
+// dataset and attaches the tracer, the metrics and the live step. A
+// corrupt primary, or one missing beside a backup, falls back to the
+// .bak backup. That costs everything folded after the backup's save, so
+// it is logged as a warning and counted.
+func (c *collector) resume() error {
+	c.d = pipeline.NewDataset()
 	if c.checkpoint != "" {
-		switch loaded, err := pipeline.LoadCheckpoint(c.checkpoint); {
+		switch loaded, usedBackup, err := pipeline.LoadCheckpointFallback(c.checkpoint); {
+		case err == nil && usedBackup:
+			c.d = loaded
+			c.metrics.CheckpointFallback()
+			c.logger.Warn("checkpoint unreadable; resumed from its backup",
+				"path", c.checkpoint, "backup", pipeline.CheckpointBackupPath(c.checkpoint),
+				"us_tweets", c.d.USTweets(), "users", c.d.Users())
 		case err == nil:
-			s.d = loaded
+			c.d = loaded
 			c.logger.Info("resumed from checkpoint",
-				"path", c.checkpoint, "us_tweets", s.d.USTweets(), "users", s.d.Users())
+				"path", c.checkpoint, "us_tweets", c.d.USTweets(), "users", c.d.Users())
 		case os.IsNotExist(err):
 			c.logger.Info("no checkpoint; starting fresh", "path", c.checkpoint)
 		default:
-			return nil, err
+			return err
 		}
 	}
 	if c.tracer != nil {
-		s.d.SetTracer(c.tracer)
+		c.d.SetTracer(c.tracer)
 	}
-	if c.reg != nil {
-		s.metrics = pipeline.NewMetrics(c.reg)
-		s.d.SetMetrics(s.metrics)
+	if c.metrics != nil {
+		c.d.SetMetrics(c.metrics)
 	}
 	if c.reportEvery > 0 {
-		s.live = &serve.Live{
+		c.live = &serve.Live{
 			Analysis: c.engineCfg, Every: c.reportEvery, Top: c.serveTop,
 			Metrics: c.engineMetrics, Tracer: c.tracer, Logger: c.logger,
 		}
 		if c.serveAPI {
-			s.live.Publisher = serve.NewPublisher()
+			c.live.Publisher = serve.NewPublisher()
 		}
-		s.live.Load(s.d)
+		c.live.Load(c.d)
 	}
-	return s, nil
-}
-
-func (s *datasetSink) telemetry(srv *obs.Server) func(sec *obs.StatusSection) {
-	srv.AddHealthCheck("checkpoint", checkpointHealth(s.checkpoint, s.checkpointEvery, s.started, &s.lastSave))
-	srv.AddStatus("checkpoint", checkpointStatus(s.checkpoint, &s.lastSave))
-	srv.AddStatus("analytics", s.live.Status)
-	if s.serveAPI {
-		mountQueryAPI(srv, s.reg, s.live.Publisher)
-	}
-	// The fold goroutine owns the dataset, so the footprint comes from
-	// the userstore gauges it keeps current.
-	return func(sec *obs.StatusSection) {
-		rows, bytes := s.metrics.StoreSizes()
-		sec.Field("userstore_rows", rows)
-		sec.Field("userstore_bytes", obs.FormatBytes(uint64(bytes)))
-	}
+	return nil
 }
 
 // fold runs CollectParallel: extraction and geocoding fan out across the
@@ -586,14 +552,14 @@ func (s *datasetSink) telemetry(srv *obs.Server) func(sec *obs.StatusSection) {
 // progress line stay on this goroutine, so they read a quiescent
 // dataset. It watches no context of its own: a stop must not strand
 // tweets the relay already passed on.
-func (s *datasetSink) fold(_ context.Context, tweets <-chan twitter.Tweet) error {
+func (c *collector) fold(tweets <-chan twitter.Tweet) error {
 	lastSave, lastProgress := time.Now(), time.Now()
 	savedFolds, lastProgressTweets := 0, int64(0)
 	// One ticker at the shortest of the progress, checkpoint and live
 	// step intervals drives what is due while the stream idles, when no
 	// fold comes along to make it (without -checkpoint, a save is a no-op).
 	var every time.Duration
-	for _, d := range []time.Duration{s.progressEvery, s.checkpointEvery, s.reportEvery} {
+	for _, d := range []time.Duration{c.progressEvery, c.checkpointEvery, c.reportEvery} {
 		if d > 0 && (every == 0 || d < every) {
 			every = d
 		}
@@ -608,57 +574,57 @@ func (s *datasetSink) fold(_ context.Context, tweets <-chan twitter.Tweet) error
 	// save checkpoints when one is due and tweets were folded since the
 	// last save.
 	save := func(folded int) bool {
-		if s.checkpoint == "" || folded == savedFolds || time.Since(lastSave) < s.checkpointEvery {
+		if c.checkpoint == "" || folded == savedFolds || time.Since(lastSave) < c.checkpointEvery {
 			return true
 		}
-		if saveErr = s.flush(); saveErr != nil {
+		if saveErr = c.flush(); saveErr != nil {
 			return false
 		}
 		lastSave, savedFolds = time.Now(), folded
 		return true
 	}
 	// A resumed dataset is published before the first fold.
-	s.live.Tick()
-	s.d.CollectParallel(context.Background(), tweets, pipeline.CollectOptions{
-		Workers: s.workers,
+	c.live.Tick()
+	c.d.CollectParallel(context.Background(), tweets, pipeline.CollectOptions{
+		Workers: c.workers,
 		OnFold: func(n int) bool {
 			if !save(n) {
 				return false
 			}
-			s.live.Tick()
+			c.live.Tick()
 			return true
 		},
 		Ticks: ticks,
 		OnTick: func(n int) {
 			save(n)
-			s.live.Tick()
-			if s.progressEvery <= 0 || time.Since(lastProgress) < s.progressEvery {
+			c.live.Tick()
+			if c.progressEvery <= 0 || time.Since(lastProgress) < c.progressEvery {
 				return
 			}
 			// A periodic one-line pulse — ingest rate, retention, and
 			// checkpoint age — so a multi-day run is never silent.
-			st := s.client.Snapshot()
+			st := c.client.Snapshot()
 			rate := float64(st.Tweets-lastProgressTweets) / time.Since(lastProgress).Seconds()
 			lastProgress, lastProgressTweets = time.Now(), st.Tweets
 			retained := 0.0
-			if s.d.TotalCollected() > 0 {
-				retained = 100 * float64(s.d.USTweets()) / float64(s.d.TotalCollected())
+			if c.d.TotalCollected() > 0 {
+				retained = 100 * float64(c.d.USTweets()) / float64(c.d.TotalCollected())
 			}
 			attrs := []any{
 				"tweets", n,
 				"tweets_per_sec", fmt.Sprintf("%.1f", rate),
 				"retained_pct", fmt.Sprintf("%.1f", retained),
-				"users", s.d.Users(),
+				"users", c.d.Users(),
 				"connects", st.Connects,
 			}
-			if s.checkpoint != "" {
-				if last := s.lastSave.Load(); last > 0 {
+			if c.checkpoint != "" {
+				if last := c.lastSave.Load(); last > 0 {
 					attrs = append(attrs, "checkpoint_age", time.Since(time.Unix(0, last)).Round(time.Second).String())
 				} else {
 					attrs = append(attrs, "checkpoint_age", "never")
 				}
 			}
-			s.logger.Info("progress", attrs...)
+			c.logger.Info("progress", attrs...)
 		},
 	})
 	return saveErr
@@ -666,20 +632,16 @@ func (s *datasetSink) fold(_ context.Context, tweets <-chan twitter.Tweet) error
 
 // flush saves the checkpoint, when there is one, with the live step's
 // clustering warm state in it (v4).
-func (s *datasetSink) flush() error {
-	if s.checkpoint == "" {
+func (c *collector) flush() error {
+	if c.checkpoint == "" {
 		return nil
 	}
-	s.live.SaveWarm()
-	if err := s.d.SaveCheckpoint(s.checkpoint); err != nil {
+	c.live.SaveWarm()
+	if err := c.d.SaveCheckpoint(c.checkpoint); err != nil {
 		return err
 	}
-	s.lastSave.Store(time.Now().UnixNano())
+	c.lastSave.Store(time.Now().UnixNano())
 	return nil
-}
-
-func (s *datasetSink) result() (*pipeline.Dataset, *report.Engine, error) {
-	return s.d, s.live.Engine(), nil
 }
 
 // limitStream relays tweets from in to the returned channel, counting

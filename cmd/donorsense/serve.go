@@ -54,9 +54,14 @@ func cmdServe(args []string) error {
 			return time.Time{}, err
 		}
 		d, usedBackup, err := pipeline.LoadCheckpointFallback(*checkpoint)
-		if err == nil && usedBackup && pub.Current() != nil {
-			// The backup is older than the snapshot served: keep serving that.
-			err = fmt.Errorf("%w; not replacing the served snapshot with the older backup", pipeline.ErrCheckpointCorrupt)
+		if err == nil && usedBackup {
+			if pub.Current() != nil {
+				// The backup is older than the snapshot served: keep serving that.
+				err = fmt.Errorf("%w; not replacing the served snapshot with the older backup", pipeline.ErrCheckpointCorrupt)
+			} else {
+				logger.Warn("checkpoint unreadable; serving its backup",
+					"path", *checkpoint, "backup", pipeline.CheckpointBackupPath(*checkpoint))
+			}
 		}
 		if err != nil {
 			return time.Time{}, fmt.Errorf("load checkpoint: %w", err)

@@ -256,11 +256,6 @@ func TestServeFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "report-every") {
 		t.Errorf("collect -serve without report-every: err = %v", err)
 	}
-	if err := cmdCollect([]string{"-serve", "-telemetry-addr", "127.0.0.1:0",
-		"-report-every", "1s", "-shards", "2"}); err == nil ||
-		!strings.Contains(err.Error(), "single-shard") {
-		t.Errorf("collect -serve with shards: err = %v", err)
-	}
 	if err := cmdServe(nil); err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Errorf("serve without checkpoint: err = %v", err)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"donorsense/internal/obs"
 	"donorsense/internal/obs/trace"
-	"donorsense/internal/pipeline"
 	"donorsense/internal/serve"
 	"donorsense/internal/twitter"
 )
@@ -157,60 +156,5 @@ func checkpointHealth(path string, every time.Duration, started time.Time, lastS
 			return detail, fmt.Errorf("checkpoint stale: last save %s ago", age.Round(time.Second))
 		}
 		return detail, nil
-	}
-}
-
-// shardHealth fails while a shard is down (restarting).
-func shardHealth(sup *pipeline.Supervisor) obs.HealthCheck {
-	return func() (any, error) {
-		detail := map[string]any{}
-		down := 0
-		for _, st := range sup.Status() {
-			detail[fmt.Sprintf("shard_%d", st.Shard)] = map[string]any{
-				"live": st.Live, "done": st.Done,
-				"restarts": st.Restarts, "stalls": st.Stalls,
-				"buffer_depth": st.BufferDepth,
-			}
-			if !st.Live && !st.Done {
-				down++
-			}
-		}
-		if down > 0 {
-			return detail, fmt.Errorf("%d shard(s) down (restarting)", down)
-		}
-		return detail, nil
-	}
-}
-
-// shardStatusSection renders the supervisor's per-shard health table.
-func shardStatusSection(sup *pipeline.Supervisor) func() obs.StatusSection {
-	return func() obs.StatusSection {
-		status := sup.Status()
-		live, restarts := 0, 0
-		tbl := &obs.StatusTable{Columns: []string{
-			"shard", "state", "incarnation", "restarts", "stalls", "buffer", "heartbeat_age",
-		}}
-		for _, st := range status {
-			state := "down"
-			switch {
-			case st.Done:
-				state = "done"
-			case st.Live:
-				state = "live"
-				live++
-			}
-			restarts += st.Restarts
-			tbl.Rows = append(tbl.Rows, []string{
-				fmt.Sprint(st.Shard), state,
-				fmt.Sprint(st.Incarnation), fmt.Sprint(st.Restarts), fmt.Sprint(st.Stalls),
-				fmt.Sprint(st.BufferDepth), st.HeartbeatAge.Round(time.Millisecond).String(),
-			})
-		}
-		var sec obs.StatusSection
-		sec.Field("shards", len(status))
-		sec.Field("live", live)
-		sec.Field("restarts", restarts)
-		sec.Table = tbl
-		return sec
 	}
 }

@@ -75,7 +75,7 @@ func TestTelemetryMatchesInjectedChaosFaults(t *testing.T) {
 		InitialBackoff:   2 * time.Millisecond,
 		MaxBackoff:       8 * time.Millisecond,
 		RateLimitBackoff: time.Millisecond,
-		StallTimeout:     150 * time.Millisecond,
+		StallTimeout:     500 * time.Millisecond,
 		HealthyTweets:    20,
 	}
 	twitter.NewStreamMetrics(reg).Instrument(reg, client)
@@ -116,24 +116,6 @@ func TestTelemetryMatchesInjectedChaosFaults(t *testing.T) {
 	live.Load(d)
 	if err := live.Step(); err != nil {
 		t.Fatalf("live step: %v", err)
-	}
-
-	// A minimal sharded run + merge so the supervisor and merge families
-	// are live in the same exposition.
-	sup, err := pipeline.NewSupervisor(pipeline.SupervisorConfig{
-		Shards:  2,
-		Metrics: pipeline.NewShardMetrics(reg),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardIn := make(chan twitter.Tweet)
-	close(shardIn)
-	if err := sup.Run(ctx, shardIn); err != nil {
-		t.Fatalf("supervisor Run: %v", err)
-	}
-	if _, err := sup.Merged(); err != nil {
-		t.Fatalf("Merged: %v", err)
 	}
 
 	osrv := obs.NewServer(reg)
@@ -236,12 +218,7 @@ func TestTelemetryMatchesInjectedChaosFaults(t *testing.T) {
 		"donorsense_geo_resolutions_total",
 		"donorsense_pipeline_usa_filter_total",
 		"donorsense_checkpoint_save_seconds",
-		`donorsense_shard_restarts_total{shard="0"}`,
-		`donorsense_shard_buffer_depth{shard="1"}`,
-		"donorsense_shard_heartbeat_age_seconds",
-		"donorsense_shard_buffer_full_total",
 		"donorsense_checkpoint_fallbacks_total",
-		"donorsense_merge_seconds",
 		"donorsense_analytics_refresh_seconds",
 		"donorsense_analytics_epoch",
 		"donorsense_analytics_dirty_rows",
@@ -252,11 +229,6 @@ func TestTelemetryMatchesInjectedChaosFaults(t *testing.T) {
 		if !strings.Contains(body, must) {
 			t.Errorf("family %s missing from exposition", must)
 		}
-	}
-
-	// The mini sharded run registered one merge.
-	if series["donorsense_merges_total"] != 1 {
-		t.Errorf("merges_total = %g, want 1", series["donorsense_merges_total"])
 	}
 
 	// The analytics engine observed exactly one (cold) refresh.

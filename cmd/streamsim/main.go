@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"time"
 
 	"donorsense/internal/gen"
@@ -50,7 +49,6 @@ func main() {
 	flag.Float64Var(&o.serverErr, "servererr", 0.02, "chaos: per-connection probability of a 503 response")
 	flag.DurationVar(&o.retryAfter, "retry-after", 2*time.Second, "chaos: Retry-After advertised on 420/503 responses")
 	flag.StringVar(&o.telemetryAddr, "telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof on this address (empty = off)")
-	flag.IntVar(&o.shards, "shards", 0, "preview the corpus load split a `collect -shards N` run would see (0 = off)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -71,7 +69,6 @@ type options struct {
 	rateLimit           float64
 	serverErr           float64
 	retryAfter          time.Duration
-	shards              int
 }
 
 // replayConfig maps the flags onto the replay server's config; the fault
@@ -88,27 +85,6 @@ func (o options) replayConfig() twitter.ReplayConfig {
 	return cfg
 }
 
-// shardDistribution computes the per-shard tweet counts a sharded
-// collector (`collect -shards N`) would see for this corpus, registers
-// them as donorsense_sim_shard_tweets{shard} gauges, and logs the split
-// — a load-balance preview before committing to a shard count.
-func shardDistribution(reg *obs.Registry, tweets []twitter.Tweet, shards int) []int {
-	if shards <= 1 {
-		return nil
-	}
-	counts := make([]int, shards)
-	for i := range tweets {
-		counts[twitter.ShardIndex(tweets[i].User.ID, shards)]++
-	}
-	g := reg.GaugeVec("donorsense_sim_shard_tweets",
-		"Corpus tweets per collector shard (user-id hash split previewing collect -shards N).", "shard")
-	for s, c := range counts {
-		g.With(strconv.Itoa(s)).Set(float64(c))
-	}
-	obs.Logger("streamsim").Info("shard load split", "shards", shards, "tweets_per_shard", fmt.Sprint(counts))
-	return counts
-}
-
 // newReplay synthesizes the corpus and builds the replay server over it,
 // registering the simulator's metric families on reg.
 func newReplay(o options, reg *obs.Registry) (*twitter.ReplayServer, []twitter.Tweet) {
@@ -120,7 +96,6 @@ func newReplay(o options, reg *obs.Registry) (*twitter.ReplayServer, []twitter.T
 	logger.Info("corpus ready", "tweets", len(corpus.Tweets), "users", len(corpus.Profiles))
 
 	rs := twitter.NewReplayServer(corpus.Tweets, o.replayConfig())
-	shardDistribution(reg, corpus.Tweets, o.shards)
 	chaosMetrics(reg, rs)
 	reg.Gauge("donorsense_sim_corpus_tweets", "Tweets in the replayed corpus.").
 		Set(float64(len(corpus.Tweets)))

@@ -55,44 +55,6 @@ func TestChaosSummaryJSON(t *testing.T) {
 	}
 }
 
-// TestShardDistribution: the preview must account for every corpus
-// tweet, agree with the collector's routing hash, and register one gauge
-// series per shard.
-func TestShardDistribution(t *testing.T) {
-	tweets := make([]twitter.Tweet, 500)
-	for i := range tweets {
-		tweets[i] = twitter.Tweet{ID: int64(i), User: twitter.User{ID: int64(i % 53)}}
-	}
-	reg := obs.NewRegistry()
-	counts := shardDistribution(reg, tweets, 4)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(tweets) {
-		t.Errorf("shard counts sum to %d, want %d", total, len(tweets))
-	}
-	for i := range tweets {
-		s := twitter.ShardIndex(tweets[i].User.ID, 4)
-		if s < 0 || s >= len(counts) {
-			t.Fatalf("routing hash out of range: %d", s)
-		}
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 4; s++ {
-		want := fmt.Sprintf(`donorsense_sim_shard_tweets{shard="%d"} %d`, s, counts[s])
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	if shardDistribution(reg, tweets, 0) != nil || shardDistribution(reg, tweets, 1) != nil {
-		t.Error("shards <= 1 must be a no-op")
-	}
-}
-
 // TestReplayDeliversEveryMatchingTweet serves a small corpus through the
 // command's one construction path, clean and with -chaos. The fault
 // flags are set in both runs but reach the server only with -chaos, and

@@ -11,9 +11,8 @@ import (
 // /statusz is the collector's one-page live status: where /metrics is a
 // firehose for scrapers, /statusz is the page an operator reads to
 // answer "is the run healthy right now?" in one glance — uptime, build,
-// per-shard supervision, ingest progress, checkpoint freshness, and the
-// recent-error ring. It renders as aligned text by default and as JSON
-// with ?format=json.
+// ingest progress, checkpoint freshness, and the recent-error ring. It
+// renders as aligned text by default and as JSON with ?format=json.
 
 // StatusField is one "key: value" line of a section.
 type StatusField struct {
@@ -22,7 +21,7 @@ type StatusField struct {
 }
 
 // StatusTable is an optional aligned table inside a section (e.g. one
-// row per shard).
+// row per recent warning).
 type StatusTable struct {
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`

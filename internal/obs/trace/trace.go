@@ -2,8 +2,7 @@
 // the metrics registry and structured logs: cheap sampled spans that
 // attribute latency per tweet and per stage across the whole data path —
 // stream read → wire decode → organ extraction → geocode → in-order fold
-// → checkpoint save — including per-shard attribution and restart
-// incarnations under the shard supervisor.
+// → checkpoint save.
 //
 // The design is built for a hot path that must stay allocation-free when
 // sampling is off:

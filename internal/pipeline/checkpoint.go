@@ -83,8 +83,7 @@ type checkpointStateV4 struct {
 	OrgansPerTweet map[int]int
 	LocCache       map[string]geo.Location
 	// Cursor is the feeding layer's stream position at snapshot time (see
-	// Dataset.SetCursor); the shard supervisor's replay skip depends on
-	// it surviving the round-trip.
+	// Dataset.SetCursor), kept so the format stays byte for byte v4.
 	Cursor uint64
 	// Analytics is the report engine's opaque clustering warm-start blob
 	// (Dataset.SetAnalyticsState) — new in v4; nil when no engine has run
@@ -254,9 +253,9 @@ func readPayload(r io.Reader, length, sizeHint int64) ([]byte, error) {
 // SaveCheckpoint keeps beside path.
 func CheckpointBackupPath(path string) string { return path + ".bak" }
 
-// ShardCheckpointPath returns the checkpoint path of one collection
-// shard: "<base>-shard-<i>". Every shard owns its file; nothing is
-// shared between shards.
+// ShardCheckpointPath returns the checkpoint path of one shard of an
+// earlier sharded collection: "<base>-shard-<i>". `donorsense merge`
+// reads these files to fold them into one checkpoint.
 func ShardCheckpointPath(base string, shard int) string {
 	return fmt.Sprintf("%s-shard-%d", base, shard)
 }
@@ -276,7 +275,7 @@ func (d *Dataset) SaveCheckpoint(path string) (err error) {
 	// previous save, completing that tweet's waterfall through to
 	// durability. The pending context is consumed either way so the next
 	// save doesn't re-parent onto an already-covered trace.
-	if sp := d.startSpan("checkpoint.save", d.pendingTrace); sp != nil {
+	if sp := d.tracer.StartChild("checkpoint.save", d.pendingTrace); sp != nil {
 		defer func() {
 			sp.SetInt("bytes", written.n)
 			if err != nil {

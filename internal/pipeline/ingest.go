@@ -61,7 +61,7 @@ func (d *Dataset) prepare(ex *text.Extractor, t *twitter.Tweet) prepared {
 	if timed {
 		t0 = time.Now()
 	}
-	sp := d.startSpan("ingest.extract", t.TraceCtx)
+	sp := d.tracer.StartChild("ingest.extract", t.TraceCtx)
 	p.ex = ex.Extract(t.Text)
 	sp.End()
 	if timed {
@@ -73,7 +73,7 @@ func (d *Dataset) prepare(ex *text.Extractor, t *twitter.Tweet) prepared {
 	if timed {
 		t0 = time.Now()
 	}
-	sp = d.startSpan("ingest.locate", t.TraceCtx)
+	sp = d.tracer.StartChild("ingest.locate", t.TraceCtx)
 	p.loc, p.viaGeoTag = d.locate(t)
 	if sp != nil {
 		sp.SetAttr("resolved", p.loc.String())
@@ -96,7 +96,7 @@ func (d *Dataset) fold(t *twitter.Tweet, p *prepared) Outcome {
 	if o == Rejected {
 		return o
 	}
-	fsp := d.startSpan("ingest.fold", t.TraceCtx)
+	fsp := d.tracer.StartChild("ingest.fold", t.TraceCtx)
 	d.totalCollected++
 	if o == CollectedUS {
 		d.usTweets++

@@ -5,11 +5,11 @@ import (
 	"donorsense/internal/userstore"
 )
 
-// Merge folds the state of another dataset into this one. It is the
-// combine step of sharded collection: N shard collectors each build a
-// Dataset over their hash-partition of the stream, and merging the shard
-// outputs (in any order, any grouping) yields statistics bit-identical
-// to one process consuming the whole stream.
+// Merge folds the state of another dataset into this one. Datasets
+// built over a user-id partition of one stream — the shard checkpoints
+// of an earlier sharded run, which `donorsense merge` reads — merge (in
+// any order, any grouping) into statistics bit-identical to one process
+// consuming the whole stream.
 //
 // The fold is associative and commutative:
 //
@@ -17,8 +17,8 @@ import (
 //     Figure 2(b) histogram are key-wise sums.
 //   - The collection window is min(firstTweet) / max(lastTweet).
 //   - Per-user records for distinct user ids are unioned. When the same
-//     user id appears on both sides (impossible under user-id hash
-//     partitioning, but Merge does not assume it), the counts sum and
+//     user id appears on both sides (impossible under a user-id
+//     partition, but Merge does not assume it), the counts sum and
 //     the identity fields (StateCode, GeoTagged) follow the record with
 //     the earlier first retained tweet — ties broken by smaller first
 //     tweet id, then lexicographic StateCode, then GeoTagged false

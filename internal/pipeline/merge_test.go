@@ -8,16 +8,17 @@ import (
 	"donorsense/internal/twitter"
 )
 
-// shardDatasets partitions the corpus by user-id hash — exactly how the
-// shard supervisor routes — and folds each partition into its own
-// dataset.
-func shardDatasets(tweets []twitter.Tweet, n int) []*Dataset {
+// partitionByUser splits the tweets into n parts by user id, so every
+// tweet of one user lands in the same part, and folds each part into its
+// own dataset. Merge must hold for any user partition; a modulo split
+// is the simplest one.
+func partitionByUser(tweets []twitter.Tweet, n int) []*Dataset {
 	parts := make([]*Dataset, n)
 	for i := range parts {
 		parts[i] = NewDataset()
 	}
 	for _, tw := range tweets {
-		parts[twitter.ShardIndex(tw.User.ID, n)].Process(tw)
+		parts[uint64(tw.User.ID)%uint64(n)].Process(tw)
 	}
 	return parts
 }
@@ -45,8 +46,8 @@ func assertUsersEqual(t *testing.T, got, want *Dataset) {
 }
 
 // TestMergeShardedEqualsSequential is the associativity/commutativity
-// property test: split the shared corpus across 2–8 shards by user-id
-// hash, merge the shard datasets in several shuffled orders, and require
+// property test: split the shared corpus across 2–8 parts by user id,
+// merge the part datasets in several shuffled orders, and require
 // every merge order to reproduce the single-process dataset exactly —
 // statistics and per-user records alike.
 func TestMergeShardedEqualsSequential(t *testing.T) {
@@ -54,7 +55,7 @@ func TestMergeShardedEqualsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for shards := 2; shards <= 8; shards++ {
 		for trial := 0; trial < 3; trial++ {
-			parts := shardDatasets(tweets, shards)
+			parts := partitionByUser(tweets, shards)
 			order := rng.Perm(shards)
 			merged := parts[order[0]]
 			for _, i := range order[1:] {
@@ -70,7 +71,7 @@ func TestMergeShardedEqualsSequential(t *testing.T) {
 // over 8 shards) — the grouping a hierarchical reducer would use — and
 // requires the same result as any flat fold.
 func TestMergeTreeGrouping(t *testing.T) {
-	parts := shardDatasets(sharedCorpus.Tweets, 8)
+	parts := partitionByUser(sharedCorpus.Tweets, 8)
 	for len(parts) > 1 {
 		next := parts[:0]
 		for i := 0; i+1 < len(parts); i += 2 {

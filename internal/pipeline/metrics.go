@@ -39,11 +39,12 @@ type Metrics struct {
 	userstoreRows  *obs.Gauge
 	userstoreBytes *obs.Gauge
 
-	ckptSaves   *obs.Counter
-	ckptErrors  *obs.Counter
-	ckptSeconds *obs.Histogram
-	ckptBytes   *obs.Gauge
-	ckptLast    *obs.Gauge
+	ckptSaves     *obs.Counter
+	ckptErrors    *obs.Counter
+	ckptSeconds   *obs.Histogram
+	ckptBytes     *obs.Gauge
+	ckptLast      *obs.Gauge
+	ckptFallbacks *obs.Counter
 }
 
 // NewMetrics registers the pipeline metric families on reg.
@@ -87,6 +88,16 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Size of the last published checkpoint snapshot."),
 		ckptLast: reg.Gauge("donorsense_checkpoint_last_save_timestamp_seconds",
 			"Unix time of the last successful checkpoint save."),
+		ckptFallbacks: reg.Counter("donorsense_checkpoint_fallbacks_total",
+			"Checkpoint loads that fell back to the last-good .bak snapshot."),
+	}
+}
+
+// CheckpointFallback counts one checkpoint load that LoadCheckpointFallback
+// restored from the .bak backup. A nil m counts nothing.
+func (m *Metrics) CheckpointFallback() {
+	if m != nil {
+		m.ckptFallbacks.Inc()
 	}
 }
 

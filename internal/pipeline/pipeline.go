@@ -122,11 +122,9 @@ type Dataset struct {
 
 	firstTweet, lastTweet time.Time
 
-	// cursor is an opaque stream position owned by the feeding layer: the
-	// shard supervisor stores the sequence number of the last folded
-	// tweet here so a checkpointed shard knows exactly how far into its
-	// routed stream the snapshot reaches. The dataset itself never
-	// interprets it.
+	// cursor is an opaque stream position owned by the feeding layer,
+	// persisted in checkpoints (shard checkpoints of earlier sharded runs
+	// carry one; Merge resets it). The dataset itself never interprets it.
 	cursor uint64
 
 	// organsPerTweet[k] = number of US tweets mentioning exactly k
@@ -144,14 +142,11 @@ type Dataset struct {
 	metrics *Metrics
 
 	// tracer, when non-nil (SetTracer), continues sampled tweets' traces
-	// through the processing stages; traceShard/traceIncarnation
-	// (SetTraceScope) tag those spans with supervisor attribution.
-	// pendingTrace is the last sampled tweet folded since the previous
-	// checkpoint — the parent for the next checkpoint.save span.
-	tracer           *trace.Tracer
-	traceShard       string
-	traceIncarnation int64
-	pendingTrace     trace.SpanContext
+	// through the processing stages. pendingTrace is the last sampled
+	// tweet folded since the previous checkpoint — the parent for the next
+	// checkpoint.save span.
+	tracer       *trace.Tracer
+	pendingTrace trace.SpanContext
 
 	// analytics is the report engine's opaque warm-start blob
 	// (SetAnalyticsState), persisted in v4 checkpoints so a restarted
@@ -229,8 +224,7 @@ func (d *Dataset) locate(t *twitter.Tweet) (loc geo.Location, viaGeoTag bool) {
 func (d *Dataset) Cursor() uint64 { return d.cursor }
 
 // SetCursor records an opaque stream position to be persisted with the
-// next checkpoint. The shard supervisor calls it after every fold so
-// crash recovery can replay exactly the tweets the snapshot misses.
+// next checkpoint.
 func (d *Dataset) SetCursor(c uint64) { d.cursor = c }
 
 // Users returns the number of retained US users.

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"donorsense/internal/organ"
-	"donorsense/internal/twitter"
 )
 
 // Satellite coverage for the per-state bitset indices: the per-state
 // user counts and organ sums EachStateSlice reads off the bitset words
 // must equal a brute-force sweep over every user record, on randomized
 // datasets and — because deletes swap rows and merges rewrite identity
-// fields — after merging shards and honoring delete notices.
+// fields — after merging user partitions and honoring delete notices.
 
 type stateSliceOracle struct {
 	users    map[string]int
@@ -62,7 +61,7 @@ func assertStateSlicesMatch(t *testing.T, label string, d *Dataset) {
 }
 
 // TestStateSlicesMatchBruteForce runs the bitset-vs-oracle comparison on
-// randomized datasets: random tweet windows, then a shard merge,
+// randomized datasets: random tweet windows, then a user-partition merge,
 // re-checking after each phase.
 func TestStateSlicesMatchBruteForce(t *testing.T) {
 	tweets := sharedCorpus.Tweets
@@ -78,17 +77,9 @@ func TestStateSlicesMatchBruteForce(t *testing.T) {
 		}
 		assertStateSlicesMatch(t, "collected", d)
 
-		// Phase 2: merge in a freshly-collected shard partition of the
+		// Phase 2: merge in a freshly-collected user partition of the
 		// remaining tweets (identity rewrites move rows between bitsets).
-		const shards = 3
-		parts := make([]*Dataset, shards)
-		for i := range parts {
-			parts[i] = NewDataset()
-		}
-		for _, tw := range tweets[hi:] {
-			parts[twitter.ShardIndex(tw.User.ID, shards)].Process(tw)
-		}
-		for _, p := range parts {
+		for _, p := range partitionByUser(tweets[hi:], 3) {
 			d.Merge(p)
 		}
 		assertStateSlicesMatch(t, "post-merge", d)

@@ -14,28 +14,6 @@ import "donorsense/internal/obs/trace"
 // starts; the tracer itself is safe for the parallel workers to share.
 func (d *Dataset) SetTracer(t *trace.Tracer) { d.tracer = t }
 
-// SetTraceScope labels every span this dataset starts with its shard and
-// restart incarnation, so a waterfall read off /debug/traces attributes
-// each stage to the shard — and the specific incarnation — that ran it.
-// The shard supervisor calls this after every restore, before processing
-// resumes. An empty shard clears the scope.
-func (d *Dataset) SetTraceScope(shard string, incarnation int) {
-	d.traceShard = shard
-	d.traceIncarnation = int64(incarnation)
-}
-
-// startSpan starts a stage span parented on a tweet's trace context,
-// tagged with the dataset's shard scope. Returns nil (free) when the
-// tweet is unsampled or no tracer is attached.
-func (d *Dataset) startSpan(name string, parent trace.SpanContext) *trace.Span {
-	sp := d.tracer.StartChild(name, parent)
-	if sp != nil && d.traceShard != "" {
-		sp.SetAttr("shard", d.traceShard)
-		sp.SetInt("incarnation", d.traceIncarnation)
-	}
-	return sp
-}
-
 // endFold finishes a fold span and remembers the folded tweet's trace so
 // the next checkpoint save can parent onto it — extending the waterfall
 // from stream read all the way into durability. Folding is

@@ -18,7 +18,7 @@ import (
 // Table I, the Figure 2 histograms, the attention matrix, the state
 // signatures, the relative risks, and the cluster assignments — must be
 // bit-identical to the oracle's, across sequential, -workers, and
-// -shards runs.
+// user-partitioned merged runs.
 
 // mapStoreOracle replays the pre-columnar Dataset fold over a tweet
 // stream.
@@ -287,8 +287,8 @@ func assertMatchesOracle(t *testing.T, label string, d *Dataset, o *mapStoreOrac
 }
 
 // TestColumnarMatchesMapOracle runs the full differential suite in the
-// three execution modes the acceptance criteria name: sequential,
-// parallel workers, and a ≥4-shard partition merged in shuffled orders.
+// three execution modes: sequential, parallel workers, and a 4-part user
+// partition merged in shuffled orders.
 func TestColumnarMatchesMapOracle(t *testing.T) {
 	tweets := sharedCorpus.Tweets
 	oracle := newMapStoreOracle()
@@ -311,15 +311,9 @@ func TestColumnarMatchesMapOracle(t *testing.T) {
 		// Merge in several shuffled orders; every order must match.
 		for seed := int64(0); seed < 3; seed++ {
 			order := rand.New(rand.NewSource(seed)).Perm(shards)
-			// Re-shard: Merge consumes its argument's store, so each
-			// round rebuilds the shard datasets.
-			round := make([]*Dataset, shards)
-			for i := range round {
-				round[i] = NewDataset()
-			}
-			for _, tw := range tweets {
-				round[twitter.ShardIndex(tw.User.ID, shards)].Process(tw)
-			}
+			// Merge consumes its argument's store, so each round
+			// rebuilds the partition.
+			round := partitionByUser(tweets, shards)
 			merged := round[order[0]]
 			for _, i := range order[1:] {
 				merged.Merge(round[i])
