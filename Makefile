@@ -181,8 +181,9 @@ bench-serve:
 	$(GO) run ./cmd/benchjson -in /tmp/benchcmp_serve_new.txt -out /tmp/benchcmp_serve_new.json
 	$(GO) run ./cmd/benchjson -threshold 25 -compare BENCH_serve.json /tmp/benchcmp_serve_new.json
 
-# Live serving smoke: build the binaries, start a replayed stream and a
-# collect -serve -checkpoint consumer, poll the query API to 200, assert
+# Live serving smoke: build the binaries, start a replayed stream with
+# light injected faults and a collect -serve -checkpoint consumer with
+# fast reconnects, poll the query API to 200, assert
 # a 304 revalidation, then drive cmd/queryload against it for 5 seconds
 # in strict mode (any transport error or non-200/304 status fails). Once
 # the collector stops, donorsense serve over its checkpoint gets the same
@@ -194,8 +195,8 @@ serve-smoke:
 
 # Every input the program reads from outside, fuzzed for 30s per target
 # (name:package): the wire codec against the encoding/json oracle, the
-# NDJSON corpus reader, the tokenizer and organ extractor (the fast
-# matcher against the full extraction), the geocoder and ZIP lookup (the
+# NDJSON corpus reader, the tokenizer and organ extractor (the
+# allocation-free extractor against its reference), the geocoder and ZIP lookup (the
 # segmenter against its reference), the checkpointed analytics
 # warm-state decoder and the checkpoint reader (refuse or load, never
 # panic, allocation bounded by the input), and the query API's parameter

@@ -239,4 +239,13 @@ func TestCollectResumeFromBackupIsReported(t *testing.T) {
 	if n := got.Stats().TotalCollected; n != want {
 		t.Errorf("tweets collected after resume = %d, want %d", n, want)
 	}
+	// The good backup is still the backup: the corrupt primary was not
+	// demoted over it.
+	bak, err := pipeline.LoadCheckpoint(pipeline.CheckpointBackupPath(ckpt))
+	if err != nil {
+		t.Fatalf("backup after the resume: %v", err)
+	}
+	if n, want := bak.Stats().TotalCollected, backup.Stats().TotalCollected; n != want {
+		t.Errorf("backup holds %d tweets collected, want the %d it was resumed from", n, want)
+	}
 }

@@ -8,8 +8,12 @@
 //	    run collect → augment → filter → characterize and print every
 //	    table and figure of the paper
 //
+//	donorsense replay -in corpus.ndjson -rate 500
+//	    serve the corpus as the simulated Stream API, optionally with
+//	    injected faults (-fault-rate, -ratelimit, -servererr)
+//
 //	donorsense collect -url http://127.0.0.1:7700 -max 10000
-//	    consume a live stream server (see cmd/streamsim) and analyze the
+//	    consume a live stream server (donorsense replay) and analyze the
 //	    collected tweets
 //
 //	donorsense keywords
@@ -507,12 +511,16 @@ func cmdCollect(args []string) error {
 // dataset and attaches the tracer, the metrics and the live step. A
 // corrupt primary, or one missing beside a backup, falls back to the
 // .bak backup. That costs everything folded after the backup's save, so
-// it is logged as a warning and counted.
+// it is logged as a warning and counted. The corrupt primary is then
+// removed, so the first save does not demote it over the good backup.
 func (c *collector) resume() error {
 	c.d = pipeline.NewDataset()
 	if c.checkpoint != "" {
 		switch loaded, usedBackup, err := pipeline.LoadCheckpointFallback(c.checkpoint); {
 		case err == nil && usedBackup:
+			if err := os.Remove(c.checkpoint); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("remove corrupt checkpoint: %w", err)
+			}
 			c.d = loaded
 			c.metrics.CheckpointFallback()
 			c.logger.Warn("checkpoint unreadable; resumed from its backup",
@@ -685,68 +693,6 @@ func limitStream(ctx context.Context, stop context.CancelFunc, in <-chan twitter
 		}
 	}()
 	return out
-}
-
-// cmdReplay serves an archived NDJSON corpus over the Stream API
-// protocol, so any collector (donorsense collect, or a third-party
-// client) can re-consume a stored collection. Every matching tweet is
-// delivered exactly once, however late or slowly the collector reads;
-// then the stream answers 410 Gone.
-func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	in := fs.String("in", "corpus.ndjson", "input NDJSON corpus")
-	addr := fs.String("addr", ":7700", "listen address")
-	rate := fs.Float64("rate", 0, "tweets per second (0 = as fast as clients drain)")
-	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof, /debug/vars on this address (empty = off)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	var reg *obs.Registry
-	nr := &twitter.NDJSONReader{}
-	if *telemetryAddr != "" {
-		reg = obs.NewRegistry()
-		twitter.NewWireMetrics(reg).ObserveReader(nr)
-	}
-
-	f, err := os.Open(*in)
-	if err != nil {
-		return fmt.Errorf("open corpus: %w", err)
-	}
-	// Stream the archive through the wire codec: one reused line buffer
-	// and Tweet, no per-line garbage; only the corpus slice itself grows.
-	var tweets []twitter.Tweet
-	err = nr.Decode(f, func(t *twitter.Tweet) error {
-		tweets = append(tweets, *t)
-		return nil
-	})
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if nr.Skipped > 0 {
-		fmt.Fprintf(os.Stderr, "skipped %d oversized corpus lines\n", nr.Skipped)
-	}
-	fmt.Fprintf(os.Stderr, "replaying %d tweets on %s\n", len(tweets), *addr)
-
-	rs := twitter.NewReplayServer(tweets, twitter.ReplayConfig{Rate: *rate})
-	ctx, stop := obs.SignalContext()
-	defer stop()
-	if reg != nil {
-		osrv := obs.NewServer(reg)
-		osrv.AddStatus("replay", func() obs.StatusSection {
-			var sec obs.StatusSection
-			sec.Field("corpus_tweets", len(tweets))
-			sec.Field("delivered", rs.Stats().Delivered)
-			sec.Field("remaining", rs.Remaining())
-			sec.Field("skipped_lines", nr.Skipped)
-			sec.Field("rate", *rate)
-			return sec
-		})
-		osrv.AddStatus("memory", obs.MemStatsStatusSection(nil))
-		osrv.Start(ctx, *telemetryAddr)
-	}
-	return obs.Serve(ctx, *addr, rs.Handler(), nil)
 }
 
 func cmdKeywords(args []string) error {

@@ -60,7 +60,7 @@ func TestTelemetryMatchesInjectedChaosFaults(t *testing.T) {
 	corpus := durableCorpus()
 	cs := twitter.NewReplayServer(corpus, twitter.ReplayConfig{
 		Seed:            11,
-		FaultRate:       0.03,
+		FaultRate:       0.01,             // each injected stall costs the client's 500 ms watchdog
 		StallDuration:   10 * time.Second, // client watchdog must fire first
 		RateLimitRate:   0.2,
 		ServerErrorRate: 0.2,

@@ -6,12 +6,13 @@
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory); the runnable entry points are:
 //
-//   - cmd/donorsense — generate / analyze / collect / replay CLI; collect
-//     is fault-tolerant (stall detection, jittered backoff, rate-limit
-//     schedule) and can checkpoint/resume its dataset atomically
-//   - cmd/streamsim — the simulated Twitter Stream API server, with a
-//     -chaos mode that injects disconnects, stalls, malformed lines,
-//     delete notices, and 420/503 responses
+//   - cmd/donorsense — generate / analyze / collect / replay / serve CLI;
+//     collect is fault-tolerant (stall detection, jittered backoff,
+//     rate-limit schedule) and can checkpoint/resume its dataset
+//     atomically; replay is the simulated Twitter Stream API server over
+//     a generated or archived corpus, whose fault flags inject
+//     disconnects, stalls, malformed lines, delete notices, and 420/503
+//     responses
 //   - cmd/benchtables — regenerate every table and figure of the paper
 //   - examples/ — quickstart, statemap, streaming
 //

@@ -26,9 +26,9 @@ import (
 )
 
 func main() {
-	// A stream server replaying a synthetic corpus, as cmd/streamsim
-	// would, but in-process. It delivers every matching tweet exactly
-	// once, at the pace the collector reads.
+	// A stream server replaying a synthetic corpus, as donorsense
+	// generate and donorsense replay would, but in-process. It delivers
+	// every matching tweet exactly once, at the pace the collector reads.
 	corpus := gen.Generate(gen.DefaultConfig(0.05))
 	server := httptest.NewServer(twitter.NewReplayServer(corpus.Tweets, twitter.ReplayConfig{}).Handler())
 	defer server.Close()

@@ -74,7 +74,7 @@ func TestInContextTweetsPassFilterAndNoiseDoesNot(t *testing.T) {
 		p := testCorpus.Profiles[tw.User.ID]
 		if p.TweetCount > 0 {
 			inCtx++
-			if !ex.MatchesFilter(tw.Text) {
+			if !ex.Extract(tw.Text).InContext() {
 				t.Fatalf("in-context tweet fails extractor: %q", tw.Text)
 			}
 			if !filter.Matches(tw.Text) {
@@ -82,7 +82,7 @@ func TestInContextTweetsPassFilterAndNoiseDoesNot(t *testing.T) {
 			}
 		} else {
 			noise++
-			if ex.MatchesFilter(tw.Text) {
+			if ex.Extract(tw.Text).InContext() {
 				t.Fatalf("noise tweet passes filter: %q", tw.Text)
 			}
 		}

@@ -15,10 +15,7 @@ import (
 // servedBodies answers every DefaultPaths request through the handler
 // and returns the bodies without the fields that count the process's
 // history rather than describe the answer: the publish sequence, the
-// attention epoch, the ETag, the build time, the refresh count, and the
-// clusters' iteration count. The last is how many Lloyd iterations the
-// latest refresh ran, so it drops to 1 on any refresh that finds the
-// clustering already converged, restart or not.
+// attention epoch, the ETag, the build time and the refresh count.
 func servedBodies(t *testing.T, p *Publisher) map[string]string {
 	t.Helper()
 	h := NewHandler(p)
@@ -32,7 +29,7 @@ func servedBodies(t *testing.T, p *Publisher) map[string]string {
 		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		for _, k := range []string{"seq", "epoch", "etag", "built", "refreshes", "iterations"} {
+		for _, k := range []string{"seq", "epoch", "etag", "built", "refreshes"} {
 			delete(doc, k)
 		}
 		b, err := json.Marshal(doc)

@@ -149,11 +149,10 @@ type topData struct {
 }
 
 type clustersData struct {
-	k          int
-	inertia    float64
-	iterations int
-	sizes      []int
-	centroids  [][]float64
+	k         int
+	inertia   float64
+	sizes     []int
+	centroids [][]float64
 }
 
 // BuildSnapshot deep-copies the served slices out of the analysis and
@@ -249,11 +248,10 @@ func (s *Snapshot) copyClusters(a *report.Analysis) {
 		return
 	}
 	cd := &clustersData{
-		k:          c.K,
-		inertia:    c.Inertia,
-		iterations: c.Iterations,
-		sizes:      append([]int(nil), c.Sizes...),
-		centroids:  make([][]float64, len(c.Centroids)),
+		k:         c.K,
+		inertia:   c.Inertia,
+		sizes:     append([]int(nil), c.Sizes...),
+		centroids: make([][]float64, len(c.Centroids)),
 	}
 	for i, cent := range c.Centroids {
 		cd.centroids[i] = append([]float64(nil), cent...)
@@ -516,13 +514,12 @@ func (s *Snapshot) renderFixed(a *report.Analysis) error {
 
 	clusters := struct {
 		docMeta
-		K          int           `json:"k"`
-		Inertia    float64       `json:"inertia"`
-		Iterations int           `json:"iterations"`
-		Clusters   []clusterJSON `json:"clusters"`
+		K        int           `json:"k"`
+		Inertia  float64       `json:"inertia"`
+		Clusters []clusterJSON `json:"clusters"`
 	}{docMeta: s.meta()}
 	if c := s.clusters; c != nil {
-		clusters.K, clusters.Inertia, clusters.Iterations = c.k, c.inertia, c.iterations
+		clusters.K, clusters.Inertia = c.k, c.inertia
 		for i, size := range c.sizes {
 			share := 0.0
 			if s.Users > 0 {

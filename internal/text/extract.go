@@ -149,36 +149,3 @@ func (e *Extractor) Extract(tweet string) Extraction {
 	}
 	return ex
 }
-
-// MatchesFilter reports whether the tweet satisfies the Stream API filter
-// predicate without building the full extraction. Equivalent to
-// Extract(tweet).InContext(), and allocation-free like Extract.
-func (e *Extractor) MatchesFilter(tweet string) bool {
-	e.scan(tweet)
-	haveCtx, haveOrg := false, false
-	for i := range e.spans {
-		w := e.lower[e.spans[i].lo:e.spans[i].hi]
-		if !haveCtx {
-			if _, ok := vocab.unigram[string(w)]; ok {
-				haveCtx = true
-			} else if rules, ok := vocab.bigrams[string(w)]; ok && i+1 < len(e.spans) {
-				next := e.lower[e.spans[i+1].lo:e.spans[i+1].hi]
-				for _, br := range rules {
-					if br.second == string(next) {
-						haveCtx = true
-						break
-					}
-				}
-			}
-		}
-		if !haveOrg {
-			if _, ok := vocab.subject[string(w)]; ok {
-				haveOrg = true
-			}
-		}
-		if haveCtx && haveOrg {
-			return true
-		}
-	}
-	return false
-}

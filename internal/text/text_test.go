@@ -215,34 +215,6 @@ func TestExtractMentionHandleDoesNotCount(t *testing.T) {
 	}
 }
 
-func TestMatchesFilterAgreesWithExtract(t *testing.T) {
-	e := NewExtractor()
-	cases := []string{
-		"donate a kidney",
-		"kidney beans rock",
-		"be a donor",
-		"",
-		"heart transplant waiting list lungs donor",
-		"the liver is an organ",
-		"graft versus host, new liver",
-	}
-	for _, s := range cases {
-		if got, want := e.MatchesFilter(s), e.Extract(s).InContext(); got != want {
-			t.Errorf("MatchesFilter(%q) = %v, Extract().InContext() = %v", s, got, want)
-		}
-	}
-}
-
-func TestMatchesFilterProperty(t *testing.T) {
-	e := NewExtractor()
-	f := func(s string) bool {
-		return e.MatchesFilter(s) == e.Extract(s).InContext()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestExtractClinicalVariants(t *testing.T) {
 	e := NewExtractor()
 	ex := e.Extract("renal transplant recipient with pulmonary complications")

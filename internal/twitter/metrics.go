@@ -99,7 +99,7 @@ func (m *StreamMetrics) Connected() bool { return m.connected.Value() == 1 }
 // WireMetrics bridges wire-codec decoders into an obs.Registry: decode
 // latency, decode failures by cause, and oversized NDJSON lines skipped
 // by archive readers. One WireMetrics can observe any number of decoders
-// and readers (collector, replay, streamsim all share the families).
+// and readers (the collector and replay share the families).
 type WireMetrics struct {
 	seconds   *obs.Histogram
 	errors    *obs.CounterVec

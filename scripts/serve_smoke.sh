@@ -3,11 +3,13 @@
 #
 # Usage: serve_smoke.sh <donorsense-binary> <queryload-binary>
 #
-# Starts a replayed stream and a `collect -serve -checkpoint` consumer,
-# polls the query API until it answers 200, asserts a 304 If-None-Match
+# Starts a replayed stream with light injected faults and a
+# `collect -serve -checkpoint` consumer with fast reconnects, polls the
+# query API until it answers 200, asserts a 304 If-None-Match
 # revalidation, then drives queryload for 5 seconds in strict mode. Once
-# the collector has stopped, `donorsense serve` over its checkpoint gets
-# the same checks and 2 seconds of strict queryload.
+# the collector has stopped, the replay must log its `replay finished`
+# record, and `donorsense serve` over the checkpoint gets the same checks
+# and 2 seconds of strict queryload.
 set -eu
 
 DS=$1
@@ -75,12 +77,16 @@ check_304() {
 "$DS" generate -scale 0.01 -seed 7 -out "$TMP/corpus.ndjson" 2>/dev/null
 
 # Throttled replay so the stream outlives the whole smoke; the collector
-# keeps refreshing (and republishing snapshots) while queryload runs.
+# keeps refreshing (and republishing snapshots) while queryload runs. The
+# stream injects stalls, disconnects, bad lines and 420/503 answers, so
+# the collector reconnects throughout.
 "$DS" replay -in "$TMP/corpus.ndjson" -addr "127.0.0.1:$REPLAY_PORT" -rate 150 \
+	-fault-rate 0.005 -stall 300ms -ratelimit 0.02 -servererr 0.02 -retry-after 100ms \
 	>"$TMP/replay.log" 2>&1 &
 REPLAY_PID=$!
 
 "$DS" collect -url "http://127.0.0.1:$REPLAY_PORT" \
+	-stall-timeout 200ms -backoff 50ms -ratelimit-backoff 100ms \
 	-telemetry-addr "127.0.0.1:$API_PORT" -report-every 1s -serve \
 	-checkpoint "$TMP/collect.ckpt" \
 	-k 6 -sweep '' -silhouette-sample 0 -progress-every 0 \
@@ -99,6 +105,11 @@ COLLECT_PID=""
 kill -TERM "$REPLAY_PID" 2>/dev/null || true
 wait "$REPLAY_PID" 2>/dev/null || true
 REPLAY_PID=""
+if ! grep 'msg="replay finished"' "$TMP/replay.log"; then
+	echo "serve-smoke: replay logged no replay finished record" >&2
+	cat "$TMP/replay.log" >&2
+	exit 1
+fi
 
 # The standalone server over the collector's checkpoint goes through the
 # same live step.
