@@ -49,11 +49,12 @@ golden:
 	$(GO) run ./cmd/benchtables -scale 1.0 -seed 1 > "$$out" && diff -u results_scale1.txt "$$out"
 
 # Race-detector pass over the concurrent packages (stream client/server,
-# chaos simulator, metrics registry, parallel ingestion, collector CLI).
+# chaos simulator, metrics registry, parallel ingestion, the analytics
+# engine and its top-mentioner ranking, collector CLI).
 # -short skips the scale-1.0 end of the suite; the concurrency paths are
 # fully exercised.
 race:
-	$(GO) test -race -short ./internal/obs/... ./internal/twitter/ ./internal/pipeline/ ./internal/userstore/ ./internal/cluster/ ./internal/serve/ ./cmd/...
+	$(GO) test -race -short ./internal/obs/... ./internal/twitter/ ./internal/pipeline/ ./internal/userstore/ ./internal/cluster/ ./internal/report/ ./internal/serve/ ./cmd/...
 
 check: build vet fmt-check test race
 

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -46,12 +47,20 @@ type replayer struct {
 	rs     *twitter.ReplayServer
 }
 
+// cmdReplay serves the stream until SIGINT or SIGTERM.
 func cmdReplay(args []string) error {
+	ctx, stop := obs.SignalContext()
+	defer stop()
+	return replayUntil(ctx, args)
+}
+
+// replayUntil is cmdReplay's core: it serves the stream until ctx is done.
+func replayUntil(ctx context.Context, args []string) error {
 	r, err := newReplayer(args)
 	if err != nil {
 		return err
 	}
-	return r.run()
+	return r.run(ctx)
 }
 
 // newReplayer parses the replay flags, decodes the -in corpus and builds
@@ -101,11 +110,9 @@ func newReplayer(args []string) (*replayer, error) {
 	return r, nil
 }
 
-// run serves the stream until SIGINT or SIGTERM, then logs what was
+// run serves the stream until ctx is done, then logs what was
 // delivered and injected.
-func (r *replayer) run() error {
-	ctx, stop := obs.SignalContext()
-	defer stop()
+func (r *replayer) run(ctx context.Context) error {
 	if r.reg != nil {
 		srv := obs.NewServer(r.reg)
 		srv.AddStatus("replay", r.status)

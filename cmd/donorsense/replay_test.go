@@ -9,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"donorsense/internal/obs"
 	"donorsense/internal/organ"
 	"donorsense/internal/twitter"
 )
@@ -25,10 +27,7 @@ func TestReplayServesCorpus(t *testing.T) {
 	}
 
 	addr := freeAddr(t)
-	done := make(chan error, 1)
-	go func() {
-		done <- cmdReplay([]string{"-in", corpus, "-addr", addr})
-	}()
+	stop := startReplay(t, "-in", corpus, "-addr", addr)
 
 	// Consume the replay with the stream client.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -51,16 +50,28 @@ func TestReplayServesCorpus(t *testing.T) {
 	if got == 0 {
 		t.Fatal("replay delivered no tweets")
 	}
-	// The replay keeps serving (410 Gone) until interrupted; it must not
-	// have failed meanwhile.
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("replay exited with %v", err)
-		}
-	default:
-		// still serving; fine
+	// The replay keeps serving (410 Gone) until stopped, and then
+	// returns nil.
+	if err := stop(); err != nil {
+		t.Fatalf("replay returned %v", err)
 	}
+}
+
+// startReplay runs the replay command with args until the test stops it
+// with the returned function, which waits for the command to return and
+// hands back its error. A test that does not call it stops the replay
+// at cleanup.
+func startReplay(t *testing.T, args ...string) (stop func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- replayUntil(ctx, args) }()
+	stop = sync.OnceValue(func() error {
+		cancel()
+		return <-done
+	})
+	t.Cleanup(func() { _ = stop() })
+	return stop
 }
 
 // TestReplayUnpacedDeliversEveryTweetToSlowClient: an unpaced replay
@@ -90,7 +101,7 @@ func TestReplayUnpacedDeliversEveryTweetToSlowClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := freeAddr(t)
-	go func() { _ = cmdReplay([]string{"-in", corpus, "-addr", addr, "-rate", "0"}) }()
+	stop := startReplay(t, "-in", corpus, "-addr", addr, "-rate", "0")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -121,6 +132,9 @@ func TestReplayUnpacedDeliversEveryTweetToSlowClient(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGone {
 		t.Errorf("status after the replay = %d, want 410 Gone", resp.StatusCode)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("replay returned %v", err)
 	}
 }
 
@@ -259,8 +273,12 @@ func TestReplayWithFaultsStopsGracefullyOnSIGTERM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// cmdReplay's own wiring: SIGTERM cancels the context run serves
+	// under.
+	sigCtx, stop := obs.SignalContext()
+	defer stop()
 	done := make(chan error, 1)
-	go func() { done <- r.run() }()
+	go func() { done <- r.run(sigCtx) }()
 
 	// Read the stream for a while, so the record has faults to count.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -152,6 +152,9 @@ type Dataset struct {
 	// (SetAnalyticsState), persisted in v4 checkpoints so a restarted
 	// process resumes clustering warm instead of cold.
 	analytics []byte
+
+	// top is report.TopMentioners' ranking, maintained by DrainDelta.
+	top TopRanking
 }
 
 // NewDataset returns an empty dataset.

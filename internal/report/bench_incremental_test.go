@@ -94,13 +94,27 @@ const benchNewUsersDirty = 230
 // same tweets, so after the first iteration no user enters Û.)
 func benchIncrementalRefreshNewUsers(b *testing.B, users int) {
 	d, e, _ := benchSetup(b, users)
-	pool := gen.Generate(gen.DefaultConfig(0.02)).Tweets[5000:]
-	next, fresh := 0, int64(1)<<50
+	foldDelta := newUsersDelta(d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for d.DirtyRows() < benchNewUsersDirty {
+		foldDelta(benchNewUsersDirty)
+		b.StartTimer()
+		if _, err := e.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newUsersDelta returns a function that folds generated tweets into d
+// until at least rows rows are dirty, every second tweet from a user
+// never seen before.
+func newUsersDelta(d *pipeline.Dataset) func(rows int) {
+	pool := gen.Generate(gen.DefaultConfig(0.02)).Tweets[5000:]
+	next, fresh := 0, int64(1)<<50
+	return func(rows int) {
+		for d.DirtyRows() < rows {
 			tw := pool[next%len(pool)]
 			if next++; next%2 == 0 {
 				tw.User.ID = fresh
@@ -108,12 +122,43 @@ func benchIncrementalRefreshNewUsers(b *testing.B, users int) {
 			}
 			d.Process(tw)
 		}
-		b.StartTimer()
+	}
+}
+
+// benchTopK is the number of top mentioners collect -serve (its
+// -serve-top default) and the end-to-end benchmark rank every cycle.
+const benchTopK = 250
+
+// benchTopMentioners times TopMentioners(d, benchTopK) on a 1M-user
+// store, after a delta of about 200 rows and one Refresh, as in one live
+// cycle. With scan set, each call first drops the dataset's ranking, so
+// it rebuilds with a column scan; otherwise it maintains the ranking.
+func benchTopMentioners(b *testing.B, scan bool) {
+	d, e, _ := benchSetup(b, 1_000_000)
+	foldDelta := newUsersDelta(d)
+	TopMentioners(d, benchTopK)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		foldDelta(200)
 		if _, err := e.Refresh(); err != nil {
 			b.Fatal(err)
 		}
+		if scan {
+			*d.TopRanking() = pipeline.TopRanking{}
+		}
+		b.StartTimer()
+		if top := TopMentioners(d, benchTopK); len(top) != benchTopK {
+			b.Fatalf("ranked %d users, want %d", len(top), benchTopK)
+		}
 	}
 }
+
+// BenchmarkTopMentioners{Scan,Warm}1M are not gated; run them with
+// go test -cpu 1 -run '^$' -bench 'TopMentioners(Scan|Warm)1M' -benchtime 200x ./internal/report/
+func BenchmarkTopMentionersScan1M(b *testing.B) { benchTopMentioners(b, true) }
+func BenchmarkTopMentionersWarm1M(b *testing.B) { benchTopMentioners(b, false) }
 
 func BenchmarkIncrementalRefresh100k(b *testing.B) { benchIncrementalRefresh(b, 100_000) }
 func BenchmarkFromScratchAnalyze100k(b *testing.B) { benchFromScratchAnalyze(b, 100_000) }

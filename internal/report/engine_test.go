@@ -106,6 +106,12 @@ func stateSwitchShard(t *testing.T, d *pipeline.Dataset, tweetID int64) (*pipeli
 	if u.ID == 0 {
 		t.Fatal("no user in KS or NY; fixture broken")
 	}
+	return stateSwitchShardFor(t, u, tweetID)
+}
+
+// stateSwitchShardFor is stateSwitchShard for the given user of d.
+func stateSwitchShardFor(t *testing.T, u pipeline.UserRecord, tweetID int64) (*pipeline.Dataset, int64, string) {
+	t.Helper()
 	loc, state := "Topeka, KS", "KS"
 	if u.StateCode == "KS" {
 		loc, state = "Buffalo, NY", "NY"

@@ -1,9 +1,13 @@
 package report
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
+	"donorsense/internal/gen"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
 )
@@ -120,4 +124,131 @@ func TestTopMentionersColumnScanOracle(t *testing.T) {
 	if zero != 0 {
 		t.Fatalf("%d zero-mention users ranked", zero)
 	}
+}
+
+// TestTopMentionersMaintainedMatchesOracle is the differential for the
+// maintained ranking: it folds a generated corpus into a tracked dataset
+// chunk by chunk, refreshing after only some chunks (and sometimes
+// folding again after the refresh), so both drained candidates and
+// undrained dirty rows reach TopMentioners. After every chunk it checks
+// a mix of max values against topOracle: the ranking's own size, a
+// prefix of it, a larger max (a rebuild), and a max beyond the user
+// count. Along the way it covers an engine error-reset followed by a
+// cold refresh, a Merge into the tracked dataset (one ranked user also
+// changes state), and a checkpoint save and reload.
+func TestTopMentionersMaintainedMatchesOracle(t *testing.T) {
+	tweets := gen.Generate(gen.DefaultConfig(0.05)).Tweets
+	cfg := engineTestConfig()
+	d := pipeline.NewDataset()
+	e := NewEngine(d, cfg)
+	if _, err := e.Refresh(); err == nil {
+		t.Fatal("refresh of an empty dataset succeeded")
+	}
+	refresh := func() {
+		t.Helper()
+		if _, err := e.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	checks := 0
+	check := func(stage string, maxes ...int) {
+		t.Helper()
+		for _, max := range maxes {
+			got, want := TopMentioners(d, max), topOracle(d, max)
+			if len(got) != len(want) {
+				t.Fatalf("%s, max=%d: got %d users, want %d", stage, max, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s, max=%d: rank %d = %+v, want %+v", stage, max, i, got[i], want[i])
+				}
+			}
+			checks += len(got) + 1
+		}
+	}
+
+	held := tweets[len(tweets)*9/10:]
+	main := tweets[:len(tweets)*9/10]
+	const chunks = 16
+	k := 0
+	for c := 0; c < chunks; c++ {
+		chunk := main[c*len(main)/chunks : (c+1)*len(main)/chunks]
+		half := len(chunk) / 2
+		for _, tw := range chunk[:half] {
+			d.Process(tw)
+		}
+		if c%3 != 1 {
+			refresh()
+		}
+		if c%2 == 0 {
+			for _, tw := range chunk[half:] {
+				d.Process(tw)
+			}
+		}
+		stage := fmt.Sprintf("chunk %d", c)
+		switch c {
+		case 0:
+			// Beyond the user count: the ranking holds every mentioning
+			// user until the store outgrows it.
+			k = d.Users() + 10
+			check(stage, k, 3)
+		case 3, 12:
+			// Larger than any max before: a rebuild.
+			k *= 2
+			check(stage, k/2, k, 1)
+		case 5, 10:
+			// Stands in for a failed refresh, which resets the engine;
+			// the next refresh is a cold build that still drains the
+			// delta through the dataset.
+			e.reset()
+			refresh()
+			if e.Epoch() != 0 {
+				t.Fatalf("refresh after the reset was not cold (epoch %d)", e.Epoch())
+			}
+			check(stage, k, k/4)
+		case 8:
+			// A reloaded dataset starts without a ranking, so from here
+			// on the ranking is small against the user count.
+			k = 25
+			before := TopMentioners(d, k)
+			var buf bytes.Buffer
+			if err := d.WriteCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if d, err = pipeline.ReadCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			e = NewEngine(d, cfg)
+			if after := TopMentioners(d, k); !slices.Equal(after, before) {
+				t.Fatal("the reloaded dataset ranks differently")
+			}
+			refresh()
+			check(stage+" reloaded", k, k/2)
+		case 13:
+			shard := pipeline.NewDataset()
+			for _, tw := range held {
+				shard.Process(tw)
+			}
+			d.Merge(shard)
+			// Move a ranked user to another state: the served row must
+			// show it.
+			u, _ := d.LookupUser(TopMentioners(d, k)[k/2].ID)
+			switched, switchedID, state := stateSwitchShardFor(t, u, 1<<61)
+			d.Merge(switched)
+			check(stage+" merged, undrained", k, 5)
+			refresh()
+			check(stage+" merged, drained", k, 5)
+			if u, _ := d.LookupUser(switchedID); u.StateCode != state {
+				t.Fatalf("merge left user %d in %s, want %s", switchedID, u.StateCode, state)
+			}
+		default:
+			check(stage, k, k/4, 1)
+		}
+	}
+	if k >= d.Users() {
+		t.Fatalf("fixture: the ranking (%d) never filled; %d users", k, d.Users())
+	}
+	t.Logf("%d checks over %d users, top %d", checks, d.Users(), k)
 }

@@ -9,6 +9,12 @@ package userstore
 // or whose counters, mentions, or identity changed, since the previous
 // drain has its row bit set.
 //
+// Mention counts only grow: every writer (the pipeline's fold and merge)
+// adds non-negative counts, and no path removes a user or lowers a
+// count. The top-mentioner ranking relies on it (report.TopMentioners):
+// a row that is not dirty cannot have moved down, so a ranked set stays
+// exact when it re-ranks only the dirty rows.
+//
 // Tracking is off by default: the hot-path cost when disabled is one
 // nil check per mutator, preserving the committed userstore update
 // benchmarks. MentionsRow hands out a mutable view the store cannot
@@ -50,6 +56,14 @@ func (s *Store) DirtyRows() int {
 		return 0
 	}
 	return s.delta.dirty.Count()
+}
+
+// EachDirty calls fn for every row marked dirty since the last drain, in
+// ascending order, without draining. A no-op when tracking is disabled.
+func (s *Store) EachDirty(fn func(row uint32)) {
+	if s.delta != nil {
+		s.delta.dirty.Each(fn)
+	}
 }
 
 // DrainDelta hands the accumulated change-set to the caller and resets

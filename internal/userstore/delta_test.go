@@ -2,6 +2,7 @@ package userstore
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -31,7 +32,15 @@ func TestDeltaOracle(t *testing.T) {
 	touched := map[int64]bool{} // ids mutated since last drain
 
 	drain := func() {
+		// EachDirty names, without draining, the rows the drain returns.
+		var peeked []uint32
+		s.EachDirty(func(row uint32) { peeked = append(peeked, row) })
 		d := s.DrainDelta()
+		var drained []uint32
+		d.Rows.Each(func(row uint32) { drained = append(drained, row) })
+		if !slices.Equal(peeked, drained) {
+			t.Fatalf("EachDirty named rows %v, the drain %v", peeked, drained)
+		}
 		// Every marked row is in range.
 		d.Rows.Each(func(b uint32) {
 			if int(b) >= s.Len() {
@@ -168,4 +177,5 @@ func TestDeltaDisabled(t *testing.T) {
 	if d := s.DrainDelta(); !d.Empty() {
 		t.Fatalf("drain while disabled: %+v", d)
 	}
+	s.EachDirty(func(row uint32) { t.Fatalf("EachDirty named row %d while disabled", row) })
 }
