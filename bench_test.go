@@ -44,7 +44,7 @@ func benchSetup(b *testing.B) {
 		for _, t := range benchCorpus.Tweets {
 			benchDataset.Process(t)
 		}
-		att, states, err := benchDataset.BuildAttentionStates()
+		att, states, err := benchDataset.BuildAttentionStates(nil)
 		if err != nil {
 			panic(err)
 		}

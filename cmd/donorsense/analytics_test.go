@@ -55,6 +55,7 @@ func TestAnalyticsStatusSection(t *testing.T) {
 		"epoch":           "0",
 		"last_dirty_rows": "0",
 		"last_cold":       "true",
+		"restore":         "none",
 		"users":           fmt.Sprint(d.Users()),
 	} {
 		got, ok := get(l, key)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"donorsense/internal/gen"
+	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
 	"donorsense/internal/twitter"
 )
@@ -248,4 +249,27 @@ func TestCollectResumeFromBackupIsReported(t *testing.T) {
 	if n, want := bak.Stats().TotalCollected, backup.Stats().TotalCollected; n != want {
 		t.Errorf("backup holds %d tweets collected, want the %d it was resumed from", n, want)
 	}
+}
+
+// matchedCorpus is durableCorpus as a collector receives it: only the
+// tweets the replay's track filter passes, in corpus order.
+func matchedCorpus() []twitter.Tweet {
+	filter := twitter.NewTrackFilter(organ.TrackTerms())
+	var out []twitter.Tweet
+	for _, tw := range durableCorpus() {
+		if filter.Matches(tw.Text) {
+			out = append(out, tw)
+		}
+	}
+	return out
+}
+
+// processAll folds tweets into a fresh dataset one at a time: the
+// sequential reference every collect path must reproduce.
+func processAll(tweets []twitter.Tweet) *pipeline.Dataset {
+	d := pipeline.NewDataset()
+	for _, tw := range tweets {
+		d.Process(tw)
+	}
+	return d
 }

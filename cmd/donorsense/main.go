@@ -59,8 +59,6 @@ func main() {
 		err = cmdAnalyze(os.Args[2:])
 	case "collect":
 		err = cmdCollect(os.Args[2:])
-	case "merge":
-		err = cmdMerge(os.Args[2:])
 	case "keywords":
 		err = cmdKeywords(os.Args[2:])
 	case "serve":
@@ -89,7 +87,6 @@ commands:
   generate   synthesize a tweet corpus to NDJSON
   analyze    analyze an NDJSON corpus and print the paper's tables/figures
   collect    consume a stream server, then analyze
-  merge      merge the shard checkpoints of an earlier sharded run and analyze
   keywords   print the Figure 1 keyword product (Stream API track syntax)
   replay     serve an NDJSON corpus over the Stream API protocol
   serve      expose a checkpoint's analysis as the /api query endpoints

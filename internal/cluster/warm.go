@@ -12,13 +12,13 @@ import (
 // enough to make the next run over slightly-changed data nearly free.
 //
 // For K-Means the state is the final centroid positions plus each
-// point's label and Hamerly bounds, and — carried in memory between
-// resumes, never persisted — each cluster's exact moments: the vector
-// sum S_c and the sum Q_c of squared row norms of its rows (mat.Exact
-// accumulators), and its count n_c. A caller that knows which rows
-// changed takes each one out of its cluster with Unassign before the
-// row's data changes (its vector leaves the moments and its label
-// becomes -1). New rows arrive through Grow with label -1; rows never
+// point's label and Hamerly bounds, and — carried between resumes, and
+// persisted through Moments and SetMoments — each cluster's exact
+// moments: the vector sum S_c and the sum Q_c of squared row norms of
+// its rows (mat.Exact accumulators), and its count n_c. A caller that
+// knows which rows changed takes each one out of its cluster with
+// Unassign before the row's data changes (its vector leaves the
+// moments and its label becomes -1). New rows arrive through Grow with label -1; rows never
 // leave. The unchanged rows keep their entries: their bounds remain
 // valid, because the centroids they were proved against are exactly the
 // positions the warm run starts from. A resume exactly re-assigns only the -1 rows, adds
@@ -51,8 +51,8 @@ import (
 // re-sum of the labeled rows, and they do not depend on the order rows
 // were added or on the worker count, so a resume is bit-identical for
 // any number of workers. They are re-summed in full only when missing
-// (a state restored from a checkpoint) or when they no longer account
-// for every labeled row. Data the moments cannot hold exactly (see
+// (a state restored without them) or when they no longer account for
+// every labeled row. Data the moments cannot hold exactly (see
 // mat.Exact) makes the warm path unavailable: the run falls back to the
 // cold path and captures no state. Restarts are skipped — a warm run
 // continues the incumbent solution rather than re-searching
@@ -88,7 +88,7 @@ type KMeansWarmState struct {
 	Upper     []float64 // Hamerly upper bound per row, less its cluster's offset
 	Lower     []float64 // Hamerly lower bound per row, plus the global offset
 
-	// Carried between resumes, not persisted.
+	// Carried between resumes; persisted apart, through Moments.
 	sums    []mat.Exact   // k×dim exact vector sums S_c of the labeled rows
 	sqNorms []mat.Exact   // k exact sums Q_c of their squared norms
 	counts  []int         // labeled rows per cluster
@@ -136,6 +136,40 @@ func (ws *KMeansWarmState) Validate() error {
 		}
 	}
 	ws.checked = true
+	return nil
+}
+
+// Moments returns the exact moments the state carries between
+// resumes: each cluster's vector sums (k×dim), the sums of its rows'
+// squared norms, and its labeled-row count. The slices are the state's
+// own; they are nil when it carries none.
+func (ws *KMeansWarmState) Moments() (sums, sqNorms []mat.Exact, counts []int) {
+	if len(ws.sums) != ws.K*ws.Dim || len(ws.sqNorms) != ws.K || len(ws.counts) != ws.K {
+		return nil, nil, nil
+	}
+	return ws.sums, ws.sqNorms, ws.counts
+}
+
+// SetMoments gives a state that was decoded or assembled the moments
+// Moments returned for the same labels, so its first resume does not
+// re-sum them. Their shape must be the state's and each count the
+// number of rows carrying that label; otherwise they are refused and
+// the state is left as it was. The state keeps the slices.
+func (ws *KMeansWarmState) SetMoments(sums, sqNorms []mat.Exact, counts []int) error {
+	if len(sums) != ws.K*ws.Dim || len(sqNorms) != ws.K || len(counts) != ws.K {
+		return fmt.Errorf("cluster: moments of %d sums, %d norms and %d counts for k=%d dim=%d",
+			len(sums), len(sqNorms), len(counts), ws.K, ws.Dim)
+	}
+	tally := make([]int, ws.K)
+	for _, l := range ws.Labels {
+		if l >= 0 && int(l) < ws.K {
+			tally[l]++
+		}
+	}
+	if !slices.Equal(tally, counts) {
+		return fmt.Errorf("cluster: moment counts %v disagree with the labels' %v", counts, tally)
+	}
+	ws.sums, ws.sqNorms, ws.counts = sums, sqNorms, counts
 	return nil
 }
 

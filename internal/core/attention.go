@@ -43,39 +43,91 @@ func AttentionFromCounts(ids []int64, counts []int32) (*Attention, error) {
 // to read the store's other row-aligned columns (a user's state, say)
 // for every Û row without a per-user id lookup.
 func AttentionWithSources(ids []int64, counts []int32) (*Attention, []int32, error) {
+	src, err := SourcesByID(ids, counts)
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := buildAttention(ids, counts, src)
+	return a, src, err
+}
+
+// SourcesByID returns the rows of ids/counts that Û is built from —
+// those whose mention row sums to nonzero — in ascending user-id order.
+// It errors when no user has a mention.
+func SourcesByID(ids []int64, counts []int32) ([]int32, error) {
 	if len(counts) != len(ids)*organ.Count {
-		return nil, nil, fmt.Errorf("core: counts length %d does not match %d users", len(counts), len(ids))
+		return nil, fmt.Errorf("core: counts length %d does not match %d users", len(counts), len(ids))
 	}
 	pairs := make([]idRow, 0, len(ids))
 	for r, id := range ids {
-		sum := int32(0)
-		for _, v := range counts[r*organ.Count : (r+1)*organ.Count] {
-			sum += v
-		}
-		if sum != 0 {
+		if rowSum(counts, r) != 0 {
 			pairs = append(pairs, idRow{id: id, row: int32(r)})
 		}
 	}
 	if len(pairs) == 0 {
-		return nil, nil, fmt.Errorf("core: no users observed")
+		return nil, fmt.Errorf("core: no users observed")
 	}
 	pairs = sortByID(pairs)
-
-	m := mat.New(len(pairs), organ.Count)
-	outIDs := make([]int64, len(pairs))
 	src := make([]int32, len(pairs))
-	for r, p := range pairs {
-		outIDs[r], src[r] = p.id, p.row
-		row := counts[int(p.row)*organ.Count : (int(p.row)+1)*organ.Count]
-		for c, v := range row {
-			m.Set(r, c, float64(v))
+	for i, p := range pairs {
+		src[i] = p.row
+	}
+	return src, nil
+}
+
+// AttentionFromRows is AttentionWithSources over source rows an earlier
+// SourcesByID returned for the same columns, so the build skips the
+// sort. Rows that are not exactly SourcesByID's — out of range, not in
+// strictly ascending id order, a zero row listed or a nonzero row left
+// out — are refused.
+func AttentionFromRows(ids []int64, counts []int32, rows []int32) (*Attention, error) {
+	if len(counts) != len(ids)*organ.Count {
+		return nil, fmt.Errorf("core: counts length %d does not match %d users", len(counts), len(ids))
+	}
+	nonzero := 0
+	for r := range ids {
+		if rowSum(counts, r) != 0 {
+			nonzero++
 		}
 	}
-	if zero := m.NormalizeRows(); len(zero) != 0 {
-		// Zero-sum rows were filtered above, so this is a bug.
-		return nil, nil, fmt.Errorf("core: %d zero attention rows", len(zero))
+	if nonzero != len(rows) {
+		return nil, fmt.Errorf("core: %d source rows for %d users with mentions", len(rows), nonzero)
 	}
-	return &Attention{ids: outIDs, u: m}, src, nil
+	return buildAttention(ids, counts, rows)
+}
+
+// rowSum is row r's total in the row-major mention matrix counts.
+func rowSum(counts []int32, r int) int32 {
+	sum := int32(0)
+	for _, v := range counts[r*organ.Count : (r+1)*organ.Count] {
+		sum += v
+	}
+	return sum
+}
+
+// buildAttention lays out Û with row i the normalized mention row src[i]
+// of ids/counts. It refuses a source row out of range, out of strictly
+// ascending id order, or without a mention, and an empty src.
+func buildAttention(ids []int64, counts []int32, src []int32) (*Attention, error) {
+	if len(src) == 0 {
+		return nil, fmt.Errorf("core: no users observed")
+	}
+	m := mat.New(len(src), organ.Count)
+	data := m.Data()
+	outIDs := make([]int64, len(src))
+	for i, r := range src {
+		if r < 0 || int(r) >= len(ids) {
+			return nil, fmt.Errorf("core: source row %d of %d", r, len(ids))
+		}
+		if outIDs[i] = ids[r]; i > 0 && outIDs[i] <= outIDs[i-1] {
+			return nil, fmt.Errorf("core: source rows not in ascending id order at %d", i)
+		}
+		if rowSum(counts, int(r)) == 0 {
+			return nil, fmt.Errorf("core: source row %d has no mention", r)
+		}
+		normalizeInto(data[i*organ.Count:(i+1)*organ.Count], counts[int(r)*organ.Count:(int(r)+1)*organ.Count])
+	}
+	return &Attention{ids: outIDs, u: m}, nil
 }
 
 // idRow pairs a user id with its source row.

@@ -23,11 +23,11 @@ import (
 // caller holding columns aligned with the rows resizes them to Users()
 // rows; the rows past the pre-patch Users() are the inserted users.
 //
-// Cost: O(touched), apart from the id → row index the first Patch builds
-// (O(users), once) and its rare doubling. The arrays regrow, with
-// bounded headroom (mat.ResizeRows), only when the inserts outrun the
-// spare capacity. Everything is validated before anything is written,
-// so an error leaves Û unchanged.
+// Cost: O(touched), apart from the id → row index the first Patch with
+// a change builds (O(users), once) and its rare doubling. The arrays
+// regrow, with bounded headroom (mat.ResizeRows), only when the inserts
+// outrun the spare capacity. Everything is validated before anything
+// is written, so an error leaves Û unchanged.
 func (a *Attention) Patch(ids []int64, counts []int32) error {
 	if len(counts) != len(ids)*organ.Count {
 		return fmt.Errorf("core: patch counts length %d does not match %d users", len(counts), len(ids))
@@ -47,6 +47,10 @@ func (a *Attention) Patch(ids []int64, counts []int32) error {
 		}
 	}
 
+	if len(ids) == 0 {
+		a.epoch++
+		return nil
+	}
 	if a.index.Slots() == 0 {
 		a.index.Reserve(a.ids, len(a.ids))
 		for r := range a.ids {

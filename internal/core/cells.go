@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -66,6 +67,53 @@ func (c *StateOrganCells) Merge(other *StateOrganCells) error {
 // Clone returns an independent copy.
 func (c *StateOrganCells) Clone() *StateOrganCells {
 	return &StateOrganCells{mention: c.mention.Clone(), users: c.users.Clone()}
+}
+
+// MarshalBinary encodes the counts for a checkpoint: mention(s, o) for
+// every state row s and organ o, then users(s) for every s, as varints.
+func (c *StateOrganCells) MarshalBinary() ([]byte, error) {
+	var b []byte
+	for s := 0; s < c.users.Len(); s++ {
+		for j := 0; j < organ.Count; j++ {
+			b = binary.AppendVarint(b, c.mention.At(s, j))
+		}
+	}
+	for s := 0; s < c.users.Len(); s++ {
+		b = binary.AppendVarint(b, c.users.At(s))
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes MarshalBinary's form over the canonical state
+// rows. It refuses a count that is negative, a mention count above its
+// state's user count, and input of any other shape.
+func (c *StateOrganCells) UnmarshalBinary(b []byte) error {
+	out := NewStateOrganCells()
+	n := out.users.Len()
+	vals := make([]int64, n*(organ.Count+1))
+	for i := range vals {
+		v, w := binary.Varint(b)
+		if w <= 0 || v < 0 {
+			return fmt.Errorf("core: state-organ cells: bad count %d", i)
+		}
+		vals[i], b = v, b[w:]
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("core: state-organ cells: %d trailing bytes", len(b))
+	}
+	users := vals[n*organ.Count:]
+	for s := 0; s < n; s++ {
+		out.users.Add(s, users[s])
+		for j := 0; j < organ.Count; j++ {
+			v := vals[s*organ.Count+j]
+			if v > users[s] {
+				return fmt.Errorf("core: state-organ cells: %d mentioning users of %d in state row %d", v, users[s], s)
+			}
+			out.mention.Add(s, j, v)
+		}
+	}
+	*c = *out
+	return nil
 }
 
 // Highlight builds the Figure 5 result from accumulated counts: a =

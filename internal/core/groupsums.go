@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"donorsense/internal/geo"
@@ -51,6 +52,54 @@ func (gs *GroupSums) Fold(g int, row []float64, sign int) error {
 		}
 	}
 	gs.sizes[g] += sign
+	return nil
+}
+
+// MarshalBinary encodes the sums for a checkpoint: the group count,
+// each group's size, then each group's organ.Count exact sums
+// (mat.Exact's binary form).
+func (gs *GroupSums) MarshalBinary() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(gs.sizes)))
+	for _, n := range gs.sizes {
+		b = binary.AppendVarint(b, int64(n))
+	}
+	for i := range gs.sums {
+		e, err := gs.sums[i].MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, e...)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes MarshalBinary's form, refusing input of any
+// other shape. It allocates no more than a small multiple of len(b).
+func (gs *GroupSums) UnmarshalBinary(b []byte) error {
+	groups, w := binary.Uvarint(b)
+	const perGroup = organ.Count * mat.ExactSize
+	if w <= 0 || groups == 0 || groups > uint64(len(b))/perGroup {
+		return fmt.Errorf("core: group sums: bad group count")
+	}
+	b = b[w:]
+	sizes := make([]int, groups)
+	for g := range sizes {
+		n, w := binary.Varint(b)
+		if w <= 0 {
+			return fmt.Errorf("core: group sums: bad size of group %d", g)
+		}
+		sizes[g], b = int(n), b[w:]
+	}
+	if len(b) != len(sizes)*perGroup {
+		return fmt.Errorf("core: group sums: %d bytes of sums for %d groups", len(b), len(sizes))
+	}
+	sums := make([]mat.Exact, len(sizes)*organ.Count)
+	for i := range sums {
+		if err := sums[i].UnmarshalBinary(b[i*mat.ExactSize : (i+1)*mat.ExactSize]); err != nil {
+			return err
+		}
+	}
+	gs.sizes, gs.sums = sizes, sums
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package mat
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"math/bits"
@@ -104,6 +106,35 @@ func (e *Exact) Merge(o *Exact) {
 	for i := range e.w {
 		e.w[i], carry = bits.Add64(e.w[i], c.w[i], carry)
 	}
+}
+
+// ExactSize is the length of an Exact's binary form.
+const ExactSize = 32
+
+// MarshalBinary encodes the sum as its fixed-point value: four
+// little-endian 64-bit limbs, lowest first. Accumulators holding the
+// same sum encode the same bytes, whatever their lanes hold.
+func (e *Exact) MarshalBinary() ([]byte, error) {
+	c := *e
+	c.flush()
+	b := make([]byte, 0, ExactSize)
+	for _, w := range c.w {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary sets the sum from MarshalBinary's form. Any 32 bytes
+// are a sum; any other length is refused.
+func (e *Exact) UnmarshalBinary(b []byte) error {
+	if len(b) != ExactSize {
+		return fmt.Errorf("mat: exact sum of %d bytes, want %d", len(b), ExactSize)
+	}
+	*e = Exact{}
+	for i := range e.w {
+		e.w[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return nil
 }
 
 // IsZero reports whether the sum is exactly zero.

@@ -1,16 +1,26 @@
 // Durable checkpoint/resume for the collection pipeline. The paper's
 // sensor ran for 385 days; a purely in-memory Dataset discards the whole
 // run on any crash. A checkpoint serializes the full dataset state —
-// users, counters, contribution records, the bounded geocode memo, and
-// the collection window — so a restarted collector resumes with
+// users, counters, the bounded geocode memo, the collection window and
+// the analytics state — so a restarted collector resumes with
 // statistics bit-identical to an uninterrupted run.
 //
 // On-disk format (all integers little-endian):
 //
-//	magic   [8]byte  "DSCKPT\x00" + version byte
+//	magic   [8]byte  "DSCKPT\x00" + version byte (5)
 //	length  uint64   payload byte count
 //	crc32   uint32   IEEE CRC of the payload
-//	payload []byte   gob-encoded checkpointStateV4
+//	payload []byte   gob-encoded checkpointState
+//
+// The v5 payload holds the user store as flat columns, the dataset
+// counters, the report engine's opaque analytics blob and the
+// top-mentioner ranking (TopRanking). The three int64 columns are raw
+// little-endian bytes: gob's per-integer encoding made them most of the
+// decode. A v4 payload — the int64 columns gob-encoded, no ranking —
+// still loads, through checkpointStateV4, and is re-saved as v5. The
+// analytics blob of a v4 file seeds only the clustering, so its first
+// refresh is a cold build (report.Engine.RestoreWarm). Nothing older
+// loads.
 //
 // Saves are atomic: the snapshot is written to a temporary file in the
 // target directory, synced, and renamed over the destination, so a crash
@@ -42,31 +52,39 @@ import (
 // is the format version.
 var checkpointMagic = [8]byte{'D', 'S', 'C', 'K', 'P', 'T', 0, checkpointVersion}
 
-// checkpointVersion is the format written by WriteCheckpoint. Version 4
-// is version 3 (the user store as flat columns) plus the report engine's
-// opaque analytics warm-start blob. Version 3 is still readable, so
-// older snapshots migrate on load; nothing older is.
+// checkpointVersion is the format WriteCheckpoint writes;
+// checkpointVersionV4 is the one older format still read.
 const (
-	checkpointVersion   = 4
-	checkpointVersionV3 = 3
+	checkpointVersion   = 5
+	checkpointVersionV4 = 4
 )
 
 // ErrCheckpointCorrupt reports a snapshot that failed validation (bad
 // magic, truncation, or checksum mismatch).
 var ErrCheckpointCorrupt = errors.New("pipeline: checkpoint corrupt")
 
-// checkpointStateV4 is the v4 gob payload: the user store as flat
-// columns (one slice per field, row-major mention matrix, append-ordered
-// state intern table) plus the dataset counters and the analytics
-// warm-start blob. Encoding the columns directly — no per-user structs —
-// keeps the snapshot one contiguous write per column and lets the loader
-// adopt the decoded slices without copying. The same struct decodes v3
-// payloads: gob matches fields by name and leaves the absent Analytics
-// field nil.
-type checkpointStateV4 struct {
-	UserIDs        []int64
-	FirstSeen      []int64
-	FirstTweetID   []int64
+// checkpointState is the gob payload: the user store as flat columns
+// (one slice per field, row-major mention matrix, append-ordered state
+// intern table) plus the dataset counters, the analytics blob and the
+// top-mentioner ranking. Encoding the columns directly — no per-user
+// structs — keeps the snapshot one contiguous write per column and lets
+// the loader adopt the decoded slices without copying. A v4 payload
+// decodes into the same struct: gob matches fields by name, so its
+// int64 columns and blob fill the legacy fields, its ranking stays nil,
+// and its stream cursor, which nothing reads, is skipped.
+type checkpointState struct {
+	// The v5 int64 columns and analytics blob, which decode without
+	// gob's per-element work (rawInt64s, rawBytes).
+	RawUserIDs      rawInt64s
+	RawFirstSeen    rawInt64s
+	RawFirstTweetID rawInt64s
+	RawAnalytics    rawBytes
+	// The same as v4 wrote them, read from v4 files only.
+	UserIDs      []int64
+	FirstSeen    []int64
+	FirstTweetID []int64
+	Analytics    []byte
+
 	Tweets         []int32
 	Clinical       []int32
 	Hashtags       []int32
@@ -82,56 +100,63 @@ type checkpointStateV4 struct {
 	LastTweet      time.Time
 	OrgansPerTweet map[int]int
 	LocCache       map[string]geo.Location
-	// Cursor is the feeding layer's stream position at snapshot time (see
-	// Dataset.SetCursor), kept so the format stays byte for byte v4.
-	Cursor uint64
-	// Analytics is the report engine's opaque clustering warm-start blob
-	// (Dataset.SetAnalyticsState) — new in v4; nil when no engine has run
-	// or in snapshots loaded from v3 files.
-	Analytics []byte
+	// Top is the top-mentioner ranking, its candidates including the
+	// rows changed since the last drain; nil when none is kept.
+	Top *TopRanking
 }
 
-// snapshot captures the dataset into its serializable (v4) form. The
-// column slices are borrowed views into the store; the snapshot must be
+// snapshot captures the dataset into its serializable form. The column
+// slices are borrowed views into the store; the snapshot must be
 // encoded before the dataset is mutated again.
-func (d *Dataset) snapshot() checkpointStateV4 {
+func (d *Dataset) snapshot() checkpointState {
 	cols := d.store.Columns()
-	st := checkpointStateV4{
-		UserIDs:        cols.IDs,
-		FirstSeen:      cols.FirstSeen,
-		FirstTweetID:   cols.FirstTweetID,
-		Tweets:         cols.Tweets,
-		Clinical:       cols.Clinical,
-		Hashtags:       cols.Hashtags,
-		StateIdx:       cols.StateIdx,
-		UserFlags:      cols.Flags,
-		Mentions:       cols.Mentions,
-		StateCodes:     cols.StateCodes,
-		TotalCollected: d.totalCollected,
-		USTweets:       d.usTweets,
-		GeoTagged:      d.geoTagged,
-		MentionSum:     d.mentionSum,
-		FirstTweet:     d.firstTweet,
-		LastTweet:      d.lastTweet,
-		OrgansPerTweet: make(map[int]int, len(d.organsPerTweet)),
-		LocCache:       make(map[string]geo.Location, d.locCache.len()),
-		Cursor:         d.cursor,
-		Analytics:      d.analytics,
+	st := checkpointState{
+		RawUserIDs:      cols.IDs,
+		RawFirstSeen:    cols.FirstSeen,
+		RawFirstTweetID: cols.FirstTweetID,
+		RawAnalytics:    d.analytics,
+		Tweets:          cols.Tweets,
+		Clinical:        cols.Clinical,
+		Hashtags:        cols.Hashtags,
+		StateIdx:        cols.StateIdx,
+		UserFlags:       cols.Flags,
+		Mentions:        cols.Mentions,
+		StateCodes:      cols.StateCodes,
+		TotalCollected:  d.totalCollected,
+		USTweets:        d.usTweets,
+		GeoTagged:       d.geoTagged,
+		MentionSum:      d.mentionSum,
+		FirstTweet:      d.firstTweet,
+		LastTweet:       d.lastTweet,
+		OrgansPerTweet:  make(map[int]int, len(d.organsPerTweet)),
+		LocCache:        make(map[string]geo.Location, d.locCache.len()),
 	}
 	for k, n := range d.organsPerTweet {
 		st.OrgansPerTweet[k] = n
 	}
 	d.locCache.each(func(k string, v geo.Location) { st.LocCache[k] = v })
+	if r := d.top; r.K > 0 {
+		// A loaded store has no delta, so the rows changed since the last
+		// drain travel as candidates, as DrainDelta would have set them
+		// aside.
+		r.Cands = append([]uint32(nil), r.Cands...)
+		d.store.EachDirty(func(row uint32) {
+			if t := d.mentionTotal(row); t > 0 && t >= r.Kth {
+				r.Cands = append(r.Cands, row)
+			}
+		})
+		st.Top = &r
+	}
 	return st
 }
 
-// restore rebuilds a fresh dataset from a decoded v3/v4 snapshot,
-// adopting the decoded column slices directly into the store.
-func restore(st checkpointStateV4) (*Dataset, error) {
+// restore rebuilds a fresh dataset from a decoded snapshot, adopting the
+// decoded column slices directly into the store.
+func restore(st checkpointState) (*Dataset, error) {
 	store, err := userstore.FromColumns(organ.Count, userstore.Columns{
-		IDs:          st.UserIDs,
-		FirstSeen:    st.FirstSeen,
-		FirstTweetID: st.FirstTweetID,
+		IDs:          st.RawUserIDs,
+		FirstSeen:    st.RawFirstSeen,
+		FirstTweetID: st.RawFirstTweetID,
 		Tweets:       st.Tweets,
 		Clinical:     st.Clinical,
 		Hashtags:     st.Hashtags,
@@ -145,21 +170,90 @@ func restore(st checkpointStateV4) (*Dataset, error) {
 	}
 	d := NewDataset()
 	d.store = store
-	d.analytics = st.Analytics
+	d.analytics = st.RawAnalytics
 	d.totalCollected = st.TotalCollected
 	d.usTweets = st.USTweets
 	d.geoTagged = st.GeoTagged
 	d.mentionSum = st.MentionSum
 	d.firstTweet = st.FirstTweet
 	d.lastTweet = st.LastTweet
-	d.cursor = st.Cursor
 	for k, n := range st.OrgansPerTweet {
 		d.organsPerTweet[k] = n
 	}
 	for k, v := range st.LocCache {
 		d.locCache.put(k, v)
 	}
+	d.adoptRanking(st.Top)
 	return d, nil
+}
+
+// adoptRanking keeps a checkpointed top-mentioner ranking when its rows
+// are in range and distinct, K ≥ len(Rows), its candidates are in range,
+// and Kth is 0 while it holds fewer than K rows and otherwise at most
+// every kept row's total (totals only grow after a ranking). Any other
+// ranking is dropped, and TopMentioners rebuilds one. A kept ranking
+// stays exact only while every change to a row is seen, so the store
+// tracks its changes from here on, as the saving one did.
+func (d *Dataset) adoptRanking(r *TopRanking) {
+	if r == nil || r.K <= 0 || len(r.Rows) > r.K || (len(r.Rows) < r.K && r.Kth != 0) {
+		return
+	}
+	n := uint32(d.store.Len())
+	seen := make(map[uint32]bool, len(r.Rows))
+	for _, row := range r.Rows {
+		if row >= n || seen[row] || d.mentionTotal(row) < r.Kth {
+			return
+		}
+		seen[row] = true
+	}
+	for _, row := range r.Cands {
+		if row >= n {
+			return
+		}
+	}
+	d.top = *r
+	d.store.EnableDeltaTracking()
+}
+
+// rawInt64s is an int64 column that gob carries as raw little-endian
+// bytes. gob hands UnmarshalBinary a view of its own buffer, so the
+// column decodes in one pass, with no per-integer varint and no copy.
+type rawInt64s []int64
+
+// MarshalBinary encodes the column as raw little-endian bytes.
+func (c rawInt64s) MarshalBinary() ([]byte, error) {
+	b := make([]byte, 8*len(c))
+	for i, v := range c {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes MarshalBinary's form.
+func (c *rawInt64s) UnmarshalBinary(b []byte) error {
+	if len(b)%8 != 0 {
+		return fmt.Errorf("int64 column of %d bytes", len(b))
+	}
+	v := make([]int64, len(b)/8)
+	for i := range v {
+		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	*c = v
+	return nil
+}
+
+// rawBytes is a byte string that gob decodes with one copy of exactly
+// its size: a plain []byte field grows in 10 MiB steps, copying itself
+// at each.
+type rawBytes []byte
+
+// MarshalBinary returns the bytes.
+func (b rawBytes) MarshalBinary() ([]byte, error) { return b, nil }
+
+// UnmarshalBinary keeps a copy of data.
+func (b *rawBytes) UnmarshalBinary(data []byte) error {
+	*b = bytes.Clone(data)
+	return nil
 }
 
 // WriteCheckpoint serializes the dataset to w in the checkpoint format.
@@ -200,9 +294,9 @@ func readCheckpoint(r io.Reader, sizeHint int64) (*Dataset, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
 	}
 	version := magic[7]
-	if version != checkpointVersion && version != checkpointVersionV3 {
+	if version != checkpointVersion && version != checkpointVersionV4 {
 		return nil, fmt.Errorf("pipeline: checkpoint version %d not supported (want %d or %d)",
-			version, checkpointVersionV3, checkpointVersion)
+			version, checkpointVersionV4, checkpointVersion)
 	}
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -221,11 +315,13 @@ func readCheckpoint(r io.Reader, sizeHint int64) (*Dataset, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
 	}
-	// v3 and v4 share the decode path: a v3 payload simply lacks the
-	// Analytics field, which gob leaves nil.
-	var st checkpointStateV4
+	var st checkpointState
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("%w: decode: %v", ErrCheckpointCorrupt, err)
+	}
+	if version == checkpointVersionV4 {
+		st.RawUserIDs, st.RawFirstSeen, st.RawFirstTweetID = st.UserIDs, st.FirstSeen, st.FirstTweetID
+		st.RawAnalytics = st.Analytics
 	}
 	return restore(st)
 }
@@ -252,13 +348,6 @@ func readPayload(r io.Reader, length, sizeHint int64) ([]byte, error) {
 // CheckpointBackupPath returns the path of the last-good backup snapshot
 // SaveCheckpoint keeps beside path.
 func CheckpointBackupPath(path string) string { return path + ".bak" }
-
-// ShardCheckpointPath returns the checkpoint path of one shard of an
-// earlier sharded collection: "<base>-shard-<i>". `donorsense merge`
-// reads these files to fold them into one checkpoint.
-func ShardCheckpointPath(base string, shard int) string {
-	return fmt.Sprintf("%s-shard-%d", base, shard)
-}
 
 // SaveCheckpoint atomically writes the dataset snapshot to path: the
 // bytes land in a temporary file in the same directory, are synced to

@@ -13,20 +13,17 @@ import (
 	"donorsense/internal/organ"
 )
 
-// This file covers the payloads older code wrote: a pre-analytics v3
-// snapshot must load with nothing lost, and re-saving it must produce a
-// v4 snapshot that round-trips to the same dataset, merge cursor
-// included. A v4 snapshot that still carries the delete-tracking fields
-// of earlier releases must load as if they were absent.
+// This file covers the payloads older code wrote: a v4 snapshot must
+// load with nothing lost, and re-saving it must produce a v5 snapshot
+// that round-trips to the same dataset. A v4 snapshot that still carries
+// the delete-tracking fields of earlier releases must load as if they
+// were absent.
 
 // assertDatasetsIdenticalFull is assertDatasetsEqual plus the state a
-// resumed collector depends on: every user record and the stream cursor.
+// resumed collector depends on: every user record.
 func assertDatasetsIdenticalFull(t *testing.T, got, want *Dataset) {
 	t.Helper()
 	assertDatasetsEqual(t, got, want)
-	if got.Cursor() != want.Cursor() {
-		t.Errorf("cursor = %d, want %d", got.Cursor(), want.Cursor())
-	}
 	want.EachUser(func(u *UserRecord) {
 		gu, ok := got.LookupUser(u.ID)
 		if !ok || gu != *u {
@@ -49,10 +46,10 @@ type legacyContribution struct {
 	GeoTagged bool
 }
 
-// legacyCheckpointWire is the exact wire shape of the payloads earlier
-// releases wrote: checkpointStateV4 plus the delete-tracking fields.
-// gob leaves zero fields out, so with Analytics nil it is also the
-// pre-analytics v3 payload.
+// legacyCheckpointWire is the exact wire shape of the v4 payloads
+// earlier releases wrote: checkpointStateV4 plus the stream cursor and
+// the delete-tracking fields. gob leaves zero fields out, so with those
+// zero it is the v4 payload of the last release that wrote v4.
 type legacyCheckpointWire struct {
 	UserIDs        []int64
 	FirstSeen      []int64
@@ -78,36 +75,35 @@ type legacyCheckpointWire struct {
 	Analytics      []byte
 }
 
-// legacyWire re-encodes d's v4 snapshot through the legacy wire struct.
+// legacyWire encodes d as the legacy wire struct, cursor zero.
 func legacyWire(d *Dataset) legacyCheckpointWire {
-	v4 := d.snapshot()
+	st, cols := d.snapshot(), d.store.Columns()
 	return legacyCheckpointWire{
-		UserIDs:        v4.UserIDs,
-		FirstSeen:      v4.FirstSeen,
-		FirstTweetID:   v4.FirstTweetID,
-		Tweets:         v4.Tweets,
-		Clinical:       v4.Clinical,
-		Hashtags:       v4.Hashtags,
-		StateIdx:       v4.StateIdx,
-		UserFlags:      v4.UserFlags,
-		Mentions:       v4.Mentions,
-		StateCodes:     v4.StateCodes,
-		TotalCollected: v4.TotalCollected,
-		USTweets:       v4.USTweets,
-		GeoTagged:      v4.GeoTagged,
-		MentionSum:     v4.MentionSum,
-		FirstTweet:     v4.FirstTweet,
-		LastTweet:      v4.LastTweet,
-		OrgansPerTweet: v4.OrgansPerTweet,
-		LocCache:       v4.LocCache,
-		Cursor:         v4.Cursor,
-		Analytics:      v4.Analytics,
+		UserIDs:        cols.IDs,
+		FirstSeen:      cols.FirstSeen,
+		FirstTweetID:   cols.FirstTweetID,
+		Tweets:         st.Tweets,
+		Clinical:       st.Clinical,
+		Hashtags:       st.Hashtags,
+		StateIdx:       st.StateIdx,
+		UserFlags:      st.UserFlags,
+		Mentions:       st.Mentions,
+		StateCodes:     st.StateCodes,
+		TotalCollected: st.TotalCollected,
+		USTweets:       st.USTweets,
+		GeoTagged:      st.GeoTagged,
+		MentionSum:     st.MentionSum,
+		FirstTweet:     st.FirstTweet,
+		LastTweet:      st.LastTweet,
+		OrgansPerTweet: st.OrgansPerTweet,
+		LocCache:       st.LocCache,
+		Analytics:      st.RawAnalytics,
 	}
 }
 
 // writeLegacyCheckpoint frames st under the given version byte with a
 // valid header and checksum.
-func writeLegacyCheckpoint(t *testing.T, st legacyCheckpointWire, version byte, w *bytes.Buffer) {
+func writeLegacyCheckpoint(t testing.TB, st legacyCheckpointWire, version byte, w *bytes.Buffer) {
 	t.Helper()
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
@@ -123,13 +119,13 @@ func writeLegacyCheckpoint(t *testing.T, st legacyCheckpointWire, version byte, 
 	w.Write(payload.Bytes())
 }
 
-// TestCheckpointV3MigrationRoundTrip is the migration property test over
-// randomized datasets (randomized tweet window, a nonzero cursor): a
-// pre-analytics snapshot must load with the analytics blob nil and
-// everything else intact, re-saving must produce a v4 snapshot that
-// round-trips the blob byte-for-byte once one is attached, and the
-// migrated dataset must keep collecting identically.
-func TestCheckpointV3MigrationRoundTrip(t *testing.T) {
+// TestCheckpointV4MigrationRoundTrip is the migration property test over
+// randomized datasets (randomized tweet window, a nonzero stream cursor
+// in the file): a v4 snapshot must load with its analytics blob and
+// everything else intact, re-saving must produce a v5 snapshot that
+// round-trips the dataset and the blob byte for byte, and the migrated
+// dataset must keep collecting identically.
+func TestCheckpointV4MigrationRoundTrip(t *testing.T) {
 	tweets := sharedCorpus.Tweets
 	for seed := int64(1); seed <= 4; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -139,33 +135,34 @@ func TestCheckpointV3MigrationRoundTrip(t *testing.T) {
 		for _, tw := range tweets[lo:hi] {
 			d.Process(tw)
 		}
-		d.SetCursor(uint64(r.Int63()))
-
-		var v3 bytes.Buffer
-		writeLegacyCheckpoint(t, legacyWire(d), checkpointVersionV3, &v3)
-		migrated, err := ReadCheckpoint(bytes.NewReader(v3.Bytes()))
-		if err != nil {
-			t.Fatalf("seed %d: load v3: %v", seed, err)
-		}
-		assertDatasetsIdenticalFull(t, migrated, d)
-		if migrated.AnalyticsState() != nil {
-			t.Fatalf("seed %d: v3 snapshot loaded a non-nil analytics blob", seed)
-		}
-
 		blob := make([]byte, 64)
 		r.Read(blob)
-		migrated.SetAnalyticsState(blob)
+		d.SetAnalyticsState(blob)
+
+		st := legacyWire(d)
+		st.Cursor = uint64(r.Int63())
 		var v4 bytes.Buffer
-		if err := migrated.WriteCheckpoint(&v4); err != nil {
-			t.Fatalf("seed %d: save v4: %v", seed, err)
-		}
-		if v4.Bytes()[7] != checkpointVersion {
-			t.Fatalf("seed %d: re-save wrote version %d, want %d",
-				seed, v4.Bytes()[7], checkpointVersion)
-		}
-		reloaded, err := ReadCheckpoint(bytes.NewReader(v4.Bytes()))
+		writeLegacyCheckpoint(t, st, checkpointVersionV4, &v4)
+		migrated, err := ReadCheckpoint(bytes.NewReader(v4.Bytes()))
 		if err != nil {
-			t.Fatalf("seed %d: reload v4: %v", seed, err)
+			t.Fatalf("seed %d: load v4: %v", seed, err)
+		}
+		assertDatasetsIdenticalFull(t, migrated, d)
+		if !bytes.Equal(migrated.AnalyticsState(), blob) {
+			t.Fatalf("seed %d: v4 analytics blob did not load", seed)
+		}
+
+		var v5 bytes.Buffer
+		if err := migrated.WriteCheckpoint(&v5); err != nil {
+			t.Fatalf("seed %d: save v5: %v", seed, err)
+		}
+		if v5.Bytes()[7] != checkpointVersion {
+			t.Fatalf("seed %d: re-save wrote version %d, want %d",
+				seed, v5.Bytes()[7], checkpointVersion)
+		}
+		reloaded, err := ReadCheckpoint(bytes.NewReader(v5.Bytes()))
+		if err != nil {
+			t.Fatalf("seed %d: reload v5: %v", seed, err)
 		}
 		assertDatasetsIdenticalFull(t, reloaded, d)
 		if !bytes.Equal(reloaded.AnalyticsState(), blob) {
@@ -182,8 +179,8 @@ func TestCheckpointV3MigrationRoundTrip(t *testing.T) {
 
 // TestCheckpointIgnoresDeletionTrackingFields loads a v4 payload in the
 // shape earlier releases wrote, with delete tracking on and a non-empty
-// contribution log, and requires the same Table I, users, cursor and
-// analytics blob as the same dataset saved by the current code.
+// contribution log, and requires the same Table I, users and analytics
+// blob as the same dataset saved by the current code.
 func TestCheckpointIgnoresDeletionTrackingFields(t *testing.T) {
 	d := NewDataset()
 	contribs := map[int64]legacyContribution{}
@@ -195,13 +192,12 @@ func TestCheckpointIgnoresDeletionTrackingFields(t *testing.T) {
 	if len(contribs) == 0 {
 		t.Fatal("no US tweet in prefix; fixture broken")
 	}
-	d.SetCursor(4242)
 	d.SetAnalyticsState([]byte("warm blob"))
 	st := legacyWire(d)
-	st.TrackDeletions, st.Contributions = true, contribs
+	st.Cursor, st.TrackDeletions, st.Contributions = 4242, true, contribs
 
 	var legacy, current bytes.Buffer
-	writeLegacyCheckpoint(t, st, checkpointVersion, &legacy)
+	writeLegacyCheckpoint(t, st, checkpointVersionV4, &legacy)
 	if err := d.WriteCheckpoint(&current); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +207,7 @@ func TestCheckpointIgnoresDeletionTrackingFields(t *testing.T) {
 	}
 	want, err := ReadCheckpoint(&current)
 	if err != nil {
-		t.Fatalf("load current v4: %v", err)
+		t.Fatalf("load current v5: %v", err)
 	}
 	if got.Stats() != want.Stats() {
 		t.Errorf("Table I = %+v, want %+v", got.Stats(), want.Stats())

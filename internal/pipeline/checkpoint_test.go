@@ -2,12 +2,14 @@ package pipeline
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -99,10 +101,11 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}
 	}
 
-	// A future version and the retired v2 map format must be refused as
-	// unsupported, not as "corrupt": a version mismatch is a deployment
-	// problem, so the loader must not fall back to an older .bak either.
-	for _, version := range []byte{2, checkpointVersion + 1} {
+	// A future version, the retired v2 map format and the retired v3
+	// columns without analytics must be refused as unsupported, not as
+	// "corrupt": a version mismatch is a deployment problem, so the loader
+	// must not fall back to an older .bak either.
+	for _, version := range []byte{2, 3, checkpointVersion + 1} {
 		other := append([]byte(nil), good...)
 		other[7] = version
 		if _, err := ReadCheckpoint(bytes.NewReader(other)); err == nil ||
@@ -148,12 +151,15 @@ func TestReadCheckpointAllocationBoundedByInput(t *testing.T) {
 
 // FuzzReadCheckpoint: any input either loads or is refused with an error
 // — never a panic — and allocation stays bounded by the input's size.
-// The seeds are a valid v4 snapshot and truncations of it.
+// The seeds are a valid v5 snapshot carrying an analytics blob and a
+// top-mentioner ranking, truncations of it, and a v4 snapshot.
 func FuzzReadCheckpoint(f *testing.F) {
 	d := NewDataset()
 	for _, tw := range sharedCorpus.Tweets[:300] {
 		d.Process(tw)
 	}
+	d.SetAnalyticsState([]byte("warm blob"))
+	d.top = rankTop(d, 3)
 	var buf bytes.Buffer
 	if err := d.WriteCheckpoint(&buf); err != nil {
 		f.Fatal(err)
@@ -162,6 +168,9 @@ func FuzzReadCheckpoint(f *testing.F) {
 	for _, n := range []int{len(good), len(good) - 1, len(good) / 2, 21, 20, 19, 8, 0} {
 		f.Add(good[:n])
 	}
+	var v4 bytes.Buffer
+	writeLegacyCheckpoint(f, legacyWire(d), checkpointVersionV4, &v4)
+	f.Add(v4.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -174,6 +183,105 @@ func FuzzReadCheckpoint(f *testing.F) {
 			t.Fatalf("%d-byte input allocated %d bytes, bound %d", len(data), alloc, bound)
 		}
 	})
+}
+
+// rankTop is the ranking TopMentioners keeps after ranking the top k of
+// d: rows by descending mention total, then ascending id.
+func rankTop(d *Dataset, k int) TopRanking {
+	var rows []uint32
+	for row := uint32(0); row < uint32(d.Users()); row++ {
+		if d.mentionTotal(row) > 0 {
+			rows = append(rows, row)
+		}
+	}
+	slices.SortFunc(rows, func(a, b uint32) int {
+		if c := cmp.Compare(d.mentionTotal(b), d.mentionTotal(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(d.store.ID(int32(a)), d.store.ID(int32(b)))
+	})
+	r := TopRanking{K: k, Rows: rows[:min(k, len(rows))]}
+	if len(r.Rows) == k {
+		r.Kth = d.mentionTotal(r.Rows[k-1])
+	}
+	return r
+}
+
+// TestCheckpointCarriesRanking: a saved top-mentioner ranking reloads
+// with the rows changed since the last drain among its candidates, and
+// the reloaded store tracks its changes; a ranking that fails validation
+// is dropped instead.
+func TestCheckpointCarriesRanking(t *testing.T) {
+	d := NewDataset()
+	for _, tw := range sharedCorpus.Tweets[:2000] {
+		d.Process(tw)
+	}
+	d.EnableDeltaTracking()
+	d.top = rankTop(d, 5)
+	for _, tw := range sharedCorpus.Tweets[2000:2300] {
+		d.Process(tw)
+	}
+	reload := func(r TopRanking) *Dataset {
+		t.Helper()
+		d.top = r
+		var buf bytes.Buffer
+		if err := d.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadCheckpoint(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	good := d.top
+	got := reload(good)
+	if r := got.TopRanking(); r.K != good.K || r.Kth != good.Kth || !slices.Equal(r.Rows, good.Rows) {
+		t.Fatalf("ranking reloaded as %+v, want %+v", *r, good)
+	}
+	var dirty []uint32
+	d.EachDirty(func(row uint32) {
+		if tot := d.mentionTotal(row); tot > 0 && tot >= good.Kth {
+			dirty = append(dirty, row)
+		}
+	})
+	if len(dirty) == 0 {
+		t.Fatal("fixture: no undrained row reaches the ranking")
+	}
+	if !slices.Equal(got.TopRanking().Cands, dirty) {
+		t.Errorf("reloaded candidates %v, want the undrained rows %v", got.TopRanking().Cands, dirty)
+	}
+	if !got.DeltaTracking() {
+		t.Error("a store reloaded with a ranking does not track its changes")
+	}
+
+	// Rows grow after a ranking: a kept row above the K-th total is
+	// still a valid ranking.
+	grown := good
+	grown.Kth = d.mentionTotal(good.Rows[good.K-1]) - 1
+	if got := reload(grown); got.TopRanking().K != good.K {
+		t.Error("a ranking whose K-th row has grown since was dropped")
+	}
+
+	n := uint32(d.Users())
+	broken := map[string]func(r *TopRanking){
+		"row out of range":        func(r *TopRanking) { r.Rows[1] = n },
+		"repeated row":            func(r *TopRanking) { r.Rows[2] = r.Rows[0] },
+		"K below the rows":        func(r *TopRanking) { r.K = len(r.Rows) - 1 },
+		"candidate out of range":  func(r *TopRanking) { r.Cands = []uint32{n + 7} },
+		"Kth above a row's total": func(r *TopRanking) { r.Kth = 1 << 40 },
+		"Kth of a short ranking":  func(r *TopRanking) { r.K++ },
+	}
+	for name, breakIt := range broken {
+		r := good
+		r.Rows = slices.Clone(good.Rows)
+		breakIt(&r)
+		got := reload(r)
+		if got.TopRanking().K != 0 || got.DeltaTracking() {
+			t.Errorf("%s: the ranking was kept", name)
+		}
+	}
 }
 
 func flipByte(b []byte, i int) []byte {

@@ -6,10 +6,9 @@ import (
 )
 
 // Merge folds the state of another dataset into this one. Datasets
-// built over a user-id partition of one stream — the shard checkpoints
-// of an earlier sharded run, which `donorsense merge` reads — merge (in
-// any order, any grouping) into statistics bit-identical to one process
-// consuming the whole stream.
+// built over a user-id partition of one stream merge (in any order, any
+// grouping) into statistics bit-identical to one process consuming the
+// whole stream; tests use it as that partition oracle.
 //
 // The fold is associative and commutative:
 //
@@ -25,8 +24,7 @@ import (
 //     before true. The tie-break is a total order on the identity key,
 //     which is what makes conflicting merges order-insensitive.
 //   - The geocode memo is unioned best-effort (it is a cache; it cannot
-//     change results). The stream cursor is reset to zero: a merged
-//     dataset has no single upstream position.
+//     change results).
 //
 // Merge takes ownership of other's user records and must be the last use
 // of other. Merging a dataset into itself is not allowed.
@@ -67,7 +65,6 @@ func (d *Dataset) Merge(other *Dataset) {
 	}
 
 	other.locCache.each(func(k string, v geo.Location) { d.locCache.put(k, v) })
-	d.cursor = 0
 	if d.metrics != nil {
 		d.metrics.updateSizes(d)
 	}

@@ -122,11 +122,6 @@ type Dataset struct {
 
 	firstTweet, lastTweet time.Time
 
-	// cursor is an opaque stream position owned by the feeding layer,
-	// persisted in checkpoints (shard checkpoints of earlier sharded runs
-	// carry one; Merge resets it). The dataset itself never interprets it.
-	cursor uint64
-
 	// organsPerTweet[k] = number of US tweets mentioning exactly k
 	// distinct organs (k >= 1), for Figure 2(b).
 	organsPerTweet map[int]int
@@ -148,9 +143,9 @@ type Dataset struct {
 	tracer       *trace.Tracer
 	pendingTrace trace.SpanContext
 
-	// analytics is the report engine's opaque warm-start blob
-	// (SetAnalyticsState), persisted in v4 checkpoints so a restarted
-	// process resumes clustering warm instead of cold.
+	// analytics is the report engine's opaque warm-state blob
+	// (SetAnalyticsState), persisted in checkpoints so a restarted
+	// process resumes its analysis warm instead of cold.
 	analytics []byte
 
 	// top is report.TopMentioners' ranking, maintained by DrainDelta.
@@ -222,14 +217,6 @@ func (d *Dataset) locate(t *twitter.Tweet) (loc geo.Location, viaGeoTag bool) {
 	return l, false
 }
 
-// Cursor returns the stream position last recorded with SetCursor (0 if
-// never set). It is persisted in checkpoints.
-func (d *Dataset) Cursor() uint64 { return d.cursor }
-
-// SetCursor records an opaque stream position to be persisted with the
-// next checkpoint.
-func (d *Dataset) SetCursor(c uint64) { d.cursor = c }
-
 // Users returns the number of retained US users.
 func (d *Dataset) Users() int { return d.store.Len() }
 
@@ -270,9 +257,20 @@ func (d *Dataset) EachStateSlice(fn func(code string, users int, mentions [organ
 // the retained users, straight from the store's id column and row-major
 // mention matrix, and returns each Û row's geo.StateCodes() row (-1 when
 // the user's state is not a known code), read through the store's
-// interned state column — no per-user map or id lookup.
-func (d *Dataset) BuildAttentionStates() (*core.Attention, []int16, error) {
-	att, src, err := core.AttentionWithSources(d.store.IDs(), d.store.Mentions())
+// interned state column — no per-user map or id lookup. rows, when not
+// nil, are the store rows of Û in ascending id order, as
+// AttentionSources returned them over the same store: the build then
+// skips the id sort, and refuses rows that are not exactly those.
+func (d *Dataset) BuildAttentionStates(rows []int32) (*core.Attention, []int16, error) {
+	var (
+		att *core.Attention
+		err error
+	)
+	if rows == nil {
+		att, rows, err = core.AttentionWithSources(d.store.IDs(), d.store.Mentions())
+	} else {
+		att, err = core.AttentionFromRows(d.store.IDs(), d.store.Mentions(), rows)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -283,11 +281,17 @@ func (d *Dataset) BuildAttentionStates() (*core.Attention, []int16, error) {
 	for i := 0; i < d.store.StateCount(); i++ {
 		geoRow[i] = int16(geo.StateIndex(d.store.StateCodeAt(i)))
 	}
-	states := make([]int16, len(src))
-	for r, row := range src {
+	states := make([]int16, len(rows))
+	for r, row := range rows {
 		states[r] = geoRow[d.store.StateIndex(row)]
 	}
 	return att, states, nil
+}
+
+// AttentionSources returns the store rows Û is built from — every user
+// with a mention — in ascending user-id order.
+func (d *Dataset) AttentionSources() ([]int32, error) {
+	return core.SourcesByID(d.store.IDs(), d.store.Mentions())
 }
 
 // EachUser calls fn for every retained user. Iteration order is

@@ -228,7 +228,7 @@ func TestFigure2bCrossover(t *testing.T) {
 }
 
 func TestBuildAttentionMatchesUsers(t *testing.T) {
-	a, states, err := sharedDataset.BuildAttentionStates()
+	a, states, err := sharedDataset.BuildAttentionStates(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

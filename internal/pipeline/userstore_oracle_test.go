@@ -220,7 +220,7 @@ func assertMatchesOracle(t *testing.T, label string, d *Dataset, o *mapStoreOrac
 	}
 
 	// Attention: same users, same row order, bit-identical Û.
-	att, states, err := d.BuildAttentionStates()
+	att, states, err := d.BuildAttentionStates(nil)
 	if err != nil {
 		t.Fatalf("%s: attention: %v", label, err)
 	}

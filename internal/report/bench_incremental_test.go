@@ -1,7 +1,10 @@
 package report
 
 import (
+	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"donorsense/internal/gen"
 	"donorsense/internal/pipeline"
@@ -170,3 +173,65 @@ func BenchmarkIncrementalRefreshNewUsers100k(b *testing.B) {
 func BenchmarkIncrementalRefreshNewUsers1M(b *testing.B) {
 	benchIncrementalRefreshNewUsers(b, 1_000_000)
 }
+
+// benchRestart times a restart from a users-user checkpoint, split by
+// stage: LoadCheckpoint (load_ms), NewEngine + RestoreWarm (restore_ms),
+// the first Refresh (first_refresh_ms) and the first TopMentioners
+// (top_ms). The checkpoint is what collect -serve leaves behind: a
+// dataset refreshed and ranked by a live engine, saved with its warm
+// state. Each iteration collects the previous one's garbage first.
+func benchRestart(b *testing.B, users int) {
+	d := pipeline.SynthDataset(users, 1)
+	e := NewEngine(d, benchEngineConfig())
+	if _, err := e.Refresh(); err != nil {
+		b.Fatal(err)
+	}
+	TopMentioners(d, benchTopK)
+	warm, err := e.MarshalWarm()
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.SetAnalyticsState(warm)
+	path := filepath.Join(b.TempDir(), "restart.ckpt")
+	if err := d.SaveCheckpoint(path); err != nil {
+		b.Fatal(err)
+	}
+	d, e = nil, nil
+	var load, restore, first, top time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		t0 := time.Now()
+		d, err := pipeline.LoadCheckpoint(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		e := NewEngine(d, benchEngineConfig())
+		if err := e.RestoreWarm(d.AnalyticsState()); err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		if _, err := e.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+		t3 := time.Now()
+		if got := TopMentioners(d, benchTopK); len(got) != benchTopK {
+			b.Fatalf("ranked %d users, want %d", len(got), benchTopK)
+		}
+		t4 := time.Now()
+		load, restore, first, top = load+t1.Sub(t0), restore+t2.Sub(t1), first+t3.Sub(t2), top+t4.Sub(t3)
+	}
+	perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(load), "load_ms")
+	b.ReportMetric(perOp(restore), "restore_ms")
+	b.ReportMetric(perOp(first), "first_refresh_ms")
+	b.ReportMetric(perOp(top), "top_ms")
+}
+
+// BenchmarkRestart{100k,1M} are not gated; run them with
+// go test -cpu 1 -run '^$' -bench 'Restart(100k|1M)$' -benchtime 4x ./internal/report/
+func BenchmarkRestart100k(b *testing.B) { benchRestart(b, 100_000) }
+func BenchmarkRestart1M(b *testing.B)   { benchRestart(b, 1_000_000) }

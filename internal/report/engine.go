@@ -82,6 +82,7 @@ type Engine struct {
 	// Per-stage time of the current refresh, reported on its span.
 	stages [numStages]time.Duration
 
+	restored    string // the path RestoreWarm took
 	refreshes   uint64
 	lastDirty   int
 	lastLatency time.Duration
@@ -93,7 +94,7 @@ type Engine struct {
 // consume deltas.
 func NewEngine(d *pipeline.Dataset, cfg AnalysisConfig) *Engine {
 	d.EnableDeltaTracking()
-	return &Engine{d: d, cfg: cfg}
+	return &Engine{d: d, cfg: cfg, restored: RestoreNone}
 }
 
 // SetMetrics attaches refresh instrumentation (nil disables).
@@ -213,7 +214,7 @@ func (e *Engine) reset() {
 // state from the results. It is all of Analyze.
 func (e *Engine) coldBuild() (*Analysis, error) {
 	clock := time.Now()
-	att, states, err := e.d.BuildAttentionStates()
+	att, states, err := e.d.BuildAttentionStates(nil)
 	if err != nil {
 		return nil, fmt.Errorf("report: attention: %w", err)
 	}

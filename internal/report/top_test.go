@@ -10,6 +10,7 @@ import (
 	"donorsense/internal/gen"
 	"donorsense/internal/organ"
 	"donorsense/internal/pipeline"
+	"donorsense/internal/twitter"
 )
 
 // topOracle is the brute-force reference: snapshot every user, full sort,
@@ -135,7 +136,8 @@ func TestTopMentionersColumnScanOracle(t *testing.T) {
 // prefix of it, a larger max (a rebuild), and a max beyond the user
 // count. Along the way it covers an engine error-reset followed by a
 // cold refresh, a Merge into the tracked dataset (one ranked user also
-// changes state), and a checkpoint save and reload.
+// changes state), and two checkpoint saves and reloads that carry the
+// ranking across rows folded since it was last ranked.
 func TestTopMentionersMaintainedMatchesOracle(t *testing.T) {
 	tweets := gen.Generate(gen.DefaultConfig(0.05)).Tweets
 	cfg := engineTestConfig()
@@ -207,11 +209,37 @@ func TestTopMentionersMaintainedMatchesOracle(t *testing.T) {
 				t.Fatalf("refresh after the reset was not cold (epoch %d)", e.Epoch())
 			}
 			check(stage, k, k/4)
-		case 8:
-			// A reloaded dataset starts without a ranking, so from here
-			// on the ranking is small against the user count.
-			k = 25
-			before := TopMentioners(d, k)
+		case 8, 14:
+			// The ranking rides the checkpoint, with the rows folded
+			// since the last ranking among its candidates: a quarter of
+			// the chunk folds again after the ranking, and two users
+			// climb to the top, undrained at the save. Chunk 8 then
+			// drops the ranking, so from there on the rebuilt one is
+			// small against the user count.
+			if c == 8 {
+				k = 25
+			}
+			TopMentioners(d, k)
+			kept := *d.TopRanking()
+			for _, tw := range chunk[:half/2] {
+				d.Process(tw)
+			}
+			// Lift the first user outside the top k, and a new one, above
+			// the leader: neither is among the kept rows.
+			lead := topOracle(d, 1)[0].Total
+			for i, id := range []int64{topOracle(d, k+1)[k].ID, 1<<62 + int64(c)} {
+				for n := int64(0); n <= lead; n++ {
+					tw := twitter.Tweet{
+						ID:        1<<62 + int64(c)<<40 + int64(i)<<32 + n,
+						Text:      "please donate a kidney today",
+						CreatedAt: main[0].CreatedAt,
+						User:      twitter.User{ID: id, Location: "Topeka, KS"},
+					}
+					if d.Process(tw) != pipeline.CollectedUS {
+						t.Fatal("boost tweet not collected")
+					}
+				}
+			}
 			var buf bytes.Buffer
 			if err := d.WriteCheckpoint(&buf); err != nil {
 				t.Fatal(err)
@@ -220,12 +248,17 @@ func TestTopMentionersMaintainedMatchesOracle(t *testing.T) {
 			if d, err = pipeline.ReadCheckpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			e = NewEngine(d, cfg)
-			if after := TopMentioners(d, k); !slices.Equal(after, before) {
-				t.Fatal("the reloaded dataset ranks differently")
+			if r := d.TopRanking(); r.K != kept.K || r.Kth != kept.Kth || !slices.Equal(r.Rows, kept.Rows) {
+				t.Fatalf("%s: the ranking reloaded as K=%d Kth=%d, want K=%d Kth=%d", stage, r.K, r.Kth, kept.K, kept.Kth)
 			}
-			refresh()
+			e = NewEngine(d, cfg)
 			check(stage+" reloaded", k, k/2)
+			refresh()
+			check(stage+" reloaded, refreshed", k, k/2)
+			if c == 8 {
+				*d.TopRanking() = pipeline.TopRanking{}
+				check(stage+" rebuilt", k, k/2)
+			}
 		case 13:
 			shard := pipeline.NewDataset()
 			for _, tw := range held {

@@ -16,8 +16,8 @@ import (
 // -serve and donorsense serve: refresh the incremental engine over the
 // dataset, rank the top mentioners, publish the snapshot, and record the
 // refresh for the log and the /statusz analytics section. It owns the
-// engine, including the clustering warm state a checkpoint carries. Set
-// the exported fields (Logger is required), then Load a dataset.
+// engine, including the warm state a checkpoint carries. Set the
+// exported fields (Logger is required), then Load a dataset.
 //
 // Load, Step, Tick and SaveWarm run on the goroutine that owns the
 // dataset, between folds: the publish deep-copies what the next refresh
@@ -48,17 +48,21 @@ type liveStats struct {
 	dirty, users     int
 	latency          time.Duration
 	cold             bool
+	restore          string // the path the engine's restore took at Load
 	at               time.Time
 }
 
 // Load points the step at d with a new engine over it, resumed from the
-// clustering warm state d's checkpoint carried. The next Tick steps
-// whenever d is non-empty, so a restored dataset is published at once.
+// warm state d's checkpoint carried, and logs the path the restore took
+// (report.RestoreCarried, RestoreClustering or RestoreNone). The next
+// Tick steps whenever d is non-empty, so a restored dataset is
+// published at once.
 func (l *Live) Load(d *pipeline.Dataset) {
 	e := report.NewEngine(d, l.Analysis)
 	if err := e.RestoreWarm(d.AnalyticsState()); err != nil {
 		l.Logger.Warn("ignoring unreadable analytics warm state", "err", err)
 	}
+	l.Logger.Info("analytics state restored", "path", e.Restored(), "users", d.Users())
 	e.SetTracer(l.Tracer)
 	e.SetMetrics(l.Metrics)
 	l.d, l.engine, l.last, l.seen = d, e, time.Time{}, -1
@@ -85,7 +89,10 @@ func (l *Live) Step() error {
 		}
 	}
 	l.seen = l.d.TotalCollected()
-	st := &liveStats{refreshes: l.engine.Refreshes(), epoch: l.engine.Epoch(), users: l.d.Users(), at: time.Now()}
+	st := &liveStats{
+		refreshes: l.engine.Refreshes(), epoch: l.engine.Epoch(), users: l.d.Users(),
+		restore: l.engine.Restored(), at: time.Now(),
+	}
 	st.dirty, st.latency, st.cold = l.engine.LastRefresh()
 	l.stats.Store(st)
 	l.Logger.Info("analysis refreshed",
@@ -107,12 +114,20 @@ func (l *Live) Tick() {
 	}
 }
 
-// SaveWarm stores the engine's clustering warm state in the dataset, so
-// the next checkpoint save carries it and a resumed step's first refresh
-// resumes instead of cold-starting. A nil Live does nothing.
+// SaveWarm stores the engine's warm state in the dataset, so the next
+// checkpoint save carries it and a resumed step's first refresh is
+// incremental instead of a cold build. The engine's exact state rides
+// along only when it describes the store being saved, so when rows
+// changed since the last step SaveWarm steps first. A nil Live does
+// nothing.
 func (l *Live) SaveWarm() {
 	if l == nil {
 		return
+	}
+	if l.d.DirtyRows() > 0 {
+		if err := l.Step(); err != nil {
+			l.Logger.Warn("analysis step failed", "err", err)
+		}
 	}
 	b, err := l.engine.MarshalWarm()
 	if err != nil {
@@ -153,6 +168,7 @@ func (l *Live) Status() obs.StatusSection {
 	sec.Field("last_dirty_rows", st.dirty)
 	sec.Field("last_latency", st.latency.Round(time.Microsecond).String())
 	sec.Field("last_cold", st.cold)
+	sec.Field("restore", st.restore)
 	sec.Field("users", st.users)
 	return sec
 }
